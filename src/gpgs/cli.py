@@ -187,8 +187,9 @@ def _write_loss_csv(model: gp.TrainedGP, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_train(cfg: RunConfig) -> Path:
-    """Train the six GPs on a dataset CSV and write the model file."""
+def cmd_train(cfg: RunConfig) -> gp.TrainedGP:
+    """Train the six GPs on a dataset CSV, write the model file, and return
+    the trained model."""
     _require(cfg, "dataset", "output")
     ds = sfm_io.read_dataset_csv(cfg.dataset)
     model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
@@ -202,7 +203,7 @@ def cmd_train(cfg: RunConfig) -> Path:
     )
     print(f"trained on {model.X.shape[0]} points; final per-output NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
-    return out
+    return model
 
 
 def _print_variance_report(report: dn.VarianceReport) -> None:
@@ -329,7 +330,8 @@ def cmd_pipeline(cfg: RunConfig) -> None:
 
     With several key frames, each frame trains its own GP; the retained
     predictions of all frames are unioned before merging with the sparse
-    cloud.
+    cloud. Each frame densifies with the model it just trained, which is
+    the model its model file reloads to.
     """
     _require(cfg, "model_dir", "output")
     out_dir = Path(cfg.output)
@@ -349,10 +351,9 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         tag = ds_path.stem.removeprefix("dataset")
         model_path = out_dir / f"model{tag}.txt"
         train_cfg = dataclasses.replace(cfg, dataset=str(ds_path), output=str(model_path))
-        cmd_train(train_cfg)
-
-        model = model_io.load_model(model_path)
+        model = cmd_train(train_cfg)
         filtered_parts.append(_densify_one(cfg, model, sparse, ds.image_id))
+        del model  # free its factors before the next model trains
 
         metrics_path = out_dir / f"metrics{tag}.csv"
         eval_cfg = dataclasses.replace(cfg, dataset=str(ds_path), output=str(metrics_path))

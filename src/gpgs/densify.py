@@ -46,9 +46,10 @@ class FilterConfig:
 class PredictedPointSet:
     """GP inference results for a batch of candidate pixels.
 
-    var6 rows are posterior variances in normalized-target space;
-    mean_rgb_var is the arithmetic mean of the three colour entries.
-    mean6 rows are denormalized (world position + [0,1] colours).
+    var6 rows are posterior variances in normalized-target space; only
+    the three colour entries (columns 3:6) are computed, the position
+    entries are NaN. mean_rgb_var is the arithmetic mean of the colour
+    entries. mean6 rows are denormalized (world position + [0,1] colours).
     """
 
     pixels: tuple[PixelSample, ...]
@@ -123,7 +124,8 @@ def attach_depth(
 
 def infer_dense(model: TrainedGP, candidates: Sequence[PixelSample]) -> PredictedPointSet:
     """Run batch GP inference over candidate pixels; retained flags start
-    all False pending filtering."""
+    all False pending filtering. Only the colour variances, which the
+    filter ranks by, are computed."""
     m = len(candidates)
     if m and model.input_dim == 3:
         if any(s.depth is None for s in candidates):
@@ -137,7 +139,7 @@ def infer_dense(model: TrainedGP, candidates: Sequence[PixelSample]) -> Predicte
         return PredictedPointSet(
             (), np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=bool)
         )
-    post = posterior(model, Q)
+    post = posterior(model, Q, var_outputs=(3, 4, 5))
     mean_rgb_var = post.var_norm[:, 3:6].mean(axis=1)
     return PredictedPointSet(
         tuple(candidates), post.mean, post.var_norm, mean_rgb_var, np.zeros(m, dtype=bool)

@@ -42,6 +42,10 @@ MAX_JITTER = 1e-2
 # plain-gradient-descent dynamics try to run a parameter off to infinity.
 LOG_PARAM_BOUND = 20.0
 
+# Queries per posterior block: the (n, chunk) distance and covariance
+# blocks bound the posterior's memory at O(n * chunk).
+_QUERY_CHUNK = 4096
+
 
 # ---------------------------------------------------------------------------
 # Configuration types
@@ -163,20 +167,6 @@ def _correlation(family: str, nu: float | None, t: np.ndarray) -> np.ndarray:
     if nu == 2.5:
         s = math.sqrt(5.0) * t
         return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    raise ValueError(f"unsupported kernel ({family}, nu={nu})")
-
-
-def _correlation_dlog_ell(family: str, nu: float | None, t: np.ndarray) -> np.ndarray:
-    """dR/d(log l) = -t R'(t), elementwise over scaled distances."""
-    if family == RBF:
-        return t * t * np.exp(-0.5 * t * t)
-    if nu == 0.5:
-        return t * np.exp(-t)
-    if nu == 1.5:
-        return 3.0 * t * t * np.exp(-math.sqrt(3.0) * t)
-    if nu == 2.5:
-        s = math.sqrt(5.0) * t
-        return (5.0 / 3.0) * t * t * (1.0 + s) * np.exp(-s)
     raise ValueError(f"unsupported kernel ({family}, nu={nu})")
 
 
@@ -400,7 +390,8 @@ class TrainedGP:
     normalizer: OutputNormalizer
     X: np.ndarray                          # (n, d) training inputs
     Z: np.ndarray                          # (n, 6) normalized targets
-    factors: tuple[np.ndarray, ...]        # per-output lower Cholesky of K + sn2 I (+ jitter)
+    factors: tuple[np.ndarray, ...]        # per-output lower Cholesky of K + sn2 I (+ jitter),
+                                           # Fortran-ordered
     alphas: tuple[np.ndarray, ...]         # per-output (K + sn2 I)^-1 z
     jitters: tuple[float, ...]             # jitter actually used per output
     width: int
@@ -448,10 +439,11 @@ class TrainedGP:
             K = cfg.signal_var * _correlation(cfg.family, cfg.nu, D / cfg.lengthscale)
             K[np.diag_indices_from(K)] += cfg.noise_var
             L, j = _factorize(K, j0)
-            factors.append(L)
             alphas.append(
                 solve_triangular(L.T, solve_triangular(L, Z[:, j_out], lower=True), lower=False)
             )
+            # LAPACK reads a Fortran-ordered factor in place on every solve.
+            factors.append(np.asfortranarray(L))
             jitters.append(j)
         return cls(
             configs,
@@ -470,16 +462,21 @@ class TrainedGP:
 @dataclass(frozen=True)
 class PosteriorBatch:
     mean_norm: np.ndarray  # (m, 6) in standardized target space
-    var_norm: np.ndarray   # (m, 6), clamped at zero
+    var_norm: np.ndarray   # (m, 6), clamped at zero; NaN in columns not asked for
     mean: np.ndarray       # (m, 6) denormalized
     var: np.ndarray        # (m, 6) denormalized (scaled by per-output std^2)
 
 
-def posterior(model: TrainedGP, Q) -> PosteriorBatch:
+def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     """Predictive mean and variance at query inputs Q (m, d).
 
     mu = k*^T alpha and var = k(q,q) - ||L^-1 k*||^2 per output, evaluated
-    through the cached Cholesky factors.
+    through the cached Cholesky factors (Rasmussen & Williams, Alg. 2.1).
+    Only the outputs listed in var_outputs (None: all) get a variance,
+    at one triangular solve each; the other variance columns are NaN.
+    Queries are processed in blocks of _QUERY_CHUNK that share one
+    distance block across the outputs, so memory is O(n * chunk) rather
+    than O(n * m).
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != model.input_dim:
@@ -488,14 +485,24 @@ def posterior(model: TrainedGP, Q) -> PosteriorBatch:
         )
     m = Q.shape[0]
     k = model.n_outputs
-    mean_norm = np.zeros((m, k))
-    var_norm = np.zeros((m, k))
-    if m:
+    var_outputs = set(range(k) if var_outputs is None else var_outputs)
+    if not var_outputs <= set(range(k)):
+        raise ValueError(f"variance outputs {sorted(var_outputs)} out of range for {k} outputs")
+    mean_norm = np.empty((m, k))
+    var_norm = np.full((m, k), np.nan)
+    for start in range(0, m, _QUERY_CHUNK):
+        rows = slice(start, min(start + _QUERY_CHUNK, m))
+        D = cdist(Q[rows], model.X).T  # (n, chunk), Fortran-ordered without a copy
         for j, (cfg, L, alpha) in enumerate(zip(model.configs, model.factors, model.alphas)):
-            Ks = cross_covariance(cfg, model.X, Q)  # (n, m)
-            mean_norm[:, j] = Ks.T @ alpha
-            V = solve_triangular(L, Ks, lower=True)
-            var_norm[:, j] = np.maximum(cfg.signal_var - np.sum(V * V, axis=0), 0.0)
+            Ks = cfg.signal_var * _correlation(cfg.family, cfg.nu, D / cfg.lengthscale)
+            mean_norm[rows, j] = Ks.T @ alpha
+            if j in var_outputs:
+                # V = L^-1 k* and then V * V overwrite the covariance block in place.
+                V = solve_triangular(L, Ks, lower=True, check_finite=False, overwrite_b=True)
+                np.multiply(V, V, out=V)
+                var_norm[rows, j] = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
+                del V
+            del Ks  # free the block before the next output builds its own
     mean = model.normalizer.denormalize_mean(mean_norm)
     var = model.normalizer.denormalize_var(var_norm)
     return PosteriorBatch(mean_norm, var_norm, mean, var)

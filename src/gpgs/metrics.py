@@ -187,7 +187,7 @@ def evaluate_holdout(model: TrainedGP, test: PixelToPointDataset) -> HoldoutRepo
     """
     if len(test) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    pred = posterior(model, test.input_matrix()).mean
+    pred = posterior(model, test.input_matrix(), var_outputs=()).mean
     truth = test.target_matrix()
 
     per_output = []

@@ -677,6 +677,9 @@ def write_dataset_csv(ds: PixelToPointDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_DATASET_REQUIRED_COLUMNS = ("u_norm", "v_norm", "x", "y", "z", "r", "g", "b")
+
+
 def read_dataset_csv(path) -> PixelToPointDataset:
     path = Path(path)
     if not path.is_file():
@@ -692,10 +695,16 @@ def read_dataset_csv(path) -> PixelToPointDataset:
             key, _, value = line.lstrip("# ").partition("=")
             key = key.strip()
             if key in meta:
-                meta[key] = int(value.strip())
+                try:
+                    meta[key] = int(value.strip())
+                except ValueError as exc:
+                    raise MalformedLine(path, lineno, f"metadata {key}: {exc}") from exc
             continue
         if header is None:
             header = line.split(",")
+            missing = [c for c in _DATASET_REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise MalformedLine(path, lineno, f"header lacks columns {', '.join(missing)}")
             continue
         tokens = line.split(",")
         if len(tokens) != len(header):

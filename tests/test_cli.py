@@ -110,6 +110,28 @@ class TestTrain:
         )
         assert "nu 1.5" in model_path.read_text()
 
+    def test_dataset_missing_column_exits_2(self, dataset, tmp_path, capsys):
+        lines = dataset.read_text().splitlines()
+        header = lines[3].split(",")
+        drop = header.index("g")
+        lines[3:] = [
+            ",".join(v for i, v in enumerate(line.split(",")) if i != drop)
+            for line in lines[3:]
+        ]
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "lacks columns g" in capsys.readouterr().err
+
+    def test_non_numeric_width_exits_2(self, dataset, tmp_path, capsys):
+        lines = dataset.read_text().splitlines()
+        assert lines[1].startswith("# width = ")
+        lines[1] = "# width = ten"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "width" in capsys.readouterr().err
+
     def test_same_seed_byte_identical_model(self, dataset, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):
@@ -234,6 +256,22 @@ class TestPipeline:
             ) == 0
             outs.append((out / "cloud.ply").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_cloud_matches_densify_of_saved_model(self, surface_dir, tmp_path):
+        # pipeline densifies with its in-memory model; the model file must
+        # reload to the same model, so densify reproduces the cloud
+        flags = ("--iterations", "25", "--seed", "11")
+        out = tmp_path / "run"
+        assert run("pipeline", "--model-dir", str(surface_dir), "--output", str(out), *flags) == 0
+        cloud = tmp_path / "densify" / "cloud.ply"
+        assert run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(out / "model.txt"),
+            "--output", str(cloud), *flags,
+        ) == 0
+        assert cloud.read_bytes() == (out / "cloud.ply").read_bytes()
+        assert (cloud.parent / "cloud_variance.csv").read_bytes() == (
+            out / "cloud_variance.csv"
+        ).read_bytes()
 
     def test_multi_frame_pipeline(self, fixture_dir, tmp_path):
         # tiny fixture: frames carry 5 and 3 samples; fraction 0.34 keeps

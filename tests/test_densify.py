@@ -135,7 +135,9 @@ class TestInferDense:
         preds = dn.infer_dense(model, candidates)
         Q = np.array([[c.u_norm, c.v_norm] for c in candidates])
         post = gp.posterior(model, Q)
-        assert np.max(np.abs(preds.var6 - post.var_norm)) <= 1e-12
+        # only the colour variances are computed; position columns are NaN
+        assert np.array_equal(preds.var6[:, 3:6], post.var_norm[:, 3:6])
+        assert np.isnan(preds.var6[:, 0:3]).all()
         assert preds.mean_rgb_var == pytest.approx(post.var_norm[:, 3:6].mean(axis=1))
 
     def test_mean_rgb_var_is_mean_of_colour_variances(self, interpolating_model):

@@ -347,6 +347,54 @@ class TestPosterior:
         assert post.mean.shape == (0, 1)
 
 
+def six_output_model(n=30, seed=5):
+    rng = np.random.default_rng(seed)
+    configs = [
+        gp.KernelConfig("matern", nu, 0.1 * j, math.log(0.3), -6.0)
+        for j, nu in enumerate((0.5, 1.5, 2.5, 0.5, 1.5, 2.5))
+    ]
+    return gp.TrainedGP.fit(
+        rng.random((n, 2)), rng.standard_normal((n, 6)), configs,
+        gp.OutputNormalizer.identity(6), 1, 1, jitter=0.0,
+    )
+
+
+class TestPosteriorChunks:
+    def test_multi_chunk_matches_oracle_and_single_chunk(self, monkeypatch):
+        model = six_output_model()
+        Q = np.random.default_rng(6).random((2 * 7 + 3, 2))
+        single = gp.posterior(model, Q)
+        monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
+        chunked = gp.posterior(model, Q)
+        means, variances = posterior_oracle(model, Q)
+        assert np.max(np.abs(chunked.mean_norm - means)) <= 1e-8
+        assert np.max(np.abs(chunked.var_norm - np.maximum(variances, 0))) <= 1e-8
+        assert np.array_equal(chunked.var_norm[:, 3:6], single.var_norm[:, 3:6])
+
+    @pytest.mark.parametrize("var_outputs", [(3, 4, 5), ()])
+    def test_variance_subset(self, var_outputs):
+        model = six_output_model()
+        Q = np.random.default_rng(7).random((9, 2))
+        full = gp.posterior(model, Q)
+        part = gp.posterior(model, Q, var_outputs=var_outputs)
+        asked = list(var_outputs)
+        skipped = [j for j in range(6) if j not in var_outputs]
+        assert np.array_equal(part.var_norm[:, asked], full.var_norm[:, asked])
+        assert np.isnan(part.var_norm[:, skipped]).all()
+        assert np.isnan(part.var[:, skipped]).all()
+        assert np.array_equal(part.mean, full.mean)
+
+    def test_out_of_range_output_rejected(self):
+        with pytest.raises(ValueError):
+            gp.posterior(six_output_model(), np.zeros((1, 2)), var_outputs=(6,))
+
+    @pytest.mark.parametrize("var_outputs", [None, (), (3, 4, 5)])
+    def test_empty_query(self, var_outputs):
+        post = gp.posterior(six_output_model(), np.zeros((0, 2)), var_outputs=var_outputs)
+        for arr in (post.mean_norm, post.var_norm, post.mean, post.var):
+            assert arr.shape == (0, 6)
+
+
 class TestNormalizerEquivariance:
     def test_constant_shift_moves_means_exactly(self):
         # binary-fraction targets make every mean/std computation exact, so
