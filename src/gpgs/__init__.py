@@ -46,6 +46,7 @@ from .sfm_io import (
     DepthMap,
     PixelSample,
     PixelToPointDataset,
+    PointsTable,
     SparseModel,
     TargetVector,
     build_pixel_dataset,

@@ -151,20 +151,21 @@ def _depth_for_frame(cfg: RunConfig, model: sfm_io.SparseModel, image_id: int):
     return sfm_io.read_depth_pfm(path)
 
 
-def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
-    """Parse the SfM model, rank key frames, and write dataset CSVs."""
-    _require(cfg, "model_dir", "output")
-    model = sfm_io.parse_colmap_model(cfg.model_dir)
-    frames = sfm_io.select_key_frames(model, cfg.key_frames)
+def _output_parent(out: Path) -> Path:
+    return out.parent if out.parent != Path("") else Path(".")
 
+
+# Stages: each takes and returns objects; they print progress but write no file.
+
+def frame_datasets(cfg: RunConfig, model: sfm_io.SparseModel) -> list[sfm_io.PixelToPointDataset]:
+    """Rank the key frames, print the ranking, and build one dataset per frame."""
+    frames = sfm_io.select_key_frames(model, cfg.key_frames)
     print("rank  image_id  linked  name")
     for rank, image_id in enumerate(frames, start=1):
         img = model.image_by_id(image_id)
         print(f"{rank:<5} {image_id:<9} {img.linked_count():<7} {img.name}")
 
-    out = Path(cfg.output)
-    write_run_config(cfg, out.parent if out.parent != Path("") else Path("."))
-    written = []
+    datasets = []
     for image_id in frames:
         depth = _depth_for_frame(cfg, model, image_id)
         ds = sfm_io.build_pixel_dataset(model, image_id, depth)
@@ -173,9 +174,33 @@ def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
             ds = ds.drop_missing_depth()
             if len(ds) < before:
                 print(f"frame {image_id}: dropped {before - len(ds)} samples on invalid depth")
-        path = _suffixed(out, image_id, multi=len(frames) > 1)
+        datasets.append(ds)
+    return datasets
+
+
+def train_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> gp.TrainedGP:
+    """Train the six GPs on a dataset."""
+    return gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
+
+
+def evaluate_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> metrics.HoldoutReport:
+    """Hold out a test split of the dataset, train on the rest, and score it."""
+    split = sfm_io.split_dataset(ds, cfg.train_fraction, cfg.seed)
+    if len(split.test) == 0:
+        raise EmptyDataset(
+            f"test split is empty (n={len(ds)}, train_fraction={cfg.train_fraction})"
+        )
+    return metrics.evaluate_holdout(train_model(cfg, split.train), split.test)
+
+
+# Artifact writers
+
+def _write_datasets(datasets, out: Path) -> list[Path]:
+    written = []
+    for ds in datasets:
+        path = _suffixed(out, ds.image_id, multi=len(datasets) > 1)
         sfm_io.write_dataset_csv(ds, path)
-        print(f"frame {image_id}: wrote {len(ds)} samples to {path}")
+        print(f"frame {ds.image_id}: wrote {len(ds)} samples to {path}")
         written.append(path)
     return written
 
@@ -187,14 +212,7 @@ def _write_loss_csv(model: gp.TrainedGP, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_train(cfg: RunConfig) -> gp.TrainedGP:
-    """Train the six GPs on a dataset CSV, write the model file, and return
-    the trained model."""
-    _require(cfg, "dataset", "output")
-    ds = sfm_io.read_dataset_csv(cfg.dataset)
-    model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
-    out = Path(cfg.output)
-    write_run_config(cfg, out.parent if out.parent != Path("") else Path("."))
+def _write_model(model: gp.TrainedGP, out: Path) -> None:
     model_io.save_model(model, out)
     loss_path = out.with_name(out.stem + "_loss.csv")
     _write_loss_csv(model, loss_path)
@@ -203,7 +221,25 @@ def cmd_train(cfg: RunConfig) -> gp.TrainedGP:
     )
     print(f"trained on {model.X.shape[0]} points; final per-output NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
-    return model
+
+
+def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
+    """Parse the SfM model, rank key frames, and write dataset CSVs."""
+    _require(cfg, "model_dir", "output")
+    datasets = frame_datasets(cfg, sfm_io.parse_colmap_model(cfg.model_dir))
+    out = Path(cfg.output)
+    write_run_config(cfg, _output_parent(out))
+    return _write_datasets(datasets, out)
+
+
+def cmd_train(cfg: RunConfig) -> Path:
+    """Train the six GPs on a dataset CSV and write the model file."""
+    _require(cfg, "dataset", "output")
+    model = train_model(cfg, sfm_io.read_dataset_csv(cfg.dataset))
+    out = Path(cfg.output)
+    write_run_config(cfg, _output_parent(out))
+    _write_model(model, out)
+    return out
 
 
 def _print_variance_report(report: dn.VarianceReport) -> None:
@@ -267,20 +303,26 @@ def cmd_densify(cfg: RunConfig) -> Path:
     if model.input_dim == 3 and cfg.dataset is not None:
         image_id = sfm_io.read_dataset_csv(cfg.dataset).image_id
     filtered = _densify_one(cfg, model, sparse, image_id)
-    cloud = dn.merge_clouds(sparse, filtered)
 
     out = Path(cfg.output)
-    write_run_config(cfg, out.parent if out.parent != Path("") else Path("."))
+    write_run_config(cfg, _output_parent(out))
+    _write_cloud(cfg, sparse, filtered, out)
+    return out
+
+
+def _write_cloud(cfg: RunConfig, sparse, preds: dn.PredictedPointSet, out: Path) -> None:
+    """Merge the predictions with the sparse points; write the PLY and the
+    variance report beside it."""
+    cloud = dn.merge_clouds(sparse, preds)
     sfm_io.write_ply(cloud, out, binary=cfg.ply_binary)
-    report = dn.variance_reduction_report(filtered)
+    report = dn.variance_reduction_report(preds)
     print(
-        f"sparse points: {len(sparse.points3d)}  candidates: {len(filtered)}  "
-        f"retained: {filtered.retained_count()}  output points: {len(cloud)}"
+        f"sparse points: {len(sparse.points3d)}  candidates: {len(preds)}  "
+        f"retained: {preds.retained_count()}  output points: {len(cloud)}"
     )
     _print_variance_report(report)
     _write_variance_csv(report, out.with_name(out.stem + "_variance.csv"))
     print(f"cloud: {out}")
-    return out
 
 
 def _write_metrics_csv(report: metrics.HoldoutReport, path: Path) -> None:
@@ -297,20 +339,7 @@ def _write_metrics_csv(report: metrics.HoldoutReport, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_evaluate(cfg: RunConfig) -> Path:
-    """Hold out a test split, train on the rest, and report metrics."""
-    _require(cfg, "dataset", "output")
-    ds = sfm_io.read_dataset_csv(cfg.dataset)
-    split = sfm_io.split_dataset(ds, cfg.train_fraction, cfg.seed)
-    if len(split.test) == 0:
-        raise EmptyDataset(
-            f"test split is empty (n={len(ds)}, train_fraction={cfg.train_fraction})"
-        )
-    model = gp.train_gp(split.train, cfg.kernel_template(), cfg.train_config())
-    report = metrics.evaluate_holdout(model, split.test)
-
-    out = Path(cfg.output)
-    write_run_config(cfg, out.parent if out.parent != Path("") else Path("."))
+def _write_metrics(report: metrics.HoldoutReport, out: Path) -> None:
     _write_metrics_csv(report, out)
     bundle = report.bundle
     print(
@@ -322,57 +351,52 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
         r2_text = "-" if om.r2 is None else f"{om.r2:.4f}"
         print(f"{om.name:<7} {r2_text:<9} {om.rmse:.6g}")
     print(f"report: {out}")
+
+
+def cmd_evaluate(cfg: RunConfig) -> Path:
+    """Hold out a test split, train on the rest, and report metrics."""
+    _require(cfg, "dataset", "output")
+    report = evaluate_model(cfg, sfm_io.read_dataset_csv(cfg.dataset))
+    out = Path(cfg.output)
+    write_run_config(cfg, _output_parent(out))
+    _write_metrics(report, out)
     return out
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """build-dataset, train, densify, and evaluate in sequence.
+    """build-dataset, train, densify, and evaluate in sequence, in memory.
 
-    With several key frames, each frame trains its own GP; the retained
-    predictions of all frames are unioned before merging with the sparse
-    cloud. Each frame densifies with the model it just trained, which is
-    the model its model file reloads to.
+    The COLMAP model is parsed once and each key frame's dataset is built
+    once; the dataset, model, and metrics files are written as artifacts
+    and never read back. With several key frames, each frame trains its
+    own GP; the retained predictions of all frames are unioned before
+    merging with the sparse cloud. Each frame densifies with the model it
+    just trained, which is the model its model file reloads to.
     """
     _require(cfg, "model_dir", "output")
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_run_config(cfg, out_dir)
 
-    build_cfg = dataclasses.replace(cfg, output=str(out_dir / "dataset.csv"))
-    ds_paths = cmd_build_dataset(build_cfg)
-
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)
+    datasets = frame_datasets(cfg, sparse)
+    ds_paths = _write_datasets(datasets, out_dir / "dataset.csv")
+    multi = len(datasets) > 1
     filtered_parts = []
-    for ds_path in ds_paths:
-        ds = sfm_io.read_dataset_csv(ds_path)
+    for ds, ds_path in zip(datasets, ds_paths):
         if len(ds) == 0:
             print(f"skipping empty dataset {ds_path}")
             continue
-        tag = ds_path.stem.removeprefix("dataset")
-        model_path = out_dir / f"model{tag}.txt"
-        train_cfg = dataclasses.replace(cfg, dataset=str(ds_path), output=str(model_path))
-        model = cmd_train(train_cfg)
+        model = train_model(cfg, ds)
+        _write_model(model, _suffixed(out_dir / "model.txt", ds.image_id, multi))
         filtered_parts.append(_densify_one(cfg, model, sparse, ds.image_id))
         del model  # free its factors before the next model trains
-
-        metrics_path = out_dir / f"metrics{tag}.csv"
-        eval_cfg = dataclasses.replace(cfg, dataset=str(ds_path), output=str(metrics_path))
-        cmd_evaluate(eval_cfg)
+        report = evaluate_model(cfg, ds)
+        _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
 
     if not filtered_parts:
         raise EmptyDataset("no key frame produced a usable dataset")
-    combined = _concat_predictions(filtered_parts)
-    cloud = dn.merge_clouds(sparse, combined)
-    ply_path = out_dir / "cloud.ply"
-    sfm_io.write_ply(cloud, ply_path, binary=cfg.ply_binary)
-    report = dn.variance_reduction_report(combined)
-    print(
-        f"sparse points: {len(sparse.points3d)}  candidates: {len(combined)}  "
-        f"retained: {combined.retained_count()}  output points: {len(cloud)}"
-    )
-    _print_variance_report(report)
-    _write_variance_csv(report, out_dir / "cloud_variance.csv")
-    print(f"cloud: {ply_path}")
+    _write_cloud(cfg, sparse, _concat_predictions(filtered_parts), out_dir / "cloud.ply")
 
 
 # ---------------------------------------------------------------------------

@@ -77,32 +77,43 @@ def load_model(path) -> TrainedGP:
         pos += 1
         return tokens[1].strip()
 
-    width = int(take_kv("width"))
-    height = int(take_kv("height"))
-    input_dim = int(take_kv("input_dim"))
-    n = int(take_kv("train_points"))
-    n_outputs = int(take_kv("outputs"))
+    def take_number(key: str, kind=float):
+        value = take_kv(key)
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise MalformedLine(path, pos, f"{key}: {exc}") from exc
+
+    def take_count(key: str) -> int:
+        value = take_number(key, int)
+        if value < 0:
+            raise MalformedLine(path, pos, f"{key}: negative count {value}")
+        return value
+
+    width = take_number("width", int)
+    height = take_number("height", int)
+    input_dim = take_count("input_dim")
+    n = take_count("train_points")
+    n_outputs = take_count("outputs")
 
     configs: list[KernelConfig] = []
     means, stds, jitters = [], [], []
     for j in range(n_outputs):
-        if int(take_kv("output")) != j:
+        block_line = pos + 1
+        if take_number("output", int) != j:
             raise MalformedLine(path, pos, f"output blocks out of order near line {pos}")
         family = take_kv("family")
-        nu_token = take_kv("nu")
-        nu = None if nu_token == "none" else float(nu_token)
-        configs.append(
-            KernelConfig(
-                family=family,
-                nu=nu,
-                log_signal_var=float(take_kv("log_signal_var")),
-                log_lengthscale=float(take_kv("log_lengthscale")),
-                log_noise_var=float(take_kv("log_noise_var")),
-            )
-        )
-        means.append(float(take_kv("norm_mean")))
-        stds.append(float(take_kv("norm_std")))
-        jitters.append(float(take_kv("jitter")))
+        nu = take_number("nu", lambda t: None if t == "none" else float(t))
+        log_params = [
+            take_number(key) for key in ("log_signal_var", "log_lengthscale", "log_noise_var")
+        ]
+        try:
+            configs.append(KernelConfig(family, nu, *log_params))
+        except ValueError as exc:
+            raise MalformedLine(path, block_line, f"output {j}: {exc}") from exc
+        means.append(take_number("norm_mean"))
+        stds.append(take_number("norm_std"))
+        jitters.append(take_number("jitter"))
 
     def take_matrix(tag: str, rows: int, cols: int) -> np.ndarray:
         nonlocal pos
@@ -116,7 +127,10 @@ def load_model(path) -> TrainedGP:
             tokens = lines[pos].split()
             if len(tokens) != cols:
                 raise MalformedLine(path, pos + 1, f"expected {cols} values, got {len(tokens)}")
-            out[i] = [float(t) for t in tokens]
+            try:
+                out[i] = [float(t) for t in tokens]
+            except ValueError as exc:
+                raise MalformedLine(path, pos + 1, f"{tag} row {i}: {exc}") from exc
             pos += 1
         return out
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -68,20 +70,70 @@ class ImageRecord:
         return int(np.count_nonzero(self.point3d_ids != SENTINEL_NONE))
 
 
-@dataclass(frozen=True)
-class Point3D:
-    point3d_id: int
-    xyz: np.ndarray   # (3,)
-    rgb: np.ndarray   # (3,) uint8
-    error: float
-    track: tuple[tuple[int, int], ...]  # (image_id, feature_index)
+@dataclass(frozen=True, eq=False)
+class PointsTable:
+    """The points of points3D.txt as read-only columns, in file order.
+
+    Point i observes the (image_id, feature_index) rows
+    ``track[track_offsets[i]:track_offsets[i + 1]]``.
+    """
+
+    ids: np.ndarray            # (n,) int64
+    xyz: np.ndarray            # (n, 3) float64
+    rgb: np.ndarray            # (n, 3) uint8
+    error: np.ndarray          # (n,) float64
+    track_offsets: np.ndarray  # (n + 1,) int64
+    track: np.ndarray          # (t, 2) int64 (image_id, feature_index)
+    _order: np.ndarray = field(init=False, repr=False)  # argsort of ids
+
+    def __post_init__(self):
+        n = len(self.ids)
+        t = int(self.track_offsets[-1]) if len(self.track_offsets) else -1
+        shapes = {
+            "ids": (np.int64, (n,)), "xyz": (np.float64, (n, 3)), "rgb": (np.uint8, (n, 3)),
+            "error": (np.float64, (n,)), "track_offsets": (np.int64, (n + 1,)),
+            "track": (np.int64, (t, 2)),
+        }
+        for name, (dtype, shape) in shapes.items():
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            if column.shape != shape:
+                raise ValueError(f"points table {name} has shape {column.shape}, not {shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_order", np.argsort(self.ids, kind="stable"))
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def track_of(self, row: int) -> np.ndarray:
+        """(k, 2) track of the point in the given row."""
+        return self.track[self.track_offsets[row] : self.track_offsets[row + 1]]
+
+    def rows_of(self, point_ids) -> np.ndarray:
+        """Row of each point id, -1 where the table has no such id."""
+        return _index_of(self.ids, self._order, point_ids)
+
+
+def _index_of(keys: np.ndarray, order: np.ndarray, queries) -> np.ndarray:
+    """Index into keys of each query, -1 where absent; keys[order] is sorted."""
+    queries = np.asarray(queries, dtype=np.int64)
+    if keys.shape[0] == 0:
+        return np.full(queries.shape, -1, dtype=np.int64)
+    sorted_keys = keys[order]
+    pos = np.minimum(np.searchsorted(sorted_keys, queries), keys.shape[0] - 1)
+    return np.where(sorted_keys[pos] == queries, order[pos], -1)
+
+
+def _owner(ends: np.ndarray, k: int) -> int:
+    """Segment holding flat index k, given each segment's exclusive end."""
+    return int(np.searchsorted(ends, k, side="right"))
 
 
 @dataclass(frozen=True)
 class SparseModel:
     cameras: tuple[CameraIntrinsics, ...]
     images: tuple[ImageRecord, ...]
-    points3d: tuple[Point3D, ...]
+    points3d: PointsTable
 
     def camera_by_id(self, camera_id: int) -> CameraIntrinsics:
         for cam in self.cameras:
@@ -97,15 +149,11 @@ class SparseModel:
 
     def positions(self) -> np.ndarray:
         """(n, 3) array of 3D point positions, in file order."""
-        if not self.points3d:
-            return np.zeros((0, 3))
-        return np.stack([p.xyz for p in self.points3d])
+        return self.points3d.xyz
 
     def colors(self) -> np.ndarray:
         """(n, 3) uint8 array of point colours, in file order."""
-        if not self.points3d:
-            return np.zeros((0, 3), dtype=np.uint8)
-        return np.stack([p.rgb for p in self.points3d])
+        return self.points3d.rgb
 
 
 @dataclass(frozen=True)
@@ -270,12 +318,12 @@ def _parse_images(path: Path) -> list[ImageRecord]:
                 raise MalformedLine(
                     path, lineno, f"feature line has {len(tokens)} fields, not a multiple of 3"
                 )
+            n = len(tokens) // 3
             try:
-                xys = np.array(
-                    [[float(tokens[i]), float(tokens[i + 1])] for i in range(0, len(tokens), 3)]
-                ).reshape(-1, 2)
-                ids = np.array([int(tokens[i + 2]) for i in range(0, len(tokens), 3)], dtype=np.int64)
-            except ValueError as exc:
+                xy_tokens = chain.from_iterable(zip(tokens[0::3], tokens[1::3]))
+                xys = np.fromiter(map(float, xy_tokens), np.float64, 2 * n).reshape(n, 2)
+                ids = np.fromiter(map(int, tokens[2::3]), np.int64, n)
+            except (ValueError, OverflowError) as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
             image_id, name, camera_id, qvec, tvec = header
             images.append(ImageRecord(image_id, name, camera_id, qvec, tvec, xys, ids))
@@ -285,32 +333,84 @@ def _parse_images(path: Path) -> list[ImageRecord]:
     return images
 
 
-def _parse_points3d(path: Path) -> list[Point3D]:
-    points: list[Point3D] = []
+def _data_rows(path: Path) -> tuple[list[list[str]], list[int]]:
+    """Tokens and line number of every non-blank, non-comment line."""
+    rows, linenos = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("#"):
+                rows.append(tokens)
+                linenos.append(lineno)
+    return rows, linenos
+
+
+def _point_columns(rows: list[list[str]]):
+    """(ids, xyz, rgb, error, track) of points3D rows of 8 + 2k tokens.
+
+    Converts column by column with Python's int/float, so values match a
+    per-token parse bit for bit; a bad token raises ValueError (or
+    OverflowError for an integer beyond int64).
+    """
+    n = len(rows)
+    ids = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, n)
+    xyz = np.fromiter(
+        map(float, chain.from_iterable(map(itemgetter(1, 2, 3), rows))), np.float64, 3 * n
+    ).reshape(n, 3)
+    rgb = np.fromiter(
+        map(int, chain.from_iterable(map(itemgetter(4, 5, 6), rows))), np.int64, 3 * n
+    ).reshape(n, 3)
+    error = np.fromiter(map(float, map(itemgetter(7), rows)), np.float64, n)
+    track = np.fromiter(
+        map(int, chain.from_iterable(row[8:] for row in rows)), np.int64
+    ).reshape(-1, 2)
+    return ids, xyz, rgb, error, track
+
+
+def _points_table(rows: list[list[str]]) -> PointsTable:
+    """Points table of tokenised points3D rows; ValueError or
+    OverflowError if any row is bad, without saying which."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    if np.any((lengths < 8) | (lengths % 2 == 1)):
+        raise ValueError("a row has the wrong number of fields")
+    ids, xyz, rgb, error, track = _point_columns(rows)
+    sorted_ids = np.sort(ids)
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]) or np.any((rgb < 0) | (rgb > 255)):
+        raise ValueError("duplicate point id or colour out of 8-bit range")
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum((lengths - 8) // 2, out=offsets[1:])
+    return PointsTable(ids, xyz, rgb.astype(np.uint8), error, offsets, track)
+
+
+def _parse_points3d(path: Path) -> PointsTable:
+    rows, linenos = _data_rows(path)
+    try:
+        return _points_table(rows)
+    except (ValueError, OverflowError):
+        _raise_first_bad_point(path, rows, linenos)
+
+
+def _raise_first_bad_point(path: Path, rows: list[list[str]], linenos: list[int]):
+    """Check the rows one at a time and raise for the first bad one.
+
+    The error path of _parse_points3d: the bulk conversion says that some
+    row is bad, this pass says which line and why.
+    """
     seen: set[int] = set()
-    for lineno, line in _data_lines(path):
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 8 or (len(tokens) - 8) % 2 != 0:
+    for lineno, tokens in zip(linenos, rows):
+        if len(tokens) < 8 or len(tokens) % 2 == 1:
             raise MalformedLine(path, lineno, f"expected 8 + 2k fields, got {len(tokens)}")
         try:
-            point3d_id = int(tokens[0])
-            xyz = np.array([float(t) for t in tokens[1:4]])
-            rgb = np.array([int(t) for t in tokens[4:7]], dtype=np.int64)
-            error = float(tokens[7])
-            track = tuple(
-                (int(tokens[i]), int(tokens[i + 1])) for i in range(8, len(tokens), 2)
-            )
-        except ValueError as exc:
+            ids, _, rgb, _, _ = _point_columns([tokens])
+        except (ValueError, OverflowError) as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
+        point3d_id = int(ids[0])
         if point3d_id in seen:
             raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
         if np.any(rgb < 0) or np.any(rgb > 255):
             raise MalformedLine(path, lineno, f"colour out of 8-bit range: {tokens[4:7]}")
         seen.add(point3d_id)
-        points.append(Point3D(point3d_id, xyz, rgb.astype(np.uint8), error, track))
-    return points
+    raise RuntimeError(f"{path}: bulk parse rejected rows that pass one by one")
 
 
 def parse_colmap_model(dir_path) -> SparseModel:
@@ -318,7 +418,8 @@ def parse_colmap_model(dir_path) -> SparseModel:
 
     Validates referential integrity: every feature's point id must exist in
     points3D.txt and every track entry must name an existing image and a
-    feature index inside that image's feature list.
+    feature index inside that image's feature list. Each check reports the
+    first offender in file order.
     """
     dir_path = Path(dir_path)
     paths = {name: dir_path / f"{name}.txt" for name in ("cameras", "images", "points3D")}
@@ -328,36 +429,50 @@ def parse_colmap_model(dir_path) -> SparseModel:
 
     cameras = _parse_cameras(paths["cameras"])
     images = _parse_images(paths["images"])
-    points3d = _parse_points3d(paths["points3D"])
+    points = _parse_points3d(paths["points3D"])
 
-    point_ids = {p.point3d_id for p in points3d}
+    # feature -> point id
+    feature_ids = np.concatenate(
+        [np.zeros(0, np.int64)] + [img.point3d_ids for img in images]
+    )
+    feature_ends = np.cumsum([img.point3d_ids.shape[0] for img in images], dtype=np.int64)
+    dangling = (feature_ids != SENTINEL_NONE) & (points.rows_of(feature_ids) < 0)
+    first = int(np.argmax(dangling)) if dangling.any() else None
+    bad_image = _owner(feature_ends, first) if first is not None else None
     camera_ids = {c.camera_id for c in cameras}
-    image_by_id = {img.image_id: img for img in images}
-
-    for img in images:
+    for i, img in enumerate(images):
         if img.camera_id not in camera_ids:
             raise DanglingReference(
                 f"image {img.image_id} cites nonexistent camera {img.camera_id}"
             )
-        for pid in img.point3d_ids:
-            if pid != SENTINEL_NONE and int(pid) not in point_ids:
-                raise DanglingReference(
-                    f"image {img.image_id} cites nonexistent point3d id {int(pid)}"
-                )
-    for pt in points3d:
-        for image_id, feat_idx in pt.track:
-            img = image_by_id.get(image_id)
-            if img is None:
-                raise DanglingReference(
-                    f"point {pt.point3d_id} track cites nonexistent image {image_id}"
-                )
-            if not (0 <= feat_idx < img.xys.shape[0]):
-                raise DanglingReference(
-                    f"point {pt.point3d_id} track cites feature {feat_idx} "
-                    f"outside image {image_id} ({img.xys.shape[0]} features)"
-                )
+        if i == bad_image:
+            raise DanglingReference(
+                f"image {img.image_id} cites nonexistent point3d id {int(feature_ids[first])}"
+            )
 
-    return SparseModel(tuple(cameras), tuple(images), tuple(points3d))
+    # track -> image id and feature index
+    image_ids = np.array([img.image_id for img in images], dtype=np.int64)
+    n_features = np.array([img.xys.shape[0] for img in images], dtype=np.int64)
+    track_image, track_feature = points.track[:, 0], points.track[:, 1]
+    image_rows = _index_of(image_ids, np.argsort(image_ids), track_image)
+    known = image_rows >= 0
+    limit = np.zeros_like(track_feature)
+    limit[known] = n_features[image_rows[known]]
+    bad = ~known | (track_feature < 0) | (track_feature >= limit)
+    if bad.any():
+        k = int(np.argmax(bad))
+        point_id = int(points.ids[_owner(points.track_offsets[1:], k)])
+        image_id, feat_idx = int(track_image[k]), int(track_feature[k])
+        if not known[k]:
+            raise DanglingReference(
+                f"point {point_id} track cites nonexistent image {image_id}"
+            )
+        raise DanglingReference(
+            f"point {point_id} track cites feature {feat_idx} "
+            f"outside image {image_id} ({int(limit[k])} features)"
+        )
+
+    return SparseModel(tuple(cameras), tuple(images), points)
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +510,23 @@ def build_pixel_dataset(
             f"depth map {depth.width}x{depth.height} vs camera {cam.width}x{cam.height}"
         )
 
-    point_by_id = {p.point3d_id: p for p in model.points3d}
-    samples: list[tuple[PixelSample, TargetVector]] = []
-    for (u, v), pid in zip(img.xys, img.point3d_ids):
-        if pid == SENTINEL_NONE:
-            continue
-        pt = point_by_id[int(pid)]
-        d = depth.value_at(u, v) if depth is not None else None
-        sample = PixelSample(u_norm=float(u) / cam.width, v_norm=float(v) / cam.height, depth=d)
-        target = TargetVector(
-            float(pt.xyz[0]), float(pt.xyz[1]), float(pt.xyz[2]),
-            float(pt.rgb[0]) / 255.0, float(pt.rgb[1]) / 255.0, float(pt.rgb[2]) / 255.0,
-        )
-        samples.append((sample, target))
+    linked = img.point3d_ids != SENTINEL_NONE
+    rows = model.points3d.rows_of(img.point3d_ids[linked])
+    if np.any(rows < 0):
+        raise DanglingReference(f"image {image_id} cites a point3d id missing from the model")
+    uv = img.xys[linked]
+    u_norm = (uv[:, 0] / cam.width).tolist()
+    v_norm = (uv[:, 1] / cam.height).tolist()
+    if depth is None:
+        depths = [None] * len(rows)
+    else:
+        depths = [depth.value_at(u, v) for u, v in uv.tolist()]
+    xyz = model.points3d.xyz[rows].tolist()
+    rgb = (model.points3d.rgb[rows] / 255.0).tolist()
+    samples = [
+        (PixelSample(u, v, d), TargetVector(*p, *c))
+        for u, v, d, p, c in zip(u_norm, v_norm, depths, xyz, rgb)
+    ]
     return PixelToPointDataset(image_id, cam.width, cam.height, tuple(samples))
 
 
@@ -508,6 +627,9 @@ _PLY_NUMPY_TYPES = {
 }
 
 
+_PLY_ASCII_ROW = "%.9g %.9g %.9g %d %d %d %d\n"
+
+
 def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
     """Write the cloud with x/y/z, red/green/blue, and the source tag."""
     if not np.all(np.isfinite(cloud.positions)):
@@ -542,14 +664,11 @@ def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
                 rec["source"] = cloud.sources
                 fh.write(rec.tobytes())
             else:
-                for pos, col, src in zip(cloud.positions, cloud.colors, cloud.sources):
-                    # %.9g round-trips float32 exactly
-                    fh.write(
-                        (
-                            f"{pos[0]:.9g} {pos[1]:.9g} {pos[2]:.9g} "
-                            f"{col[0]} {col[1]} {col[2]} {src}\n"
-                        ).encode("ascii")
-                    )
+                # %.9g round-trips float32 exactly
+                columns = (*cloud.positions.T.tolist(), *cloud.colors.T.tolist(),
+                           cloud.sources.tolist())
+                rows = map(_PLY_ASCII_ROW.__mod__, zip(*columns))
+                fh.write("".join(rows).encode("ascii"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -581,7 +700,12 @@ def _parse_ply_header(raw: bytes, path: Path):
             if tokens[1] == "vertex":
                 if seen_element:
                     raise UnsupportedProperty(f"{path}: vertex is not the first element")
-                n_vertices = int(tokens[2])
+                try:
+                    n_vertices = int(tokens[2])
+                except (IndexError, ValueError) as exc:
+                    raise IoFailure(f"{path}: bad vertex count in {line!r}") from exc
+                if n_vertices < 0:
+                    raise IoFailure(f"{path}: negative vertex count {n_vertices}")
                 in_vertex = True
             else:
                 in_vertex = False
@@ -599,6 +723,38 @@ def _parse_ply_header(raw: bytes, path: Path):
         if coord not in names:
             raise UnsupportedProperty(f"{path}: vertex element lacks property {coord}")
     return binary, n_vertices, props, body_start
+
+
+def _read_ascii_vertices(body: bytes, n: int, props, path: Path) -> np.ndarray:
+    """The first n non-blank body lines as a structured array.
+
+    The cells convert as one (n, columns) string array, column by column:
+    float properties through float64 (as Python's float does), integer
+    properties through int64 and a range check, so "1.5" or 300 in a
+    uchar column is an error, not a silent truncation.
+    """
+    rows = [line.split() for line in body.decode("ascii", errors="replace").splitlines()]
+    rows = [row for row in rows if row]
+    if len(rows) < n:
+        raise IoFailure(f"{path}: expected {n} vertex lines, found {len(rows)}")
+    k = len(props)
+    short = next((i for i, row in enumerate(rows[:n]) if len(row) < k), None)
+    if short is not None:
+        raise IoFailure(f"{path}: vertex line {short} has too few columns")
+    cells = np.array([row[:k] for row in rows[:n]], dtype=str).reshape(n, k)
+    table = np.zeros(n, dtype=[(name, _PLY_NUMPY_TYPES[typ]) for typ, name in props])
+    for j, (typ, name) in enumerate(props):
+        kind = np.dtype(_PLY_NUMPY_TYPES[typ])
+        try:
+            column = cells[:, j].astype(np.float64 if kind.kind == "f" else np.int64)
+        except ValueError as exc:
+            raise IoFailure(f"{path}: bad {name} value: {exc}") from exc
+        if kind.kind != "f":
+            info = np.iinfo(kind)
+            if np.any((column < info.min) | (column > info.max)):
+                raise IoFailure(f"{path}: {name} value outside the {typ} range")
+        table[name] = column
+    return table
 
 
 def read_ply(path) -> DensifiedCloud:
@@ -621,17 +777,7 @@ def read_ply(path) -> DensifiedCloud:
             raise IoFailure(f"{path}: binary payload truncated")
         table = np.frombuffer(body, dtype=dtype)
     else:
-        lines = raw[body_start:].decode("ascii", errors="replace").splitlines()
-        rows = [line.split() for line in lines if line.strip()]
-        if len(rows) < n:
-            raise IoFailure(f"{path}: expected {n} vertex lines, found {len(rows)}")
-        dtype = np.dtype([(name, _PLY_NUMPY_TYPES[typ]) for typ, name in props])
-        table = np.zeros(n, dtype=dtype)
-        for i in range(n):
-            if len(rows[i]) < len(props):
-                raise IoFailure(f"{path}: vertex line {i} has too few columns")
-            for (typ, name), tok in zip(props, rows[i]):
-                table[name][i] = float(tok) if _PLY_NUMPY_TYPES[typ][0] == "f" else int(tok)
+        table = _read_ascii_vertices(raw[body_start:], n, props, path)
 
     names = {n for _, n in props}
     positions = np.stack(

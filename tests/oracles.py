@@ -3,17 +3,21 @@
 Each oracle deliberately avoids the code path it checks: the Matérn
 reference goes through Gamma/Bessel special functions, the posterior
 oracle uses explicit dense solves, the chamfer oracle is a double loop,
-and the gradient oracle is central finite differences of the loss.
+the gradient oracle is central finite differences of the loss, and the
+COLMAP oracle parses one line and one token at a time into plain Python
+values.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gamma, kv
 
 from gpgs import gp
+from gpgs.errors import DanglingReference, MalformedLine, MissingFile
 
 
 def matern_reference(nu: float, sf2: float, ell: float, d: float) -> float:
@@ -73,3 +77,146 @@ def chamfer_oracle(P, G) -> float:
     p_term = np.mean([min(np.linalg.norm(p - g) for g in G) for p in P])
     g_term = np.mean([min(np.linalg.norm(g - p) for p in P) for g in G])
     return float(p_term + g_term)
+
+
+# ---------------------------------------------------------------------------
+# COLMAP text model, one line at a time
+# ---------------------------------------------------------------------------
+
+def _data_lines(path):
+    """(line_number, stripped_line) of every non-comment line; keeps blanks."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line.startswith("#"):
+                yield lineno, line
+
+
+def _oracle_cameras(path):
+    cameras = []  # (camera_id, model, width, height, params)
+    seen = set()
+    for lineno, line in _data_lines(path):
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < 4:
+            raise MalformedLine(path, lineno, f"expected at least 4 fields, got {len(tokens)}")
+        try:
+            camera_id, width, height = int(tokens[0]), int(tokens[2]), int(tokens[3])
+            params = tuple(float(t) for t in tokens[4:])
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, str(exc)) from exc
+        if camera_id in seen:
+            raise MalformedLine(path, lineno, f"duplicate camera id {camera_id}")
+        if width < 1 or height < 1:
+            raise MalformedLine(path, lineno, f"non-positive image size {width}x{height}")
+        seen.add(camera_id)
+        cameras.append((camera_id, tokens[1], width, height, params))
+    return cameras
+
+
+def _oracle_images(path):
+    images = []  # (image_id, name, camera_id, qvec, tvec, xys, point3d_ids)
+    seen = set()
+    header = None
+    last_lineno = 0
+    for lineno, line in _data_lines(path):
+        last_lineno = lineno
+        tokens = line.split()
+        if header is None:
+            if not line:
+                continue
+            if len(tokens) < 10:
+                raise MalformedLine(path, lineno, f"expected 10 header fields, got {len(tokens)}")
+            try:
+                image_id = int(tokens[0])
+                qvec = tuple(float(t) for t in tokens[1:5])
+                tvec = tuple(float(t) for t in tokens[5:8])
+                camera_id = int(tokens[8])
+            except ValueError as exc:
+                raise MalformedLine(path, lineno, str(exc)) from exc
+            if image_id in seen:
+                raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
+            seen.add(image_id)
+            header = (image_id, " ".join(tokens[9:]), camera_id, qvec, tvec)
+            continue
+        if len(tokens) % 3 != 0:
+            raise MalformedLine(
+                path, lineno, f"feature line has {len(tokens)} fields, not a multiple of 3"
+            )
+        try:
+            xys = [(float(tokens[i]), float(tokens[i + 1])) for i in range(0, len(tokens), 3)]
+            ids = [int(tokens[i + 2]) for i in range(0, len(tokens), 3)]
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, str(exc)) from exc
+        images.append(header + (xys, ids))
+        header = None
+    if header is not None:
+        raise MalformedLine(path, last_lineno, "image header without a feature line")
+    return images
+
+
+def _oracle_points(path):
+    points = []  # (point3d_id, xyz, rgb, error, track)
+    seen = set()
+    for lineno, line in _data_lines(path):
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < 8 or (len(tokens) - 8) % 2 != 0:
+            raise MalformedLine(path, lineno, f"expected 8 + 2k fields, got {len(tokens)}")
+        try:
+            point3d_id = int(tokens[0])
+            xyz = tuple(float(t) for t in tokens[1:4])
+            rgb = tuple(int(t) for t in tokens[4:7])
+            error = float(tokens[7])
+            track = tuple(
+                (int(tokens[i]), int(tokens[i + 1])) for i in range(8, len(tokens), 2)
+            )
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, str(exc)) from exc
+        if point3d_id in seen:
+            raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
+        if any(c < 0 or c > 255 for c in rgb):
+            raise MalformedLine(path, lineno, f"colour out of 8-bit range: {tokens[4:7]}")
+        seen.add(point3d_id)
+        points.append((point3d_id, xyz, rgb, error, track))
+    return points
+
+
+def parse_colmap_oracle(dir_path):
+    """(cameras, images, points) of a COLMAP text model as lists of tuples.
+
+    Checks each feature's point id and each track entry with dict lookups,
+    raising for the first offender in file order.
+    """
+    paths = {name: Path(dir_path) / f"{name}.txt" for name in ("cameras", "images", "points3D")}
+    for path in paths.values():
+        if not path.is_file():
+            raise MissingFile(f"missing {path}")
+    cameras = _oracle_cameras(paths["cameras"])
+    images = _oracle_images(paths["images"])
+    points = _oracle_points(paths["points3D"])
+
+    point_ids = {p[0] for p in points}
+    camera_ids = {c[0] for c in cameras}
+    image_by_id = {img[0]: img for img in images}
+    for image_id, _, camera_id, _, _, _, ids in images:
+        if camera_id not in camera_ids:
+            raise DanglingReference(f"image {image_id} cites nonexistent camera {camera_id}")
+        for pid in ids:
+            if pid != -1 and pid not in point_ids:
+                raise DanglingReference(f"image {image_id} cites nonexistent point3d id {pid}")
+    for point3d_id, _, _, _, track in points:
+        for image_id, feat_idx in track:
+            img = image_by_id.get(image_id)
+            if img is None:
+                raise DanglingReference(
+                    f"point {point3d_id} track cites nonexistent image {image_id}"
+                )
+            if not 0 <= feat_idx < len(img[5]):
+                raise DanglingReference(
+                    f"point {point3d_id} track cites feature {feat_idx} "
+                    f"outside image {image_id} ({len(img[5])} features)"
+                )
+    return cameras, images, points

@@ -141,6 +141,20 @@ class TestTrain:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_numeric_model_value_exits_2(self, dataset, tmp_path, surface_dir, capsys):
+        model_path = tmp_path / "model.txt"
+        run("train", "--dataset", str(dataset), "--output", str(model_path), "--iterations", "2")
+        lines = model_path.read_text().splitlines()
+        assert lines[1].startswith("width ")
+        lines[1] = "width abc"
+        model_path.write_text("\n".join(lines) + "\n")
+        code = run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(model_path),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert f"{model_path}:2: width" in capsys.readouterr().err
+
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run(
             "train", "--dataset", str(tmp_path / "nope.csv"),
@@ -272,6 +286,24 @@ class TestPipeline:
         assert (cloud.parent / "cloud_variance.csv").read_bytes() == (
             out / "cloud_variance.csv"
         ).read_bytes()
+
+    def test_parses_once_and_never_reads_datasets(self, fixture_dir, tmp_path, monkeypatch):
+        calls = {"parse_colmap_model": 0, "read_dataset_csv": 0}
+        for name in calls:
+            original = getattr(sfm_io, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sfm_io, name, counted)
+        out = tmp_path / "run"
+        assert run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(out),
+            "--iterations", "5", "--key-frames", "2", "--train-fraction", "0.34",
+        ) == 0
+        assert calls == {"parse_colmap_model": 1, "read_dataset_csv": 0}
+        assert (out / "dataset_frame2.csv").exists()
 
     def test_multi_frame_pipeline(self, fixture_dir, tmp_path):
         # tiny fixture: frames carry 5 and 3 samples; fraction 0.34 keeps

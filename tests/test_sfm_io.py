@@ -1,6 +1,8 @@
 """COLMAP parsing, key frames, dataset construction, PFM, and PLY."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gpgs import errors, sfm_io
 from gpgs.pointcloud import DensifiedCloud, PointSource
 from gpgs.sfm_io import SENTINEL_NONE
 
+from oracles import parse_colmap_oracle
 from synthdata import write_colmap_fixture
 
 
@@ -42,10 +45,13 @@ class TestParseColmap:
         assert np.count_nonzero(ids == SENTINEL_NONE) == 1
 
     def test_point_fields(self, model):
-        pt = next(p for p in model.points3d if p.point3d_id == 101)
-        assert np.allclose(pt.xyz, [1, 2, 3])
-        assert tuple(pt.rgb) == (255, 0, 0)
-        assert pt.track == ((1, 0), (2, 0))
+        points = model.points3d
+        (row,) = points.rows_of([101])
+        assert points.ids[row] == 101
+        assert np.allclose(points.xyz[row], [1, 2, 3])
+        assert tuple(points.rgb[row]) == (255, 0, 0)
+        assert points.error[row] == 0.5
+        assert points.track_of(row).tolist() == [[1, 0], [2, 0]]
 
     def test_empty_points3d(self, tmp_path, model_dir):
         (model_dir / "points3D.txt").write_text("# empty\n")
@@ -78,6 +84,16 @@ class TestParseColmap:
         with pytest.raises(errors.DanglingReference, match="feature 9"):
             sfm_io.parse_colmap_model(model_dir)
 
+    @pytest.mark.parametrize("feat_idx", ["-1", "4"])  # image 2 has 4 features
+    def test_track_feature_index_boundaries(self, model_dir, feat_idx):
+        text = (model_dir / "points3D.txt").read_text().replace("0.6 2 2", f"0.6 2 {feat_idx}")
+        (model_dir / "points3D.txt").write_text(text)
+        with pytest.raises(errors.DanglingReference) as want:
+            parse_colmap_oracle(model_dir)
+        with pytest.raises(errors.DanglingReference) as got:
+            sfm_io.parse_colmap_model(model_dir)
+        assert str(got.value) == str(want.value)
+
     def test_malformed_line_reports_position(self, model_dir):
         (model_dir / "cameras.txt").write_text("1 PINHOLE 400\n")
         with pytest.raises(errors.MalformedLine) as exc_info:
@@ -98,6 +114,169 @@ class TestParseColmap:
         (model_dir / "points3D.txt").write_text("")
         parsed = sfm_io.parse_colmap_model(model_dir)
         assert parsed.image_by_id(1).xys.shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Array parser against the line-by-line oracle
+# ---------------------------------------------------------------------------
+
+_coords = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.integers(-999, 999).map(str)
+
+
+@st.composite
+def colmap_rows(draw):
+    """Token rows of a random valid COLMAP model.
+
+    Returns (images, points): images as [header tokens, feature tokens]
+    pairs, points as token lists. Ids are random and unsorted; tracks run
+    from empty to long; every reference resolves.
+    """
+    point_ids = draw(st.lists(st.integers(0, 2**40), unique=True, max_size=25))
+    image_ids = draw(st.lists(st.integers(1, 10**6), unique=True, min_size=1, max_size=4))
+    images, observations = [], []
+    for image_id in image_ids:
+        n_feat = draw(st.integers(0, 8))
+        features = []
+        for idx in range(n_feat):
+            pid = draw(st.sampled_from(point_ids + [SENTINEL_NONE]))
+            features += [draw(_coords), draw(_coords), str(pid)]
+            observations.append((image_id, idx))
+        header = [str(image_id)] + [draw(_coords) for _ in range(7)] + ["1", f"im{image_id}.png"]
+        images.append([header, features])
+    points = []
+    for pid in point_ids:
+        rgb = [str(draw(st.integers(0, 255))) for _ in range(3)]
+        row = [str(pid)] + [draw(_coords) for _ in range(3)] + rgb + [draw(_coords)]
+        if observations:
+            track = draw(st.lists(st.sampled_from(observations), max_size=40))
+            row += [str(v) for entry in track for v in entry]
+        points.append(row)
+    return images, points
+
+
+def _write_colmap_text(dir_path: Path, images, points, draw_flags) -> Path:
+    """Write the rows with comments and blank lines where draw_flags says."""
+    flags = iter(draw_flags)
+    image_lines, point_lines = ["# images"], ["# points"]
+    for header, features in images:
+        if next(flags):
+            image_lines.append("")  # blank lines are skipped only before a header
+        image_lines += [" ".join(header), "# between header and features", " ".join(features)]
+    for row in points:
+        if next(flags):
+            point_lines += ["", "  # indented comment"]
+        point_lines.append(" ".join(row))
+    (dir_path / "cameras.txt").write_text("# cameras\n1 PINHOLE 400 300 350 350 200 150\n")
+    (dir_path / "images.txt").write_text("\n".join(image_lines) + "\n")
+    (dir_path / "points3D.txt").write_text("\n".join(point_lines) + "\n")
+    return dir_path
+
+
+def _parse_both(images, points, flags):
+    """(array result or exception, oracle result or exception) for one model."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        model_dir = _write_colmap_text(Path(tmp), images, points, flags)
+        for parse in (sfm_io.parse_colmap_model, parse_colmap_oracle):
+            try:
+                out.append(parse(model_dir))
+            except errors.InputDataError as exc:
+                out.append(exc)
+    return out
+
+
+class TestParserMatchesOracle:
+    @given(rows=colmap_rows(), flags=st.lists(st.booleans(), min_size=30, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_models_equal(self, rows, flags):
+        model, (cameras, images, points) = _parse_both(*rows, flags)
+        assert [(c.camera_id, c.model, c.width, c.height, c.params) for c in model.cameras] == cameras
+        for img, (image_id, name, camera_id, qvec, tvec, xys, ids) in zip(model.images, images):
+            assert (img.image_id, img.name, img.camera_id) == (image_id, name, camera_id)
+            assert img.qvec.tobytes() == np.array(qvec).tobytes()
+            assert img.tvec.tobytes() == np.array(tvec).tobytes()
+            assert img.xys.tobytes() == np.array(xys, dtype=np.float64).reshape(-1, 2).tobytes()
+            assert img.point3d_ids.tolist() == ids
+        table = model.points3d
+        assert len(table) == len(points)
+        assert table.ids.tolist() == [p[0] for p in points]
+        assert table.xyz.tobytes() == np.array([p[1] for p in points]).reshape(-1, 3).tobytes()
+        assert table.rgb.tolist() == [list(p[2]) for p in points]
+        assert table.error.tobytes() == np.array([p[3] for p in points]).tobytes()
+        for row, point in enumerate(points):
+            assert table.track_of(row).tolist() == [list(entry) for entry in point[4]]
+            assert table.rows_of([point[0]]).tolist() == [row]
+
+    @given(
+        rows=colmap_rows(),
+        flags=st.lists(st.booleans(), min_size=30, max_size=30),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
+                     "feature_token", "track_image", "track_feature", "feature_point"]
+                ),
+                st.integers(0, 10**6),
+            ),
+            min_size=1, max_size=2,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bad_models_raise_like_oracle(self, rows, flags, edits):
+        images, points = rows
+        for kind, pick in edits:
+            _corrupt(images, points, kind, pick)
+        got, want = _parse_both(images, points, flags)
+        if not isinstance(want, Exception):
+            assert not isinstance(got, Exception)
+            return
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        if isinstance(want, errors.MalformedLine):
+            assert got.line_number == want.line_number
+
+
+def _corrupt(images, points, kind, pick):
+    """Break one row of the model in place; a no-op where the kind has no target."""
+    if kind == "feature_token":
+        features = images[pick % len(images)][1]
+        if features:
+            features[pick % len(features)] = "abc"
+        return
+    if kind == "feature_point":
+        features = images[pick % len(images)][1]
+        if features:
+            features[3 * (pick % (len(features) // 3)) + 2] = str(2**41 + pick)
+        return
+    if not points:
+        return
+    row = points[pick % len(points)]
+    track_len = len(row) - 8
+    if kind == "id":
+        row[0] = "x" + row[0]
+    elif kind == "rgb_token":
+        row[4 + pick % 3] = "red"
+    elif kind == "rgb_256":
+        row[4 + pick % 3] = "256"
+    elif kind == "track_token":
+        if track_len:
+            row[8 + pick % track_len] = "1.5"
+        else:
+            row += ["1", "1.5"]
+    elif kind == "odd_track":
+        row.append("3")
+    elif kind == "duplicate":
+        other = points[(pick + 1) % len(points)]
+        if other is not row:
+            row[0] = other[0]
+    elif kind == "track_image" and track_len:
+        row[8 + 2 * (pick % (track_len // 2))] = str(10**6 + 1 + pick)
+    elif kind == "track_feature" and track_len:
+        entry = 8 + 2 * (pick % (track_len // 2))
+        image = next((im for im in images if im[0][0] == row[entry]), None)
+        if image is not None:
+            n_feat = len(image[1]) // 3
+            row[entry + 1] = str((n_feat, n_feat + 1, -1)[pick % 3])
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +560,52 @@ class TestPly:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(errors.IoFailure):
+            sfm_io.read_ply(path)
+
+    def test_ascii_bytes_match_per_vertex_formatting(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 500
+        scale = 10.0 ** rng.integers(-40, 38, size=(n, 3))
+        positions = (rng.normal(size=(n, 3)) * scale).astype(np.float32)
+        positions[0] = [-0.0, 1e-45, 3.4028235e38]
+        cloud = DensifiedCloud(positions, rng.integers(0, 256, (n, 3)), rng.integers(0, 2, n))
+        path = tmp_path / "c.ply"
+        sfm_io.write_ply(cloud, path, binary=False)
+        expected = "".join(
+            f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {c[0]} {c[1]} {c[2]} {s}\n"
+            for p, c, s in zip(cloud.positions, cloud.colors, cloud.sources)
+        ).encode("ascii")
+        data = path.read_bytes()
+        assert data[data.index(b"end_header\n") + len(b"end_header\n"):] == expected
+        assert np.array_equal(sfm_io.read_ply(path).positions, cloud.positions)
+
+    @pytest.mark.parametrize(
+        "count, body, match",
+        [
+            ("many", "1 2 3\n", "vertex count"),
+            ("2", "1 2 3\n", "expected 2 vertex lines, found 1"),
+            ("2", "1 2 3\n4 5\n", "vertex line 1 has too few columns"),
+            ("1", "1 2 abc\n", "bad z value"),
+        ],
+    )
+    def test_bad_ascii_ply_raises_io_failure(self, tmp_path, count, body, match):
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n" + body
+        )
+        with pytest.raises(errors.IoFailure, match=match):
+            sfm_io.read_ply(path)
+
+    @pytest.mark.parametrize("value", ["256", "-1", "1.5"])
+    def test_ascii_ply_integer_column_rejects_bad_values(self, tmp_path, value):
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            f"property uchar red\nend_header\n1 2 3 {value}\n"
+        )
+        with pytest.raises(errors.IoFailure, match="red"):
             sfm_io.read_ply(path)
 
     def test_non_finite_positions_rejected(self, tmp_path):
