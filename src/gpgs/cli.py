@@ -48,7 +48,6 @@ class RunConfig:
     angular_resolution: int = 8
     filter_quantile: float = 0.75
     iterations: int = 1000
-    learning_rate: float = 0.01
     l2_weight: float = 1e-6
     max_train_points: int = 2000
     train_fraction: float = 0.8
@@ -61,7 +60,6 @@ class RunConfig:
     def train_config(self) -> gp.TrainConfig:
         return gp.TrainConfig(
             iterations=self.iterations,
-            learning_rate=self.learning_rate,
             l2_weight=self.l2_weight,
             max_train_points=self.max_train_points,
             seed=self.seed,
@@ -157,8 +155,14 @@ def _output_parent(out: Path) -> Path:
 
 # Stages: each takes and returns objects; they print progress but write no file.
 
-def frame_datasets(cfg: RunConfig, model: sfm_io.SparseModel) -> list[sfm_io.PixelToPointDataset]:
-    """Rank the key frames, print the ranking, and build one dataset per frame."""
+def frame_datasets(
+    cfg: RunConfig, model: sfm_io.SparseModel
+) -> list[tuple[sfm_io.PixelToPointDataset, Optional[sfm_io.DepthMap]]]:
+    """Rank the key frames, print the ranking, and build one dataset per frame.
+
+    Returns (dataset, depth map) per key frame; the depth map is None
+    without --depth-dir.
+    """
     frames = sfm_io.select_key_frames(model, cfg.key_frames)
     print("rank  image_id  linked  name")
     for rank, image_id in enumerate(frames, start=1):
@@ -174,7 +178,7 @@ def frame_datasets(cfg: RunConfig, model: sfm_io.SparseModel) -> list[sfm_io.Pix
             ds = ds.drop_missing_depth()
             if len(ds) < before:
                 print(f"frame {image_id}: dropped {before - len(ds)} samples on invalid depth")
-        datasets.append(ds)
+        datasets.append((ds, depth))
     return datasets
 
 
@@ -216,8 +220,9 @@ def _write_model(model: gp.TrainedGP, out: Path) -> None:
     model_io.save_model(model, out)
     loss_path = out.with_name(out.stem + "_loss.csv")
     _write_loss_csv(model, loss_path)
+    # training keeps each output's lowest-loss evaluation, not its last one
     finals = "  ".join(
-        f"{name}={curve[-1]:.6g}" for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
+        f"{name}={curve.min():.6g}" for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
     )
     print(f"trained on {model.X.shape[0]} points; final per-output NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
@@ -226,7 +231,7 @@ def _write_model(model: gp.TrainedGP, out: Path) -> None:
 def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
     """Parse the SfM model, rank key frames, and write dataset CSVs."""
     _require(cfg, "model_dir", "output")
-    datasets = frame_datasets(cfg, sfm_io.parse_colmap_model(cfg.model_dir))
+    datasets = [ds for ds, _ in frame_datasets(cfg, sfm_io.parse_colmap_model(cfg.model_dir))]
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
     return _write_datasets(datasets, out)
@@ -261,8 +266,11 @@ def _write_variance_csv(report: dn.VarianceReport, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _densify_one(cfg: RunConfig, model: gp.TrainedGP, sparse, image_id=None):
-    """Sample candidates around the model's training pixels and predict."""
+def _densify_one(cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.DepthMap]):
+    """Sample candidates around the model's training pixels and predict.
+
+    depth is the key frame's depth map, which a depth-trained model needs.
+    """
     pixels = np.stack(
         [model.X[:, 0] * model.width, model.X[:, 1] * model.height], axis=1
     )
@@ -270,13 +278,6 @@ def _densify_one(cfg: RunConfig, model: gp.TrainedGP, sparse, image_id=None):
         pixels, model.width, model.height, cfg.sampling_config(), seed=cfg.seed
     )
     if model.input_dim == 3:
-        if image_id is None:
-            raise UsageError(
-                "depth-trained model needs --dataset (for the key frame id) and --depth-dir"
-            )
-        depth = _depth_for_frame(cfg, sparse, image_id)
-        if depth is None:
-            raise UsageError("--depth-dir is required for a depth-trained model")
         candidates = dn.attach_depth(candidates, depth, model.width, model.height)
     preds = dn.infer_dense(model, candidates)
     return dn.filter_by_variance(preds, cfg.filter_config())
@@ -299,10 +300,16 @@ def cmd_densify(cfg: RunConfig) -> Path:
     _require(cfg, "model_dir", "gp_model", "output")
     model = model_io.load_model(cfg.gp_model)
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)
-    image_id = None
-    if model.input_dim == 3 and cfg.dataset is not None:
-        image_id = sfm_io.read_dataset_csv(cfg.dataset).image_id
-    filtered = _densify_one(cfg, model, sparse, image_id)
+    depth = None
+    if model.input_dim == 3:
+        if cfg.dataset is None:
+            raise UsageError(
+                "depth-trained model needs --dataset (for the key frame id) and --depth-dir"
+            )
+        depth = _depth_for_frame(cfg, sparse, sfm_io.read_dataset_csv(cfg.dataset).image_id)
+        if depth is None:
+            raise UsageError("--depth-dir is required for a depth-trained model")
+    filtered = _densify_one(cfg, model, depth)
 
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
@@ -379,17 +386,17 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     write_run_config(cfg, out_dir)
 
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)
-    datasets = frame_datasets(cfg, sparse)
-    ds_paths = _write_datasets(datasets, out_dir / "dataset.csv")
-    multi = len(datasets) > 1
+    frames = frame_datasets(cfg, sparse)
+    ds_paths = _write_datasets([ds for ds, _ in frames], out_dir / "dataset.csv")
+    multi = len(frames) > 1
     filtered_parts = []
-    for ds, ds_path in zip(datasets, ds_paths):
+    for (ds, depth), ds_path in zip(frames, ds_paths):
         if len(ds) == 0:
             print(f"skipping empty dataset {ds_path}")
             continue
         model = train_model(cfg, ds)
         _write_model(model, _suffixed(out_dir / "model.txt", ds.image_id, multi))
-        filtered_parts.append(_densify_one(cfg, model, sparse, ds.image_id))
+        filtered_parts.append(_densify_one(cfg, model, depth))
         del model  # free its factors before the next model trains
         report = evaluate_model(cfg, ds)
         _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
@@ -432,7 +439,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--angular-resolution", type=int)
         p.add_argument("--filter-quantile", type=float)
         p.add_argument("--iterations", type=int)
-        p.add_argument("--learning-rate", type=float)
         p.add_argument("--l2-weight", type=float)
         p.add_argument("--max-train-points", type=int)
         p.add_argument("--train-fraction", type=float)

@@ -3,17 +3,18 @@
 Six independent single-output GPs map normalized pixel coordinates to the
 six target channels (x, y, z, r, g, b). Kernels are Matérn (closed forms
 for half-integer smoothness) or RBF; hyperparameters live in log space and
-are fitted by plain gradient descent on the negative log marginal
-likelihood plus an L2 penalty on the log parameters. The linear algebra
-follows Algorithm 2.1 of Rasmussen & Williams, "Gaussian Processes for
-Machine Learning" (Cholesky factorisation, no explicit inverses in the
-prediction path).
+are fitted by bounded L-BFGS-B (Byrd et al. 1995) on the negative log
+marginal likelihood plus an L2 penalty on the log parameters, with the
+analytic gradient (Rasmussen & Williams, "Gaussian Processes for Machine
+Learning", ch. 5). The linear algebra follows their Algorithm 2.1
+(Cholesky factorisation, no explicit inverses in the prediction path).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -37,9 +38,8 @@ INIT_LOG_NOISE_VAR = math.log(1e-4)
 NOISE_VAR_FLOOR = 1e-10
 MAX_JITTER = 1e-2
 
-# Gradient updates are projected into these log-parameter bounds so every
-# exp() stays finite and the Gram matrix remains computable even when the
-# plain-gradient-descent dynamics try to run a parameter off to infinity.
+# Box bounds of the log-parameters for L-BFGS-B, so that every exp() stays
+# finite and the Gram matrix computable wherever the optimiser probes.
 LOG_PARAM_BOUND = 20.0
 
 # Queries per posterior block: the (n, chunk) distance and covariance
@@ -100,8 +100,7 @@ def default_kernel(family: str = MATERN, nu: float | None = 0.5) -> KernelConfig
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int = 1000
-    learning_rate: float = 0.01
+    iterations: int = 1000  # loss+gradient evaluations per output, at most
     l2_weight: float = 1e-6
     jitter: float = 1e-8
     max_train_points: int | None = 2000
@@ -110,8 +109,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.l2_weight < 0:
             raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
         if self.jitter < 0:
@@ -198,24 +195,75 @@ def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.nda
 # Cholesky with jitter escalation
 # ---------------------------------------------------------------------------
 
-def _factorize(K_noise: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
-    """Lower-Cholesky of K_noise + jitter*I, escalating jitter on failure.
+def _cholesky_in_place(K: np.ndarray, fill, jitter: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a Gram matrix plus jitter, in K's buffer.
 
-    Escalation multiplies by 10 (starting from 1e-10 when the configured
-    jitter is zero) and gives up past MAX_JITTER.
+    fill(j) writes the Gram matrix with jitter j on its diagonal into the
+    Fortran-ordered K; dpotrf then factors it in place. A failed dpotrf
+    has overwritten part of K, so each retry refills it, with the jitter
+    multiplied by 10 (starting from 1e-10 when it is zero); past
+    MAX_JITTER it gives up. Returns the factor (in the lower triangle;
+    the upper one is not referenced) and the jitter used.
     """
     j = jitter
     while True:
-        try:
-            shifted = K_noise.copy()
-            if j:
-                shifted[np.diag_indices_from(shifted)] += j
-            return np.linalg.cholesky(shifted), j
-        except np.linalg.LinAlgError:
-            nxt = 1e-10 if j == 0.0 else j * 10.0
-            if nxt > MAX_JITTER:
-                raise NotPositiveDefinite("Gram matrix is not positive definite", j)
-            j = nxt
+        fill(j)
+        L, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return L, j
+        nxt = 1e-10 if j == 0.0 else j * 10.0
+        if nxt > MAX_JITTER:
+            raise NotPositiveDefinite("Gram matrix is not positive definite", j)
+        j = nxt
+
+
+def _solve_gram(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 y by two triangular solves against the lower factor L."""
+    w = solve_triangular(L, y, lower=True, check_finite=False)
+    return solve_triangular(L, w, lower=True, trans="T", check_finite=False)
+
+
+def _needs_scratch(cfg: KernelConfig) -> bool:
+    return cfg.family == MATERN and cfg.nu != 0.5
+
+
+def _kernel_block(cfg: KernelConfig, D: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+    """Fill out with sf2 * R(D / l) in place and return it.
+
+    The values are bit for bit those of cross_covariance: the same
+    operations in the same order (RBF forms -0.5 t t as (t t)(-0.5);
+    scaling by -0.5 is exact, so both orders round alike). D and out have
+    one shape; Matérn 1.5 and 2.5 also need a scratch array of that shape
+    (see _needs_scratch).
+    """
+    np.divide(D, cfg.lengthscale, out=out)  # t
+    if cfg.family == RBF:
+        np.multiply(out, out, out=out)
+        np.multiply(out, -0.5, out=out)
+        np.exp(out, out=out)
+    elif cfg.nu == 0.5:
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+    elif cfg.nu == 1.5:
+        np.multiply(out, math.sqrt(3.0), out=out)  # s
+        np.negative(out, out=scratch)
+        np.exp(scratch, out=scratch)
+        np.add(out, 1.0, out=out)
+        np.multiply(out, scratch, out=out)  # (1 + s) exp(-s)
+    else:  # Matérn 2.5
+        root5 = math.sqrt(5.0)
+        np.multiply(out, root5, out=out)  # s
+        np.multiply(out, out, out=scratch)
+        np.divide(scratch, 3.0, out=scratch)
+        np.add(out, 1.0, out=out)
+        np.add(out, scratch, out=scratch)  # 1 + s + s^2/3
+        np.divide(D, cfg.lengthscale, out=out)  # s again, bit for bit
+        np.multiply(out, root5, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.multiply(scratch, out, out=out)
+    np.multiply(out, cfg.signal_var, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +273,9 @@ def _factorize(K_noise: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
 class _Workspace:
     """Preallocated n x n scratch buffers for the training loop.
 
-    The gradient-descent loop touches several full matrices per iteration;
-    reusing Fortran-ordered buffers keeps LAPACK in-place and avoids
-    allocation churn. `mask` weights the strict lower triangle by 2 and the
+    Every loss+gradient evaluation touches several full matrices; reusing
+    Fortran-ordered buffers keeps LAPACK in-place and avoids allocation
+    churn. `mask` weights the strict lower triangle by 2 and the
     diagonal by 1 so that symmetric trace sums can be taken directly from
     the lower-triangular dpotri output.
     """
@@ -307,22 +355,15 @@ def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_gra
     ell = math.exp(theta[1])
     sn2 = math.exp(theta[2])
 
-    j = jitter
-    while True:
+    def fill(j):
         _fill_correlation(family, nu, ell, ws, want_grad)
         np.multiply(ws.K, sf2, out=ws.K)
         np.einsum("ii->i", ws.K)[:] += sn2 + j
-        L, info = dpotrf(ws.K, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            break
-        j = 1e-10 if j == 0.0 else j * 10.0
-        if j > MAX_JITTER:
-            raise NotPositiveDefinite("Gram matrix is not positive definite", j / 10.0)
 
+    L, j = _cholesky_in_place(ws.K, fill, jitter)
     diag_L = np.einsum("ii->i", L)
     logdet_half = float(np.sum(np.log(diag_L)))
-    w = solve_triangular(L, y, lower=True, check_finite=False)
-    alpha = solve_triangular(L, w, lower=True, trans="T", check_finite=False)
+    alpha = _solve_gram(L, y)
     y_alpha = float(y @ alpha)
     loss = (
         0.5 * y_alpha
@@ -390,8 +431,9 @@ class TrainedGP:
     normalizer: OutputNormalizer
     X: np.ndarray                          # (n, d) training inputs
     Z: np.ndarray                          # (n, 6) normalized targets
-    factors: tuple[np.ndarray, ...]        # per-output lower Cholesky of K + sn2 I (+ jitter),
-                                           # Fortran-ordered
+    factors: tuple[np.ndarray, ...]        # per-output Cholesky factor of K + sn2 I (+ jitter),
+                                           # Fortran-ordered, in the lower triangle (the
+                                           # upper one is not referenced)
     alphas: tuple[np.ndarray, ...]         # per-output (K + sn2 I)^-1 z
     jitters: tuple[float, ...]             # jitter actually used per output
     width: int
@@ -433,17 +475,25 @@ class TrainedGP:
         jitters_in = (
             tuple(jitter) if np.ndim(jitter) else (float(jitter),) * len(configs)
         )
-        D = cdist(X, X)
+        n = X.shape[0]
+        D = cdist(X, X).T  # exactly symmetric, so this is a Fortran-ordered view of it
+        scratch = np.empty((n, n), order="F") if any(map(_needs_scratch, configs)) else None
         factors, alphas, jitters = [], [], []
         for j_out, (cfg, j0) in enumerate(zip(configs, jitters_in)):
-            K = cfg.signal_var * _correlation(cfg.family, cfg.nu, D / cfg.lengthscale)
-            K[np.diag_indices_from(K)] += cfg.noise_var
-            L, j = _factorize(K, j0)
-            alphas.append(
-                solve_triangular(L.T, solve_triangular(L, Z[:, j_out], lower=True), lower=False)
-            )
-            # LAPACK reads a Fortran-ordered factor in place on every solve.
-            factors.append(np.asfortranarray(L))
+            # Each output's Gram matrix is built, factored and kept in one
+            # buffer; LAPACK reads the Fortran-ordered factor in place.
+            K = np.empty((n, n), order="F")
+
+            def fill(j, cfg=cfg, K=K):
+                _kernel_block(cfg, D, K, scratch)
+                diag = np.einsum("ii->i", K)
+                diag += cfg.noise_var
+                if j:
+                    diag += j
+
+            L, j = _cholesky_in_place(K, fill, j0)
+            alphas.append(_solve_gram(L, Z[:, j_out]))
+            factors.append(L)
             jitters.append(j)
         return cls(
             configs,
@@ -490,19 +540,25 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
         raise ValueError(f"variance outputs {sorted(var_outputs)} out of range for {k} outputs")
     mean_norm = np.empty((m, k))
     var_norm = np.full((m, k), np.nan)
+    # One covariance block (and one scratch block, for kernels that need
+    # it) serves every chunk and output; chunk views of it stay Fortran-ordered.
+    shape = (model.X.shape[0], min(m, _QUERY_CHUNK))
+    block = np.empty(shape, order="F")
+    scratch = np.empty(shape, order="F") if any(map(_needs_scratch, model.configs)) else None
     for start in range(0, m, _QUERY_CHUNK):
         rows = slice(start, min(start + _QUERY_CHUNK, m))
+        width = rows.stop - start
         D = cdist(Q[rows], model.X).T  # (n, chunk), Fortran-ordered without a copy
         for j, (cfg, L, alpha) in enumerate(zip(model.configs, model.factors, model.alphas)):
-            Ks = cfg.signal_var * _correlation(cfg.family, cfg.nu, D / cfg.lengthscale)
+            Ks = _kernel_block(
+                cfg, D, block[:, :width], None if scratch is None else scratch[:, :width]
+            )
             mean_norm[rows, j] = Ks.T @ alpha
             if j in var_outputs:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.
                 V = solve_triangular(L, Ks, lower=True, check_finite=False, overwrite_b=True)
                 np.multiply(V, V, out=V)
                 var_norm[rows, j] = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
-                del V
-            del Ks  # free the block before the next output builds its own
     mean = model.normalizer.denormalize_mean(mean_norm)
     var = model.normalizer.denormalize_var(var_norm)
     return PosteriorBatch(mean_norm, var_norm, mean, var)
@@ -512,14 +568,53 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
 # Training
 # ---------------------------------------------------------------------------
 
-def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) -> TrainedGP:
-    """Fit six GPs to a pixel-to-point dataset by gradient descent.
+class _BudgetSpent(Exception):
+    """The optimiser asked for one evaluation more than the budget."""
 
-    Targets are standardized per output, then each output runs
-    cfg.iterations updates theta <- theta - lr * grad in log-parameter
-    space. The loss curve records the objective entering each iteration.
-    Oversized datasets are first reduced to a seeded uniform subsample of
-    max_train_points.
+
+def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int):
+    """Minimise fun(theta) -> (loss, grad) by L-BFGS-B in at most budget calls.
+
+    scipy's maxfun is checked only between iterations, so the budget is
+    enforced here: the call that would exceed it raises instead, which
+    ends the search. Returns the lowest-loss theta evaluated and the loss
+    of every evaluation in order.
+    """
+    # Imported here: scipy.optimize adds ~0.1 s and ~9 MB that only training needs.
+    from scipy.optimize import minimize
+
+    thetas, losses = [], []
+
+    def counted(theta):
+        if len(losses) == budget:
+            raise _BudgetSpent
+        loss, grad = fun(theta)
+        thetas.append(np.array(theta))
+        losses.append(loss)
+        return loss, grad
+
+    try:
+        minimize(
+            counted, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+            options={"maxfun": budget, "maxiter": budget},
+        )
+    except _BudgetSpent:
+        pass
+    return thetas[int(np.argmin(losses))], np.array(losses)
+
+
+def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) -> TrainedGP:
+    """Fit six GPs to a pixel-to-point dataset by L-BFGS-B.
+
+    Targets are standardized per output. Each output then minimises its
+    loss over the log-parameters, inside the bounds (+-LOG_PARAM_BOUND,
+    noise variance at least NOISE_VAR_FLOOR), starting from the kernel's
+    parameters. cfg.iterations is an exact budget of loss+gradient
+    evaluations per output: the search ends when L-BFGS-B converges or
+    asks for one evaluation more, and the output keeps the lowest-loss
+    parameters evaluated (with a budget of 1, the starting ones). The loss
+    curve records every evaluation in order. Oversized datasets are first
+    reduced to a seeded uniform subsample of max_train_points.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -534,23 +629,26 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
     normalizer = OutputNormalizer.fit(Y)
     Z = normalizer.normalize(Y)
     ws = _Workspace(cdist(X, X))
-    lower = np.array([-LOG_PARAM_BOUND, -LOG_PARAM_BOUND, math.log(NOISE_VAR_FLOOR)])
-    upper = np.full(3, LOG_PARAM_BOUND)
+    bounds = [
+        (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
+        (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
+        (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
+    ]
 
     trained_configs = []
     curves = []
     for j in range(Z.shape[1]):
-        theta = kernel.log_params()
-        z = np.ascontiguousarray(Z[:, j])
-        curve = np.empty(cfg.iterations)
-        for it in range(cfg.iterations):
-            loss, grad = _objective(
-                theta, kernel.family, kernel.nu, ws, z, cfg.l2_weight, cfg.jitter, True
-            )
-            curve[it] = loss
-            theta = np.clip(theta - cfg.learning_rate * grad, lower, upper)
+        loss_and_grad = partial(
+            _objective, family=kernel.family, nu=kernel.nu, ws=ws,
+            y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=cfg.jitter,
+            want_grad=True,
+        )
+        theta, curve = _minimize_within(
+            loss_and_grad, kernel.log_params(), bounds, cfg.iterations
+        )
         trained_configs.append(kernel.with_log_params(theta))
         curves.append(curve)
+    del ws, loss_and_grad  # free the n x n training buffers before fit allocates the factors
 
     return TrainedGP.fit(
         X,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import IoFailure, MalformedLine, MissingFile
 from .gp import MATERN, KernelConfig, OutputNormalizer, TrainedGP
+from .sfm_io import read_text
 
 MODEL_HEADER = "gpgs-model v1"
 
@@ -61,7 +62,7 @@ def load_model(path) -> TrainedGP:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"missing model file {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != MODEL_HEADER:
         raise MalformedLine(path, 1, f"expected header {MODEL_HEADER!r}")
 

@@ -252,14 +252,37 @@ class SplitResult:
 # COLMAP text parsing
 # ---------------------------------------------------------------------------
 
+def read_text(path) -> str:
+    """The file's contents decoded as UTF-8.
+
+    A byte that is not UTF-8 raises MalformedLine at its line: bad data,
+    where the UnicodeDecodeError itself would pass for a bad argument.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
+
+
+def _text_lines(path: Path):
+    """Stream the lines of a UTF-8 text file; bad UTF-8 raises MalformedLine."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            read_text(path)  # error path: raises MalformedLine at the bad byte's line
+            raise
+
+
 def _data_lines(path: Path):
     """Yield (line_number, stripped_line) skipping comments; keeps blanks."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                continue
-            yield lineno, line
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        yield lineno, line
 
 
 def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
@@ -336,12 +359,11 @@ def _parse_images(path: Path) -> list[ImageRecord]:
 def _data_rows(path: Path) -> tuple[list[list[str]], list[int]]:
     """Tokens and line number of every non-blank, non-comment line."""
     rows, linenos = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if tokens and not tokens[0].startswith("#"):
-                rows.append(tokens)
-                linenos.append(lineno)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            rows.append(tokens)
+            linenos.append(lineno)
     return rows, linenos
 
 
@@ -833,7 +855,7 @@ def read_dataset_csv(path) -> PixelToPointDataset:
     meta = {"image_id": 0, "width": None, "height": None}
     header = None
     samples: list[tuple[PixelSample, TargetVector]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

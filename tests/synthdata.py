@@ -70,28 +70,6 @@ def smooth_targets(uv: np.ndarray) -> np.ndarray:
     )
 
 
-def gentle_targets(uv: np.ndarray) -> np.ndarray:
-    """Low-frequency smooth surface + smooth colour ramps.
-
-    Every channel varies along a single image axis (a cylindrical height
-    field and axis-aligned colour ramps), which keeps the fixed-step
-    gradient-descent training dynamics well behaved at large sample
-    counts; see the training-descent acceptance criterion.
-    """
-    u, v = uv[:, 0], uv[:, 1]
-    return np.stack(
-        [
-            u,
-            v,
-            0.3 * np.cos(np.pi * (u + 0.8)),
-            0.5 + 0.3 * np.sin(np.pi * (u + 0.3)),
-            0.5 + 0.3 * np.cos(np.pi * (v + 0.2)),
-            0.5 + 0.3 * np.sin(np.pi * (v + 0.7)),
-        ],
-        axis=1,
-    )
-
-
 def piecewise_targets(uv: np.ndarray) -> np.ndarray:
     """Terraced surface + checkerboard colours; discontinuous on purpose."""
     u, v = uv[:, 0], uv[:, 1]
@@ -115,7 +93,6 @@ def dataset_from_arrays(
 
 _SCENE_KINDS = {
     "smooth": smooth_targets,
-    "gentle": gentle_targets,
     "piecewise": piecewise_targets,
 }
 
@@ -123,7 +100,7 @@ _SCENE_KINDS = {
 def make_scene(
     kind: str, n: int, seed: int, noise: float = 0.01, width: int = 400, height: int = 400
 ) -> PixelToPointDataset:
-    """Random scene of the given kind ('smooth', 'gentle', or 'piecewise')."""
+    """Random scene of the given kind ('smooth' or 'piecewise')."""
     rng = np.random.default_rng(seed)
     uv = rng.uniform(0.02, 0.98, size=(n, 2))
     targets = _SCENE_KINDS[kind](uv)

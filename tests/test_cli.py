@@ -336,6 +336,64 @@ class TestPipeline:
         ) == 0
         assert "depth" in (out / "dataset.csv").read_text().splitlines()[3]
 
+    def test_reads_each_depth_map_once(self, fixture_dir, tmp_path, monkeypatch):
+        for name in ("frame1", "frame2"):
+            write_flat_pfm(tmp_path / f"{name}.pfm")
+        reads = []
+        original = sfm_io.read_depth_pfm
+
+        def counted(path):
+            reads.append(path.name)
+            return original(path)
+
+        monkeypatch.setattr(sfm_io, "read_depth_pfm", counted)
+        assert run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(tmp_path / "run"),
+            "--depth-dir", str(tmp_path), "--iterations", "5", "--key-frames", "2",
+            "--train-fraction", "0.34",
+        ) == 0
+        assert sorted(reads) == ["frame1.pfm", "frame2.pfm"]
+
+
+class TestBadUtf8:
+    """A byte that is not UTF-8 in an input file is bad data: exit 2."""
+
+    @staticmethod
+    def corrupt(path):
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe")
+
+    def test_points3d(self, fixture_dir, tmp_path, capsys):
+        self.corrupt(fixture_dir / "points3D.txt")
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(tmp_path / "ds.csv"),
+        )
+        assert code == 2
+        assert "points3D.txt:9: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_dataset_csv(self, fixture_dir, tmp_path, capsys):
+        ds = tmp_path / "ds.csv"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        self.corrupt(ds)
+        code = run("train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert f"{ds}:10: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_model_file(self, fixture_dir, tmp_path, capsys):
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(model), "--iterations", "2"
+        ) == 0
+        self.corrupt(model)
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert "byte 0xff is not UTF-8" in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def test_config_file_applies(self, fixture_dir, tmp_path):

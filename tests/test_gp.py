@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
-from gpgs import errors, gp, model_io
+from gpgs import errors, gp, metrics, model_io, sfm_io
 from oracles import finite_difference_gradient, matern_reference, posterior_oracle
 from synthdata import dataset_from_arrays, make_scene, smooth_targets
 
@@ -222,8 +224,48 @@ class TestTrainGp:
         ds = make_scene("smooth", 150, seed=0, noise=0.01)
         model = gp.train_gp(ds, gp.default_kernel(), gp.TrainConfig(iterations=150))
         for curve in model.loss_curves:
-            assert curve[-1] <= curve[0] + 1e-9
-            assert curve[-1] < curve[0]
+            assert min(curve) < curve[0]
+
+    def test_default_config_fits_640_smooth_points(self):
+        # 640 training points: past where a fixed step size used to
+        # overshoot and leave every lengthscale on its bound (r2 < 0).
+        split = sfm_io.split_dataset(make_scene("smooth", 800, seed=0), 0.8, seed=0)
+        assert len(split.train) == 640
+        model = gp.train_gp(split.train, gp.default_kernel(), gp.TrainConfig())
+        assert metrics.evaluate_holdout(model, split.test).bundle.r2 > 0.99
+        lower = [-gp.LOG_PARAM_BOUND, -gp.LOG_PARAM_BOUND, math.log(gp.NOISE_VAR_FLOOR)]
+        train = gp.TrainConfig()
+        for j, cfg in enumerate(model.configs):
+            theta = cfg.log_params()
+            assert np.all((theta > lower) & (theta < gp.LOG_PARAM_BOUND)), theta
+            # converged inside the budget, to a stationary point of a loss of order 1e3
+            assert len(model.loss_curves[j]) < train.iterations
+            grad = gp.nll_gradient(cfg, model.X, model.Z[:, j], train.l2_weight, train.jitter)
+            assert np.abs(grad).max() < 0.1
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_exact_evaluation_budget(self, monkeypatch, budget):
+        calls = []
+        original = gp._objective
+
+        def counted(theta, *args, **kwargs):
+            calls.append(kwargs["y"][0])
+            return original(theta, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_objective", counted)
+        ds = make_scene("smooth", 60, seed=1)
+        kernel = gp.default_kernel()
+        cfg = gp.TrainConfig(iterations=budget)
+        model = gp.train_gp(ds, kernel, cfg)
+        monkeypatch.setattr(gp, "_objective", original)
+        # outputs train one after another, each on its own target column
+        assert calls == [model.Z[0, j] for j in range(6) for _ in range(budget)]
+        for j, (trained, curve) in enumerate(zip(model.configs, model.loss_curves)):
+            assert len(curve) == budget
+            loss = gp.nll(trained, model.X, model.Z[:, j], cfg.l2_weight, cfg.jitter)
+            assert loss == min(curve)
+            if budget == 1:
+                assert np.array_equal(trained.log_params(), kernel.log_params())
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -236,7 +278,9 @@ class TestTrainGp:
         b = gp.train_gp(ds, gp.default_kernel(), cfg)
         for ca, cb in zip(a.configs, b.configs):
             assert ca == cb
-        assert np.array_equal(np.stack(a.loss_curves), np.stack(b.loss_curves))
+        assert len(a.loss_curves) == len(b.loss_curves) == 6
+        for ca, cb in zip(a.loss_curves, b.loss_curves):
+            assert np.array_equal(ca, cb)
 
     def test_empty_dataset(self):
         ds = dataset_from_arrays(np.zeros((0, 2)), np.zeros((0, 6)))
@@ -393,6 +437,41 @@ class TestPosteriorChunks:
         post = gp.posterior(six_output_model(), np.zeros((0, 2)), var_outputs=var_outputs)
         for arr in (post.mean_norm, post.var_norm, post.mean, post.var):
             assert arr.shape == (0, 6)
+
+
+class TestKernelBlock:
+    """posterior and TrainedGP.fit build kernel blocks in place with the
+    exact arithmetic of cross_covariance and gram_matrix."""
+
+    KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
+
+    @staticmethod
+    def model(family, nu, n=40, seed=17):
+        rng = np.random.default_rng(seed)
+        cfg = gp.KernelConfig(family, nu, 0.3, math.log(0.2), -6.0)
+        X = rng.random((n, 2))
+        Z = rng.standard_normal((n, 1))
+        return gp.TrainedGP.fit(X, Z, [cfg], gp.OutputNormalizer.identity(1), 1, 1), rng
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_posterior_bit_equal_to_cross_covariance(self, family, nu):
+        model, rng = self.model(family, nu)
+        cfg, L, alpha = model.configs[0], model.factors[0], model.alphas[0]
+        Q = rng.random((25, 2))
+        post = gp.posterior(model, Q)
+        Ks = np.asfortranarray(gp.cross_covariance(cfg, model.X, Q))
+        V = solve_triangular(L, Ks, lower=True, check_finite=False)
+        assert np.array_equal(post.mean_norm[:, 0], Ks.T @ alpha)
+        assert np.array_equal(
+            post.var_norm[:, 0], np.maximum(cfg.signal_var - (V * V).sum(axis=0), 0.0)
+        )
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_fit_factors_gram_matrix(self, family, nu):
+        model, _ = self.model(family, nu)
+        want, info = dpotrf(gp.gram_matrix(model.configs[0], model.X), lower=1)
+        assert info == 0 and model.jitters[0] == 0.0
+        assert np.array_equal(np.tril(model.factors[0]), np.tril(want))
 
 
 class TestNormalizerEquivariance:
