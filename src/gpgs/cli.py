@@ -183,8 +183,23 @@ def frame_datasets(
 
 
 def train_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> gp.TrainedGP:
-    """Train the six GPs on a dataset."""
-    return gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
+    """Train the six GPs on a dataset.
+
+    Prints a warning naming the outputs whose fit used all --iterations
+    evaluations: the budget, not convergence, ended their search.
+    """
+    model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
+    spent = [
+        name for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
+        if len(curve) == cfg.iterations
+    ]
+    if spent:
+        print(
+            f"warning: outputs {', '.join(spent)} used all {cfg.iterations} evaluations "
+            "of --iterations; their hyperparameters may not have converged",
+            file=sys.stderr,
+        )
+    return model
 
 
 def evaluate_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> metrics.HoldoutReport:
@@ -274,9 +289,7 @@ def _densify_one(cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.Dep
     pixels = np.stack(
         [model.X[:, 0] * model.width, model.X[:, 1] * model.height], axis=1
     )
-    candidates = dn.generate_samples(
-        pixels, model.width, model.height, cfg.sampling_config(), seed=cfg.seed
-    )
+    candidates = dn.generate_samples(pixels, model.width, model.height, cfg.sampling_config())
     if model.input_dim == 3:
         candidates = dn.attach_depth(candidates, depth, model.width, model.height)
     preds = dn.infer_dense(model, candidates)

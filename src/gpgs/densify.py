@@ -24,7 +24,6 @@ from .sfm_io import DepthMap, PixelSample, SparseModel
 class SamplingConfig:
     beta: float = 0.25
     angular_resolution: int = 8
-    on_boundary: bool = True  # False: seeded uniform radius in (0, r]
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -70,13 +69,11 @@ def generate_samples(
     width: int,
     height: int,
     cfg: SamplingConfig,
-    seed: int = 0,
 ) -> list[PixelSample]:
     """Candidate pixels on circular neighbourhoods of the training pixels.
 
     For each training pixel, up to M samples at angles 2*pi*j/M and radius
-    r = beta * min(H, W) (or a seeded uniform radius in (0, r] when
-    on_boundary is off). Samples falling outside [0, W) x [0, H) are
+    r = beta * min(H, W). Samples falling outside [0, W) x [0, H) are
     discarded, exact repeats are deduplicated, and the survivors are
     returned normalized to [0, 1].
     """
@@ -86,19 +83,12 @@ def generate_samples(
     r = cfg.beta * min(width, height)
     m = cfg.angular_resolution
     angles = 2.0 * math.pi * np.arange(m) / m
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
-    rng = np.random.default_rng(seed)
+    dx, dy = r * np.cos(angles), r * np.sin(angles)
 
     out: list[PixelSample] = []
     seen: set[tuple[float, float]] = set()
     for u, v in train_pixels:
-        if cfg.on_boundary:
-            radii = np.full(m, r)
-        else:
-            radii = r * (1.0 - rng.random(m))  # uniform in (0, r]
-        us = u + radii * cos_a
-        vs = v + radii * sin_a
-        for uu, vv in zip(us, vs):
+        for uu, vv in zip(u + dx, v + dy):
             if not (0.0 <= uu < width and 0.0 <= vv < height):
                 continue
             key = (uu / width, vv / height)

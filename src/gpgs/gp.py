@@ -100,7 +100,7 @@ def default_kernel(family: str = MATERN, nu: float | None = 0.5) -> KernelConfig
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int = 1000  # loss+gradient evaluations per output, at most
+    iterations: int = 1000  # loss evaluations per output, at most
     l2_weight: float = 1e-6
     jitter: float = 1e-8
     max_train_points: int | None = 2000
@@ -573,12 +573,16 @@ class _BudgetSpent(Exception):
 
 
 def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int):
-    """Minimise fun(theta) -> (loss, grad) by L-BFGS-B in at most budget calls.
+    """Minimise fun(theta, want_grad) -> (loss, grad) by L-BFGS-B in at most
+    budget calls.
 
     scipy's maxfun is checked only between iterations, so the budget is
     enforced here: the call that would exceed it raises instead, which
-    ends the search. Returns the lowest-loss theta evaluated and the loss
-    of every evaluation in order.
+    ends the search. Evaluation number budget is therefore the last one,
+    and nothing can follow its gradient: it is computed loss-only
+    (want_grad=False) and L-BFGS-B gets a zero gradient, after which it
+    either stops or asks for the evaluation that raises. Returns the
+    lowest-loss theta evaluated and the loss of every evaluation in order.
     """
     # Imported here: scipy.optimize adds ~0.1 s and ~9 MB that only training needs.
     from scipy.optimize import minimize
@@ -588,10 +592,11 @@ def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int):
     def counted(theta):
         if len(losses) == budget:
             raise _BudgetSpent
-        loss, grad = fun(theta)
+        last = len(losses) + 1 == budget
+        loss, grad = fun(theta, want_grad=not last)
         thetas.append(np.array(theta))
         losses.append(loss)
-        return loss, grad
+        return loss, np.zeros_like(theta) if last else grad
 
     try:
         minimize(
@@ -609,12 +614,16 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
     Targets are standardized per output. Each output then minimises its
     loss over the log-parameters, inside the bounds (+-LOG_PARAM_BOUND,
     noise variance at least NOISE_VAR_FLOOR), starting from the kernel's
-    parameters. cfg.iterations is an exact budget of loss+gradient
-    evaluations per output: the search ends when L-BFGS-B converges or
-    asks for one evaluation more, and the output keeps the lowest-loss
-    parameters evaluated (with a budget of 1, the starting ones). The loss
-    curve records every evaluation in order. Oversized datasets are first
-    reduced to a seeded uniform subsample of max_train_points.
+    parameters. cfg.iterations is an exact budget of loss evaluations per
+    output: the search ends when L-BFGS-B converges or asks for one
+    evaluation more, and the output keeps the lowest-loss parameters
+    evaluated (with a budget of 1, the starting ones). Every evaluation
+    but the one that spends the budget also computes the gradient; that
+    last one is loss-only, since no step can follow it, which leaves the
+    losses and the kept parameters unchanged. The loss curve records every
+    evaluation in order; a curve of cfg.iterations entries means the
+    budget, not convergence, ended the search. Oversized datasets are
+    first reduced to a seeded uniform subsample of max_train_points.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -641,7 +650,6 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
         loss_and_grad = partial(
             _objective, family=kernel.family, nu=kernel.nu, ws=ws,
             y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=cfg.jitter,
-            want_grad=True,
         )
         theta, curve = _minimize_within(
             loss_and_grad, kernel.log_params(), bounds, cfg.iterations

@@ -1,26 +1,21 @@
 """Point-cloud and regression evaluation metrics.
 
 Chamfer distance uses Euclidean (not squared) nearest-neighbour distances,
-computed brute force for desk-scale sets and through a uniform-grid
-spatial hash for large ones; both paths agree to within floating-point
-noise and are cross-checked in the tests.
+found exactly by scipy's k-d tree and cross-checked in the tests against
+a double-loop oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import ConstantTruth, EmptyDataset, EmptySet, ShapeMismatch
 from .gp import TrainedGP, posterior
 from .sfm_io import PixelToPointDataset
-
-# Above this many pairwise distances the grid path takes over.
-BRUTE_FORCE_PAIR_LIMIT = 5000 * 5000
 
 OUTPUT_NAMES = ("x", "y", "z", "r", "g", "b")
 
@@ -50,75 +45,11 @@ class HoldoutReport:
 # Chamfer distance
 # ---------------------------------------------------------------------------
 
-def _min_dists_brute(P: np.ndarray, G: np.ndarray, chunk: int = 512) -> np.ndarray:
-    out = np.empty(len(P))
-    for start in range(0, len(P), chunk):
-        block = P[start : start + chunk]
-        out[start : start + len(block)] = cdist(block, G).min(axis=1)
-    return out
-
-
-class _UniformGrid:
-    """Spatial hash over 3D points supporting exact nearest-neighbour
-    distance queries via expanding Chebyshev shells of cells."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.origin = points.min(axis=0)
-        extent = points.max(axis=0) - self.origin
-        diag = float(np.linalg.norm(extent))
-        # Aim for O(1) points per cell; degenerate (single-cell) grids are fine.
-        self.cell = diag / max(1.0, round(len(points) ** (1.0 / 3.0))) or 1.0
-        keys = np.floor((points - self.origin) / self.cell).astype(np.int64)
-        self.table: dict[tuple[int, int, int], list[int]] = {}
-        for idx, key in enumerate(map(tuple, keys)):
-            self.table.setdefault(key, []).append(idx)
-        self.key_lo = keys.min(axis=0)
-        self.key_hi = keys.max(axis=0)
-
-    def _shell_cells(self, center: np.ndarray, k: int):
-        lo = np.maximum(center - k, self.key_lo)
-        hi = np.minimum(center + k, self.key_hi)
-        for ix in range(lo[0], hi[0] + 1):
-            for iy in range(lo[1], hi[1] + 1):
-                for iz in range(lo[2], hi[2] + 1):
-                    if max(abs(ix - center[0]), abs(iy - center[1]), abs(iz - center[2])) == k:
-                        yield (ix, iy, iz)
-
-    def nearest_distance(self, q: np.ndarray) -> float:
-        center = np.floor((q - self.origin) / self.cell).astype(np.int64)
-        k_max = int(
-            max(
-                np.abs(center - self.key_lo).max(),
-                np.abs(center - self.key_hi).max(),
-            )
-        )
-        best = math.inf
-        k = 0
-        while True:
-            for key in self._shell_cells(center, k):
-                idxs = self.table.get(key)
-                if idxs:
-                    d = np.linalg.norm(self.points[idxs] - q, axis=1).min()
-                    if d < best:
-                        best = float(d)
-            # Any point beyond shell k sits at distance >= k * cell.
-            if best <= k * self.cell or k >= k_max:
-                return best
-            k += 1
-
-
-def _min_dists_grid(P: np.ndarray, G: np.ndarray) -> np.ndarray:
-    grid = _UniformGrid(G)
-    return np.array([grid.nearest_distance(q) for q in P])
-
-
-def chamfer_distance(P, G, method: str = "auto") -> float:
+def chamfer_distance(P, G) -> float:
     """Symmetric mean nearest-neighbour distance between two point sets.
 
-    d = (1/|P|) sum_p min_g ||p-g|| + (1/|G|) sum_g min_p ||g-p||.
-    method is "auto" (grid above BRUTE_FORCE_PAIR_LIMIT pairs), "brute",
-    or "grid".
+    d = (1/|P|) sum_p min_g ||p-g|| + (1/|G|) sum_g min_p ||g-p||, with
+    exact nearest neighbours from one k-d tree per set.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -126,16 +57,8 @@ def chamfer_distance(P, G, method: str = "auto") -> float:
         raise EmptySet("chamfer distance needs two non-empty point sets")
     if P.shape[1] != 3 or G.shape[1] != 3:
         raise ShapeMismatch(f"points must be 3-vectors, got {P.shape} and {G.shape}")
-    if method == "auto":
-        method = "brute" if len(P) * len(G) <= BRUTE_FORCE_PAIR_LIMIT else "grid"
-    if method == "brute":
-        p_to_g = _min_dists_brute(P, G)
-        g_to_p = _min_dists_brute(G, P)
-    elif method == "grid":
-        p_to_g = _min_dists_grid(P, G)
-        g_to_p = _min_dists_grid(G, P)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    p_to_g, _ = cKDTree(G).query(P)
+    g_to_p, _ = cKDTree(P).query(G)
     return float(p_to_g.mean() + g_to_p.mean())
 
 

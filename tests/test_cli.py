@@ -1,6 +1,10 @@
 """Command-level tests: flags, config files, exit codes, artifacts."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,19 @@ class TestTrain:
         )
         assert code == 2
         assert f"{model_path}:2: width" in capsys.readouterr().err
+
+    def test_warns_when_budget_ends_the_fit(self, dataset, tmp_path, capsys):
+        assert run(
+            "train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"),
+            "--iterations", "1",
+        ) == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "outputs x, y, z, r, g, b used all 1 evaluations" in warnings[0]
+
+    def test_no_warning_when_every_output_converges(self, dataset, tmp_path, capsys):
+        assert run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt")) == 0
+        assert "warning:" not in capsys.readouterr().err
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run(
@@ -460,3 +477,17 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "beta" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs start-up time that only training needs, so the
+    # CLI imports it lazily; this guards that laziness.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, gpgs.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -61,26 +61,12 @@ class TestGenerateSamples:
     def test_boundary_samples_at_exact_radius(self):
         rng = np.random.default_rng(1)
         w = h = 500
-        cfg = dn.SamplingConfig(beta=0.1, angular_resolution=8, on_boundary=True)
+        cfg = dn.SamplingConfig(beta=0.1, angular_resolution=8)
         r = cfg.beta * min(w, h)
         for u, v in rng.uniform(100, 400, size=(10, 2)):
             for s in dn.generate_samples([(u, v)], w, h, cfg):
                 dist = math.hypot(s.u_norm * w - u, s.v_norm * h - v)
                 assert dist == pytest.approx(r, abs=1e-9)
-
-    def test_in_disk_mode_radius_in_range(self):
-        cfg = dn.SamplingConfig(beta=0.2, angular_resolution=16, on_boundary=False)
-        r = cfg.beta * 400
-        samples = dn.generate_samples([(200.0, 200.0)], 400, 400, cfg, seed=5)
-        dists = [math.hypot(s.u_norm * 400 - 200, s.v_norm * 400 - 200) for s in samples]
-        assert all(0.0 < d <= r + 1e-12 for d in dists)
-        assert len(set(np.round(dists, 9))) > 1  # radii actually vary
-
-    def test_in_disk_mode_deterministic(self):
-        cfg = dn.SamplingConfig(on_boundary=False)
-        a = dn.generate_samples([(50.0, 60.0)], 200, 200, cfg, seed=3)
-        b = dn.generate_samples([(50.0, 60.0)], 200, 200, cfg, seed=3)
-        assert a == b
 
     def test_exact_repeats_deduplicated(self):
         cfg = dn.SamplingConfig(beta=0.25, angular_resolution=4)

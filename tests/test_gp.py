@@ -267,6 +267,57 @@ class TestTrainGp:
             if budget == 1:
                 assert np.array_equal(trained.log_params(), kernel.log_params())
 
+    @pytest.mark.parametrize("budget", [1, 2, 5, 40])
+    @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
+                                           ("rbf", None)])
+    def test_loss_only_last_evaluation_changes_nothing(self, monkeypatch, family, nu, budget):
+        ds = make_scene("smooth", 60, seed=1)
+        kernel = gp.default_kernel(family, nu)
+        cfg = gp.TrainConfig(iterations=budget)
+        fast = gp.train_gp(ds, kernel, cfg)
+        original = gp._objective
+
+        def always_grad(theta, *args, **kwargs):
+            return original(theta, *args, **{**kwargs, "want_grad": True})
+
+        monkeypatch.setattr(gp, "_objective", always_grad)
+        full = gp.train_gp(ds, kernel, cfg)
+        for a, b in zip(fast.configs, full.configs):
+            assert np.array_equal(a.log_params(), b.log_params())
+        for a, b in zip(fast.loss_curves, full.loss_curves):
+            assert np.array_equal(a, b)
+        for a, b in zip(fast.alphas, full.alphas):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget", [1, 3, 200])
+    def test_gradient_skipped_only_on_spending_evaluation(self, monkeypatch, budget):
+        wants = []
+        original = gp._objective
+
+        def recorded(theta, *args, **kwargs):
+            wants.append(kwargs["want_grad"])
+            return original(theta, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_objective", recorded)
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                            gp.TrainConfig(iterations=budget))
+        assert len(wants) == sum(map(len, model.loss_curves))
+        for curve in model.loss_curves:
+            used, wants = wants[:len(curve)], wants[len(curve):]
+            spent = len(curve) == budget
+            assert used == [True] * (len(curve) - spent) + [False] * spent
+        if budget == 200:  # the smooth scene converges well inside this budget
+            assert all(len(curve) < budget for curve in model.loss_curves)
+
+    def test_budget_of_one_never_inverts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dpotri called for a gradient nothing reads")
+
+        monkeypatch.setattr(gp, "dpotri", refuse)
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                            gp.TrainConfig(iterations=1))
+        assert [len(curve) for curve in model.loss_curves] == [1] * 6
+
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
             gp.TrainConfig(iterations=0)

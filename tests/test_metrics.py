@@ -34,37 +34,32 @@ class TestChamfer:
         # with squared distances this would be 8, not 4
         assert metrics.chamfer_distance([[0, 0, 0]], [[2, 0, 0]]) == pytest.approx(4.0)
 
-    def test_brute_matches_oracle(self):
+    def test_uniform_sets_match_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             P = rng.random((int(rng.integers(1, 60)), 3))
             G = rng.random((int(rng.integers(1, 60)), 3))
-            got = metrics.chamfer_distance(P, G, method="brute")
-            assert got == pytest.approx(chamfer_oracle(P, G), abs=1e-12)
+            assert abs(metrics.chamfer_distance(P, G) - chamfer_oracle(P, G)) <= 1e-12
 
-    def test_grid_matches_brute(self):
+    def test_normal_sets_match_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             P = rng.normal(scale=rng.uniform(0.1, 10), size=(int(rng.integers(1, 200)), 3))
             G = rng.normal(scale=rng.uniform(0.1, 10), size=(int(rng.integers(1, 200)), 3))
-            brute = metrics.chamfer_distance(P, G, method="brute")
-            grid = metrics.chamfer_distance(P, G, method="grid")
-            assert abs(brute - grid) <= 1e-12
+            assert abs(metrics.chamfer_distance(P, G) - chamfer_oracle(P, G)) <= 1e-12
 
-    def test_grid_handles_degenerate_sets(self):
+    def test_degenerate_sets_match_oracle(self):
         P = np.zeros((5, 3))
         G = np.ones((3, 3))
-        got = metrics.chamfer_distance(P, G, method="grid")
-        assert got == pytest.approx(2 * math.sqrt(3.0))
+        assert metrics.chamfer_distance(P, G) == pytest.approx(2 * math.sqrt(3.0))
+        assert abs(metrics.chamfer_distance(P, G) - chamfer_oracle(P, G)) <= 1e-12
 
-    def test_grid_clustered_points(self):
+    def test_clustered_sets_match_oracle(self):
         rng = np.random.default_rng(4)
         centers = rng.uniform(-100, 100, size=(4, 3))
         P = np.concatenate([c + 0.01 * rng.standard_normal((30, 3)) for c in centers])
         G = np.concatenate([c + 0.01 * rng.standard_normal((20, 3)) for c in centers[:2]])
-        brute = metrics.chamfer_distance(P, G, method="brute")
-        grid = metrics.chamfer_distance(P, G, method="grid")
-        assert abs(brute - grid) <= 1e-12
+        assert abs(metrics.chamfer_distance(P, G) - chamfer_oracle(P, G)) <= 1e-12
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
