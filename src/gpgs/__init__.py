@@ -52,7 +52,6 @@ from .sfm_io import (
     build_pixel_dataset,
     parse_colmap_model,
     read_depth_pfm,
-    read_ply,
     select_key_frames,
     split_dataset,
     write_ply,

@@ -182,34 +182,44 @@ def frame_datasets(
     return datasets
 
 
-def train_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> gp.TrainedGP:
-    """Train the six GPs on a dataset.
+def train_model(
+    cfg: RunConfig, ds: sfm_io.PixelToPointDataset, label: str, starts=None
+) -> gp.TrainedGP:
+    """Train the six GPs on a dataset, output j from starts[j] if given.
 
-    Prints a warning naming the outputs whose fit used all --iterations
-    evaluations: the budget, not convergence, ended their search.
+    Prints a warning, headed by the fit's label, naming the outputs whose
+    fit used all --iterations evaluations: the budget, not convergence,
+    ended their search.
     """
-    model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
+    model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config(), starts)
     spent = [
         name for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
         if len(curve) == cfg.iterations
     ]
     if spent:
         print(
-            f"warning: outputs {', '.join(spent)} used all {cfg.iterations} evaluations "
+            f"warning: {label}: outputs {', '.join(spent)} used all {cfg.iterations} evaluations "
             "of --iterations; their hyperparameters may not have converged",
             file=sys.stderr,
         )
     return model
 
 
-def evaluate_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> metrics.HoldoutReport:
-    """Hold out a test split of the dataset, train on the rest, and score it."""
+def evaluate_model(
+    cfg: RunConfig, ds: sfm_io.PixelToPointDataset
+) -> tuple[metrics.HoldoutReport, tuple[gp.KernelConfig, ...]]:
+    """Hold out a test split of the dataset, train on the rest, and score it.
+
+    Returns the report and the kernel configs the fit kept; the model
+    itself is dropped.
+    """
     split = sfm_io.split_dataset(ds, cfg.train_fraction, cfg.seed)
     if len(split.test) == 0:
         raise EmptyDataset(
             f"test split is empty (n={len(ds)}, train_fraction={cfg.train_fraction})"
         )
-    return metrics.evaluate_holdout(train_model(cfg, split.train), split.test)
+    model = train_model(cfg, split.train, f"frame {ds.image_id} evaluate")
+    return metrics.evaluate_holdout(model, split.test), model.configs
 
 
 # Artifact writers
@@ -239,7 +249,11 @@ def _write_model(model: gp.TrainedGP, out: Path) -> None:
     finals = "  ".join(
         f"{name}={curve.min():.6g}" for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
     )
-    print(f"trained on {model.X.shape[0]} points; final per-output NLL: {finals}")
+    coarse = (
+        f" (started after {model.coarse_evals} evaluations on a subsample)"
+        if model.coarse_evals else ""
+    )
+    print(f"trained on {model.X.shape[0]} points{coarse}; final per-output NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
 
 
@@ -255,7 +269,8 @@ def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
 def cmd_train(cfg: RunConfig) -> Path:
     """Train the six GPs on a dataset CSV and write the model file."""
     _require(cfg, "dataset", "output")
-    model = train_model(cfg, sfm_io.read_dataset_csv(cfg.dataset))
+    ds = sfm_io.read_dataset_csv(cfg.dataset)
+    model = train_model(cfg, ds, f"frame {ds.image_id} densify")
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
     _write_model(model, out)
@@ -376,7 +391,7 @@ def _write_metrics(report: metrics.HoldoutReport, out: Path) -> None:
 def cmd_evaluate(cfg: RunConfig) -> Path:
     """Hold out a test split, train on the rest, and report metrics."""
     _require(cfg, "dataset", "output")
-    report = evaluate_model(cfg, sfm_io.read_dataset_csv(cfg.dataset))
+    report, _ = evaluate_model(cfg, sfm_io.read_dataset_csv(cfg.dataset))
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
     _write_metrics(report, out)
@@ -384,14 +399,17 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """build-dataset, train, densify, and evaluate in sequence, in memory.
+    """build-dataset, evaluate, train, and densify in sequence, in memory.
 
     The COLMAP model is parsed once and each key frame's dataset is built
-    once; the dataset, model, and metrics files are written as artifacts
+    once; the dataset, metrics, and model files are written as artifacts
     and never read back. With several key frames, each frame trains its
     own GP; the retained predictions of all frames are unioned before
-    merging with the sparse cloud. Each frame densifies with the model it
-    just trained, which is the model its model file reloads to.
+    merging with the sparse cloud. Each frame first runs the evaluation
+    fit on its train split, then the densification fit on all its
+    samples, each output starting from the hyperparameters the evaluation
+    fit kept. It densifies with that model, which is the model its model
+    file reloads to.
     """
     _require(cfg, "model_dir", "output")
     out_dir = Path(cfg.output)
@@ -407,12 +425,14 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         if len(ds) == 0:
             print(f"skipping empty dataset {ds_path}")
             continue
-        model = train_model(cfg, ds)
+        # only the evaluation fit's configs outlive it, so its factors are
+        # freed before the densification fit allocates its buffers
+        report, starts = evaluate_model(cfg, ds)
+        _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
+        model = train_model(cfg, ds, f"frame {ds.image_id} densify", starts)
         _write_model(model, _suffixed(out_dir / "model.txt", ds.image_id, multi))
         filtered_parts.append(_densify_one(cfg, model, depth))
-        del model  # free its factors before the next model trains
-        report = evaluate_model(cfg, ds)
-        _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
+        del model  # free its factors before the next frame trains
 
     if not filtered_parts:
         raise EmptyDataset("no key frame produced a usable dataset")

@@ -72,10 +72,6 @@ class IoFailure(InputDataError):
     pass
 
 
-class UnsupportedProperty(InputDataError):
-    pass
-
-
 # --- GP engine --------------------------------------------------------------
 
 class DimensionMismatch(InputDataError):

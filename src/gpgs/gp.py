@@ -41,6 +41,16 @@ MAX_JITTER = 1e-2
 # Box bounds of the log-parameters for L-BFGS-B, so that every exp() stays
 # finite and the Gram matrix computable wherever the optimiser probes.
 LOG_PARAM_BOUND = 20.0
+_BOUNDS = (
+    (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
+    (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
+    (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
+)
+
+# A cold fit on more rows than this first fits a seeded subsample of this
+# many rows and starts from where that fit ended (subset-of-data
+# initialisation, Rasmussen & Williams 2006, sec. 8.3.3).
+_COARSE_POINTS = 300
 
 # Queries per posterior block: the (n, chunk) distance and covariance
 # blocks bound the posterior's memory at O(n * chunk).
@@ -439,6 +449,7 @@ class TrainedGP:
     width: int
     height: int
     loss_curves: tuple[np.ndarray, ...] = ()
+    coarse_evals: int = 0                  # evaluations of the coarse stage, all outputs
 
     @property
     def n_outputs(self) -> int:
@@ -459,6 +470,7 @@ class TrainedGP:
         height: int,
         jitter=0.0,
         loss_curves=(),
+        coarse_evals=0,
     ) -> "TrainedGP":
         """Condition the six GPs on (X, Z) at fixed hyperparameters.
 
@@ -506,6 +518,7 @@ class TrainedGP:
             width,
             height,
             tuple(loss_curves),
+            coarse_evals,
         )
 
 
@@ -572,7 +585,9 @@ class _BudgetSpent(Exception):
     """The optimiser asked for one evaluation more than the budget."""
 
 
-def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int):
+def _minimize_within(
+    fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to: float = -math.inf
+):
     """Minimise fun(theta, want_grad) -> (loss, grad) by L-BFGS-B in at most
     budget calls.
 
@@ -583,11 +598,18 @@ def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int):
     (want_grad=False) and L-BFGS-B gets a zero gradient, after which it
     either stops or asks for the evaluation that raises. Returns the
     lowest-loss theta evaluated and the loss of every evaluation in order.
+
+    A fit that starts with a log noise variance below lift_noise_to can
+    end on the plateau where so small a noise barely moves the loss, and
+    where L-BFGS-B stops short of an optimum with more noise. If its kept
+    noise is still below lift_noise_to and there the loss falls as the
+    noise grows, the search goes on, within the same budget, from the kept
+    theta with its log noise variance lifted to lift_noise_to.
     """
     # Imported here: scipy.optimize adds ~0.1 s and ~9 MB that only training needs.
     from scipy.optimize import minimize
 
-    thetas, losses = [], []
+    thetas, losses, grads = [], [], []
 
     def counted(theta):
         if len(losses) == budget:
@@ -596,34 +618,76 @@ def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int):
         loss, grad = fun(theta, want_grad=not last)
         thetas.append(np.array(theta))
         losses.append(loss)
+        grads.append(grad)
         return loss, np.zeros_like(theta) if last else grad
 
-    try:
-        minimize(
-            counted, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxfun": budget, "maxiter": budget},
+    def search(start):
+        try:
+            minimize(
+                counted, start, jac=True, method="L-BFGS-B", bounds=bounds,
+                options={"maxfun": budget, "maxiter": budget},
+            )
+        except _BudgetSpent:
+            pass
+        return int(np.argmin(losses))
+
+    best = search(theta0)
+    kept, grad = thetas[best], grads[best]
+    on_plateau = kept[2] < lift_noise_to and grad is not None and grad[2] < 0
+    if theta0[2] < lift_noise_to and on_plateau:
+        best = search(np.array([kept[0], kept[1], lift_noise_to]))
+    return thetas[best], np.array(losses)
+
+
+def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
+    """L-BFGS-B fit of each column of Z on the inputs X, output j from starts[j].
+
+    Returns the kept log-parameters and the loss curve of every output.
+    The n x n buffers live only for the call.
+    """
+    ws = _Workspace(cdist(X, X))
+    thetas, curves = [], []
+    for j, theta0 in enumerate(starts):
+        loss_and_grad = partial(
+            _objective, family=kernel.family, nu=kernel.nu, ws=ws,
+            y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=cfg.jitter,
         )
-    except _BudgetSpent:
-        pass
-    return thetas[int(np.argmin(losses))], np.array(losses)
+        theta, curve = _minimize_within(
+            loss_and_grad, theta0, _BOUNDS, cfg.iterations, kernel.log_noise_var
+        )
+        thetas.append(theta)
+        curves.append(curve)
+    return thetas, curves
 
 
-def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) -> TrainedGP:
+def train_gp(
+    ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig, starts=None
+) -> TrainedGP:
     """Fit six GPs to a pixel-to-point dataset by L-BFGS-B.
 
     Targets are standardized per output. Each output then minimises its
     loss over the log-parameters, inside the bounds (+-LOG_PARAM_BOUND,
-    noise variance at least NOISE_VAR_FLOOR), starting from the kernel's
-    parameters. cfg.iterations is an exact budget of loss evaluations per
-    output: the search ends when L-BFGS-B converges or asks for one
-    evaluation more, and the output keeps the lowest-loss parameters
-    evaluated (with a budget of 1, the starting ones). Every evaluation
-    but the one that spends the budget also computes the gradient; that
-    last one is loss-only, since no step can follow it, which leaves the
-    losses and the kept parameters unchanged. The loss curve records every
+    noise variance at least NOISE_VAR_FLOOR), starting from starts[j]'s
+    log-parameters (one KernelConfig per output; None: the kernel's).
+    cfg.iterations is an exact budget of loss evaluations per output: the
+    search ends when L-BFGS-B converges or asks for one evaluation more,
+    and the output keeps the lowest-loss parameters evaluated (with a
+    budget of 1, the starting ones). Every evaluation but the one that
+    spends the budget also computes the gradient; that last one is
+    loss-only, since no step can follow it, which leaves the losses and
+    the kept parameters unchanged. The loss curve records every
     evaluation in order; a curve of cfg.iterations entries means the
     budget, not convergence, ended the search. Oversized datasets are
-    first reduced to a seeded uniform subsample of max_train_points.
+    first reduced to a seeded uniform subsample of max_train_points. A
+    start below the kernel's noise variance that ends on the low-noise
+    plateau goes on from the kernel's noise variance (_minimize_within).
+
+    A cold fit (starts None) on more than _COARSE_POINTS rows first runs
+    the same fit, from the kernel's parameters and under the same budget,
+    on a seeded subsample of _COARSE_POINTS of its standardized rows, and
+    each output starts from what that coarse fit kept. The coarse
+    evaluations are counted in coarse_evals, not in the loss curves or
+    the budget.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -637,34 +701,28 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
 
     normalizer = OutputNormalizer.fit(Y)
     Z = normalizer.normalize(Y)
-    ws = _Workspace(cdist(X, X))
-    bounds = [
-        (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
-        (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
-        (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
-    ]
+    coarse_evals = 0
+    if starts is not None:
+        if len(starts) != Z.shape[1]:
+            raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
+        thetas = [start.log_params() for start in starts]
+    else:
+        thetas = [kernel.log_params()] * Z.shape[1]
+        if len(X) > _COARSE_POINTS:
+            rng = np.random.default_rng(cfg.seed)
+            rows = np.sort(rng.choice(len(X), size=_COARSE_POINTS, replace=False))
+            thetas, coarse = _fit_outputs(X[rows], Z[rows], kernel, cfg, thetas)
+            coarse_evals = sum(map(len, coarse))
 
-    trained_configs = []
-    curves = []
-    for j in range(Z.shape[1]):
-        loss_and_grad = partial(
-            _objective, family=kernel.family, nu=kernel.nu, ws=ws,
-            y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=cfg.jitter,
-        )
-        theta, curve = _minimize_within(
-            loss_and_grad, kernel.log_params(), bounds, cfg.iterations
-        )
-        trained_configs.append(kernel.with_log_params(theta))
-        curves.append(curve)
-    del ws, loss_and_grad  # free the n x n training buffers before fit allocates the factors
-
+    thetas, curves = _fit_outputs(X, Z, kernel, cfg, thetas)
     return TrainedGP.fit(
         X,
         Z,
-        trained_configs,
+        [kernel.with_log_params(theta) for theta in thetas],
         normalizer,
         ds.width,
         ds.height,
         jitter=cfg.jitter,
         loss_curves=curves,
+        coarse_evals=coarse_evals,
     )

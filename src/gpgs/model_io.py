@@ -9,6 +9,7 @@ bit-identical to the model that was saved.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +82,12 @@ def load_model(path) -> TrainedGP:
     def take_number(key: str, kind=float):
         value = take_kv(key)
         try:
-            return kind(value)
+            number = kind(value)
         except ValueError as exc:
             raise MalformedLine(path, pos, f"{key}: {exc}") from exc
+        if isinstance(number, float) and not math.isfinite(number):
+            raise MalformedLine(path, pos, f"{key}: non-finite value {value}")
+        return number
 
     def take_count(key: str) -> int:
         value = take_number(key, int)
@@ -132,6 +136,8 @@ def load_model(path) -> TrainedGP:
                 out[i] = [float(t) for t in tokens]
             except ValueError as exc:
                 raise MalformedLine(path, pos + 1, f"{tag} row {i}: {exc}") from exc
+            if not np.isfinite(out[i]).all():
+                raise MalformedLine(path, pos + 1, f"{tag} row {i}: non-finite value")
             pos += 1
         return out
 

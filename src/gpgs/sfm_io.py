@@ -1,8 +1,8 @@
 """SfM ingestion and file I/O.
 
 Parses COLMAP text reconstructions, builds the pixel-to-point training
-datasets, handles deterministic train/test splits, and reads/writes the
-PFM depth and PLY point-cloud file formats.
+datasets, handles deterministic train/test splits, reads PFM depth maps
+and writes PLY point clouds.
 
 All parsers are pure functions over file contents; every returned value is
 immutable after construction and safe to share across threads.
@@ -10,7 +10,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import struct
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -32,9 +32,8 @@ from .errors import (
     NoCorrespondences,
     TruncatedPayload,
     UnknownImage,
-    UnsupportedProperty,
 )
-from .pointcloud import DensifiedCloud, PointSource
+from .pointcloud import DensifiedCloud
 
 # Feature with no 3D track; COLMAP writes -1 in images.txt.
 SENTINEL_NONE = -1
@@ -348,6 +347,8 @@ def _parse_images(path: Path) -> list[ImageRecord]:
                 ids = np.fromiter(map(int, tokens[2::3]), np.int64, n)
             except (ValueError, OverflowError) as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
+            if not np.isfinite(xys).all():
+                raise MalformedLine(path, lineno, "non-finite feature coordinate")
             image_id, name, camera_id, qvec, tvec = header
             images.append(ImageRecord(image_id, name, camera_id, qvec, tvec, xys, ids))
             header = None
@@ -397,8 +398,11 @@ def _points_table(rows: list[list[str]]) -> PointsTable:
         raise ValueError("a row has the wrong number of fields")
     ids, xyz, rgb, error, track = _point_columns(rows)
     sorted_ids = np.sort(ids)
-    if np.any(sorted_ids[1:] == sorted_ids[:-1]) or np.any((rgb < 0) | (rgb > 255)):
-        raise ValueError("duplicate point id or colour out of 8-bit range")
+    if (
+        np.any(sorted_ids[1:] == sorted_ids[:-1]) or np.any((rgb < 0) | (rgb > 255))
+        or not np.isfinite(xyz).all()
+    ):
+        raise ValueError("duplicate point id, colour out of 8-bit range or non-finite xyz")
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum((lengths - 8) // 2, out=offsets[1:])
     return PointsTable(ids, xyz, rgb.astype(np.uint8), error, offsets, track)
@@ -423,9 +427,11 @@ def _raise_first_bad_point(path: Path, rows: list[list[str]], linenos: list[int]
         if len(tokens) < 8 or len(tokens) % 2 == 1:
             raise MalformedLine(path, lineno, f"expected 8 + 2k fields, got {len(tokens)}")
         try:
-            ids, _, rgb, _, _ = _point_columns([tokens])
+            ids, xyz, rgb, _, _ = _point_columns([tokens])
         except (ValueError, OverflowError) as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
+        if not np.isfinite(xyz).all():
+            raise MalformedLine(path, lineno, f"non-finite position: {tokens[1:4]}")
         point3d_id = int(ids[0])
         if point3d_id in seen:
             raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
@@ -632,23 +638,6 @@ def read_depth_pfm(path) -> DepthMap:
 # PLY point clouds
 # ---------------------------------------------------------------------------
 
-_PLY_PROPS = ("x", "y", "z", "red", "green", "blue", "source")
-
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
-
-_PLY_NUMPY_TYPES = {
-    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
-    "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
-    "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
-    "float": "f4", "float32": "f4", "double": "f8", "float64": "f8",
-}
-
-
 _PLY_ASCII_ROW = "%.9g %.9g %.9g %d %d %d %d\n"
 
 
@@ -693,128 +682,6 @@ def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
                 fh.write("".join(rows).encode("ascii"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _parse_ply_header(raw: bytes, path: Path):
-    end = raw.find(b"end_header")
-    if not raw.startswith(b"ply") or end < 0:
-        raise IoFailure(f"{path}: not a PLY file")
-    body_start = raw.index(b"\n", end) + 1
-    header_text = raw[:end].decode("ascii", errors="replace")
-
-    binary = None
-    n_vertices = None
-    props: list[tuple[str, str]] = []  # (type, name)
-    in_vertex = False
-    seen_element = False
-    for line in header_text.splitlines():
-        tokens = line.split()
-        if not tokens or tokens[0] in ("ply", "comment", "obj_info"):
-            continue
-        if tokens[0] == "format":
-            if tokens[1] == "ascii":
-                binary = False
-            elif tokens[1] == "binary_little_endian":
-                binary = True
-            else:
-                raise UnsupportedProperty(f"{path}: unsupported format {tokens[1]}")
-        elif tokens[0] == "element":
-            if tokens[1] == "vertex":
-                if seen_element:
-                    raise UnsupportedProperty(f"{path}: vertex is not the first element")
-                try:
-                    n_vertices = int(tokens[2])
-                except (IndexError, ValueError) as exc:
-                    raise IoFailure(f"{path}: bad vertex count in {line!r}") from exc
-                if n_vertices < 0:
-                    raise IoFailure(f"{path}: negative vertex count {n_vertices}")
-                in_vertex = True
-            else:
-                in_vertex = False
-            seen_element = True
-        elif tokens[0] == "property" and in_vertex:
-            if tokens[1] == "list":
-                raise UnsupportedProperty(f"{path}: list property in vertex element")
-            if tokens[1] not in _PLY_SCALAR_SIZES:
-                raise UnsupportedProperty(f"{path}: unknown property type {tokens[1]}")
-            props.append((tokens[1], tokens[2]))
-    if binary is None or n_vertices is None:
-        raise IoFailure(f"{path}: header lacks format or vertex element")
-    names = [n for _, n in props]
-    for coord in ("x", "y", "z"):
-        if coord not in names:
-            raise UnsupportedProperty(f"{path}: vertex element lacks property {coord}")
-    return binary, n_vertices, props, body_start
-
-
-def _read_ascii_vertices(body: bytes, n: int, props, path: Path) -> np.ndarray:
-    """The first n non-blank body lines as a structured array.
-
-    The cells convert as one (n, columns) string array, column by column:
-    float properties through float64 (as Python's float does), integer
-    properties through int64 and a range check, so "1.5" or 300 in a
-    uchar column is an error, not a silent truncation.
-    """
-    rows = [line.split() for line in body.decode("ascii", errors="replace").splitlines()]
-    rows = [row for row in rows if row]
-    if len(rows) < n:
-        raise IoFailure(f"{path}: expected {n} vertex lines, found {len(rows)}")
-    k = len(props)
-    short = next((i for i, row in enumerate(rows[:n]) if len(row) < k), None)
-    if short is not None:
-        raise IoFailure(f"{path}: vertex line {short} has too few columns")
-    cells = np.array([row[:k] for row in rows[:n]], dtype=str).reshape(n, k)
-    table = np.zeros(n, dtype=[(name, _PLY_NUMPY_TYPES[typ]) for typ, name in props])
-    for j, (typ, name) in enumerate(props):
-        kind = np.dtype(_PLY_NUMPY_TYPES[typ])
-        try:
-            column = cells[:, j].astype(np.float64 if kind.kind == "f" else np.int64)
-        except ValueError as exc:
-            raise IoFailure(f"{path}: bad {name} value: {exc}") from exc
-        if kind.kind != "f":
-            info = np.iinfo(kind)
-            if np.any((column < info.min) | (column > info.max)):
-                raise IoFailure(f"{path}: {name} value outside the {typ} range")
-        table[name] = column
-    return table
-
-
-def read_ply(path) -> DensifiedCloud:
-    """Read a PLY point cloud written by write_ply or a compatible tool.
-
-    Colour channels default to 0 when absent; the source tag defaults to
-    PointSource.SFM for foreign files that lack it.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    binary, n, props, body_start = _parse_ply_header(raw, path)
-
-    if binary:
-        dtype = np.dtype([(name, "<" + _PLY_NUMPY_TYPES[typ]) for typ, name in props])
-        body = raw[body_start : body_start + dtype.itemsize * n]
-        if len(body) < dtype.itemsize * n:
-            raise IoFailure(f"{path}: binary payload truncated")
-        table = np.frombuffer(body, dtype=dtype)
-    else:
-        table = _read_ascii_vertices(raw[body_start:], n, props, path)
-
-    names = {n for _, n in props}
-    positions = np.stack(
-        [table["x"], table["y"], table["z"]], axis=1
-    ).astype(np.float32)
-    colors = np.zeros((n, 3), dtype=np.uint8)
-    for i, channel in enumerate(("red", "green", "blue")):
-        if channel in names:
-            colors[:, i] = table[channel].astype(np.uint8)
-    sources = (
-        table["source"].astype(np.uint8)
-        if "source" in names
-        else np.full(n, int(PointSource.SFM), dtype=np.uint8)
-    )
-    return DensifiedCloud(positions, colors, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +748,8 @@ def read_dataset_csv(path) -> PixelToPointDataset:
             row = dict(zip(header, (float(t) for t in tokens)))
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
+        if not all(map(math.isfinite, row.values())):
+            raise MalformedLine(path, lineno, "non-finite value")
         sample = PixelSample(row["u_norm"], row["v_norm"], row.get("depth"))
         target = TargetVector(row["x"], row["y"], row["z"], row["r"], row["g"], row["b"])
         samples.append((sample, target))

@@ -3,9 +3,9 @@
 Each oracle deliberately avoids the code path it checks: the Matérn
 reference goes through Gamma/Bessel special functions, the posterior
 oracle uses explicit dense solves, the chamfer oracle is a double loop,
-the gradient oracle is central finite differences of the loss, and the
+the gradient oracle is central finite differences of the loss, the
 COLMAP oracle parses one line and one token at a time into plain Python
-values.
+values, and the PLY reader reads back what write_ply writes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from scipy.special import gamma, kv
 
 from gpgs import gp
 from gpgs.errors import DanglingReference, MalformedLine, MissingFile
+from gpgs.pointcloud import DensifiedCloud
 
 
 def matern_reference(nu: float, sf2: float, ell: float, d: float) -> float:
@@ -149,6 +150,8 @@ def _oracle_images(path):
             ids = [int(tokens[i + 2]) for i in range(0, len(tokens), 3)]
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
+        if not all(math.isfinite(v) for xy in xys for v in xy):
+            raise MalformedLine(path, lineno, "non-finite feature coordinate")
         images.append(header + (xys, ids))
         header = None
     if header is not None:
@@ -175,6 +178,8 @@ def _oracle_points(path):
             )
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
+        if not all(map(math.isfinite, xyz)):
+            raise MalformedLine(path, lineno, f"non-finite position: {tokens[1:4]}")
         if point3d_id in seen:
             raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
         if any(c < 0 or c > 255 for c in rgb):
@@ -220,3 +225,29 @@ def parse_colmap_oracle(dir_path):
                     f"outside image {image_id} ({len(img[5])} features)"
                 )
     return cameras, images, points
+
+
+_PLY_VERTEX = np.dtype(
+    [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+     ("red", "u1"), ("green", "u1"), ("blue", "u1"), ("source", "u1")]
+)
+
+
+def read_ply_oracle(path) -> DensifiedCloud:
+    """The cloud of a PLY file laid out as write_ply writes it: one vertex
+    element of float x, y, z and uchar red, green, blue, source, in
+    binary_little_endian or ASCII."""
+    raw = Path(path).read_bytes()
+    body = raw.index(b"end_header\n") + len(b"end_header\n")
+    header = raw[:body].decode("ascii").splitlines()
+    n = int(header[2].split()[2])
+    if header[1].split()[1] == "ascii":
+        values = np.array(raw[body:].decode("ascii").split(), dtype=np.float64).reshape(n, 7)
+        table = np.empty(n, _PLY_VERTEX)
+        for j, name in enumerate(_PLY_VERTEX.names):
+            table[name] = values[:, j]
+    else:
+        table = np.frombuffer(raw, _PLY_VERTEX, count=n, offset=body)
+    positions = np.stack([table["x"], table["y"], table["z"]], axis=1)
+    colors = np.stack([table["red"], table["green"], table["blue"]], axis=1)
+    return DensifiedCloud(positions, colors, table["source"].copy())

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpgs import cli, sfm_io
+from gpgs import cli, gp, model_io, sfm_io
+from oracles import read_ply_oracle
 from synthdata import surface_colmap_model, write_colmap_fixture
 
 
@@ -166,11 +167,25 @@ class TestTrain:
         ) == 0
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert len(warnings) == 1
-        assert "outputs x, y, z, r, g, b used all 1 evaluations" in warnings[0]
+        assert warnings[0].startswith(
+            "warning: frame 1 densify: outputs x, y, z, r, g, b used all 1 evaluations"
+        )
 
     def test_no_warning_when_every_output_converges(self, dataset, tmp_path, capsys):
         assert run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt")) == 0
         assert "warning:" not in capsys.readouterr().err
+
+    def test_reports_coarse_stage(self, tmp_path, capsys):
+        model_dir, _, _ = surface_colmap_model(tmp_path / "surface", 2000, 320, seed=0)
+        ds = tmp_path / "ds.csv"
+        assert run("build-dataset", "--model-dir", str(model_dir), "--output", str(ds)) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"),
+            "--iterations", "2",
+        ) == 0
+        stdout = capsys.readouterr().out
+        assert "trained on 320 points (started after 12 evaluations on a subsample);" in stdout
+        assert len((tmp_path / "m_loss.csv").read_text().splitlines()) == 1 + 2 * 6
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run(
@@ -202,7 +217,7 @@ class TestDensify:
         assert counts["candidates:"] == counts["retained:"]
         assert counts["candidates:"] <= 120 * 8
         assert counts["output points:"] == counts["sparse points:"] + counts["retained:"]
-        cloud = sfm_io.read_ply(out)
+        cloud = read_ply_oracle(out)
         assert len(cloud) == counts["output points:"]
 
     def test_merge_count_contract(self, trained, tmp_path, capsys):
@@ -215,7 +230,7 @@ class TestDensify:
         stdout = capsys.readouterr().out
         sparse = int(stdout.split("sparse points:")[1].split()[0])
         retained = int(stdout.split("retained:")[1].split()[0])
-        cloud = sfm_io.read_ply(out)
+        cloud = read_ply_oracle(out)
         assert len(cloud) == sparse + retained
         assert np.count_nonzero(cloud.sources == 1) == retained
         assert (tmp_path / "cloud_variance.csv").exists()
@@ -322,6 +337,76 @@ class TestPipeline:
         assert calls == {"parse_colmap_model": 1, "read_dataset_csv": 0}
         assert (out / "dataset_frame2.csv").exists()
 
+    def test_densification_fit_starts_where_evaluation_fit_ended(
+        self, surface_dir, tmp_path, monkeypatch
+    ):
+        fits = []  # (start, kept theta) of every output's fit, in order
+        original = gp._minimize_within
+
+        def recorded(fun, theta0, *args):
+            theta, curve = original(fun, theta0, *args)
+            fits.append((np.array(theta0), theta))
+            return theta, curve
+
+        monkeypatch.setattr(gp, "_minimize_within", recorded)
+        out = tmp_path / "run"
+        assert run(
+            "pipeline", "--model-dir", str(surface_dir), "--output", str(out),
+            "--iterations", "30",
+        ) == 0
+        # 120 samples: no coarse stage; the evaluation fit, then the densification fit
+        assert len(fits) == 12
+        template = gp.default_kernel().log_params()
+        for (eval_start, eval_kept), (start, kept) in zip(fits[:6], fits[6:]):
+            assert np.array_equal(eval_start, template)
+            assert np.array_equal(start, eval_kept)
+        saved = model_io.load_model(out / "model.txt").configs
+        assert [cfg.log_params().tolist() for cfg in saved] == [k.tolist() for _, k in fits[6:]]
+
+    def test_budget_of_one_matches_two_cold_fits(self, tmp_path, monkeypatch, capsys):
+        # at --iterations 1 every fit keeps its start, and every start is the
+        # kernel's: artifacts equal those of two cold fits per frame without
+        # a coarse stage, although here the evaluation fit has one (336 > 300)
+        model_dir, _, _ = surface_colmap_model(tmp_path / "surface", 2000, 420, seed=0)
+        calls = []
+        original_fit = gp._fit_outputs
+
+        def counted(X, *args):
+            calls.append(len(X))
+            return original_fit(X, *args)
+
+        monkeypatch.setattr(gp, "_fit_outputs", counted)
+        flags = ("--model-dir", str(model_dir), "--iterations", "1")
+        assert run("pipeline", "--output", str(tmp_path / "new" / "run"), *flags) == 0
+        assert calls == [300, 336, 420]
+        err = capsys.readouterr().err
+        assert [ln.split(": outputs")[0] for ln in err.splitlines()] == [
+            "warning: frame 1 evaluate", "warning: frame 1 densify",
+        ]
+
+        original_train = gp.train_gp
+        monkeypatch.setattr(gp, "_COARSE_POINTS", 10**9)
+        monkeypatch.setattr(
+            gp, "train_gp", lambda ds, kernel, cfg, starts=None: original_train(ds, kernel, cfg)
+        )
+        assert run("pipeline", "--output", str(tmp_path / "cold" / "run"), *flags) == 0
+        names = sorted(p.name for p in (tmp_path / "new" / "run").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "cold" / "run").iterdir())
+        for name in names:
+            if name != "run-config.txt":  # it records the output path
+                new = (tmp_path / "new" / "run" / name).read_bytes()
+                assert new == (tmp_path / "cold" / "run" / name).read_bytes(), name
+
+    def test_empty_test_split_fails_before_densification_fit(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(out),
+            "--iterations", "5", "--train-fraction", "0.95",
+        )
+        assert code == 2
+        assert "test split is empty" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
     def test_multi_frame_pipeline(self, fixture_dir, tmp_path):
         # tiny fixture: frames carry 5 and 3 samples; fraction 0.34 keeps
         # both test splits large enough for r2 (needs >= 2 samples)
@@ -410,6 +495,70 @@ class TestBadUtf8:
         )
         assert code == 2
         assert "byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+class TestNonFinite:
+    """A non-finite number where a finite one is required is bad data: exit 2."""
+
+    @staticmethod
+    def replace_token(path, line_index, token_index, value):
+        """Set one token of one line: comma-separated in a CSV, else space-separated."""
+        lines = path.read_text().splitlines()
+        sep = "," if "," in lines[line_index] else " "
+        tokens = lines[line_index].split(sep)
+        tokens[token_index] = value
+        lines[line_index] = sep.join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_points3d_position(self, fixture_dir, tmp_path, capsys):
+        self.replace_token(fixture_dir / "points3D.txt", 3, 1, "nan")
+        code = run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(tmp_path / "run"),
+            "--iterations", "5",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "points3D.txt:4: non-finite position: ['nan', '1.0', '2.0']" in err
+        assert not (tmp_path / "run" / "model.txt").exists()
+
+    def test_feature_coordinate(self, fixture_dir, tmp_path, capsys):
+        self.replace_token(fixture_dir / "images.txt", 4, 1, "inf")
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(tmp_path / "ds.csv"),
+        )
+        assert code == 2
+        assert "images.txt:5: non-finite feature coordinate" in capsys.readouterr().err
+
+    def test_dataset_csv(self, fixture_dir, tmp_path, capsys):
+        ds = tmp_path / "ds.csv"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        self.replace_token(ds, 5, 4, "nan")
+        code = run("train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert f"{ds}:6: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["norm_std", "inputs"])
+    def test_model_file(self, fixture_dir, tmp_path, capsys, key):
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(model), "--iterations", "2"
+        ) == 0
+        lines = model.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key))
+        if key == "inputs":
+            at += 1
+            lines[at] = "nan " + lines[at].split()[1]
+        else:
+            lines[at] = f"{key} inf"
+        model.write_text("\n".join(lines) + "\n")
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert f"{model}:{at + 1}: " in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

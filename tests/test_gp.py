@@ -362,6 +362,143 @@ class TestTrainGp:
             assert cfg.noise_var >= gp.NOISE_VAR_FLOOR * (1 - 1e-12)
 
 
+class TestStarts:
+    """Warm starts (train_gp's starts) and the coarse stage of cold fits."""
+
+    @staticmethod
+    def record_fits(monkeypatch):
+        """(rows, start, kept theta, evaluations, first evaluated theta) of
+        every L-BFGS-B fit, in order."""
+        fits = []
+        original = gp._minimize_within
+
+        def recorded(fun, theta0, *args):
+            evaluated = []
+
+            def spy(theta, **kwargs):
+                evaluated.append(np.array(theta))
+                return fun(theta, **kwargs)
+
+            theta, curve = original(spy, theta0, *args)
+            fits.append((fun.keywords["ws"].n, np.array(theta0), theta, len(curve), evaluated[0]))
+            return theta, curve
+
+        monkeypatch.setattr(gp, "_minimize_within", recorded)
+        return fits
+
+    @staticmethod
+    def assert_as_good(fit, cold, test):
+        """Minimum losses within 1e-3 (relative) of the cold fit's, and a held-out
+        r2 not lower beyond 1e-6, the scale at which fits to one optimum differ."""
+        for a, b in zip(fit.loss_curves, cold.loss_curves):
+            assert abs(a.min() - b.min()) <= 1e-3 * abs(b.min())
+        r2 = [metrics.evaluate_holdout(m, test).bundle.r2 for m in (fit, cold)]
+        assert r2[0] >= r2[1] - 1e-6
+
+    def test_each_output_starts_from_its_config(self, monkeypatch):
+        fits = self.record_fits(monkeypatch)
+        kernel = gp.default_kernel()
+        starts = [kernel.with_log_params([0.1 * j, -1.0 - 0.1 * j, -8.0]) for j in range(6)]
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
+                            gp.TrainConfig(iterations=5), starts=starts)
+        assert len(fits) == 6
+        for (*_, first), start in zip(fits, starts):
+            assert np.array_equal(first, start.log_params())
+        assert model.coarse_evals == 0
+
+    def test_wrong_number_of_starts_rejected(self):
+        with pytest.raises(errors.DimensionMismatch, match="5 starting configs"):
+            gp.train_gp(make_scene("smooth", 20, seed=1), gp.default_kernel(),
+                        gp.TrainConfig(iterations=1), starts=[gp.default_kernel()] * 5)
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_coarse_stage_only_above_its_size(self, monkeypatch, n):
+        fits = self.record_fits(monkeypatch)
+        template = gp.default_kernel().log_params()
+        model = gp.train_gp(make_scene("smooth", n, seed=2), gp.default_kernel(),
+                            gp.TrainConfig(iterations=3))
+        coarse, full = fits[:-6], fits[-6:]
+        assert len(coarse) == (6 if n > gp._COARSE_POINTS else 0)
+        assert all(rows == gp._COARSE_POINTS for rows, *_ in coarse)
+        assert all(rows == n for rows, *_ in full)
+        assert all(np.array_equal(start, template) for _, start, *_ in coarse)
+        assert model.coarse_evals == sum(evals for _, _, _, evals, _ in coarse)
+        starts = [kept for _, _, kept, _, _ in coarse] or [template] * 6
+        for (_, start, _, evals, first), want, curve in zip(full, starts, model.loss_curves):
+            assert np.array_equal(start, want) and np.array_equal(first, want)
+            assert evals == len(curve) == 3  # the budget counts full-size evaluations only
+
+    def test_warm_fit_skips_coarse_stage(self, monkeypatch):
+        fits = self.record_fits(monkeypatch)
+        model = gp.train_gp(make_scene("smooth", 301, seed=2), gp.default_kernel(),
+                            gp.TrainConfig(iterations=3), starts=[gp.default_kernel()] * 6)
+        assert [rows for rows, *_ in fits] == [301] * 6
+        assert model.coarse_evals == 0
+
+    def test_search_leaves_the_noise_plateau(self, monkeypatch):
+        # x carries noise of standard deviation 0.05; from a start with almost
+        # no noise the first search stops on the plateau where the noise
+        # barely moves the loss, so the search goes on from its kept theta
+        # with the kernel's noise variance
+        thetas = []
+        original = gp._objective
+
+        def recorded(theta, *args, **kwargs):
+            thetas.append(np.array(theta))
+            return original(theta, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_objective", recorded)
+        kernel = gp.default_kernel()
+        start = kernel.with_log_params([0.0, math.log(0.3), -18.0])
+        model = gp.train_gp(make_scene("smooth", 60, seed=1, noise=0.05), kernel,
+                            gp.TrainConfig(iterations=200), starts=[start] * 6)
+        curve = model.loss_curves[0]
+        x = thetas[:len(curve)]
+        lifted = [i for i, theta in enumerate(x) if theta[2] == kernel.log_noise_var]
+        assert len(lifted) == 1
+        kept = x[int(np.argmin(curve[:lifted[0]]))]
+        assert kept[2] < kernel.log_noise_var
+        assert np.array_equal(x[lifted[0]][:2], kept[:2])
+        assert curve.min() < curve[:lifted[0]].min()
+        assert model.configs[0].log_noise_var > kernel.log_noise_var
+
+    def test_cold_fit_never_lifts_the_noise(self, monkeypatch):
+        ds = make_scene("smooth", 60, seed=1, noise=0.05)
+        cfg = gp.TrainConfig(iterations=200)
+        lifting = gp.train_gp(ds, gp.default_kernel(), cfg)
+        original = gp._minimize_within
+        monkeypatch.setattr(
+            gp, "_minimize_within",
+            lambda fun, theta0, bounds, budget, _: original(fun, theta0, bounds, budget),
+        )
+        plain = gp.train_gp(ds, gp.default_kernel(), cfg)
+        for a, b in zip(lifting.loss_curves, plain.loss_curves):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_warm_start_as_good_as_cold_fit(self, seed):
+        # pipeline's order: the evaluation fit on a train split, then the
+        # fit on all the frame's data from the evaluation fit's kept configs
+        split = sfm_io.split_dataset(make_scene("smooth", 375, seed=seed), 0.8, seed=1)
+        data, fresh = split.train, split.test
+        kernel, cfg = gp.default_kernel(), gp.TrainConfig()
+        evaluation = gp.train_gp(sfm_io.split_dataset(data, 0.8, seed=0).train, kernel, cfg)
+        warm = gp.train_gp(data, kernel, cfg, starts=evaluation.configs)
+        cold = gp.train_gp(data, kernel, cfg)
+        self.assert_as_good(warm, cold, fresh)
+        assert sum(map(len, warm.loss_curves)) < sum(map(len, cold.loss_curves))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coarse_to_fine_as_good_as_cold_fit(self, monkeypatch, seed):
+        split = sfm_io.split_dataset(make_scene("smooth", 800, seed=seed), 0.8, seed=0)
+        kernel, cfg = gp.default_kernel(), gp.TrainConfig()
+        fine = gp.train_gp(split.train, kernel, cfg)
+        monkeypatch.setattr(gp, "_COARSE_POINTS", len(split.train))
+        cold = gp.train_gp(split.train, kernel, cfg)
+        assert fine.coarse_evals > 0 and cold.coarse_evals == 0
+        self.assert_as_good(fine, cold, split.test)
+
+
 # ---------------------------------------------------------------------------
 # posterior
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpgs import errors, sfm_io
-from gpgs.pointcloud import DensifiedCloud, PointSource
+from gpgs.pointcloud import DensifiedCloud
 from gpgs.sfm_io import SENTINEL_NONE
 
-from oracles import parse_colmap_oracle
+from oracles import parse_colmap_oracle, read_ply_oracle
 from synthdata import write_colmap_fixture
 
 
@@ -214,7 +214,8 @@ class TestParserMatchesOracle:
             st.tuples(
                 st.sampled_from(
                     ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
-                     "feature_token", "track_image", "track_feature", "feature_point"]
+                     "feature_token", "track_image", "track_feature", "feature_point",
+                     "feature_nan", "xyz_nan"]
                 ),
                 st.integers(0, 10**6),
             ),
@@ -243,6 +244,11 @@ def _corrupt(images, points, kind, pick):
         if features:
             features[pick % len(features)] = "abc"
         return
+    if kind == "feature_nan":
+        features = images[pick % len(images)][1]
+        if features:
+            features[3 * (pick % (len(features) // 3)) + pick % 2] = ("nan", "inf")[pick % 2]
+        return
     if kind == "feature_point":
         features = images[pick % len(images)][1]
         if features:
@@ -256,6 +262,8 @@ def _corrupt(images, points, kind, pick):
         row[0] = "x" + row[0]
     elif kind == "rgb_token":
         row[4 + pick % 3] = "red"
+    elif kind == "xyz_nan":
+        row[1 + pick % 3] = ("nan", "inf", "-inf")[pick % 3]
     elif kind == "rgb_256":
         row[4 + pick % 3] = "256"
     elif kind == "track_token":
@@ -501,7 +509,7 @@ class TestPly:
         cloud = _sample_cloud()
         path = tmp_path / "c.ply"
         sfm_io.write_ply(cloud, path, binary=True)
-        back = sfm_io.read_ply(path)
+        back = read_ply_oracle(path)
         assert np.array_equal(back.positions, cloud.positions)
         assert np.array_equal(back.colors, cloud.colors)
         assert np.array_equal(back.sources, cloud.sources)
@@ -510,7 +518,7 @@ class TestPly:
         cloud = _sample_cloud()
         path = tmp_path / "c.ply"
         sfm_io.write_ply(cloud, path, binary=False)
-        back = sfm_io.read_ply(path)
+        back = read_ply_oracle(path)
         # %.9g preserves float32 exactly, comfortably beyond 6 significant digits
         assert np.array_equal(back.positions, cloud.positions)
         assert np.array_equal(back.sources, cloud.sources)
@@ -520,47 +528,6 @@ class TestPly:
         sfm_io.write_ply(cloud, tmp_path / "a.ply", binary=True)
         sfm_io.write_ply(cloud, tmp_path / "b.ply", binary=True)
         assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
-
-    def test_foreign_ply_without_source_defaults_to_sfm(self, tmp_path):
-        path = tmp_path / "foreign.ply"
-        path.write_text(
-            "ply\nformat ascii 1.0\nelement vertex 2\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-            "end_header\n"
-            "1 2 3 10 20 30\n4 5 6 40 50 60\n"
-        )
-        cloud = sfm_io.read_ply(path)
-        assert np.all(cloud.sources == int(PointSource.SFM))
-        assert cloud.colors[1].tolist() == [40, 50, 60]
-
-    def test_unsupported_list_property(self, tmp_path):
-        path = tmp_path / "bad.ply"
-        path.write_text(
-            "ply\nformat ascii 1.0\nelement vertex 1\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property list uchar int idx\nend_header\n1 2 3 0\n"
-        )
-        with pytest.raises(errors.UnsupportedProperty):
-            sfm_io.read_ply(path)
-
-    def test_missing_coordinate_property(self, tmp_path):
-        path = tmp_path / "bad.ply"
-        path.write_text(
-            "ply\nformat ascii 1.0\nelement vertex 1\n"
-            "property float x\nproperty float y\nend_header\n1 2\n"
-        )
-        with pytest.raises(errors.UnsupportedProperty, match="property z"):
-            sfm_io.read_ply(path)
-
-    def test_truncated_binary_payload(self, tmp_path):
-        cloud = _sample_cloud()
-        path = tmp_path / "c.ply"
-        sfm_io.write_ply(cloud, path, binary=True)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(errors.IoFailure):
-            sfm_io.read_ply(path)
 
     def test_ascii_bytes_match_per_vertex_formatting(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -577,36 +544,7 @@ class TestPly:
         ).encode("ascii")
         data = path.read_bytes()
         assert data[data.index(b"end_header\n") + len(b"end_header\n"):] == expected
-        assert np.array_equal(sfm_io.read_ply(path).positions, cloud.positions)
-
-    @pytest.mark.parametrize(
-        "count, body, match",
-        [
-            ("many", "1 2 3\n", "vertex count"),
-            ("2", "1 2 3\n", "expected 2 vertex lines, found 1"),
-            ("2", "1 2 3\n4 5\n", "vertex line 1 has too few columns"),
-            ("1", "1 2 abc\n", "bad z value"),
-        ],
-    )
-    def test_bad_ascii_ply_raises_io_failure(self, tmp_path, count, body, match):
-        path = tmp_path / "bad.ply"
-        path.write_text(
-            f"ply\nformat ascii 1.0\nelement vertex {count}\n"
-            "property float x\nproperty float y\nproperty float z\nend_header\n" + body
-        )
-        with pytest.raises(errors.IoFailure, match=match):
-            sfm_io.read_ply(path)
-
-    @pytest.mark.parametrize("value", ["256", "-1", "1.5"])
-    def test_ascii_ply_integer_column_rejects_bad_values(self, tmp_path, value):
-        path = tmp_path / "bad.ply"
-        path.write_text(
-            "ply\nformat ascii 1.0\nelement vertex 1\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            f"property uchar red\nend_header\n1 2 3 {value}\n"
-        )
-        with pytest.raises(errors.IoFailure, match="red"):
-            sfm_io.read_ply(path)
+        assert np.array_equal(read_ply_oracle(path).positions, cloud.positions)
 
     def test_non_finite_positions_rejected(self, tmp_path):
         cloud = _sample_cloud()
