@@ -529,6 +529,19 @@ class TestPly:
         sfm_io.write_ply(cloud, tmp_path / "b.ply", binary=True)
         assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
 
+    def test_truncated_binary_payload(self, tmp_path):
+        cloud = _sample_cloud()
+        path = tmp_path / "c.ply"
+        sfm_io.write_ply(cloud, path, binary=True)
+        data = path.read_bytes()
+        # one packed record per vertex: float x, y, z and uchar red, green, blue, source
+        body = data.index(b"end_header\n") + len(b"end_header\n")
+        assert len(data) - body == len(cloud) * (3 * 4 + 4)
+        # the round trips above read back a short payload as a failure, not a shorter cloud
+        path.write_bytes(data[:-8])
+        with pytest.raises(ValueError):
+            read_ply_oracle(path)
+
     def test_ascii_bytes_match_per_vertex_formatting(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 500
