@@ -249,11 +249,7 @@ def _write_model(model: gp.TrainedGP, out: Path) -> None:
     finals = "  ".join(
         f"{name}={curve.min():.6g}" for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
     )
-    coarse = (
-        f" (started after {model.coarse_evals} evaluations on a subsample)"
-        if model.coarse_evals else ""
-    )
-    print(f"trained on {model.X.shape[0]} points{coarse}; final per-output NLL: {finals}")
+    print(f"trained on {model.X.shape[0]} points; final per-output NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
 
 

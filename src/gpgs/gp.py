@@ -47,11 +47,6 @@ _BOUNDS = (
     (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
 )
 
-# A cold fit on more rows than this first fits a seeded subsample of this
-# many rows and starts from where that fit ended (subset-of-data
-# initialisation, Rasmussen & Williams 2006, sec. 8.3.3).
-_COARSE_POINTS = 300
-
 # Queries per posterior block: the (n, chunk) distance and covariance
 # blocks bound the posterior's memory at O(n * chunk).
 _QUERY_CHUNK = 4096
@@ -449,7 +444,6 @@ class TrainedGP:
     width: int
     height: int
     loss_curves: tuple[np.ndarray, ...] = ()
-    coarse_evals: int = 0                  # evaluations of the coarse stage, all outputs
 
     @property
     def n_outputs(self) -> int:
@@ -470,7 +464,6 @@ class TrainedGP:
         height: int,
         jitter=0.0,
         loss_curves=(),
-        coarse_evals=0,
     ) -> "TrainedGP":
         """Condition the six GPs on (X, Z) at fixed hyperparameters.
 
@@ -518,7 +511,6 @@ class TrainedGP:
             width,
             height,
             tuple(loss_curves),
-            coarse_evals,
         )
 
 
@@ -585,9 +577,7 @@ class _BudgetSpent(Exception):
     """The optimiser asked for one evaluation more than the budget."""
 
 
-def _minimize_within(
-    fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to: float = -math.inf
-):
+def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to: float):
     """Minimise fun(theta, want_grad) -> (loss, grad) by L-BFGS-B in at most
     budget calls.
 
@@ -640,20 +630,21 @@ def _minimize_within(
 
 
 def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
-    """L-BFGS-B fit of each column of Z on the inputs X, output j from starts[j].
+    """L-BFGS-B fit of each column of Z on the inputs X, output j from the
+    log-parameters of the KernelConfig starts[j].
 
     Returns the kept log-parameters and the loss curve of every output.
     The n x n buffers live only for the call.
     """
     ws = _Workspace(cdist(X, X))
     thetas, curves = [], []
-    for j, theta0 in enumerate(starts):
+    for j, start in enumerate(starts):
         loss_and_grad = partial(
             _objective, family=kernel.family, nu=kernel.nu, ws=ws,
             y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=cfg.jitter,
         )
         theta, curve = _minimize_within(
-            loss_and_grad, theta0, _BOUNDS, cfg.iterations, kernel.log_noise_var
+            loss_and_grad, start.log_params(), _BOUNDS, cfg.iterations, kernel.log_noise_var
         )
         thetas.append(theta)
         curves.append(curve)
@@ -681,13 +672,6 @@ def train_gp(
     first reduced to a seeded uniform subsample of max_train_points. A
     start below the kernel's noise variance that ends on the low-noise
     plateau goes on from the kernel's noise variance (_minimize_within).
-
-    A cold fit (starts None) on more than _COARSE_POINTS rows first runs
-    the same fit, from the kernel's parameters and under the same budget,
-    on a seeded subsample of _COARSE_POINTS of its standardized rows, and
-    each output starts from what that coarse fit kept. The coarse
-    evaluations are counted in coarse_evals, not in the loss curves or
-    the budget.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -701,20 +685,11 @@ def train_gp(
 
     normalizer = OutputNormalizer.fit(Y)
     Z = normalizer.normalize(Y)
-    coarse_evals = 0
-    if starts is not None:
-        if len(starts) != Z.shape[1]:
-            raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
-        thetas = [start.log_params() for start in starts]
-    else:
-        thetas = [kernel.log_params()] * Z.shape[1]
-        if len(X) > _COARSE_POINTS:
-            rng = np.random.default_rng(cfg.seed)
-            rows = np.sort(rng.choice(len(X), size=_COARSE_POINTS, replace=False))
-            thetas, coarse = _fit_outputs(X[rows], Z[rows], kernel, cfg, thetas)
-            coarse_evals = sum(map(len, coarse))
-
-    thetas, curves = _fit_outputs(X, Z, kernel, cfg, thetas)
+    if starts is None:
+        starts = [kernel] * Z.shape[1]
+    elif len(starts) != Z.shape[1]:
+        raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
+    thetas, curves = _fit_outputs(X, Z, kernel, cfg, starts)
     return TrainedGP.fit(
         X,
         Z,
@@ -724,5 +699,4 @@ def train_gp(
         ds.height,
         jitter=cfg.jitter,
         loss_curves=curves,
-        coarse_evals=coarse_evals,
     )

@@ -175,18 +175,6 @@ class TestTrain:
         assert run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt")) == 0
         assert "warning:" not in capsys.readouterr().err
 
-    def test_reports_coarse_stage(self, tmp_path, capsys):
-        model_dir, _, _ = surface_colmap_model(tmp_path / "surface", 2000, 320, seed=0)
-        ds = tmp_path / "ds.csv"
-        assert run("build-dataset", "--model-dir", str(model_dir), "--output", str(ds)) == 0
-        assert run(
-            "train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"),
-            "--iterations", "2",
-        ) == 0
-        stdout = capsys.readouterr().out
-        assert "trained on 320 points (started after 12 evaluations on a subsample);" in stdout
-        assert len((tmp_path / "m_loss.csv").read_text().splitlines()) == 1 + 2 * 6
-
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run(
             "train", "--dataset", str(tmp_path / "nope.csv"),
@@ -354,7 +342,7 @@ class TestPipeline:
             "pipeline", "--model-dir", str(surface_dir), "--output", str(out),
             "--iterations", "30",
         ) == 0
-        # 120 samples: no coarse stage; the evaluation fit, then the densification fit
+        # the evaluation fit, then the densification fit
         assert len(fits) == 12
         template = gp.default_kernel().log_params()
         for (eval_start, eval_kept), (start, kept) in zip(fits[:6], fits[6:]):
@@ -365,8 +353,7 @@ class TestPipeline:
 
     def test_budget_of_one_matches_two_cold_fits(self, tmp_path, monkeypatch, capsys):
         # at --iterations 1 every fit keeps its start, and every start is the
-        # kernel's: artifacts equal those of two cold fits per frame without
-        # a coarse stage, although here the evaluation fit has one (336 > 300)
+        # kernel's: artifacts equal those of two cold fits per frame
         model_dir, _, _ = surface_colmap_model(tmp_path / "surface", 2000, 420, seed=0)
         calls = []
         original_fit = gp._fit_outputs
@@ -378,14 +365,13 @@ class TestPipeline:
         monkeypatch.setattr(gp, "_fit_outputs", counted)
         flags = ("--model-dir", str(model_dir), "--iterations", "1")
         assert run("pipeline", "--output", str(tmp_path / "new" / "run"), *flags) == 0
-        assert calls == [300, 336, 420]
+        assert calls == [336, 420]
         err = capsys.readouterr().err
         assert [ln.split(": outputs")[0] for ln in err.splitlines()] == [
             "warning: frame 1 evaluate", "warning: frame 1 densify",
         ]
 
         original_train = gp.train_gp
-        monkeypatch.setattr(gp, "_COARSE_POINTS", 10**9)
         monkeypatch.setattr(
             gp, "train_gp", lambda ds, kernel, cfg, starts=None: original_train(ds, kernel, cfg)
         )

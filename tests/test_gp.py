@@ -363,12 +363,11 @@ class TestTrainGp:
 
 
 class TestStarts:
-    """Warm starts (train_gp's starts) and the coarse stage of cold fits."""
+    """Warm starts: train_gp's starts."""
 
     @staticmethod
     def record_fits(monkeypatch):
-        """(rows, start, kept theta, evaluations, first evaluated theta) of
-        every L-BFGS-B fit, in order."""
+        """(start, first evaluated theta) of every L-BFGS-B fit, in order."""
         fits = []
         original = gp._minimize_within
 
@@ -380,7 +379,7 @@ class TestStarts:
                 return fun(theta, **kwargs)
 
             theta, curve = original(spy, theta0, *args)
-            fits.append((fun.keywords["ws"].n, np.array(theta0), theta, len(curve), evaluated[0]))
+            fits.append((np.array(theta0), evaluated[0]))
             return theta, curve
 
         monkeypatch.setattr(gp, "_minimize_within", recorded)
@@ -399,41 +398,17 @@ class TestStarts:
         fits = self.record_fits(monkeypatch)
         kernel = gp.default_kernel()
         starts = [kernel.with_log_params([0.1 * j, -1.0 - 0.1 * j, -8.0]) for j in range(6)]
-        model = gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
-                            gp.TrainConfig(iterations=5), starts=starts)
+        gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
+                    gp.TrainConfig(iterations=5), starts=starts)
         assert len(fits) == 6
-        for (*_, first), start in zip(fits, starts):
+        for (theta0, first), start in zip(fits, starts):
+            assert np.array_equal(theta0, start.log_params())
             assert np.array_equal(first, start.log_params())
-        assert model.coarse_evals == 0
 
     def test_wrong_number_of_starts_rejected(self):
         with pytest.raises(errors.DimensionMismatch, match="5 starting configs"):
             gp.train_gp(make_scene("smooth", 20, seed=1), gp.default_kernel(),
                         gp.TrainConfig(iterations=1), starts=[gp.default_kernel()] * 5)
-
-    @pytest.mark.parametrize("n", [300, 301])
-    def test_coarse_stage_only_above_its_size(self, monkeypatch, n):
-        fits = self.record_fits(monkeypatch)
-        template = gp.default_kernel().log_params()
-        model = gp.train_gp(make_scene("smooth", n, seed=2), gp.default_kernel(),
-                            gp.TrainConfig(iterations=3))
-        coarse, full = fits[:-6], fits[-6:]
-        assert len(coarse) == (6 if n > gp._COARSE_POINTS else 0)
-        assert all(rows == gp._COARSE_POINTS for rows, *_ in coarse)
-        assert all(rows == n for rows, *_ in full)
-        assert all(np.array_equal(start, template) for _, start, *_ in coarse)
-        assert model.coarse_evals == sum(evals for _, _, _, evals, _ in coarse)
-        starts = [kept for _, _, kept, _, _ in coarse] or [template] * 6
-        for (_, start, _, evals, first), want, curve in zip(full, starts, model.loss_curves):
-            assert np.array_equal(start, want) and np.array_equal(first, want)
-            assert evals == len(curve) == 3  # the budget counts full-size evaluations only
-
-    def test_warm_fit_skips_coarse_stage(self, monkeypatch):
-        fits = self.record_fits(monkeypatch)
-        model = gp.train_gp(make_scene("smooth", 301, seed=2), gp.default_kernel(),
-                            gp.TrainConfig(iterations=3), starts=[gp.default_kernel()] * 6)
-        assert [rows for rows, *_ in fits] == [301] * 6
-        assert model.coarse_evals == 0
 
     def test_search_leaves_the_noise_plateau(self, monkeypatch):
         # x carries noise of standard deviation 0.05; from a start with almost
@@ -469,7 +444,7 @@ class TestStarts:
         original = gp._minimize_within
         monkeypatch.setattr(
             gp, "_minimize_within",
-            lambda fun, theta0, bounds, budget, _: original(fun, theta0, bounds, budget),
+            lambda fun, theta0, bounds, budget, _: original(fun, theta0, bounds, budget, -math.inf),
         )
         plain = gp.train_gp(ds, gp.default_kernel(), cfg)
         for a, b in zip(lifting.loss_curves, plain.loss_curves):
@@ -487,16 +462,6 @@ class TestStarts:
         cold = gp.train_gp(data, kernel, cfg)
         self.assert_as_good(warm, cold, fresh)
         assert sum(map(len, warm.loss_curves)) < sum(map(len, cold.loss_curves))
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_coarse_to_fine_as_good_as_cold_fit(self, monkeypatch, seed):
-        split = sfm_io.split_dataset(make_scene("smooth", 800, seed=seed), 0.8, seed=0)
-        kernel, cfg = gp.default_kernel(), gp.TrainConfig()
-        fine = gp.train_gp(split.train, kernel, cfg)
-        monkeypatch.setattr(gp, "_COARSE_POINTS", len(split.train))
-        cold = gp.train_gp(split.train, kernel, cfg)
-        assert fine.coarse_evals > 0 and cold.coarse_evals == 0
-        self.assert_as_good(fine, cold, split.test)
 
 
 # ---------------------------------------------------------------------------
