@@ -44,11 +44,9 @@ from .model_io import load_model, save_model
 from .pointcloud import DensifiedCloud, PointSource
 from .sfm_io import (
     DepthMap,
-    PixelSample,
     PixelToPointDataset,
     PointsTable,
     SparseModel,
-    TargetVector,
     build_pixel_dataset,
     parse_colmap_model,
     read_depth_pfm,

@@ -173,11 +173,9 @@ def frame_datasets(
     for image_id in frames:
         depth = _depth_for_frame(cfg, model, image_id)
         ds = sfm_io.build_pixel_dataset(model, image_id, depth)
-        if depth is not None:
-            before = len(ds)
-            ds = ds.drop_missing_depth()
-            if len(ds) < before:
-                print(f"frame {image_id}: dropped {before - len(ds)} samples on invalid depth")
+        dropped = model.image_by_id(image_id).linked_count() - len(ds)
+        if dropped:
+            print(f"frame {image_id}: dropped {dropped} samples on invalid depth")
         datasets.append((ds, depth))
     return datasets
 
@@ -297,9 +295,7 @@ def _densify_one(cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.Dep
 
     depth is the key frame's depth map, which a depth-trained model needs.
     """
-    pixels = np.stack(
-        [model.X[:, 0] * model.width, model.X[:, 1] * model.height], axis=1
-    )
+    pixels = model.X[:, :2] * (model.width, model.height)
     candidates = dn.generate_samples(pixels, model.width, model.height, cfg.sampling_config())
     if model.input_dim == 3:
         candidates = dn.attach_depth(candidates, depth, model.width, model.height)
@@ -311,7 +307,6 @@ def _concat_predictions(parts: list[dn.PredictedPointSet]) -> dn.PredictedPointS
     if len(parts) == 1:
         return parts[0]
     return dn.PredictedPointSet(
-        pixels=tuple(p for part in parts for p in part.pixels),
         mean6=np.concatenate([part.mean6 for part in parts]),
         var6=np.concatenate([part.var6 for part in parts]),
         mean_rgb_var=np.concatenate([part.mean_rgb_var for part in parts]),

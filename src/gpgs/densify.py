@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyPredictionSet
 from .gp import TrainedGP, posterior
 from .pointcloud import DensifiedCloud, PointSource
-from .sfm_io import DepthMap, PixelSample, SparseModel
+from .sfm_io import DepthMap, SparseModel
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,20 @@ class FilterConfig:
 class PredictedPointSet:
     """GP inference results for a batch of candidate pixels.
 
-    var6 rows are posterior variances in normalized-target space; only
-    the three colour entries (columns 3:6) are computed, the position
-    entries are NaN. mean_rgb_var is the arithmetic mean of the colour
-    entries. mean6 rows are denormalized (world position + [0,1] colours).
+    Row i of every array belongs to row i of the candidates. var6 rows are
+    posterior variances in normalized-target space; only the three colour
+    entries (columns 3:6) are computed, the position entries are NaN.
+    mean_rgb_var is the arithmetic mean of the colour entries. mean6 rows
+    are denormalized (world position + [0,1] colours).
     """
 
-    pixels: tuple[PixelSample, ...]
     mean6: np.ndarray         # (m, 6)
     var6: np.ndarray          # (m, 6)
     mean_rgb_var: np.ndarray  # (m,)
     retained: np.ndarray      # (m,) bool
 
     def __len__(self) -> int:
-        return len(self.pixels)
+        return len(self.mean_rgb_var)
 
     def retained_count(self) -> int:
         return int(np.count_nonzero(self.retained))
@@ -69,13 +68,14 @@ def generate_samples(
     width: int,
     height: int,
     cfg: SamplingConfig,
-) -> list[PixelSample]:
+) -> np.ndarray:
     """Candidate pixels on circular neighbourhoods of the training pixels.
 
     For each training pixel, up to M samples at angles 2*pi*j/M and radius
     r = beta * min(H, W). Samples falling outside [0, W) x [0, H) are
-    discarded, exact repeats are deduplicated, and the survivors are
-    returned normalized to [0, 1].
+    discarded, exact repeats are deduplicated (the first one kept), and the
+    survivors are returned normalized to [0, 1] as an (m, 2) array, in
+    training-pixel then angle order.
     """
     if width < 1 or height < 1:
         raise ValueError(f"image size must be positive, got {width}x{height}")
@@ -83,57 +83,38 @@ def generate_samples(
     r = cfg.beta * min(width, height)
     m = cfg.angular_resolution
     angles = 2.0 * math.pi * np.arange(m) / m
-    dx, dy = r * np.cos(angles), r * np.sin(angles)
-
-    out: list[PixelSample] = []
-    seen: set[tuple[float, float]] = set()
-    for u, v in train_pixels:
-        for uu, vv in zip(u + dx, v + dy):
-            if not (0.0 <= uu < width and 0.0 <= vv < height):
-                continue
-            key = (uu / width, vv / height)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(PixelSample(u_norm=key[0], v_norm=key[1]))
-    return out
+    uu = (train_pixels[:, :1] + r * np.cos(angles)).ravel()
+    vv = (train_pixels[:, 1:2] + r * np.sin(angles)).ravel()
+    inside = (0.0 <= uu) & (uu < width) & (0.0 <= vv) & (vv < height)
+    keys = np.stack([uu[inside] / width, vv[inside] / height], axis=1)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return keys[np.sort(first)]
 
 
-def attach_depth(
-    candidates: Sequence[PixelSample], depth: DepthMap, width: int, height: int
-) -> list[PixelSample]:
-    """Depth-feature mode: look up each candidate's depth, dropping pixels
-    that land on an invalid depth value."""
-    out = []
-    for s in candidates:
-        d = depth.value_at(s.u_norm * width, s.v_norm * height)
-        if d is not None:
-            out.append(replace(s, depth=d))
-    return out
+def attach_depth(candidates: np.ndarray, depth: DepthMap, width: int, height: int) -> np.ndarray:
+    """Depth-feature mode: append each candidate's depth as a third column,
+    dropping candidates that land on an invalid depth value."""
+    d = depth.value_at(candidates[:, 0] * width, candidates[:, 1] * height)
+    valid = ~np.isnan(d)
+    return np.column_stack([candidates[valid], d[valid]])
 
 
-def infer_dense(model: TrainedGP, candidates: Sequence[PixelSample]) -> PredictedPointSet:
-    """Run batch GP inference over candidate pixels; retained flags start
-    all False pending filtering. Only the colour variances, which the
-    filter ranks by, are computed."""
+def infer_dense(model: TrainedGP, candidates: np.ndarray) -> PredictedPointSet:
+    """Run batch GP inference over (m, d) candidate inputs; retained flags
+    start all False pending filtering. Only the colour variances, which
+    the filter ranks by, are computed."""
+    if candidates.shape[1] != model.input_dim:
+        raise DimensionMismatch(
+            f"candidates have {candidates.shape[1]} columns, the model takes {model.input_dim}"
+        )
     m = len(candidates)
-    if m and model.input_dim == 3:
-        if any(s.depth is None for s in candidates):
-            raise DimensionMismatch("model expects depth inputs but candidates carry none")
-        Q = np.array([[s.u_norm, s.v_norm, s.depth] for s in candidates])
-    else:
-        if model.input_dim != 2 and m:
-            raise DimensionMismatch(f"unsupported model input dimension {model.input_dim}")
-        Q = np.array([[s.u_norm, s.v_norm] for s in candidates]).reshape(m, 2)
     if m == 0:
         return PredictedPointSet(
-            (), np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=bool)
+            np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=bool)
         )
-    post = posterior(model, Q, var_outputs=(3, 4, 5))
+    post = posterior(model, candidates, var_outputs=(3, 4, 5))
     mean_rgb_var = post.var_norm[:, 3:6].mean(axis=1)
-    return PredictedPointSet(
-        tuple(candidates), post.mean, post.var_norm, mean_rgb_var, np.zeros(m, dtype=bool)
-    )
+    return PredictedPointSet(post.mean, post.var_norm, mean_rgb_var, np.zeros(m, dtype=bool))
 
 
 def filter_by_variance(preds: PredictedPointSet, cfg: FilterConfig) -> PredictedPointSet:
@@ -157,8 +138,8 @@ def merge_clouds(sparse: SparseModel, preds: PredictedPointSet) -> DensifiedClou
     Predicted colours are clamped to [0, 1] and quantized to 8 bits;
     every point carries its provenance tag.
     """
-    sparse_pos = sparse.positions().astype(np.float32)
-    sparse_col = sparse.colors()
+    sparse_pos = sparse.points3d.xyz.astype(np.float32)
+    sparse_col = sparse.points3d.rgb
     keep = preds.retained
     gp_pos = preds.mean6[keep, :3].astype(np.float32)
     gp_col = np.rint(np.clip(preds.mean6[keep, 3:6], 0.0, 1.0) * 255.0).astype(np.uint8)

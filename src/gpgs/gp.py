@@ -36,6 +36,9 @@ INIT_LOG_LENGTHSCALE = math.log(0.1)
 INIT_LOG_NOISE_VAR = math.log(1e-4)
 
 NOISE_VAR_FLOOR = 1e-10
+# Diagonal jitter that training starts every factorisation from; the
+# Cholesky helper escalates it, up to MAX_JITTER, when a factorisation fails.
+TRAIN_JITTER = 1e-8
 MAX_JITTER = 1e-2
 
 # Box bounds of the log-parameters for L-BFGS-B, so that every exp() stays
@@ -107,7 +110,6 @@ def default_kernel(family: str = MATERN, nu: float | None = 0.5) -> KernelConfig
 class TrainConfig:
     iterations: int = 1000  # loss evaluations per output, at most
     l2_weight: float = 1e-6
-    jitter: float = 1e-8
     max_train_points: int | None = 2000
     seed: int = 0
 
@@ -116,8 +118,6 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.l2_weight < 0:
             raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True)
@@ -641,7 +641,7 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
     for j, start in enumerate(starts):
         loss_and_grad = partial(
             _objective, family=kernel.family, nu=kernel.nu, ws=ws,
-            y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=cfg.jitter,
+            y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
         )
         theta, curve = _minimize_within(
             loss_and_grad, start.log_params(), _BOUNDS, cfg.iterations, kernel.log_noise_var
@@ -675,8 +675,7 @@ def train_gp(
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    X = ds.input_matrix()
-    Y = ds.target_matrix()
+    X, Y = ds.inputs, ds.targets
     n = X.shape[0]
     if cfg.max_train_points is not None and n > cfg.max_train_points:
         rng = np.random.default_rng(cfg.seed)
@@ -697,6 +696,6 @@ def train_gp(
         normalizer,
         ds.width,
         ds.height,
-        jitter=cfg.jitter,
+        jitter=TRAIN_JITTER,
         loss_curves=curves,
     )

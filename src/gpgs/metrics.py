@@ -110,8 +110,8 @@ def evaluate_holdout(model: TrainedGP, test: PixelToPointDataset) -> HoldoutRepo
     """
     if len(test) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    pred = posterior(model, test.input_matrix(), var_outputs=()).mean
-    truth = test.target_matrix()
+    pred = posterior(model, test.inputs, var_outputs=()).mean
+    truth = test.targets
 
     per_output = []
     for j, name in enumerate(OUTPUT_NAMES):

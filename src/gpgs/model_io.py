@@ -89,14 +89,14 @@ def load_model(path) -> TrainedGP:
             raise MalformedLine(path, pos, f"{key}: non-finite value {value}")
         return number
 
-    def take_count(key: str) -> int:
+    def take_count(key: str, least: int = 0) -> int:
         value = take_number(key, int)
-        if value < 0:
-            raise MalformedLine(path, pos, f"{key}: negative count {value}")
+        if value < least:
+            raise MalformedLine(path, pos, f"{key}: {value} is below {least}")
         return value
 
-    width = take_number("width", int)
-    height = take_number("height", int)
+    width = take_count("width", 1)
+    height = take_count("height", 1)
     input_dim = take_count("input_dim")
     n = take_count("train_points")
     n_outputs = take_count("outputs")

@@ -146,70 +146,36 @@ class SparseModel:
                 return img
         raise UnknownImage(f"no image with id {image_id}")
 
-    def positions(self) -> np.ndarray:
-        """(n, 3) array of 3D point positions, in file order."""
-        return self.points3d.xyz
-
-    def colors(self) -> np.ndarray:
-        """(n, 3) uint8 array of point colours, in file order."""
-        return self.points3d.rgb
-
-
-@dataclass(frozen=True)
-class PixelSample:
-    u_norm: float
-    v_norm: float
-    depth: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class TargetVector:
-    x: float
-    y: float
-    z: float
-    r: float
-    g: float
-    b: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.r, self.g, self.b])
-
 
 @dataclass(frozen=True)
 class PixelToPointDataset:
+    """One image's pixel-to-point regression data, one row per sample.
+
+    inputs is (n, 2) normalized pixels (u_norm, v_norm), or (n, 3) with
+    a depth column; targets is (n, 6): world position x y z, then colour
+    r g b in [0, 1].
+    """
+
     image_id: int
     width: int
     height: int
-    samples: tuple[tuple[PixelSample, TargetVector], ...]
+    inputs: np.ndarray   # (n, 2) or (n, 3)
+    targets: np.ndarray  # (n, 6)
+
+    def __post_init__(self):
+        n = len(self.targets)
+        if self.inputs.shape not in ((n, 2), (n, 3)) or self.targets.shape != (n, 6):
+            raise DimensionMismatch(
+                f"inputs {self.inputs.shape} and targets {self.targets.shape} "
+                "are not (n, 2 or 3) and (n, 6)"
+            )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.targets)
 
     @property
     def has_depth(self) -> bool:
-        """True when every sample carries a usable depth value."""
-        return bool(self.samples) and all(s.depth is not None for s, _ in self.samples)
-
-    def input_matrix(self) -> np.ndarray:
-        """(n, 2) normalized pixel inputs, or (n, 3) with the depth column."""
-        if self.has_depth:
-            return np.array([[s.u_norm, s.v_norm, s.depth] for s, _ in self.samples])
-        return np.array([[s.u_norm, s.v_norm] for s, _ in self.samples]).reshape(len(self.samples), 2)
-
-    def target_matrix(self) -> np.ndarray:
-        """(n, 6) targets: world position then [0,1] colour channels."""
-        return np.array([t.as_array() for _, t in self.samples]).reshape(len(self.samples), 6)
-
-    def train_pixels(self) -> np.ndarray:
-        """(n, 2) unnormalized pixel coordinates of the samples."""
-        return np.array(
-            [[s.u_norm * self.width, s.v_norm * self.height] for s, _ in self.samples]
-        ).reshape(len(self.samples), 2)
-
-    def drop_missing_depth(self) -> "PixelToPointDataset":
-        """Dataset restricted to samples with a valid depth value."""
-        kept = tuple(pair for pair in self.samples if pair[0].depth is not None)
-        return replace(self, samples=kept)
+        return self.inputs.shape[1] == 3
 
 
 @dataclass(frozen=True)
@@ -226,18 +192,17 @@ class DepthMap:
             )
         object.__setattr__(self, "values", vals)
 
-    def value_at(self, u: float, v: float) -> Optional[float]:
-        """Nearest-pixel depth at an unnormalized pixel coordinate.
+    def value_at(self, u, v) -> np.ndarray:
+        """Nearest-pixel depths at finite unnormalized pixel coordinates.
 
         Uses the COLMAP half-pixel-centre convention, so the nearest pixel
-        index is floor(u). Returns None for invalid (non-positive) depths.
+        index is floor(u), clipped to the grid. Invalid (non-finite or
+        non-positive) depths come back as NaN.
         """
-        ix = min(max(int(np.floor(u)), 0), self.width - 1)
-        iy = min(max(int(np.floor(v)), 0), self.height - 1)
-        d = float(self.values[iy, ix])
-        if not np.isfinite(d) or d <= 0.0:
-            return None
-        return d
+        ix = np.clip(np.floor(u), 0, self.width - 1).astype(np.intp)
+        iy = np.clip(np.floor(v), 0, self.height - 1).astype(np.intp)
+        d = self.values[iy, ix].astype(np.float64)
+        return np.where(np.isfinite(d) & (d > 0.0), d, np.nan)
 
 
 @dataclass(frozen=True)
@@ -529,7 +494,7 @@ def build_pixel_dataset(
     One sample per feature with a valid track: input is the pixel divided by
     the camera width/height, target is the 3D position plus colour/255.
     When a depth map is supplied, each sample additionally carries the
-    nearest-pixel depth (None where the depth value is invalid).
+    nearest-pixel depth, and features on an invalid depth are dropped.
     """
     img = model.image_by_id(image_id)
     cam = model.camera_by_id(img.camera_id)
@@ -543,19 +508,14 @@ def build_pixel_dataset(
     if np.any(rows < 0):
         raise DanglingReference(f"image {image_id} cites a point3d id missing from the model")
     uv = img.xys[linked]
-    u_norm = (uv[:, 0] / cam.width).tolist()
-    v_norm = (uv[:, 1] / cam.height).tolist()
-    if depth is None:
-        depths = [None] * len(rows)
-    else:
-        depths = [depth.value_at(u, v) for u, v in uv.tolist()]
-    xyz = model.points3d.xyz[rows].tolist()
-    rgb = (model.points3d.rgb[rows] / 255.0).tolist()
-    samples = [
-        (PixelSample(u, v, d), TargetVector(*p, *c))
-        for u, v, d, p, c in zip(u_norm, v_norm, depths, xyz, rgb)
-    ]
-    return PixelToPointDataset(image_id, cam.width, cam.height, tuple(samples))
+    inputs = uv / (cam.width, cam.height)
+    targets = np.hstack([model.points3d.xyz[rows], model.points3d.rgb[rows] / 255.0])
+    if depth is not None:
+        d = depth.value_at(uv[:, 0], uv[:, 1])
+        valid = ~np.isnan(d)
+        inputs = np.column_stack([inputs[valid], d[valid]])
+        targets = targets[valid]
+    return PixelToPointDataset(image_id, cam.width, cam.height, inputs, targets)
 
 
 def split_dataset(ds: PixelToPointDataset, train_fraction: float, seed: int) -> SplitResult:
@@ -570,8 +530,8 @@ def split_dataset(ds: PixelToPointDataset, train_fraction: float, seed: int) -> 
     n_train = int(round(train_fraction * n))
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
-    train = replace(ds, samples=tuple(ds.samples[i] for i in train_idx))
-    test = replace(ds, samples=tuple(ds.samples[i] for i in test_idx))
+    train = replace(ds, inputs=ds.inputs[train_idx], targets=ds.targets[train_idx])
+    test = replace(ds, inputs=ds.inputs[test_idx], targets=ds.targets[test_idx])
     degenerate = len(train) == 0 or len(test) == 0
     if degenerate:
         warnings.warn(
@@ -692,23 +652,18 @@ def write_dataset_csv(ds: PixelToPointDataset, path) -> None:
     """Write the dataset with '#'-prefixed metadata and a one-line header.
 
     Columns are u_norm,v_norm[,depth],x,y,z,r,g,b; the depth column is
-    present only when every sample carries a depth. 17 significant digits
-    give exact float64 round trips.
+    present when the inputs have one. 17 significant digits give exact
+    float64 round trips.
     """
-    with_depth = ds.has_depth
-    cols = ["u_norm", "v_norm"] + (["depth"] if with_depth else []) + list("xyzrgb")
+    cols = ["u_norm", "v_norm"] + (["depth"] if ds.has_depth else []) + list("xyzrgb")
     lines = [
         f"# image_id = {ds.image_id}",
         f"# width = {ds.width}",
         f"# height = {ds.height}",
         ",".join(cols),
     ]
-    for sample, target in ds.samples:
-        vals = [sample.u_norm, sample.v_norm]
-        if with_depth:
-            vals.append(sample.depth)
-        vals += [target.x, target.y, target.z, target.r, target.g, target.b]
-        lines.append(",".join(f"{v:.17g}" for v in vals))
+    for row in np.hstack([ds.inputs, ds.targets]).tolist():
+        lines.append(",".join(f"{v:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -721,7 +676,7 @@ def read_dataset_csv(path) -> PixelToPointDataset:
         raise MissingFile(f"missing dataset file {path}")
     meta = {"image_id": 0, "width": None, "height": None}
     header = None
-    samples: list[tuple[PixelSample, TargetVector]] = []
+    rows: list[list[float]] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -734,6 +689,8 @@ def read_dataset_csv(path) -> PixelToPointDataset:
                     meta[key] = int(value.strip())
                 except ValueError as exc:
                     raise MalformedLine(path, lineno, f"metadata {key}: {exc}") from exc
+                if key != "image_id" and meta[key] < 1:
+                    raise MalformedLine(path, lineno, f"{key} must be positive, got {meta[key]}")
             continue
         if header is None:
             header = line.split(",")
@@ -745,16 +702,22 @@ def read_dataset_csv(path) -> PixelToPointDataset:
         if len(tokens) != len(header):
             raise MalformedLine(path, lineno, f"expected {len(header)} columns, got {len(tokens)}")
         try:
-            row = dict(zip(header, (float(t) for t in tokens)))
+            row = [float(t) for t in tokens]
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
-        if not all(map(math.isfinite, row.values())):
+        if not all(map(math.isfinite, row)):
             raise MalformedLine(path, lineno, "non-finite value")
-        sample = PixelSample(row["u_norm"], row["v_norm"], row.get("depth"))
-        target = TargetVector(row["x"], row["y"], row["z"], row["r"], row["g"], row["b"])
-        samples.append((sample, target))
+        rows.append(row)
     if header is None:
         raise MalformedLine(path, 0, "dataset file has no header line")
     if meta["width"] is None or meta["height"] is None:
         raise MalformedLine(path, 0, "dataset file lacks width/height metadata")
-    return PixelToPointDataset(meta["image_id"], meta["width"], meta["height"], tuple(samples))
+    # a repeated column name reads its last occurrence
+    column = {name: i for i, name in enumerate(header)}
+    input_names = ("u_norm", "v_norm") + (("depth",) if "depth" in column else ())
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    return PixelToPointDataset(
+        meta["image_id"], meta["width"], meta["height"],
+        table[:, [column[c] for c in input_names]],
+        table[:, [column[c] for c in "xyzrgb"]],
+    )

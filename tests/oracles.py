@@ -5,7 +5,9 @@ reference goes through Gamma/Bessel special functions, the posterior
 oracle uses explicit dense solves, the chamfer oracle is a double loop,
 the gradient oracle is central finite differences of the loss, the
 COLMAP oracle parses one line and one token at a time into plain Python
-values, and the PLY reader reads back what write_ply writes.
+values, the PLY reader reads back what write_ply writes, and the
+candidate and depth oracles go one pixel at a time, deduplicating
+candidates with a set.
 """
 
 from __future__ import annotations
@@ -78,6 +80,50 @@ def chamfer_oracle(P, G) -> float:
     p_term = np.mean([min(np.linalg.norm(p - g) for g in G) for p in P])
     g_term = np.mean([min(np.linalg.norm(g - p) for p in P) for g in G])
     return float(p_term + g_term)
+
+
+# ---------------------------------------------------------------------------
+# Candidates and depth lookups, one pixel at a time
+# ---------------------------------------------------------------------------
+
+def generate_samples_oracle(train_pixels, width, height, beta, angular_resolution) -> np.ndarray:
+    """Circle candidates, looping over training pixels then angles; a set
+    of the normalized pixels seen so far drops every later repeat."""
+    r = beta * min(width, height)
+    angles = 2.0 * math.pi * np.arange(angular_resolution) / angular_resolution
+    dx, dy = r * np.cos(angles), r * np.sin(angles)
+    out, seen = [], set()
+    for u, v in np.atleast_2d(np.asarray(train_pixels, dtype=float)):
+        for uu, vv in zip(u + dx, v + dy):
+            if not (0.0 <= uu < width and 0.0 <= vv < height):
+                continue
+            key = (uu / width, vv / height)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return np.array(out, dtype=float).reshape(len(out), 2)
+
+
+def depth_value_oracle(depth, u: float, v: float):
+    """Nearest-pixel depth at one unnormalized pixel: the floor of each
+    coordinate, clamped to the grid; None for a non-finite or
+    non-positive depth."""
+    ix = min(max(int(np.floor(u)), 0), depth.width - 1)
+    iy = min(max(int(np.floor(v)), 0), depth.height - 1)
+    d = float(depth.values[iy, ix])
+    if not np.isfinite(d) or d <= 0.0:
+        return None
+    return d
+
+
+def attach_depth_oracle(candidates, depth, width, height) -> np.ndarray:
+    """(u_norm, v_norm, depth) rows of the candidates on a valid depth."""
+    rows = []
+    for u, v in candidates:
+        d = depth_value_oracle(depth, u * width, v * height)
+        if d is not None:
+            rows.append((u, v, d))
+    return np.array(rows, dtype=float).reshape(len(rows), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gpgs.sfm_io import PixelSample, PixelToPointDataset, TargetVector
+from gpgs.sfm_io import PixelToPointDataset
 
 # ---------------------------------------------------------------------------
 # Hand-written COLMAP fixture: 1 camera, 2 images (5 and 3 linked features),
@@ -84,11 +84,9 @@ def piecewise_targets(uv: np.ndarray) -> np.ndarray:
 def dataset_from_arrays(
     uv: np.ndarray, targets: np.ndarray, width: int = 400, height: int = 400, image_id: int = 1
 ) -> PixelToPointDataset:
-    samples = tuple(
-        (PixelSample(float(u), float(v)), TargetVector(*map(float, t)))
-        for (u, v), t in zip(uv, targets)
+    return PixelToPointDataset(
+        image_id, width, height, np.asarray(uv, dtype=float), np.asarray(targets, dtype=float)
     )
-    return PixelToPointDataset(image_id, width, height, samples)
 
 
 _SCENE_KINDS = {

@@ -137,6 +137,16 @@ class TestTrain:
         assert code == 2
         assert "width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_non_positive_width_exits_2(self, dataset, tmp_path, capsys, width):
+        lines = dataset.read_text().splitlines()
+        lines[1] = f"# width = {width}"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert f"{dataset}:2: width must be positive, got {width}" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_same_seed_byte_identical_model(self, dataset, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):
@@ -159,6 +169,22 @@ class TestTrain:
         )
         assert code == 2
         assert f"{model_path}:2: width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_non_positive_model_width_exits_2(
+        self, dataset, tmp_path, surface_dir, capsys, width
+    ):
+        model_path = tmp_path / "model.txt"
+        run("train", "--dataset", str(dataset), "--output", str(model_path), "--iterations", "2")
+        lines = model_path.read_text().splitlines()
+        lines[1] = f"width {width}"
+        model_path.write_text("\n".join(lines) + "\n")
+        code = run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(model_path),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert f"{model_path}:2: width: {width} is below 1" in capsys.readouterr().err
 
     def test_warns_when_budget_ends_the_fit(self, dataset, tmp_path, capsys):
         assert run(

@@ -4,22 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gpgs import densify as dn
 from gpgs import errors, gp, sfm_io
+from oracles import attach_depth_oracle, depth_value_oracle, generate_samples_oracle
 from synthdata import make_scene, write_colmap_fixture
 
 
 def predictions_from_variances(variances) -> dn.PredictedPointSet:
     variances = np.asarray(variances, dtype=float)
     m = len(variances)
-    pixels = tuple(dn.PixelSample(i / max(m, 1), 0.0) for i in range(m))
     var6 = np.zeros((m, 6))
     var6[:, 3] = var6[:, 4] = var6[:, 5] = variances
     return dn.PredictedPointSet(
-        pixels=pixels,
         mean6=np.tile(np.arange(m, dtype=float)[:, None], (1, 6)),
         var6=var6,
         mean_rgb_var=variances.copy(),
@@ -35,12 +35,13 @@ class TestGenerateSamples:
     def test_first_angle_sample(self):
         cfg = dn.SamplingConfig(beta=0.25, angular_resolution=8)
         samples = dn.generate_samples([(100.0, 100.0)], 400, 400, cfg)
-        assert (samples[0].u_norm, samples[0].v_norm) == (0.5, 0.25)
+        assert samples.shape == (8, 2)
+        assert tuple(samples[0]) == (0.5, 0.25)
 
     def test_corner_pixel_bounds_discard(self):
         cfg = dn.SamplingConfig(beta=0.25, angular_resolution=4)
         samples = dn.generate_samples([(0.0, 0.0)], 400, 400, cfg)
-        pixels = {(round(s.u_norm * 400, 6), round(s.v_norm * 400, 6)) for s in samples}
+        pixels = {(round(u * 400, 6), round(v * 400, 6)) for u, v in samples}
         assert len(samples) == 2
         assert pixels == {(100.0, 0.0), (0.0, 100.0)}
 
@@ -53,10 +54,10 @@ class TestGenerateSamples:
         rng = np.random.default_rng(0)
         pixels = rng.uniform(0, 400, size=(50, 2))
         cfg = dn.SamplingConfig(beta=0.3, angular_resolution=8)
-        for s in dn.generate_samples(pixels, 400, 300, cfg):
-            assert 0.0 <= s.u_norm <= 1.0 and 0.0 <= s.v_norm <= 1.0
-            assert 0.0 <= s.u_norm * 400 < 400
-            assert 0.0 <= s.v_norm * 300 < 300
+        for u, v in dn.generate_samples(pixels, 400, 300, cfg):
+            assert 0.0 <= u <= 1.0 and 0.0 <= v <= 1.0
+            assert 0.0 <= u * 400 < 400
+            assert 0.0 <= v * 300 < 300
 
     def test_boundary_samples_at_exact_radius(self):
         rng = np.random.default_rng(1)
@@ -64,8 +65,8 @@ class TestGenerateSamples:
         cfg = dn.SamplingConfig(beta=0.1, angular_resolution=8)
         r = cfg.beta * min(w, h)
         for u, v in rng.uniform(100, 400, size=(10, 2)):
-            for s in dn.generate_samples([(u, v)], w, h, cfg):
-                dist = math.hypot(s.u_norm * w - u, s.v_norm * h - v)
+            for su, sv in dn.generate_samples([(u, v)], w, h, cfg):
+                dist = math.hypot(su * w - u, sv * h - v)
                 assert dist == pytest.approx(r, abs=1e-9)
 
     def test_exact_repeats_deduplicated(self):
@@ -82,6 +83,94 @@ class TestGenerateSamples:
 
 
 # ---------------------------------------------------------------------------
+# Array paths against the per-pixel oracles
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Same shape, dtype and bytes: row order counts, and -0.0 != 0.0."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def sampling_cases(draw):
+    """(train pixels, width, height, beta, angular resolution). Pixels mix
+    arbitrary floats, whole pixels (whose circles meet on exact values),
+    -0.0 and the image border, and exact repeats, shuffled."""
+    width, height = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    beta = draw(st.sampled_from([0.05, 0.125, 0.25, 0.3, 0.5, 0.75]))
+    angular_resolution = draw(st.integers(1, 16))
+    r = beta * min(width, height)
+
+    def coordinate(size):
+        return st.one_of(
+            st.floats(-r, size + r),
+            st.integers(0, size).map(float),
+            st.sampled_from([-0.0, 0.0, r, size - r, float(size)]),
+        )
+
+    pixels = draw(st.lists(st.tuples(coordinate(width), coordinate(height)), min_size=1,
+                           max_size=12))
+    pixels += draw(st.lists(st.sampled_from(pixels), max_size=6))
+    pixels = draw(st.permutations(pixels))
+    return np.array(pixels), width, height, beta, angular_resolution
+
+
+_DEPTH_VALUES = st.one_of(
+    st.floats(-10.0, 100.0, width=32),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0]),
+)
+
+
+@st.composite
+def depth_maps(draw):
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    grid = draw(hnp.arrays(np.float32, (height, width), elements=_DEPTH_VALUES))
+    return sfm_io.DepthMap(width, height, grid)
+
+
+def _points(low, high):
+    """(k, 2) float arrays with entries in [low, high] and -0.0."""
+    return hnp.arrays(
+        np.float64, st.tuples(st.integers(0, 30), st.just(2)),
+        elements=st.one_of(st.floats(low, high), st.just(-0.0)),
+    )
+
+
+class TestArrayPathsMatchOracles:
+    @given(case=sampling_cases())
+    @example(case=(np.array([[6.0, 3.0]]), 8, 8, 0.25, 4))  # a sample lands on u == width
+    @example(case=(np.array([[5.0, 5.0], [1.0, 1.0], [5.0, 5.0]]), 8, 8, 0.25, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_generate_samples(self, case):
+        pixels, width, height, beta, angular_resolution = case
+        cfg = dn.SamplingConfig(beta=beta, angular_resolution=angular_resolution)
+        assert_same_bits(
+            dn.generate_samples(pixels, width, height, cfg),
+            generate_samples_oracle(pixels, width, height, beta, angular_resolution),
+        )
+
+    @given(depth=depth_maps(), points=_points(-2.0, 10.0))
+    @example(
+        depth=sfm_io.DepthMap(2, 1, np.array([[1.0, 2.0]])), points=np.array([[0.6, 0.0]])
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_depth_value_at(self, depth, points):
+        got = depth.value_at(points[:, 0], points[:, 1])
+        want = [depth_value_oracle(depth, u, v) for u, v in points]
+        assert np.isnan(got).tolist() == [d is None for d in want]
+        assert_same_bits(got[~np.isnan(got)], np.array([d for d in want if d is not None]))
+
+    @given(depth=depth_maps(), candidates=_points(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_attach_depth(self, depth, candidates):
+        assert_same_bits(
+            dn.attach_depth(candidates, depth, depth.width, depth.height),
+            attach_depth_oracle(candidates, depth, depth.width, depth.height),
+        )
+
+
+# ---------------------------------------------------------------------------
 # infer_dense
 # ---------------------------------------------------------------------------
 
@@ -89,8 +178,7 @@ class TestInferDense:
     @pytest.fixture()
     def interpolating_model(self):
         ds = make_scene("smooth", 40, seed=0, noise=0.0)
-        X = ds.input_matrix()
-        Y = ds.target_matrix()
+        X, Y = ds.inputs, ds.targets
         normalizer = gp.OutputNormalizer.fit(Y)
         configs = [
             gp.KernelConfig("matern", 0.5, 0.0, math.log(0.2), -700.0)
@@ -102,25 +190,23 @@ class TestInferDense:
 
     def test_candidate_at_training_pixel_interpolates(self, interpolating_model):
         model, ds = interpolating_model
-        sample, target = ds.samples[0]
-        preds = dn.infer_dense(model, [sample])
-        assert preds.mean6[0] == pytest.approx(target.as_array(), abs=1e-4)
+        preds = dn.infer_dense(model, ds.inputs[:1])
+        assert preds.mean6[0] == pytest.approx(ds.targets[0], abs=1e-4)
         assert preds.mean_rgb_var[0] == pytest.approx(0.0, abs=1e-8)
         assert not preds.retained.any()
 
     def test_empty_candidates(self, interpolating_model):
         model, _ = interpolating_model
-        preds = dn.infer_dense(model, [])
+        preds = dn.infer_dense(model, np.zeros((0, 2)))
         assert len(preds) == 0
         assert preds.mean6.shape == (0, 6)
 
     def test_variances_match_posterior(self, interpolating_model):
         model, _ = interpolating_model
         rng = np.random.default_rng(3)
-        candidates = [dn.PixelSample(float(u), float(v)) for u, v in rng.random((5, 2))]
+        candidates = rng.random((5, 2))
         preds = dn.infer_dense(model, candidates)
-        Q = np.array([[c.u_norm, c.v_norm] for c in candidates])
-        post = gp.posterior(model, Q)
+        post = gp.posterior(model, candidates)
         # only the colour variances are computed; position columns are NaN
         assert np.array_equal(preds.var6[:, 3:6], post.var_norm[:, 3:6])
         assert np.isnan(preds.var6[:, 0:3]).all()
@@ -129,20 +215,21 @@ class TestInferDense:
     def test_mean_rgb_var_is_mean_of_colour_variances(self, interpolating_model):
         model, _ = interpolating_model
         rng = np.random.default_rng(4)
-        candidates = [dn.PixelSample(float(u), float(v)) for u, v in rng.random((20, 2))]
-        preds = dn.infer_dense(model, candidates)
+        preds = dn.infer_dense(model, rng.random((20, 2)))
         expected = (preds.var6[:, 3] + preds.var6[:, 4] + preds.var6[:, 5]) / 3.0
         assert np.max(np.abs(preds.mean_rgb_var - expected)) <= 1e-12
 
     def test_depth_model_requires_depth_candidates(self, interpolating_model):
         model, _ = interpolating_model
         ds3 = make_scene("smooth", 10, seed=1)
-        X3 = np.column_stack([ds3.input_matrix(), np.ones(10)])
+        X3 = np.column_stack([ds3.inputs, np.ones(10)])
         model3 = gp.TrainedGP.fit(
             X3, model.Z[:10], list(model.configs), model.normalizer, 400, 400, jitter=1e-8
         )
         with pytest.raises(errors.DimensionMismatch):
-            dn.infer_dense(model3, [dn.PixelSample(0.5, 0.5)])
+            dn.infer_dense(model3, np.array([[0.5, 0.5]]))
+        with pytest.raises(errors.DimensionMismatch):
+            dn.infer_dense(model, np.array([[0.5, 0.5, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +255,7 @@ class TestFilterByVariance:
     def test_input_order_preserved(self):
         preds = predictions_from_variances([4.0, 1.0, 3.0, 2.0])
         out = dn.filter_by_variance(preds, dn.FilterConfig(quantile=0.5))
-        assert out.pixels == preds.pixels
+        assert np.array_equal(out.mean6, preds.mean6)
         assert np.array_equal(out.mean_rgb_var, preds.mean_rgb_var)
 
     def test_empty_rejected(self):
@@ -224,15 +311,15 @@ class TestMergeClouds:
         preds = predictions_from_variances([1.0, 2.0])
         cloud = dn.merge_clouds(sparse, preds)
         assert len(cloud) == 6
-        assert np.array_equal(cloud.positions, sparse.positions().astype(np.float32))
-        assert np.array_equal(cloud.colors, sparse.colors())
+        assert np.array_equal(cloud.positions, sparse.points3d.xyz.astype(np.float32))
+        assert np.array_equal(cloud.colors, sparse.points3d.rgb)
 
     def test_sparse_points_preserved_bit_exactly(self, sparse):
         preds = predictions_from_variances([1.0])
         preds = dn.filter_by_variance(preds, dn.FilterConfig(quantile=1.0))
         cloud = dn.merge_clouds(sparse, preds)
-        assert np.array_equal(cloud.positions[:6], sparse.positions().astype(np.float32))
-        assert np.array_equal(cloud.colors[:6], sparse.colors())
+        assert np.array_equal(cloud.positions[:6], sparse.points3d.xyz.astype(np.float32))
+        assert np.array_equal(cloud.colors[:6], sparse.points3d.rgb)
 
     def test_colour_clamping_and_quantization(self, sparse):
         preds = predictions_from_variances([1.0])

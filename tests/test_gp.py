@@ -240,7 +240,7 @@ class TestTrainGp:
             assert np.all((theta > lower) & (theta < gp.LOG_PARAM_BOUND)), theta
             # converged inside the budget, to a stationary point of a loss of order 1e3
             assert len(model.loss_curves[j]) < train.iterations
-            grad = gp.nll_gradient(cfg, model.X, model.Z[:, j], train.l2_weight, train.jitter)
+            grad = gp.nll_gradient(cfg, model.X, model.Z[:, j], train.l2_weight, gp.TRAIN_JITTER)
             assert np.abs(grad).max() < 0.1
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
@@ -262,7 +262,7 @@ class TestTrainGp:
         assert calls == [model.Z[0, j] for j in range(6) for _ in range(budget)]
         for j, (trained, curve) in enumerate(zip(model.configs, model.loss_curves)):
             assert len(curve) == budget
-            loss = gp.nll(trained, model.X, model.Z[:, j], cfg.l2_weight, cfg.jitter)
+            loss = gp.nll(trained, model.X, model.Z[:, j], cfg.l2_weight, gp.TRAIN_JITTER)
             assert loss == min(curve)
             if budget == 1:
                 assert np.array_equal(trained.log_params(), kernel.log_params())

@@ -136,7 +136,7 @@ class TestR2:
 class TestEvaluateHoldout:
     def test_interpolating_model_scores_perfectly(self):
         ds = make_scene("smooth", 50, seed=0, noise=0.0)
-        X, Y = ds.input_matrix(), ds.target_matrix()
+        X, Y = ds.inputs, ds.targets
         normalizer = gp.OutputNormalizer.fit(Y)
         configs = [gp.KernelConfig("matern", 0.5, 0.0, math.log(0.2), -700.0)] * 6
         model = gp.TrainedGP.fit(
@@ -144,7 +144,7 @@ class TestEvaluateHoldout:
         )
         from dataclasses import replace
 
-        test = replace(ds, samples=ds.samples[:20])
+        test = replace(ds, inputs=ds.inputs[:20], targets=ds.targets[:20])
         report = metrics.evaluate_holdout(model, test)
         assert report.bundle.r2 == pytest.approx(1.0, abs=1e-6)
         assert report.bundle.rmse == pytest.approx(0.0, abs=1e-6)
@@ -170,5 +170,6 @@ class TestEvaluateHoldout:
         model = gp.train_gp(ds, gp.default_kernel(), gp.TrainConfig(iterations=2))
         from dataclasses import replace
 
+        empty = replace(ds, inputs=ds.inputs[:0], targets=ds.targets[:0])
         with pytest.raises(errors.EmptyDataset):
-            metrics.evaluate_holdout(model, replace(ds, samples=()))
+            metrics.evaluate_holdout(model, empty)

@@ -330,9 +330,9 @@ class TestKeyFrames:
 class TestBuildDataset:
     def test_normalization_and_targets(self, model):
         ds = sfm_io.build_pixel_dataset(model, 1)
-        sample, target = ds.samples[0]
-        assert (sample.u_norm, sample.v_norm) == (0.5, 0.25)
-        assert target.as_array() == pytest.approx([1, 2, 3, 1, 0, 0])
+        assert ds.inputs.shape == (5, 2) and ds.targets.shape == (5, 6)
+        assert tuple(ds.inputs[0]) == (0.5, 0.25)
+        assert ds.targets[0] == pytest.approx([1, 2, 3, 1, 0, 0])
 
     def test_sample_count_matches_linked_features(self, model):
         for image_id in (1, 2):
@@ -343,7 +343,7 @@ class TestBuildDataset:
         ds = sfm_io.build_pixel_dataset(model, 1)
         img = model.image_by_id(1)
         linked = img.xys[img.point3d_ids != SENTINEL_NONE]
-        assert np.allclose(ds.train_pixels(), linked, atol=1e-9)
+        assert np.allclose(ds.inputs * (ds.width, ds.height), linked, atol=1e-9)
 
     def test_sentinel_features_excluded(self, model):
         ds = sfm_io.build_pixel_dataset(model, 2)
@@ -364,10 +364,10 @@ class TestBuildDataset:
         grid[100, 200] = 7.5  # row v=100, column u=200
         depth = sfm_io.DepthMap(400, 400, grid)
         ds = sfm_io.build_pixel_dataset(model, 1, depth)
-        assert ds.samples[0][0].depth == pytest.approx(7.5)
-        assert ds.samples[1][0].depth is None  # invalid marker at that pixel
-        assert len(ds) == 5  # population does not filter
-        assert len(ds.drop_missing_depth()) == 1
+        # the other four features sit on the invalid marker and are dropped
+        assert ds.has_depth and len(ds) == 1
+        assert ds.inputs[0].tolist() == [0.5, 0.25, 7.5]
+        assert ds.targets[0] == pytest.approx([1, 2, 3, 1, 0, 0])
 
     def test_depth_dimension_mismatch(self, model):
         depth = sfm_io.DepthMap(10, 10, np.ones((10, 10), dtype=np.float32))
@@ -391,23 +391,24 @@ class TestSplit:
     def test_determinism(self, ds):
         a = sfm_io.split_dataset(ds, 0.8, seed=3)
         b = sfm_io.split_dataset(ds, 0.8, seed=3)
-        assert a.train.samples == b.train.samples
-        assert a.test.samples == b.test.samples
+        for x, y in ((a.train, b.train), (a.test, b.test)):
+            assert np.array_equal(x.inputs, y.inputs)
+            assert np.array_equal(x.targets, y.targets)
 
     def test_partition_is_disjoint_and_exhaustive(self, ds):
         result = sfm_io.split_dataset(ds, 0.6, seed=1)
-        combined = sorted(
-            result.train.samples + result.test.samples,
-            key=lambda pair: (pair[0].u_norm, pair[0].v_norm),
+        train, test, original = (
+            {tuple(row) for row in np.hstack([part.inputs, part.targets]).tolist()}
+            for part in (result.train, result.test, ds)
         )
-        original = sorted(ds.samples, key=lambda pair: (pair[0].u_norm, pair[0].v_norm))
-        assert combined == list(original)
-        assert not set(result.train.samples) & set(result.test.samples)
+        assert len(original) == len(ds)
+        assert train | test == original
+        assert not train & test
 
     def test_single_sample_degenerate(self, ds):
         from dataclasses import replace
 
-        one = replace(ds, samples=ds.samples[:1])
+        one = replace(ds, inputs=ds.inputs[:1], targets=ds.targets[:1])
         with pytest.warns(UserWarning, match="degenerate"):
             result = sfm_io.split_dataset(one, 0.8, seed=0)
         assert (len(result.train), len(result.test)) == (1, 0)
@@ -416,8 +417,9 @@ class TestSplit:
     def test_empty_dataset_rejected(self, ds):
         from dataclasses import replace
 
+        empty = replace(ds, inputs=ds.inputs[:0], targets=ds.targets[:0])
         with pytest.raises(errors.EmptyDataset):
-            sfm_io.split_dataset(replace(ds, samples=()), 0.8, seed=0)
+            sfm_io.split_dataset(empty, 0.8, seed=0)
 
     @given(n=st.integers(2, 40), fraction=st.floats(0.05, 0.95), seed=st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
@@ -428,9 +430,11 @@ class TestSplit:
         result = sfm_io.split_dataset(ds, fraction, seed)
         assert len(result.train) == int(round(fraction * n))
         assert len(result.train) + len(result.test) == n
-        assert sorted(map(repr, result.train.samples + result.test.samples)) == sorted(
-            map(repr, ds.samples)
+        train, test, original = (
+            np.hstack([part.inputs, part.targets]).tolist()
+            for part in (result.train, result.test, ds)
         )
+        assert sorted(train + test) == sorted(original)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +485,8 @@ class TestPfm:
         path.write_bytes(_pfm_bytes(2, 1, -1.0, [float("nan"), 2.0]))
         depth = sfm_io.read_depth_pfm(path)
         assert depth.values[0, 0] == sfm_io.INVALID_DEPTH
-        assert depth.value_at(0.0, 0.0) is None
-        assert depth.value_at(1.2, 0.0) == pytest.approx(2.0)
+        got = depth.value_at(np.array([0.0, 1.2]), np.array([0.0, 0.0]))
+        assert np.isnan(got[0]) and got[1] == 2.0
 
     def test_bad_dims(self, tmp_path):
         path = tmp_path / "d.pfm"
@@ -580,7 +584,8 @@ class TestDatasetCsv:
         path = tmp_path / "ds.csv"
         sfm_io.write_dataset_csv(ds, path)
         back = sfm_io.read_dataset_csv(path)
-        assert back.samples == ds.samples
+        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(back.targets, ds.targets)
         assert (back.image_id, back.width, back.height) == (1, 400, 400)
 
     def test_round_trip_with_depth(self, model, tmp_path):
@@ -590,5 +595,6 @@ class TestDatasetCsv:
         sfm_io.write_dataset_csv(ds, path)
         back = sfm_io.read_dataset_csv(path)
         assert back.has_depth
-        assert back.samples == ds.samples
-        assert back.input_matrix().shape == (5, 3)
+        assert back.inputs.shape == (5, 3)
+        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(back.targets, ds.targets)
