@@ -99,8 +99,12 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"missing config file {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -498,6 +502,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
+def validate(cfg: RunConfig) -> None:
+    """Range-check the run's settings, so that a bad value exits as a usage
+    error before any file is touched.
+
+    Most ranges live in the module configs, which check them when built.
+    """
+    try:
+        cfg.train_config()
+        cfg.sampling_config()
+        cfg.filter_config()
+        cfg.kernel_template()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if cfg.key_frames < 1:
+        raise UsageError(f"key_frames must be >= 1, got {cfg.key_frames}")
+    if not 0.0 < cfg.train_fraction < 1.0:
+        raise UsageError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
+
+
 _COMMANDS = {
     "build-dataset": cmd_build_dataset,
     "train": cmd_train,
@@ -512,15 +535,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_run_config(args)
-        # Range validation lives in the module configs; trigger it here so
-        # bad values exit as usage errors before any file is touched.
-        cfg.train_config()
-        cfg.sampling_config()
-        cfg.filter_config()
-        cfg.kernel_template()
+        validate(cfg)
         _COMMANDS[args.command](cfg)
         return 0
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InputDataError as exc:

@@ -118,6 +118,8 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.l2_weight < 0:
             raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
+        if self.max_train_points is not None and self.max_train_points < 1:
+            raise ValueError(f"max_train_points must be >= 1, got {self.max_train_points}")
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,13 @@ def cross_covariance(cfg: KernelConfig, A: np.ndarray, B: np.ndarray) -> np.ndar
 
 
 def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """k(X, X) with noise variance and jitter added to the diagonal."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = cross_covariance(cfg, X, X)
-    K[np.diag_indices_from(K)] += cfg.noise_var + jitter
-    return K
+    """k(X, X) with noise variance and jitter added to the diagonal.
+
+    Filled with the arithmetic that training and TrainedGP.fit factor.
+    """
+    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)), grad=False)
+    _fill_gram(cfg.log_params(), cfg.family, cfg.nu, ws, jitter)
+    return ws.K
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +212,12 @@ def _cholesky_in_place(K: np.ndarray, fill, jitter: float) -> tuple[np.ndarray, 
     has overwritten part of K, so each retry refills it, with the jitter
     multiplied by 10 (starting from 1e-10 when it is zero); past
     MAX_JITTER it gives up. Returns the factor (in the lower triangle;
-    the upper one is not referenced) and the jitter used.
+    the upper one is zeroed) and the jitter used.
     """
     j = jitter
     while True:
         fill(j)
-        L, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
+        L, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, j
         nxt = 1e-10 if j == 0.0 else j * 10.0
@@ -233,7 +237,8 @@ def _needs_scratch(cfg: KernelConfig) -> bool:
 
 
 def _kernel_block(cfg: KernelConfig, D: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
-    """Fill out with sf2 * R(D / l) in place and return it.
+    """Fill out with sf2 * R(D / l) in place and return it; the posterior's
+    cross-covariance block.
 
     The values are bit for bit those of cross_covariance: the same
     operations in the same order (RBF forms -0.5 t t as (t t)(-0.5);
@@ -276,74 +281,102 @@ def _kernel_block(cfg: KernelConfig, D: np.ndarray, out: np.ndarray, scratch) ->
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Preallocated n x n scratch buffers for the training loop.
+    """Preallocated n x n buffers for filling and factoring Gram matrices.
 
     Every loss+gradient evaluation touches several full matrices; reusing
     Fortran-ordered buffers keeps LAPACK in-place and avoids allocation
-    churn. `mask` weights the strict lower triangle by 2 and the
-    diagonal by 1 so that symmetric trace sums can be taken directly from
-    the lower-triangular dpotri output.
+    churn. D holds the pairwise distances, S and E the scaled distances
+    and the exponential factor, and dR (allocated only with grad)
+    dR/d(log l). K holds the Gram matrix, then its Cholesky factor, then
+    (for a gradient) its inverse. While K holds the factor at theta,
+    theta, alpha and jitter record it; theta is None otherwise.
     """
 
-    def __init__(self, D: np.ndarray):
-        n = D.shape[0]
+    def __init__(self, X: np.ndarray, grad: bool = True):
+        n = X.shape[0]
         self.n = n
-        self.D = np.asfortranarray(D)
-        self.S = np.empty((n, n), order="F")   # scaled distances
-        self.E = np.empty((n, n), order="F")   # exponential factor
-        self.K = np.empty((n, n), order="F")   # correlation -> Gram -> Cholesky -> inverse
-        self.dR = np.empty((n, n), order="F")  # dR/d(log l)
-        mask = np.full((n, n), 2.0, order="F")
-        mask[np.triu_indices(n)] = 0.0
-        np.einsum("ii->i", mask)[:] = 1.0
-        self.mask = mask
+        self.D = cdist(X, X).T  # exactly symmetric, so this is a Fortran-ordered view of it
+        self.S = np.empty((n, n), order="F")
+        self.E = np.empty((n, n), order="F")
+        self.dR = np.empty((n, n), order="F") if grad else None
+        self.fresh_gram()
+
+    def fresh_gram(self) -> None:
+        """Give K a new buffer; whoever holds the old one keeps its factor."""
+        self.K = np.empty((self.n, self.n), order="F")
+        self.theta = self.alpha = self.jitter = None
 
 
 _SCALED_FACTOR = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
 
 
-def _fill_correlation(family, nu, ell, ws: _Workspace, want_grad: bool) -> None:
-    """Fill ws.K with R and (optionally) ws.dR with dR/d(log l).
+def _fill_correlation(family, nu, ell, ws: _Workspace) -> None:
+    """Fill ws.K with R, leaving in ws.S and ws.E what _fill_gradient reads.
 
     Works on the scaled distance s = c * ||a-b|| / l, where c folds the
     sqrt(2 nu) factor of the half-integer Matérn closed forms.
     """
-    S, E, K, dR = ws.S, ws.E, ws.K, ws.dR
+    S, E, K = ws.S, ws.E, ws.K
     if family == RBF:
         np.multiply(ws.D, 1.0 / ell, out=S)
         np.multiply(S, S, out=E)
         np.multiply(E, -0.5, out=E)
         np.exp(E, out=E)  # E = exp(-t^2/2) = R
         np.copyto(K, E)
-        if want_grad:
-            np.multiply(S, S, out=dR)
-            np.multiply(dR, E, out=dR)  # dR = t^2 exp(-t^2/2)
         return
     np.multiply(ws.D, _SCALED_FACTOR[nu] / ell, out=S)
     np.negative(S, out=E)
     np.exp(E, out=E)  # E = exp(-s)
     if nu == 0.5:
         np.copyto(K, E)
-        if want_grad:
-            np.multiply(S, E, out=dR)  # dR = t exp(-t)
     elif nu == 1.5:
         np.add(S, 1.0, out=K)
         np.multiply(K, E, out=K)  # R = (1+s) exp(-s)
-        if want_grad:
-            np.multiply(S, S, out=dR)
-            np.multiply(dR, E, out=dR)  # dR = 3 t^2 exp(-s), s^2 = 3 t^2
     else:  # nu == 2.5
         np.multiply(S, S, out=K)
         np.multiply(K, 1.0 / 3.0, out=K)
         np.add(K, S, out=K)
         np.add(K, 1.0, out=K)
         np.multiply(K, E, out=K)  # R = (1+s+s^2/3) exp(-s)
-        if want_grad:
-            np.multiply(S, S, out=dR)
-            np.multiply(dR, 1.0 / 3.0, out=dR)
-            np.add(S, 1.0, out=S)
-            np.multiply(dR, S, out=dR)
-            np.multiply(dR, E, out=dR)  # dR = (s^2/3)(1+s) exp(-s)
+
+
+def _fill_gradient(family, nu, ws: _Workspace) -> None:
+    """Fill ws.dR with dR/d(log l) from the S and E of _fill_correlation.
+
+    dR is zero on the diagonal, where the distance is zero, for every kernel.
+    """
+    S, E, dR = ws.S, ws.E, ws.dR
+    if family == RBF or nu == 1.5:
+        np.multiply(S, S, out=dR)
+        np.multiply(dR, E, out=dR)  # RBF: t^2 exp(-t^2/2); Matérn 1.5: 3 t^2 exp(-s)
+    elif nu == 0.5:
+        np.multiply(S, E, out=dR)  # dR = t exp(-t)
+    else:  # nu == 2.5
+        np.multiply(S, S, out=dR)
+        np.multiply(dR, 1.0 / 3.0, out=dR)
+        np.add(S, 1.0, out=S)
+        np.multiply(dR, S, out=dR)
+        np.multiply(dR, E, out=dR)  # dR = (s^2/3)(1+s) exp(-s)
+
+
+def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
+    """Fill ws.K with the Gram matrix at theta = (log sf2, log l, log sn2),
+    with sn2 + jitter on its diagonal."""
+    _fill_correlation(family, nu, math.exp(theta[1]), ws)
+    np.multiply(ws.K, math.exp(theta[0]), out=ws.K)
+    np.einsum("ii->i", ws.K)[:] += math.exp(theta[2]) + jitter
+
+
+def _factor(theta, family, nu, ws: _Workspace, y, jitter) -> None:
+    """Factor the Gram matrix at theta in ws.K and solve for alpha = K^-1 y.
+
+    The jitter escalates from jitter on a failed factorisation
+    (_cholesky_in_place). Afterwards ws.K holds the lower factor and
+    ws.theta, ws.alpha and ws.jitter record it.
+    """
+    L, ws.jitter = _cholesky_in_place(ws.K, partial(_fill_gram, theta, family, nu, ws), jitter)
+    ws.alpha = _solve_gram(L, y)
+    ws.theta = np.array(theta)
 
 
 def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_grad):
@@ -353,22 +386,14 @@ def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_gra
     The gradient uses the trace identity
     dL/dtheta_j = 0.5 tr((K^-1 - aa^T) dK/dtheta_j) + 2 l2 theta_j,
     with tr(K^-1 R) folded through tr(K^-1 K) = n so that only the
-    lengthscale derivative needs an explicit elementwise pass.
+    lengthscale derivative needs an explicit elementwise pass. A
+    loss-only evaluation leaves its factor in ws.K; a gradient turns it
+    into the inverse.
     """
     n = ws.n
-    sf2 = math.exp(theta[0])
-    ell = math.exp(theta[1])
-    sn2 = math.exp(theta[2])
-
-    def fill(j):
-        _fill_correlation(family, nu, ell, ws, want_grad)
-        np.multiply(ws.K, sf2, out=ws.K)
-        np.einsum("ii->i", ws.K)[:] += sn2 + j
-
-    L, j = _cholesky_in_place(ws.K, fill, jitter)
-    diag_L = np.einsum("ii->i", L)
-    logdet_half = float(np.sum(np.log(diag_L)))
-    alpha = _solve_gram(L, y)
+    _factor(theta, family, nu, ws, y, jitter)
+    L, alpha, j = ws.K, ws.alpha, ws.jitter
+    logdet_half = float(np.sum(np.log(np.einsum("ii->i", L))))
     y_alpha = float(y @ alpha)
     loss = (
         0.5 * y_alpha
@@ -379,12 +404,18 @@ def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_gra
     if not want_grad:
         return loss, None
 
+    sf2 = math.exp(theta[0])
+    sn2 = math.exp(theta[2])
+    _fill_gradient(family, nu, ws)
+    ws.theta = None
     inv, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite("dpotri failed on the Cholesky factor", j)
-    np.multiply(inv, ws.mask, out=inv)  # lower triangle now weighted for symmetric sums
+    # inv holds K^-1 in its lower triangle and zeros above it (dpotrf's
+    # clean). dR is symmetric with a zero diagonal, so tr(K^-1 dR) is twice
+    # the sum over the lower triangle.
     tr_kinv = float(np.einsum("ii->", inv))
-    tr_kinv_dr = float(np.einsum("ij,ij->", inv, ws.dR))
+    tr_kinv_dr = 2.0 * float(np.einsum("ij,ij->", inv, ws.dR))
     alpha_dr_alpha = float(alpha @ (ws.dR @ alpha))
     alpha_sq = float(alpha @ alpha)
     c_diag = sn2 + j
@@ -404,7 +435,7 @@ def nll(cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0) ->
     """Training loss for one output: NLL plus the L2 log-parameter penalty."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    ws = _Workspace(cdist(X, X))
+    ws = _Workspace(X, grad=False)
     loss, _ = _objective(cfg.log_params(), cfg.family, cfg.nu, ws, y, l2_weight, jitter, False)
     return loss
 
@@ -415,7 +446,7 @@ def nll_gradient(
     """Analytic gradient of nll over the three log-hyperparameters."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    ws = _Workspace(cdist(X, X))
+    ws = _Workspace(X)
     _, grad = _objective(cfg.log_params(), cfg.family, cfg.nu, ws, y, l2_weight, jitter, True)
     return grad
 
@@ -428,6 +459,8 @@ def nll_gradient(
 class TrainedGP:
     """Six conditioned single-output GPs sharing one set of inputs.
 
+    train_gp hands over the Cholesky factors training computed at the kept
+    hyperparameters; fit computes them the same way from configs alone.
     Immutable after construction; posterior evaluation is a pure read and
     may run concurrently from many threads.
     """
@@ -438,7 +471,7 @@ class TrainedGP:
     Z: np.ndarray                          # (n, 6) normalized targets
     factors: tuple[np.ndarray, ...]        # per-output Cholesky factor of K + sn2 I (+ jitter),
                                            # Fortran-ordered, in the lower triangle (the
-                                           # upper one is not referenced)
+                                           # upper one is zero)
     alphas: tuple[np.ndarray, ...]         # per-output (K + sn2 I)^-1 z
     jitters: tuple[float, ...]             # jitter actually used per output
     width: int
@@ -469,6 +502,9 @@ class TrainedGP:
 
         Z is already normalized. jitter may be a scalar or a per-output
         sequence; each output records the value escalation settled on.
+        Each Gram matrix is filled and factored with training's
+        arithmetic, so a refit at the configs and jitters a training kept
+        reproduces its factors and alphas bit for bit.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
@@ -480,26 +516,15 @@ class TrainedGP:
         jitters_in = (
             tuple(jitter) if np.ndim(jitter) else (float(jitter),) * len(configs)
         )
-        n = X.shape[0]
-        D = cdist(X, X).T  # exactly symmetric, so this is a Fortran-ordered view of it
-        scratch = np.empty((n, n), order="F") if any(map(_needs_scratch, configs)) else None
+        ws = _Workspace(X, grad=False)
         factors, alphas, jitters = [], [], []
-        for j_out, (cfg, j0) in enumerate(zip(configs, jitters_in)):
-            # Each output's Gram matrix is built, factored and kept in one
-            # buffer; LAPACK reads the Fortran-ordered factor in place.
-            K = np.empty((n, n), order="F")
-
-            def fill(j, cfg=cfg, K=K):
-                _kernel_block(cfg, D, K, scratch)
-                diag = np.einsum("ii->i", K)
-                diag += cfg.noise_var
-                if j:
-                    diag += j
-
-            L, j = _cholesky_in_place(K, fill, j0)
-            alphas.append(_solve_gram(L, Z[:, j_out]))
-            factors.append(L)
-            jitters.append(j)
+        for j, (cfg, j0) in enumerate(zip(configs, jitters_in)):
+            if j:
+                ws.fresh_gram()  # each output keeps its factor in its own buffer
+            _factor(cfg.log_params(), cfg.family, cfg.nu, ws, Z[:, j], j0)
+            factors.append(ws.K)
+            alphas.append(ws.alpha)
+            jitters.append(ws.jitter)
         return cls(
             configs,
             normalizer,
@@ -545,15 +570,18 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
         raise ValueError(f"variance outputs {sorted(var_outputs)} out of range for {k} outputs")
     mean_norm = np.empty((m, k))
     var_norm = np.full((m, k), np.nan)
-    # One covariance block (and one scratch block, for kernels that need
-    # it) serves every chunk and output; chunk views of it stay Fortran-ordered.
-    shape = (model.X.shape[0], min(m, _QUERY_CHUNK))
-    block = np.empty(shape, order="F")
-    scratch = np.empty(shape, order="F") if any(map(_needs_scratch, model.configs)) else None
+    # One distance buffer, one covariance block (and one scratch block, for
+    # kernels that need it) serve every chunk and output. The C-ordered
+    # (chunk, n) distance rows transpose to Fortran-ordered (n, chunk)
+    # views, as do the column prefixes of the Fortran-ordered blocks.
+    n, chunk = model.X.shape[0], min(m, _QUERY_CHUNK)
+    dist = np.empty((chunk, n))
+    block = np.empty((n, chunk), order="F")
+    scratch = np.empty((n, chunk), order="F") if any(map(_needs_scratch, model.configs)) else None
     for start in range(0, m, _QUERY_CHUNK):
         rows = slice(start, min(start + _QUERY_CHUNK, m))
         width = rows.stop - start
-        D = cdist(Q[rows], model.X).T  # (n, chunk), Fortran-ordered without a copy
+        D = cdist(Q[rows], model.X, out=dist[:width]).T
         for j, (cfg, L, alpha) in enumerate(zip(model.configs, model.factors, model.alphas)):
             Ks = _kernel_block(
                 cfg, D, block[:, :width], None if scratch is None else scratch[:, :width]
@@ -633,22 +661,30 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
     """L-BFGS-B fit of each column of Z on the inputs X, output j from the
     log-parameters of the KernelConfig starts[j].
 
-    Returns the kept log-parameters and the loss curve of every output.
-    The n x n buffers live only for the call.
+    Returns, per output, the kept log-parameters, the Cholesky factor,
+    alpha and jitter at them, and the loss curve. The factor is the
+    workspace's K: when the last evaluation was loss-only and kept, K
+    already holds it; otherwise it is factored once more at the kept
+    log-parameters. The workspace's other n x n buffers live only for
+    the call.
     """
-    ws = _Workspace(cdist(X, X))
-    thetas, curves = [], []
+    ws = _Workspace(X)
+    fits = []
     for j, start in enumerate(starts):
+        if j:
+            ws.fresh_gram()  # the previous output's factor goes to the model
+        y = np.ascontiguousarray(Z[:, j])
         loss_and_grad = partial(
             _objective, family=kernel.family, nu=kernel.nu, ws=ws,
-            y=np.ascontiguousarray(Z[:, j]), l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
+            y=y, l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
         )
         theta, curve = _minimize_within(
             loss_and_grad, start.log_params(), _BOUNDS, cfg.iterations, kernel.log_noise_var
         )
-        thetas.append(theta)
-        curves.append(curve)
-    return thetas, curves
+        if not np.array_equal(ws.theta, theta):
+            _factor(theta, kernel.family, kernel.nu, ws, y, TRAIN_JITTER)
+        fits.append((theta, ws.K, ws.alpha, ws.jitter, curve))
+    return fits
 
 
 def train_gp(
@@ -672,6 +708,8 @@ def train_gp(
     first reduced to a seeded uniform subsample of max_train_points. A
     start below the kernel's noise variance that ends on the low-noise
     plateau goes on from the kernel's noise variance (_minimize_within).
+    The model keeps the Cholesky factors training computed at the kept
+    parameters, bit for bit those TrainedGP.fit computes there.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -688,14 +726,16 @@ def train_gp(
         starts = [kernel] * Z.shape[1]
     elif len(starts) != Z.shape[1]:
         raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
-    thetas, curves = _fit_outputs(X, Z, kernel, cfg, starts)
-    return TrainedGP.fit(
+    thetas, factors, alphas, jitters, curves = zip(*_fit_outputs(X, Z, kernel, cfg, starts))
+    return TrainedGP(
+        tuple(kernel.with_log_params(theta) for theta in thetas),
+        normalizer,
         X,
         Z,
-        [kernel.with_log_params(theta) for theta in thetas],
-        normalizer,
+        factors,
+        alphas,
+        jitters,
         ds.width,
         ds.height,
-        jitter=TRAIN_JITTER,
-        loss_curves=curves,
+        curves,
     )

@@ -2,9 +2,11 @@
 
 The format is versioned ("gpgs-model v1") and stores the per-output
 hyperparameters, the normalizer, and the embedded training data at 17
-significant digits, which round-trips float64 exactly. Reloading
-refactorises with the same arithmetic order, so posterior outputs are
-bit-identical to the model that was saved.
+significant digits, which round-trips float64 exactly. Reloading fills
+and factors each Gram matrix at the stored hyperparameters and jitter
+with the arithmetic training used (TrainedGP.fit), so the factors, and
+with them posterior outputs, are bit-identical to the model that was
+saved.
 """
 
 from __future__ import annotations

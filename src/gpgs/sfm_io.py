@@ -697,6 +697,8 @@ def read_dataset_csv(path) -> PixelToPointDataset:
             missing = [c for c in _DATASET_REQUIRED_COLUMNS if c not in header]
             if missing:
                 raise MalformedLine(path, lineno, f"header lacks columns {', '.join(missing)}")
+            # a repeated column name reads its last occurrence
+            column = {name: i for i, name in enumerate(header)}
             continue
         tokens = line.split(",")
         if len(tokens) != len(header):
@@ -707,13 +709,14 @@ def read_dataset_csv(path) -> PixelToPointDataset:
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not all(map(math.isfinite, row)):
             raise MalformedLine(path, lineno, "non-finite value")
+        # the rule DepthMap.value_at applies to a depth map
+        if "depth" in column and not row[column["depth"]] > 0.0:
+            raise MalformedLine(path, lineno, "depth must be positive")
         rows.append(row)
     if header is None:
         raise MalformedLine(path, 0, "dataset file has no header line")
     if meta["width"] is None or meta["height"] is None:
         raise MalformedLine(path, 0, "dataset file lacks width/height metadata")
-    # a repeated column name reads its last occurrence
-    column = {name: i for i, name in enumerate(header)}
     input_names = ("u_norm", "v_norm") + (("depth",) if "depth" in column else ())
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     return PixelToPointDataset(

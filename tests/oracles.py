@@ -4,6 +4,7 @@ Each oracle deliberately avoids the code path it checks: the Matérn
 reference goes through Gamma/Bessel special functions, the posterior
 oracle uses explicit dense solves, the chamfer oracle is a double loop,
 the gradient oracle is central finite differences of the loss, the
+masked-trace gradient sums the whole inverse under a triangle mask, the
 COLMAP oracle parses one line and one token at a time into plain Python
 values, the PLY reader reads back what write_ply writes, and the
 candidate and depth oracles go one pixel at a time, deduplicating
@@ -16,6 +17,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.special import gamma, kv
 
 from gpgs import gp
@@ -51,6 +53,48 @@ def finite_difference_gradient(cfg, X, y, l2_weight, step=1e-5):
         lo = gp.nll(cfg.with_log_params(theta - delta), X, y, l2_weight)
         out[i] = (hi - lo) / (2 * step)
     return out
+
+
+def masked_trace_gradient(cfg, X, y, l2_weight=0.0, jitter=0.0) -> np.ndarray:
+    """gp.nll_gradient with tr(K^-1 dR) taken as a mask-weighted sum.
+
+    The factor keeps the Gram matrix in its upper triangle (dpotrf without
+    clean), and a mask weights the dpotri inverse by 2 below the diagonal,
+    1 on it and 0 above it, so the sum reads only the inverse and needs no
+    assumption about dR's diagonal. The Gram matrix and dR come from gp's
+    fills; jitter is not escalated.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    n = X.shape[0]
+    theta = cfg.log_params()
+    sf2, sn2 = cfg.signal_var, cfg.noise_var
+    ws = gp._Workspace(X)
+    gp._fill_gram(theta, cfg.family, cfg.nu, ws, jitter)
+    L, info = dpotrf(ws.K, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
+    alpha = gp._solve_gram(L, y)
+    gp._fill_gradient(cfg.family, cfg.nu, ws)
+    inv, info = dpotri(L, lower=1, overwrite_c=1)
+    assert info == 0
+    mask = np.full((n, n), 2.0, order="F")
+    mask[np.triu_indices(n)] = 0.0
+    np.einsum("ii->i", mask)[:] = 1.0
+    np.multiply(inv, mask, out=inv)
+    tr_kinv = float(np.einsum("ii->", inv))
+    tr_kinv_dr = float(np.einsum("ij,ij->", inv, ws.dR))
+    alpha_dr_alpha = float(alpha @ (ws.dR @ alpha))
+    alpha_sq = float(alpha @ alpha)
+    y_alpha = float(y @ alpha)
+    c_diag = sn2 + jitter
+    grad = np.array(
+        [
+            0.5 * ((n - c_diag * tr_kinv) - (y_alpha - c_diag * alpha_sq)),
+            0.5 * sf2 * (tr_kinv_dr - alpha_dr_alpha),
+            0.5 * sn2 * (tr_kinv - alpha_sq),
+        ]
+    )
+    return grad + 2.0 * l2_weight * theta
 
 
 def posterior_oracle(model: gp.TrainedGP, Q: np.ndarray):

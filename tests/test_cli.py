@@ -89,6 +89,25 @@ class TestBuildDataset:
         ds = sfm_io.read_dataset_csv(out)
         assert ds.has_depth
 
+    @pytest.mark.parametrize("depth", ["-3", "0"])
+    def test_non_positive_depth_in_dataset_exits_2(self, fixture_dir, tmp_path, capsys, depth):
+        write_flat_pfm(tmp_path / "frame1.pfm")
+        out = tmp_path / "ds.csv"
+        assert run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(out), "--depth-dir", str(tmp_path),
+        ) == 0
+        lines = out.read_text().splitlines()
+        at = lines[3].split(",").index("depth")
+        tokens = lines[5].split(",")
+        tokens[at] = depth
+        lines[5] = ",".join(tokens)
+        out.write_text("\n".join(lines) + "\n")
+        code = run("train", "--dataset", str(out), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert f"{out}:6: depth must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestTrain:
     @pytest.fixture()
@@ -638,6 +657,33 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--max-train-points", "0", "max_train_points"),
+        ("--max-train-points", "-3", "max_train_points"),
+        ("--key-frames", "0", "key_frames"),
+        ("--train-fraction", "0", "train_fraction"),
+        ("--train-fraction", "1.5", "train_fraction"),
+    ])
+    def test_out_of_range_setting_exits_1_before_any_file(
+        self, fixture_dir, tmp_path, capsys, flag, value, name
+    ):
+        out = tmp_path / "run"
+        code = run("pipeline", "--model-dir", str(fixture_dir), "--output", str(out), flag, value)
+        assert code == 1
+        assert f"usage error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_not_utf8_exits_1(self, fixture_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"seed = 3\n\xff\xfe\n")
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(tmp_path / "ds.csv"), "--config", str(conf),
+        )
+        assert code == 1
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv").exists()
 
 
 def test_import_leaves_scipy_optimize_unloaded():

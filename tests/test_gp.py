@@ -1,6 +1,7 @@
 """Kernels, marginal likelihood, gradients, training, and posterior."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,12 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from gpgs import errors, gp, metrics, model_io, sfm_io
-from oracles import finite_difference_gradient, matern_reference, posterior_oracle
+from oracles import (
+    finite_difference_gradient,
+    masked_trace_gradient,
+    matern_reference,
+    posterior_oracle,
+)
 from synthdata import dataset_from_arrays, make_scene, smooth_targets
 
 NEAR_ZERO_NOISE = -700.0  # exp(-700) ~ 1e-304, numerically a zero noise floor
@@ -162,6 +168,23 @@ class TestNllGradient:
             fd = finite_difference_gradient(cfg, X, y, 1e-6)
             rel = np.abs(grad - fd) / np.maximum(1e-12, np.abs(fd))
             assert rel.max() <= 1e-4
+
+    @pytest.mark.parametrize(
+        "family,nu", [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bit_equal_to_masked_trace(self, family, nu, seed):
+        # the lengthscale trace sums the lower triangle of the inverse once
+        # and doubles the sum, since dR has a zero diagonal
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        X = rng.random((n, 2))
+        y = rng.standard_normal(n)
+        cfg = gp.KernelConfig(
+            family, nu, rng.uniform(-1, 1), rng.uniform(-3, 0.5), rng.uniform(-8, -1)
+        )
+        want = masked_trace_gradient(cfg, X, y, 1e-6, gp.TRAIN_JITTER)
+        assert np.array_equal(gp.nll_gradient(cfg, X, y, 1e-6, gp.TRAIN_JITTER), want)
 
     def test_l2_weight_shifts_gradient_linearly(self):
         rng = np.random.default_rng(9)
@@ -322,6 +345,11 @@ class TestTrainGp:
         with pytest.raises(ValueError, match="iterations"):
             gp.TrainConfig(iterations=0)
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_max_train_points_below_one_rejected(self, points):
+        with pytest.raises(ValueError, match="max_train_points must be >= 1"):
+            gp.TrainConfig(max_train_points=points)
+
     def test_deterministic_given_seed(self):
         ds = make_scene("smooth", 60, seed=1)
         cfg = gp.TrainConfig(iterations=40, seed=7)
@@ -360,6 +388,60 @@ class TestTrainGp:
         model = gp.train_gp(ds, gp.default_kernel(), gp.TrainConfig(iterations=60))
         for cfg in model.configs:
             assert cfg.noise_var >= gp.NOISE_VAR_FLOOR * (1 - 1e-12)
+
+
+class TestFactorHandover:
+    """train_gp keeps the Cholesky factors training computed at the kept
+    hyperparameters instead of factoring every Gram matrix again."""
+
+    KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
+
+    @staticmethod
+    def count_dpotrf(monkeypatch):
+        calls = []
+        original = gp.dpotrf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "dpotrf", counted)
+        return calls
+
+    @pytest.mark.parametrize("budget", [1, 5, 1000])
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_bit_equal_to_refit(self, family, nu, budget):
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(family, nu),
+                            gp.TrainConfig(iterations=budget))
+        if budget == 1000:  # converged: every kept factor is factored once more
+            assert all(len(curve) < budget for curve in model.loss_curves)
+        refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
+                                 model.width, model.height, jitter=model.jitters)
+        assert refit.jitters == model.jitters
+        for a, b in zip(model.factors, refit.factors):
+            assert np.array_equal(np.tril(a), np.tril(b))
+        for a, b in zip(model.alphas, refit.alphas):
+            assert np.array_equal(a, b)
+
+    def test_budget_of_one_factors_once_per_output(self, monkeypatch):
+        calls = self.count_dpotrf(monkeypatch)
+        gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                    gp.TrainConfig(iterations=1))
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("budget", [5, 1000])
+    def test_refactors_only_when_the_kept_factor_is_gone(self, monkeypatch, budget):
+        calls = self.count_dpotrf(monkeypatch)
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                            gp.TrainConfig(iterations=budget))
+        assert model.jitters == (gp.TRAIN_JITTER,) * 6  # no escalation retries
+        # K still holds the factor only when the last evaluation was the
+        # loss-only one that spent the budget, and it was kept
+        held = sum(
+            len(curve) == budget and int(np.argmin(curve)) == len(curve) - 1
+            for curve in model.loss_curves
+        )
+        assert len(calls) == sum(map(len, model.loss_curves)) + 6 - held
 
 
 class TestStarts:
@@ -590,6 +672,26 @@ class TestPosteriorChunks:
         post = gp.posterior(six_output_model(), np.zeros((0, 2)), var_outputs=var_outputs)
         for arr in (post.mean_norm, post.var_norm, post.mean, post.var):
             assert arr.shape == (0, 6)
+
+
+def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
+    n, chunk = 200, 50
+    rng = np.random.default_rng(4)
+    configs = [gp.KernelConfig("matern", 0.5, 0.1 * j, math.log(0.3), -6.0) for j in range(6)]
+    model = gp.TrainedGP.fit(rng.random((n, 2)), rng.standard_normal((n, 6)), configs,
+                             gp.OutputNormalizer.identity(6), 1, 1)
+    Q = rng.random((3 * chunk + 7, 2))
+    monkeypatch.setattr(gp, "_QUERY_CHUNK", chunk)
+    gp.posterior(model, Q)  # warm-up: first-call allocations of numpy and scipy
+    tracemalloc.start()
+    try:
+        gp.posterior(model, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = n * chunk * 8
+    outputs = 4 * Q.shape[0] * 6 * 8  # mean_norm, var_norm, mean, var
+    assert peak < 2.5 * block + outputs
 
 
 class TestKernelBlock:
