@@ -119,12 +119,13 @@ def parse_config_file(path) -> dict:
 
 
 def write_run_config(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with sfm_io.writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"{field.name} = {getattr(cfg, field.name)}"
         for field in dataclasses.fields(RunConfig)
     ]
-    (out_dir / "run-config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sfm_io.write_lines(out_dir / "run-config.txt", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +217,10 @@ def evaluate_model(
     itself is dropped.
     """
     split = sfm_io.split_dataset(ds, cfg.train_fraction, cfg.seed)
-    if len(split.test) == 0:
+    if len(split.test) < 2:
         raise EmptyDataset(
-            f"test split is empty (n={len(ds)}, train_fraction={cfg.train_fraction})"
+            f"test split is empty or has one row ({len(split.test)} of n={len(ds)} at "
+            f"train_fraction={cfg.train_fraction}); scoring needs at least 2"
         )
     model = train_model(cfg, split.train, f"frame {ds.image_id} evaluate")
     return metrics.evaluate_holdout(model, split.test), model.configs
@@ -240,7 +242,7 @@ def _write_loss_csv(model: gp.TrainedGP, path: Path) -> None:
     lines = ["iter,output,loss"]
     for j, curve in enumerate(model.loss_curves):
         lines += [f"{it},{j},{loss:.17g}" for it, loss in enumerate(curve)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sfm_io.write_lines(path, lines)
 
 
 def _write_model(model: gp.TrainedGP, out: Path) -> None:
@@ -291,7 +293,7 @@ def _write_variance_csv(report: dn.VarianceReport, path: Path) -> None:
             f"{name},{report.original[name]:.17g},"
             f"{report.filtered[name]:.17g},{report.reduction_pct[name]:.17g}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sfm_io.write_lines(path, lines)
 
 
 def _densify_one(cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.DepthMap]):
@@ -366,7 +368,7 @@ def _write_metrics_csv(report: metrics.HoldoutReport, path: Path) -> None:
         r2_text = "" if out_metrics.r2 is None else f"{out_metrics.r2:.17g}"
         lines.append(f"r2,{out_metrics.name},{r2_text}")
         lines.append(f"rmse,{out_metrics.name},{out_metrics.rmse:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sfm_io.write_lines(path, lines)
 
 
 def _write_metrics(report: metrics.HoldoutReport, out: Path) -> None:
@@ -408,7 +410,6 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     """
     _require(cfg, "model_dir", "output")
     out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_run_config(cfg, out_dir)
 
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)

@@ -159,35 +159,16 @@ class OutputNormalizer:
 # Kernel evaluation
 # ---------------------------------------------------------------------------
 
-def _correlation(family: str, nu: float | None, t: np.ndarray) -> np.ndarray:
-    """Unit-variance kernel profile R(t) at scaled distance t = ||a-b|| / l."""
-    if family == RBF:
-        return np.exp(-0.5 * t * t)
-    if nu == 0.5:
-        return np.exp(-t)
-    if nu == 1.5:
-        s = math.sqrt(3.0) * t
-        return (1.0 + s) * np.exp(-s)
-    if nu == 2.5:
-        s = math.sqrt(5.0) * t
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    raise ValueError(f"unsupported kernel ({family}, nu={nu})")
-
-
 def kernel_value(cfg: KernelConfig, a, b) -> float:
-    """Covariance between two input vectors."""
+    """Covariance between two input vectors, with training's arithmetic."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"input shapes differ: {a.shape} vs {b.shape}")
-    t = np.linalg.norm(a - b) / cfg.lengthscale
-    return float(cfg.signal_var * _correlation(cfg.family, cfg.nu, np.asarray(t)))
-
-
-def cross_covariance(cfg: KernelConfig, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Noise-free kernel matrix k(A, B), shape (len(A), len(B))."""
-    t = cdist(A, B) / cfg.lengthscale
-    return cfg.signal_var * _correlation(cfg.family, cfg.nu, t)
+    D = np.full((1, 1), np.linalg.norm(a - b))
+    S, K = np.empty_like(D), np.empty_like(D)
+    _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, S, S, K)
+    return float(cfg.signal_var * K[0, 0])
 
 
 def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.ndarray:
@@ -233,47 +214,8 @@ def _solve_gram(L: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _needs_scratch(cfg: KernelConfig) -> bool:
+    """Whether _fill_correlation needs S and E apart from K (Matérn 1.5, 2.5)."""
     return cfg.family == MATERN and cfg.nu != 0.5
-
-
-def _kernel_block(cfg: KernelConfig, D: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
-    """Fill out with sf2 * R(D / l) in place and return it; the posterior's
-    cross-covariance block.
-
-    The values are bit for bit those of cross_covariance: the same
-    operations in the same order (RBF forms -0.5 t t as (t t)(-0.5);
-    scaling by -0.5 is exact, so both orders round alike). D and out have
-    one shape; Matérn 1.5 and 2.5 also need a scratch array of that shape
-    (see _needs_scratch).
-    """
-    np.divide(D, cfg.lengthscale, out=out)  # t
-    if cfg.family == RBF:
-        np.multiply(out, out, out=out)
-        np.multiply(out, -0.5, out=out)
-        np.exp(out, out=out)
-    elif cfg.nu == 0.5:
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-    elif cfg.nu == 1.5:
-        np.multiply(out, math.sqrt(3.0), out=out)  # s
-        np.negative(out, out=scratch)
-        np.exp(scratch, out=scratch)
-        np.add(out, 1.0, out=out)
-        np.multiply(out, scratch, out=out)  # (1 + s) exp(-s)
-    else:  # Matérn 2.5
-        root5 = math.sqrt(5.0)
-        np.multiply(out, root5, out=out)  # s
-        np.multiply(out, out, out=scratch)
-        np.divide(scratch, 3.0, out=scratch)
-        np.add(out, 1.0, out=out)
-        np.add(out, scratch, out=scratch)  # 1 + s + s^2/3
-        np.divide(D, cfg.lengthscale, out=out)  # s again, bit for bit
-        np.multiply(out, root5, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        np.multiply(scratch, out, out=out)
-    np.multiply(out, cfg.signal_var, out=out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +252,39 @@ class _Workspace:
 _SCALED_FACTOR = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
 
 
-def _fill_correlation(family, nu, ell, ws: _Workspace) -> None:
-    """Fill ws.K with R, leaving in ws.S and ws.E what _fill_gradient reads.
+def _fill_correlation(family, nu, ell, D, S, E, K) -> None:
+    """Fill K with R at the distances D, leaving in S and E what
+    _fill_gradient reads.
 
-    Works on the scaled distance s = c * ||a-b|| / l, where c folds the
-    sqrt(2 nu) factor of the half-integer Matérn closed forms.
+    Works on the scaled distance s = c * D / l in S, where c folds the
+    sqrt(2 nu) factor of the half-integer Matérn closed forms; E holds the
+    exponential factor. All four arrays have one shape. S and E may be one
+    buffer when the caller does not read them afterwards; for RBF and
+    Matérn 0.5, K may be that buffer too. Training, kernel_value and the
+    posterior's cross-covariance all fill through here, so their kernel
+    values agree bit for bit.
     """
-    S, E, K = ws.S, ws.E, ws.K
     if family == RBF:
-        np.multiply(ws.D, 1.0 / ell, out=S)
+        np.multiply(D, 1.0 / ell, out=S)
         np.multiply(S, S, out=E)
         np.multiply(E, -0.5, out=E)
         np.exp(E, out=E)  # E = exp(-t^2/2) = R
         np.copyto(K, E)
         return
-    np.multiply(ws.D, _SCALED_FACTOR[nu] / ell, out=S)
+    np.multiply(D, _SCALED_FACTOR[nu] / ell, out=S)
+    if nu == 1.5:
+        np.add(S, 1.0, out=K)  # 1 + s
+    elif nu == 2.5:
+        np.multiply(S, S, out=K)
+        np.multiply(K, 1.0 / 3.0, out=K)
+        np.add(K, S, out=K)
+        np.add(K, 1.0, out=K)  # 1 + s + s^2/3
     np.negative(S, out=E)
     np.exp(E, out=E)  # E = exp(-s)
     if nu == 0.5:
         np.copyto(K, E)
-    elif nu == 1.5:
-        np.add(S, 1.0, out=K)
-        np.multiply(K, E, out=K)  # R = (1+s) exp(-s)
-    else:  # nu == 2.5
-        np.multiply(S, S, out=K)
-        np.multiply(K, 1.0 / 3.0, out=K)
-        np.add(K, S, out=K)
-        np.add(K, 1.0, out=K)
-        np.multiply(K, E, out=K)  # R = (1+s+s^2/3) exp(-s)
+    else:
+        np.multiply(K, E, out=K)  # R = poly(s) exp(-s)
 
 
 def _fill_gradient(family, nu, ws: _Workspace) -> None:
@@ -362,7 +309,7 @@ def _fill_gradient(family, nu, ws: _Workspace) -> None:
 def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     """Fill ws.K with the Gram matrix at theta = (log sf2, log l, log sn2),
     with sn2 + jitter on its diagonal."""
-    _fill_correlation(family, nu, math.exp(theta[1]), ws)
+    _fill_correlation(family, nu, math.exp(theta[1]), ws.D, ws.S, ws.E, ws.K)
     np.multiply(ws.K, math.exp(theta[0]), out=ws.K)
     np.einsum("ii->i", ws.K)[:] += math.exp(theta[2]) + jitter
 
@@ -556,7 +503,10 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     at one triangular solve each; the other variance columns are NaN.
     Queries are processed in blocks of _QUERY_CHUNK that share one
     distance block across the outputs, so memory is O(n * chunk) rather
-    than O(n * m).
+    than O(n * m). Each cross-covariance block is filled by
+    _fill_correlation, the fill of the Gram matrices the factors came
+    from, so k(x_i, q) is bit for bit the Gram entry training would
+    compute for that pair.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != model.input_dim:
@@ -583,9 +533,10 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
         width = rows.stop - start
         D = cdist(Q[rows], model.X, out=dist[:width]).T
         for j, (cfg, L, alpha) in enumerate(zip(model.configs, model.factors, model.alphas)):
-            Ks = _kernel_block(
-                cfg, D, block[:, :width], None if scratch is None else scratch[:, :width]
-            )
+            Ks = block[:, :width]
+            tmp = scratch[:, :width] if _needs_scratch(cfg) else Ks
+            _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, tmp, tmp, Ks)
+            np.multiply(Ks, cfg.signal_var, out=Ks)
             mean_norm[rows, j] = Ks.T @ alpha
             if j in var_outputs:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.

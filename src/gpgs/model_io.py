@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, MalformedLine, MissingFile
+from .errors import MalformedLine, MissingFile
 from .gp import MATERN, KernelConfig, OutputNormalizer, TrainedGP
-from .sfm_io import read_text
+from .sfm_io import read_text, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
 
@@ -55,10 +55,7 @@ def save_model(model: TrainedGP, path) -> None:
     for row in model.Z:
         lines.append(" ".join(_fmt(v) for v in row))
     lines.append("end")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_lines(path, lines)
 
 
 def load_model(path) -> TrainedGP:

