@@ -30,6 +30,11 @@ from .errors import (
 
 SEED_ENV_VAR = "GPGS_SEED"
 
+# The name of each group of outputs that training fits together: x, y, z, rgb.
+_GROUP_NAMES = tuple(
+    "".join(metrics.OUTPUT_NAMES[j] for j in outputs) for outputs in gp.OUTPUT_GROUPS
+)
+
 
 @dataclass
 class RunConfig:
@@ -188,15 +193,16 @@ def frame_datasets(
 def train_model(
     cfg: RunConfig, ds: sfm_io.PixelToPointDataset, label: str, starts=None
 ) -> gp.TrainedGP:
-    """Train the six GPs on a dataset, output j from starts[j] if given.
+    """Train the GPs on a dataset, each output group from the starts entry
+    of its first output if given.
 
-    Prints a warning, headed by the fit's label, naming the outputs whose
-    fit used all --iterations evaluations: the budget, not convergence,
-    ended their search.
+    Prints a warning, headed by the fit's label, naming the output groups
+    whose fit used all --iterations evaluations: the budget, not
+    convergence, ended their search.
     """
     model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config(), starts)
     spent = [
-        name for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
+        name for name, curve in zip(_GROUP_NAMES, model.loss_curves)
         if len(curve) == cfg.iterations
     ]
     if spent:
@@ -208,21 +214,27 @@ def train_model(
     return model
 
 
-def evaluate_model(
-    cfg: RunConfig, ds: sfm_io.PixelToPointDataset
-) -> tuple[metrics.HoldoutReport, tuple[gp.KernelConfig, ...]]:
-    """Hold out a test split of the dataset, train on the rest, and score it.
-
-    Returns the report and the kernel configs the fit kept; the model
-    itself is dropped.
-    """
+def holdout_split(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> sfm_io.SplitResult:
+    """The dataset's train/test split, checked to hold the 2 test rows that
+    scoring needs."""
     split = sfm_io.split_dataset(ds, cfg.train_fraction, cfg.seed)
     if len(split.test) < 2:
         raise EmptyDataset(
             f"test split is empty or has one row ({len(split.test)} of n={len(ds)} at "
             f"train_fraction={cfg.train_fraction}); scoring needs at least 2"
         )
-    model = train_model(cfg, split.train, f"frame {ds.image_id} evaluate")
+    return split
+
+
+def evaluate_model(
+    cfg: RunConfig, split: sfm_io.SplitResult
+) -> tuple[metrics.HoldoutReport, tuple[gp.KernelConfig, ...]]:
+    """Train on a holdout_split's train part and score on its test part.
+
+    Returns the report and the kernel configs the fit kept; the model
+    itself is dropped.
+    """
+    model = train_model(cfg, split.train, f"frame {split.train.image_id} evaluate")
     return metrics.evaluate_holdout(model, split.test), model.configs
 
 
@@ -239,9 +251,9 @@ def _write_datasets(datasets, out: Path) -> list[Path]:
 
 
 def _write_loss_csv(model: gp.TrainedGP, path: Path) -> None:
-    lines = ["iter,output,loss"]
-    for j, curve in enumerate(model.loss_curves):
-        lines += [f"{it},{j},{loss:.17g}" for it, loss in enumerate(curve)]
+    lines = ["iter,group,loss"]
+    for name, curve in zip(_GROUP_NAMES, model.loss_curves):
+        lines += [f"{it},{name},{loss:.17g}" for it, loss in enumerate(curve)]
     sfm_io.write_lines(path, lines)
 
 
@@ -249,11 +261,11 @@ def _write_model(model: gp.TrainedGP, out: Path) -> None:
     model_io.save_model(model, out)
     loss_path = out.with_name(out.stem + "_loss.csv")
     _write_loss_csv(model, loss_path)
-    # training keeps each output's lowest-loss evaluation, not its last one
+    # training keeps each group's lowest-loss evaluation, not its last one
     finals = "  ".join(
-        f"{name}={curve.min():.6g}" for name, curve in zip(metrics.OUTPUT_NAMES, model.loss_curves)
+        f"{name}={curve.min():.6g}" for name, curve in zip(_GROUP_NAMES, model.loss_curves)
     )
-    print(f"trained on {model.X.shape[0]} points; final per-output NLL: {finals}")
+    print(f"trained on {model.X.shape[0]} points; final per-group NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
 
 
@@ -267,7 +279,7 @@ def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_train(cfg: RunConfig) -> Path:
-    """Train the six GPs on a dataset CSV and write the model file."""
+    """Train the GPs on a dataset CSV and write the model file."""
     _require(cfg, "dataset", "output")
     ds = sfm_io.read_dataset_csv(cfg.dataset)
     model = train_model(cfg, ds, f"frame {ds.image_id} densify")
@@ -388,7 +400,8 @@ def _write_metrics(report: metrics.HoldoutReport, out: Path) -> None:
 def cmd_evaluate(cfg: RunConfig) -> Path:
     """Hold out a test split, train on the rest, and report metrics."""
     _require(cfg, "dataset", "output")
-    report, _ = evaluate_model(cfg, sfm_io.read_dataset_csv(cfg.dataset))
+    ds = sfm_io.read_dataset_csv(cfg.dataset)
+    report, _ = evaluate_model(cfg, holdout_split(cfg, ds))
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
     _write_metrics(report, out)
@@ -404,9 +417,10 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     own GP; the retained predictions of all frames are unioned before
     merging with the sparse cloud. Each frame first runs the evaluation
     fit on its train split, then the densification fit on all its
-    samples, each output starting from the hyperparameters the evaluation
-    fit kept. It densifies with that model, which is the model its model
-    file reloads to.
+    samples, each output group starting from the hyperparameters the
+    evaluation fit kept. It densifies with that model, which is the model
+    its model file reloads to. Every frame's split is checked before the
+    first dataset is written or fit runs.
     """
     _require(cfg, "model_dir", "output")
     out_dir = Path(cfg.output)
@@ -414,16 +428,17 @@ def cmd_pipeline(cfg: RunConfig) -> None:
 
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)
     frames = frame_datasets(cfg, sparse)
+    splits = [holdout_split(cfg, ds) if len(ds) else None for ds, _ in frames]
     ds_paths = _write_datasets([ds for ds, _ in frames], out_dir / "dataset.csv")
     multi = len(frames) > 1
     filtered_parts = []
-    for (ds, depth), ds_path in zip(frames, ds_paths):
+    for (ds, depth), split, ds_path in zip(frames, splits, ds_paths):
         if len(ds) == 0:
             print(f"skipping empty dataset {ds_path}")
             continue
         # only the evaluation fit's configs outlive it, so its factors are
         # freed before the densification fit allocates its buffers
-        report, starts = evaluate_model(cfg, ds)
+        report, starts = evaluate_model(cfg, split)
         _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
         model = train_model(cfg, ds, f"frame {ds.image_id} densify", starts)
         _write_model(model, _suffixed(out_dir / "model.txt", ds.image_id, multi))
@@ -449,7 +464,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("build-dataset", "parse a COLMAP model and write pixel-to-point dataset CSVs"),
-        ("train", "train the six GPs on a dataset CSV"),
+        ("train", "train the GPs on a dataset CSV"),
         ("densify", "sample, infer, filter, and merge into a PLY cloud"),
         ("evaluate", "train/test split evaluation of the GP"),
         ("pipeline", "run all stages into an output directory"),

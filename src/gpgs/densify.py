@@ -46,9 +46,10 @@ class PredictedPointSet:
 
     Row i of every array belongs to row i of the candidates. var6 rows are
     posterior variances in normalized-target space; only the three colour
-    entries (columns 3:6) are computed, the position entries are NaN.
-    mean_rgb_var is the arithmetic mean of the colour entries. mean6 rows
-    are denormalized (world position + [0,1] colours).
+    entries (columns 3:6) are computed, the position entries are NaN. For
+    a trained model, whose r, g and b share one kernel, the three colour
+    entries are equal. mean_rgb_var is the arithmetic mean of the colour
+    entries. mean6 rows are denormalized (world position + [0,1] colours).
     """
 
     mean6: np.ndarray         # (m, 6)
@@ -102,7 +103,8 @@ def attach_depth(candidates: np.ndarray, depth: DepthMap, width: int, height: in
 def infer_dense(model: TrainedGP, candidates: np.ndarray) -> PredictedPointSet:
     """Run batch GP inference over (m, d) candidate inputs; retained flags
     start all False pending filtering. Only the colour variances, which
-    the filter ranks by, are computed."""
+    the filter ranks by, are computed: one triangular solve per query
+    block when r, g and b share a factor, as they do after train_gp."""
     if candidates.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"candidates have {candidates.shape[1]} columns, the model takes {model.input_dim}"
@@ -157,7 +159,9 @@ def merge_clouds(sparse: SparseModel, preds: PredictedPointSet) -> DensifiedClou
 @dataclass(frozen=True)
 class VarianceReport:
     """Mean predictive variance before/after filtering, per colour channel
-    and for the RGB average, with percentage reductions."""
+    and for the RGB average, with percentage reductions. For a trained
+    model, whose r, g and b share one kernel, the r, g, b and rgb_mean
+    entries are equal (up to the rounding of the mean)."""
 
     original: dict[str, float]
     filtered: dict[str, float]

@@ -1,11 +1,16 @@
 """Exact Gaussian-process regression over pixel-to-point data.
 
-Six independent single-output GPs map normalized pixel coordinates to the
-six target channels (x, y, z, r, g, b). Kernels are Matérn (closed forms
-for half-integer smoothness) or RBF; hyperparameters live in log space and
-are fitted by bounded L-BFGS-B (Byrd et al. 1995) on the negative log
-marginal likelihood plus an L2 penalty on the log parameters, with the
-analytic gradient (Rasmussen & Williams, "Gaussian Processes for Machine
+Zero-mean GPs on shared inputs map normalized pixel coordinates to the
+six target channels (x, y, z, r, g, b). x, y and z each have their own
+hyperparameters; r, g and b share one set, fitted on the sum of their
+NLLs: a multi-output GP with a shared kernel, the intrinsic
+coregionalisation model with B = I (Bonilla et al. 2008). Outputs that
+share hyperparameters share one Gram matrix, factored once, and one
+posterior variance. Kernels are Matérn (closed forms for half-integer
+smoothness) or RBF; hyperparameters live in log space and are fitted by
+bounded L-BFGS-B (Byrd et al. 1995) on the negative log marginal
+likelihood plus an L2 penalty on the log parameters, with the analytic
+gradient (Rasmussen & Williams, "Gaussian Processes for Machine
 Learning", ch. 5). The linear algebra follows their Algorithm 2.1
 (Cholesky factorisation, no explicit inverses in the prediction path).
 """
@@ -49,6 +54,10 @@ _BOUNDS = (
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
     (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
 )
+
+# The outputs whose hyperparameters training fits together, in the order
+# it fits them: x, y and z alone, r, g and b as one group.
+OUTPUT_GROUPS = ((0,), (1,), (2,), (3, 4, 5))
 
 # Queries per posterior block: the (n, chunk) distance and covariance
 # blocks bound the posterior's memory at O(n * chunk).
@@ -108,7 +117,7 @@ def default_kernel(family: str = MATERN, nu: float | None = 0.5) -> KernelConfig
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int = 1000  # loss evaluations per output, at most
+    iterations: int = 1000  # loss evaluations per output group, at most
     l2_weight: float = 1e-6
     max_train_points: int | None = 2000
     seed: int = 0
@@ -208,7 +217,11 @@ def _cholesky_in_place(K: np.ndarray, fill, jitter: float) -> tuple[np.ndarray, 
 
 
 def _solve_gram(L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 y by two triangular solves against the lower factor L."""
+    """(L L^T)^-1 y by two triangular solves against the lower factor L.
+
+    y may be one column (n,) or a block (n, k); an (n, 1) block gives the
+    bits of the single column.
+    """
     w = solve_triangular(L, y, lower=True, check_finite=False)
     return solve_triangular(L, w, lower=True, trans="T", check_finite=False)
 
@@ -315,7 +328,8 @@ def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
 
 
 def _factor(theta, family, nu, ws: _Workspace, y, jitter) -> None:
-    """Factor the Gram matrix at theta in ws.K and solve for alpha = K^-1 y.
+    """Factor the Gram matrix at theta in ws.K and solve for alpha = K^-1 y,
+    for y of shape (n,) or (n, k).
 
     The jitter escalates from jitter on a failed factorisation
     (_cholesky_in_place). Afterwards ws.K holds the lower factor and
@@ -327,25 +341,33 @@ def _factor(theta, family, nu, ws: _Workspace, y, jitter) -> None:
 
 
 def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_grad):
-    """Loss (and gradient) at theta = (log sf2, log l, log sn2).
+    """Loss (and gradient) at theta = (log sf2, log l, log sn2) of the
+    columns y_1..y_k of y, (n, k) or (n,) for k = 1, which share one Gram
+    matrix K.
 
-    loss = 0.5 y^T K^-1 y + 0.5 log|K| + n/2 log(2 pi) + l2 |theta|^2.
+    loss = sum_c (0.5 y_c^T K^-1 y_c + 0.5 log|K| + n/2 log(2 pi))
+           + l2 |theta|^2,
+    the sum of the k single-column NLLs with the penalty counted once.
     The gradient uses the trace identity
-    dL/dtheta_j = 0.5 tr((K^-1 - aa^T) dK/dtheta_j) + 2 l2 theta_j,
-    with tr(K^-1 R) folded through tr(K^-1 K) = n so that only the
-    lengthscale derivative needs an explicit elementwise pass. A
-    loss-only evaluation leaves its factor in ws.K; a gradient turns it
-    into the inverse.
+    dL/dtheta_j = sum_c 0.5 tr((K^-1 - a_c a_c^T) dK/dtheta_j) + 2 l2 theta_j,
+    so the trace terms are k times a column's and the alpha terms are
+    summed over the columns. tr(K^-1 R) is folded through tr(K^-1 K) = n,
+    so that only the lengthscale derivative needs an explicit elementwise
+    pass. One factorisation (and, for a gradient, one inversion) serves
+    every column; with k = 1 the arithmetic is that of a single column,
+    bit for bit. A loss-only evaluation leaves its factor in ws.K; a
+    gradient turns it into the inverse.
     """
     n = ws.n
+    k = 1 if y.ndim == 1 else y.shape[1]
     _factor(theta, family, nu, ws, y, jitter)
     L, alpha, j = ws.K, ws.alpha, ws.jitter
     logdet_half = float(np.sum(np.log(np.einsum("ii->i", L))))
-    y_alpha = float(y @ alpha)
+    y_alpha = float(np.vdot(y, alpha))
     loss = (
         0.5 * y_alpha
-        + logdet_half
-        + 0.5 * n * math.log(2.0 * math.pi)
+        + k * logdet_half
+        + 0.5 * k * n * math.log(2.0 * math.pi)
         + l2_weight * float(theta @ theta)
     )
     if not want_grad:
@@ -363,25 +385,32 @@ def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_gra
     # the sum over the lower triangle.
     tr_kinv = float(np.einsum("ii->", inv))
     tr_kinv_dr = 2.0 * float(np.einsum("ij,ij->", inv, ws.dR))
-    alpha_dr_alpha = float(alpha @ (ws.dR @ alpha))
-    alpha_sq = float(alpha @ alpha)
+    alpha_dr_alpha = float(np.vdot(alpha, ws.dR @ alpha))
+    alpha_sq = float(np.vdot(alpha, alpha))
     c_diag = sn2 + j
 
     grad = np.array(
         [
-            0.5 * ((n - c_diag * tr_kinv) - (y_alpha - c_diag * alpha_sq)),
-            0.5 * sf2 * (tr_kinv_dr - alpha_dr_alpha),
-            0.5 * sn2 * (tr_kinv - alpha_sq),
+            0.5 * (k * (n - c_diag * tr_kinv) - (y_alpha - c_diag * alpha_sq)),
+            0.5 * sf2 * (k * tr_kinv_dr - alpha_dr_alpha),
+            0.5 * sn2 * (k * tr_kinv - alpha_sq),
         ]
     )
     grad += 2.0 * l2_weight * np.asarray(theta)
     return loss, grad
 
 
+def _targets(y) -> np.ndarray:
+    """One target column (n,), or the columns of an (n, k) block."""
+    y = np.asarray(y, dtype=float)
+    return y if y.ndim == 2 else y.ravel()
+
+
 def nll(cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0) -> float:
-    """Training loss for one output: NLL plus the L2 log-parameter penalty."""
+    """Training loss for one output, or for the columns of an (n, k) y that
+    share cfg: the summed NLL plus the L2 log-parameter penalty (_objective)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y = _targets(y)
     ws = _Workspace(X, grad=False)
     loss, _ = _objective(cfg.log_params(), cfg.family, cfg.nu, ws, y, l2_weight, jitter, False)
     return loss
@@ -392,7 +421,7 @@ def nll_gradient(
 ) -> np.ndarray:
     """Analytic gradient of nll over the three log-hyperparameters."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y = _targets(y)
     ws = _Workspace(X)
     _, grad = _objective(cfg.log_params(), cfg.family, cfg.nu, ws, y, l2_weight, jitter, True)
     return grad
@@ -402,14 +431,44 @@ def nll_gradient(
 # Trained model
 # ---------------------------------------------------------------------------
 
+def _condition(X, Z, configs, jitters, kept=None):
+    """Factors, alphas and jitters of the outputs Z[:, j] at configs[j],
+    with jitters[j] the jitter each factorisation starts from.
+
+    Outputs with equal (config, jitter) share one factor, factored once
+    with training's arithmetic (_cholesky_in_place) in its own buffer,
+    unless kept maps that (config, jitter) to the (factor, jitter) a
+    training already holds. Each alpha is solved column by column, so its
+    bits do not depend on which outputs share its factor.
+    """
+    shared = dict(kept or {})
+    ws = None
+    factors, used = [], []
+    for key in zip(configs, jitters):
+        if key not in shared:
+            cfg, j0 = key
+            if ws is None:
+                ws = _Workspace(X, grad=False)
+            else:
+                ws.fresh_gram()  # the previous factor keeps its buffer
+            fill = partial(_fill_gram, cfg.log_params(), cfg.family, cfg.nu, ws)
+            shared[key] = _cholesky_in_place(ws.K, fill, j0)
+        factors.append(shared[key][0])
+        used.append(shared[key][1])
+    alphas = tuple(_solve_gram(L, Z[:, j]) for j, L in enumerate(factors))
+    return tuple(factors), alphas, tuple(used)
+
+
 @dataclass(frozen=True)
 class TrainedGP:
-    """Six conditioned single-output GPs sharing one set of inputs.
+    """Conditioned GPs, one per output, sharing one set of inputs.
 
-    train_gp hands over the Cholesky factors training computed at the kept
-    hyperparameters; fit computes them the same way from configs alone.
-    Immutable after construction; posterior evaluation is a pure read and
-    may run concurrently from many threads.
+    Outputs with equal hyperparameters and jitter (after training, r, g
+    and b) share one Gram matrix and so one Cholesky factor. train_gp
+    hands over the factors training computed at the kept hyperparameters;
+    fit computes them the same way from configs alone. Immutable after
+    construction; posterior evaluation is a pure read and may run
+    concurrently from many threads.
     """
 
     configs: tuple[KernelConfig, ...]      # one per output
@@ -418,12 +477,13 @@ class TrainedGP:
     Z: np.ndarray                          # (n, 6) normalized targets
     factors: tuple[np.ndarray, ...]        # per-output Cholesky factor of K + sn2 I (+ jitter),
                                            # Fortran-ordered, in the lower triangle (the
-                                           # upper one is zero)
+                                           # upper one is zero); outputs with equal config
+                                           # and jitter hold the same array
     alphas: tuple[np.ndarray, ...]         # per-output (K + sn2 I)^-1 z
     jitters: tuple[float, ...]             # jitter actually used per output
     width: int
     height: int
-    loss_curves: tuple[np.ndarray, ...] = ()
+    loss_curves: tuple[np.ndarray, ...] = ()  # train_gp: one per OUTPUT_GROUPS entry
 
     @property
     def n_outputs(self) -> int:
@@ -432,6 +492,14 @@ class TrainedGP:
     @property
     def input_dim(self) -> int:
         return self.X.shape[1]
+
+    @property
+    def groups(self) -> list[list[int]]:
+        """The outputs that share one factor, in order of their first output."""
+        groups: dict[int, list[int]] = {}
+        for j, L in enumerate(self.factors):
+            groups.setdefault(id(L), []).append(j)
+        return list(groups.values())
 
     @classmethod
     def fit(
@@ -445,13 +513,15 @@ class TrainedGP:
         jitter=0.0,
         loss_curves=(),
     ) -> "TrainedGP":
-        """Condition the six GPs on (X, Z) at fixed hyperparameters.
+        """Condition one GP per column of Z on X at fixed hyperparameters.
 
         Z is already normalized. jitter may be a scalar or a per-output
         sequence; each output records the value escalation settled on.
-        Each Gram matrix is filled and factored with training's
-        arithmetic, so a refit at the configs and jitters a training kept
-        reproduces its factors and alphas bit for bit.
+        One Gram matrix is filled and factored per distinct (config,
+        jitter), with training's arithmetic, so a refit at the configs and
+        jitters a training kept reproduces its factors and alphas bit for
+        bit. Configs need not repeat: a model file from separate fits of
+        every output loads to six factors.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
@@ -463,25 +533,9 @@ class TrainedGP:
         jitters_in = (
             tuple(jitter) if np.ndim(jitter) else (float(jitter),) * len(configs)
         )
-        ws = _Workspace(X, grad=False)
-        factors, alphas, jitters = [], [], []
-        for j, (cfg, j0) in enumerate(zip(configs, jitters_in)):
-            if j:
-                ws.fresh_gram()  # each output keeps its factor in its own buffer
-            _factor(cfg.log_params(), cfg.family, cfg.nu, ws, Z[:, j], j0)
-            factors.append(ws.K)
-            alphas.append(ws.alpha)
-            jitters.append(ws.jitter)
+        factors, alphas, jitters = _condition(X, Z, configs, jitters_in)
         return cls(
-            configs,
-            normalizer,
-            X,
-            Z,
-            tuple(factors),
-            tuple(alphas),
-            tuple(jitters),
-            width,
-            height,
+            configs, normalizer, X, Z, factors, alphas, jitters, width, height,
             tuple(loss_curves),
         )
 
@@ -499,14 +553,17 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
 
     mu = k*^T alpha and var = k(q,q) - ||L^-1 k*||^2 per output, evaluated
     through the cached Cholesky factors (Rasmussen & Williams, Alg. 2.1).
-    Only the outputs listed in var_outputs (None: all) get a variance,
-    at one triangular solve each; the other variance columns are NaN.
-    Queries are processed in blocks of _QUERY_CHUNK that share one
-    distance block across the outputs, so memory is O(n * chunk) rather
-    than O(n * m). Each cross-covariance block is filled by
-    _fill_correlation, the fill of the Gram matrices the factors came
-    from, so k(x_i, q) is bit for bit the Gram entry training would
-    compute for that pair.
+    The outputs that share a factor (model.groups) share its
+    cross-covariance k* and its variance, so each distinct factor costs
+    one fill and, when any of its outputs is listed in var_outputs (None:
+    all), one triangular solve. Variance columns not asked for are NaN.
+    Each mean is one k*^T alpha of its own, so it does not depend on
+    which outputs share its factor. Queries are processed in blocks of
+    _QUERY_CHUNK that share one distance block across the outputs, so
+    memory is O(n * chunk) rather than O(n * m). Each cross-covariance
+    block is filled by _fill_correlation, the fill of the Gram matrices
+    the factors came from, so k(x_i, q) is bit for bit the Gram entry
+    training would compute for that pair.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != model.input_dim:
@@ -521,28 +578,33 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     mean_norm = np.empty((m, k))
     var_norm = np.full((m, k), np.nan)
     # One distance buffer, one covariance block (and one scratch block, for
-    # kernels that need it) serve every chunk and output. The C-ordered
+    # kernels that need it) serve every chunk and factor. The C-ordered
     # (chunk, n) distance rows transpose to Fortran-ordered (n, chunk)
     # views, as do the column prefixes of the Fortran-ordered blocks.
     n, chunk = model.X.shape[0], min(m, _QUERY_CHUNK)
     dist = np.empty((chunk, n))
     block = np.empty((n, chunk), order="F")
     scratch = np.empty((n, chunk), order="F") if any(map(_needs_scratch, model.configs)) else None
+    groups = model.groups
     for start in range(0, m, _QUERY_CHUNK):
         rows = slice(start, min(start + _QUERY_CHUNK, m))
         width = rows.stop - start
         D = cdist(Q[rows], model.X, out=dist[:width]).T
-        for j, (cfg, L, alpha) in enumerate(zip(model.configs, model.factors, model.alphas)):
+        for outputs in groups:
+            cfg, L = model.configs[outputs[0]], model.factors[outputs[0]]
             Ks = block[:, :width]
             tmp = scratch[:, :width] if _needs_scratch(cfg) else Ks
             _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, tmp, tmp, Ks)
             np.multiply(Ks, cfg.signal_var, out=Ks)
-            mean_norm[rows, j] = Ks.T @ alpha
-            if j in var_outputs:
+            for j in outputs:
+                mean_norm[rows, j] = Ks.T @ model.alphas[j]
+            asked = [j for j in outputs if j in var_outputs]
+            if asked:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.
                 V = solve_triangular(L, Ks, lower=True, check_finite=False, overwrite_b=True)
                 np.multiply(V, V, out=V)
-                var_norm[rows, j] = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
+                var = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
+                var_norm[rows, asked] = var[:, None]
     mean = model.normalizer.denormalize_mean(mean_norm)
     var = model.normalizer.denormalize_var(var_norm)
     return PosteriorBatch(mean_norm, var_norm, mean, var)
@@ -609,58 +671,62 @@ def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to
 
 
 def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
-    """L-BFGS-B fit of each column of Z on the inputs X, output j from the
-    log-parameters of the KernelConfig starts[j].
+    """L-BFGS-B fit of each OUTPUT_GROUPS group of columns of Z on the
+    inputs X, on the group's summed loss (_objective), from the
+    log-parameters of the KernelConfig starts[j] of its first output j.
 
-    Returns, per output, the kept log-parameters, the Cholesky factor,
-    alpha and jitter at them, and the loss curve. The factor is the
-    workspace's K: when the last evaluation was loss-only and kept, K
-    already holds it; otherwise it is factored once more at the kept
-    log-parameters. The workspace's other n x n buffers live only for
-    the call.
+    Returns, per group, the kept log-parameters, the Cholesky factor and
+    jitter at them, and the loss curve. The factor is the workspace's K:
+    when the last evaluation was loss-only and kept, K already holds it;
+    otherwise it is factored once more at the kept log-parameters. The
+    workspace's other n x n buffers live only for the call.
     """
     ws = _Workspace(X)
     fits = []
-    for j, start in enumerate(starts):
-        if j:
-            ws.fresh_gram()  # the previous output's factor goes to the model
-        y = np.ascontiguousarray(Z[:, j])
+    for g, outputs in enumerate(OUTPUT_GROUPS):
+        if g:
+            ws.fresh_gram()  # the previous group's factor goes to the model
+        y = Z[:, outputs]
         loss_and_grad = partial(
             _objective, family=kernel.family, nu=kernel.nu, ws=ws,
             y=y, l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
         )
         theta, curve = _minimize_within(
-            loss_and_grad, start.log_params(), _BOUNDS, cfg.iterations, kernel.log_noise_var
+            loss_and_grad, starts[outputs[0]].log_params(), _BOUNDS, cfg.iterations,
+            kernel.log_noise_var,
         )
         if not np.array_equal(ws.theta, theta):
             _factor(theta, kernel.family, kernel.nu, ws, y, TRAIN_JITTER)
-        fits.append((theta, ws.K, ws.alpha, ws.jitter, curve))
+        fits.append((theta, ws.K, ws.jitter, curve))
     return fits
 
 
 def train_gp(
     ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig, starts=None
 ) -> TrainedGP:
-    """Fit six GPs to a pixel-to-point dataset by L-BFGS-B.
+    """Fit the six outputs' GPs to a pixel-to-point dataset by L-BFGS-B.
 
-    Targets are standardized per output. Each output then minimises its
-    loss over the log-parameters, inside the bounds (+-LOG_PARAM_BOUND,
-    noise variance at least NOISE_VAR_FLOOR), starting from starts[j]'s
-    log-parameters (one KernelConfig per output; None: the kernel's).
-    cfg.iterations is an exact budget of loss evaluations per output: the
+    Targets are standardized per output. Each group of OUTPUT_GROUPS (x,
+    y and z alone; r, g and b together, on the sum of their three NLLs)
+    then minimises its loss over one set of log-parameters, inside the
+    bounds (+-LOG_PARAM_BOUND, noise variance at least NOISE_VAR_FLOOR),
+    starting from the log-parameters of starts[j] for its first output j
+    (one KernelConfig per output; None: the kernel's).
+    cfg.iterations is an exact budget of loss evaluations per group: the
     search ends when L-BFGS-B converges or asks for one evaluation more,
-    and the output keeps the lowest-loss parameters evaluated (with a
+    and the group keeps the lowest-loss parameters evaluated (with a
     budget of 1, the starting ones). Every evaluation but the one that
     spends the budget also computes the gradient; that last one is
     loss-only, since no step can follow it, which leaves the losses and
-    the kept parameters unchanged. The loss curve records every
-    evaluation in order; a curve of cfg.iterations entries means the
-    budget, not convergence, ended the search. Oversized datasets are
-    first reduced to a seeded uniform subsample of max_train_points. A
-    start below the kernel's noise variance that ends on the low-noise
-    plateau goes on from the kernel's noise variance (_minimize_within).
-    The model keeps the Cholesky factors training computed at the kept
-    parameters, bit for bit those TrainedGP.fit computes there.
+    the kept parameters unchanged. The model's loss_curves hold one curve
+    per group, every evaluation in order; a curve of cfg.iterations
+    entries means the budget, not convergence, ended the search.
+    Oversized datasets are first reduced to a seeded uniform subsample of
+    max_train_points. A start below the kernel's noise variance that ends
+    on the low-noise plateau goes on from the kernel's noise variance
+    (_minimize_within). The model keeps the Cholesky factors training
+    computed at the kept parameters, one per distinct (config, jitter),
+    bit for bit those TrainedGP.fit computes there.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -677,16 +743,18 @@ def train_gp(
         starts = [kernel] * Z.shape[1]
     elif len(starts) != Z.shape[1]:
         raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
-    thetas, factors, alphas, jitters, curves = zip(*_fit_outputs(X, Z, kernel, cfg, starts))
+    k = Z.shape[1]
+    configs, jitters, kept, curves = [None] * k, [None] * k, {}, []
+    for outputs, (theta, L, jitter, curve) in zip(
+        OUTPUT_GROUPS, _fit_outputs(X, Z, kernel, cfg, starts)
+    ):
+        fitted = kernel.with_log_params(theta)
+        for j in outputs:
+            configs[j], jitters[j] = fitted, jitter
+        kept.setdefault((fitted, jitter), (L, jitter))  # groups that end equal share one
+        curves.append(curve)
+    factors, alphas, jitters = _condition(X, Z, configs, jitters, kept)
     return TrainedGP(
-        tuple(kernel.with_log_params(theta) for theta in thetas),
-        normalizer,
-        X,
-        Z,
-        factors,
-        alphas,
-        jitters,
-        ds.width,
-        ds.height,
-        curves,
+        tuple(configs), normalizer, X, Z, factors, alphas, jitters, ds.width, ds.height,
+        tuple(curves),
     )

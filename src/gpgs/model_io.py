@@ -2,11 +2,12 @@
 
 The format is versioned ("gpgs-model v1") and stores the per-output
 hyperparameters, the normalizer, and the embedded training data at 17
-significant digits, which round-trips float64 exactly. Reloading fills
-and factors each Gram matrix at the stored hyperparameters and jitter
-with the arithmetic training used (TrainedGP.fit), so the factors, and
-with them posterior outputs, are bit-identical to the model that was
-saved.
+significant digits, which round-trips float64 exactly. A trained model's
+r, g and b blocks hold one set of hyperparameters, written three times.
+Reloading fills and factors one Gram matrix per distinct (hyperparameters,
+jitter) with the arithmetic training used (TrainedGP.fit), so the
+factors, and with them posterior outputs, are bit-identical to the model
+that was saved. A file whose six outputs all differ loads to six factors.
 """
 
 from __future__ import annotations

@@ -123,8 +123,12 @@ class TestTrain:
             "--iterations", "20",
         ) == 0
         lines = (tmp_path / "model_loss.csv").read_text().splitlines()
-        assert lines[0] == "iter,output,loss"
-        assert len(lines) == 1 + 20 * 6
+        assert lines[0] == "iter,group,loss"
+        # one curve per fit group, each of at most --iterations rows
+        groups = [line.split(",")[1] for line in lines[1:]]
+        assert sorted(set(groups)) == ["rgb", "x", "y", "z"]
+        assert all(groups.count(name) <= 20 for name in set(groups))
+        assert len(lines) == 1 + 20 * 4
 
     def test_nu_recorded_in_model_file(self, dataset, tmp_path):
         model_path = tmp_path / "model.txt"
@@ -213,7 +217,7 @@ class TestTrain:
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert len(warnings) == 1
         assert warnings[0].startswith(
-            "warning: frame 1 densify: outputs x, y, z, r, g, b used all 1 evaluations"
+            "warning: frame 1 densify: outputs x, y, z, rgb used all 1 evaluations"
         )
 
     def test_no_warning_when_every_output_converges(self, dataset, tmp_path, capsys):
@@ -389,7 +393,7 @@ class TestPipeline:
     def test_densification_fit_starts_where_evaluation_fit_ended(
         self, surface_dir, tmp_path, monkeypatch
     ):
-        fits = []  # (start, kept theta) of every output's fit, in order
+        fits = []  # (start, kept theta) of every output group's fit, in order
         original = gp._minimize_within
 
         def recorded(fun, theta0, *args):
@@ -403,14 +407,17 @@ class TestPipeline:
             "pipeline", "--model-dir", str(surface_dir), "--output", str(out),
             "--iterations", "30",
         ) == 0
-        # the evaluation fit, then the densification fit
-        assert len(fits) == 12
+        # the evaluation fit, then the densification fit, four groups each
+        assert len(fits) == 8
         template = gp.default_kernel().log_params()
-        for (eval_start, eval_kept), (start, kept) in zip(fits[:6], fits[6:]):
+        for (eval_start, eval_kept), (start, kept) in zip(fits[:4], fits[4:]):
             assert np.array_equal(eval_start, template)
             assert np.array_equal(start, eval_kept)
         saved = model_io.load_model(out / "model.txt").configs
-        assert [cfg.log_params().tolist() for cfg in saved] == [k.tolist() for _, k in fits[6:]]
+        assert [cfg.log_params().tolist() for cfg in saved] == [
+            fits[4 + g][1].tolist() for g, outputs in enumerate(gp.OUTPUT_GROUPS)
+            for _ in outputs
+        ]
 
     def test_budget_of_one_matches_two_cold_fits(self, tmp_path, monkeypatch, capsys):
         # at --iterations 1 every fit keeps its start, and every start is the
@@ -453,6 +460,18 @@ class TestPipeline:
         assert code == 2
         assert "test split is empty" in capsys.readouterr().err
         assert not (out / "model.txt").exists()
+
+    def test_small_later_split_fails_before_any_fit(self, fixture_dir, tmp_path, capsys):
+        # frames carry 5 and 3 samples; at 0.6 the first test split has 2
+        # rows and the second 1, which fails before frame 1 trains
+        out = tmp_path / "run"
+        code = run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(out),
+            "--iterations", "3", "--key-frames", "2", "--train-fraction", "0.6",
+        )
+        assert code == 2
+        assert "(1 of n=3 at train_fraction=0.6)" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run-config.txt"]
 
     def test_multi_frame_pipeline(self, fixture_dir, tmp_path):
         # tiny fixture: frames carry 5 and 3 samples; fraction 0.34 keeps

@@ -217,6 +217,64 @@ class TestNllGradient:
         assert grad_norm <= 1e-3
 
 
+class TestBlockObjective:
+    """One theta for the k columns of an (n, k) target block: the loss is
+    the sum of the k single-column losses, with the L2 penalty counted once."""
+
+    KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
+    L2 = 1e-3
+
+    @staticmethod
+    def problem(family, nu, seed, k=3):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 30))
+        X = rng.random((n, 2))
+        Y = rng.standard_normal((n, k))
+        cfg = gp.KernelConfig(
+            family, nu, rng.uniform(-1, 1), rng.uniform(-2, 0.5), rng.uniform(-6, -1)
+        )
+        return cfg, X, Y
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_is_sum_of_column_losses(self, family, nu, seed):
+        cfg, X, Y = self.problem(family, nu, seed)
+        theta = cfg.log_params()
+        block = gp.nll(cfg, X, Y, self.L2, gp.TRAIN_JITTER)
+        columns = sum(gp.nll(cfg, X, Y[:, c], self.L2, gp.TRAIN_JITTER) for c in range(3))
+        penalty = self.L2 * float(theta @ theta)
+        assert block == pytest.approx(columns - 2 * penalty, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_is_sum_of_column_gradients(self, family, nu, seed):
+        cfg, X, Y = self.problem(family, nu, seed)
+        theta = cfg.log_params()
+        block = gp.nll_gradient(cfg, X, Y, self.L2, gp.TRAIN_JITTER)
+        columns = sum(
+            gp.nll_gradient(cfg, X, Y[:, c], self.L2, gp.TRAIN_JITTER) for c in range(3)
+        )
+        want = columns - 2 * (2 * self.L2 * theta)
+        np.testing.assert_allclose(block, want, rtol=1e-10, atol=1e-10 * np.abs(columns).max())
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_gradient_matches_finite_differences(self, family, nu):
+        for seed in range(4):
+            cfg, X, Y = self.problem(family, nu, 10 + seed)
+            grad = gp.nll_gradient(cfg, X, Y, self.L2)
+            fd = finite_difference_gradient(cfg, X, Y, self.L2)
+            rel = np.abs(grad - fd) / np.maximum(1e-12, np.abs(fd))
+            assert rel.max() <= 1e-4
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_one_column_block_is_the_column_bit_for_bit(self, family, nu):
+        cfg, X, Y = self.problem(family, nu, 3, k=1)
+        assert gp.nll(cfg, X, Y, self.L2) == gp.nll(cfg, X, Y[:, 0], self.L2)
+        assert np.array_equal(
+            gp.nll_gradient(cfg, X, Y, self.L2), gp.nll_gradient(cfg, X, Y[:, 0], self.L2)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Jitter escalation
 # ---------------------------------------------------------------------------
@@ -258,12 +316,18 @@ class TestTrainGp:
         assert metrics.evaluate_holdout(model, split.test).bundle.r2 > 0.99
         lower = [-gp.LOG_PARAM_BOUND, -gp.LOG_PARAM_BOUND, math.log(gp.NOISE_VAR_FLOOR)]
         train = gp.TrainConfig()
-        for j, cfg in enumerate(model.configs):
+        for cfg in model.configs:
             theta = cfg.log_params()
             assert np.all((theta > lower) & (theta < gp.LOG_PARAM_BOUND)), theta
-            # converged inside the budget, to a stationary point of a loss of order 1e3
-            assert len(model.loss_curves[j]) < train.iterations
-            grad = gp.nll_gradient(cfg, model.X, model.Z[:, j], train.l2_weight, gp.TRAIN_JITTER)
+        for outputs, curve in zip(gp.OUTPUT_GROUPS, model.loss_curves):
+            cfg = model.configs[outputs[0]]
+            assert all(model.configs[j] == cfg for j in outputs)
+            # converged inside the budget, to a stationary point of the loss
+            # the group minimises (of order 1e3 per output)
+            assert len(curve) < train.iterations
+            grad = gp.nll_gradient(
+                cfg, model.X, model.Z[:, outputs], train.l2_weight, gp.TRAIN_JITTER
+            )
             assert np.abs(grad).max() < 0.1
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
@@ -272,7 +336,7 @@ class TestTrainGp:
         original = gp._objective
 
         def counted(theta, *args, **kwargs):
-            calls.append(kwargs["y"][0])
+            calls.append(kwargs["y"][0].tolist())
             return original(theta, *args, **kwargs)
 
         monkeypatch.setattr(gp, "_objective", counted)
@@ -281,11 +345,20 @@ class TestTrainGp:
         cfg = gp.TrainConfig(iterations=budget)
         model = gp.train_gp(ds, kernel, cfg)
         monkeypatch.setattr(gp, "_objective", original)
-        # outputs train one after another, each on its own target column
-        assert calls == [model.Z[0, j] for j in range(6) for _ in range(budget)]
-        for j, (trained, curve) in enumerate(zip(model.configs, model.loss_curves)):
+        # groups train one after another, each on its own block of target columns
+        assert gp.OUTPUT_GROUPS == ((0,), (1,), (2,), (3, 4, 5))
+        assert calls == [
+            model.Z[0, list(outputs)].tolist() for outputs in gp.OUTPUT_GROUPS
+            for _ in range(budget)
+        ]
+        assert len(model.loss_curves) == len(gp.OUTPUT_GROUPS)
+        for outputs, curve in zip(gp.OUTPUT_GROUPS, model.loss_curves):
+            trained = model.configs[outputs[0]]
+            assert all(model.configs[j] == trained for j in outputs)
             assert len(curve) == budget
-            loss = gp.nll(trained, model.X, model.Z[:, j], cfg.l2_weight, gp.TRAIN_JITTER)
+            loss = gp.nll(
+                trained, model.X, model.Z[:, outputs], cfg.l2_weight, gp.TRAIN_JITTER
+            )
             assert loss == min(curve)
             if budget == 1:
                 assert np.array_equal(trained.log_params(), kernel.log_params())
@@ -324,6 +397,7 @@ class TestTrainGp:
         monkeypatch.setattr(gp, "_objective", recorded)
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=budget))
+        assert len(model.loss_curves) == len(gp.OUTPUT_GROUPS)
         assert len(wants) == sum(map(len, model.loss_curves))
         for curve in model.loss_curves:
             used, wants = wants[:len(curve)], wants[len(curve):]
@@ -339,7 +413,7 @@ class TestTrainGp:
         monkeypatch.setattr(gp, "dpotri", refuse)
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=1))
-        assert [len(curve) for curve in model.loss_curves] == [1] * 6
+        assert [len(curve) for curve in model.loss_curves] == [1] * len(gp.OUTPUT_GROUPS)
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -357,7 +431,7 @@ class TestTrainGp:
         b = gp.train_gp(ds, gp.default_kernel(), cfg)
         for ca, cb in zip(a.configs, b.configs):
             assert ca == cb
-        assert len(a.loss_curves) == len(b.loss_curves) == 6
+        assert len(a.loss_curves) == len(b.loss_curves) == len(gp.OUTPUT_GROUPS)
         for ca, cb in zip(a.loss_curves, b.loss_curves):
             assert np.array_equal(ca, cb)
 
@@ -423,11 +497,13 @@ class TestFactorHandover:
         for a, b in zip(model.alphas, refit.alphas):
             assert np.array_equal(a, b)
 
-    def test_budget_of_one_factors_once_per_output(self, monkeypatch):
+    def test_budget_of_one_factors_once_per_group(self, monkeypatch):
         calls = self.count_dpotrf(monkeypatch)
-        gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
-                    gp.TrainConfig(iterations=1))
-        assert len(calls) == 6
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                            gp.TrainConfig(iterations=1))
+        assert len(calls) == len(gp.OUTPUT_GROUPS) == 4
+        # every group kept its start, so the four equal factors are one
+        assert model.groups == [list(range(6))]
 
     @pytest.mark.parametrize("budget", [5, 1000])
     def test_refactors_only_when_the_kept_factor_is_gone(self, monkeypatch, budget):
@@ -441,7 +517,7 @@ class TestFactorHandover:
             len(curve) == budget and int(np.argmin(curve)) == len(curve) - 1
             for curve in model.loss_curves
         )
-        assert len(calls) == sum(map(len, model.loss_curves)) + 6 - held
+        assert len(calls) == sum(map(len, model.loss_curves)) + len(gp.OUTPUT_GROUPS) - held
 
 
 class TestStarts:
@@ -482,10 +558,11 @@ class TestStarts:
         starts = [kernel.with_log_params([0.1 * j, -1.0 - 0.1 * j, -8.0]) for j in range(6)]
         gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
                     gp.TrainConfig(iterations=5), starts=starts)
-        assert len(fits) == 6
-        for (theta0, first), start in zip(fits, starts):
-            assert np.array_equal(theta0, start.log_params())
-            assert np.array_equal(first, start.log_params())
+        # one fit per group, from the config of the group's first output
+        assert len(fits) == len(gp.OUTPUT_GROUPS)
+        for (theta0, first), outputs in zip(fits, gp.OUTPUT_GROUPS):
+            assert np.array_equal(theta0, starts[outputs[0]].log_params())
+            assert np.array_equal(first, starts[outputs[0]].log_params())
 
     def test_wrong_number_of_starts_rejected(self):
         with pytest.raises(errors.DimensionMismatch, match="5 starting configs"):
@@ -694,6 +771,47 @@ def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
     assert peak < 2.5 * block + outputs
 
 
+class TestSharedFactor:
+    """Outputs with one config and jitter share a factor, its fill and its
+    variance solve, without changing any output's bits."""
+
+    @staticmethod
+    def trained(iterations=20):
+        return gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                           gp.TrainConfig(iterations=iterations))
+
+    def test_colour_group_solves_once_per_chunk(self, monkeypatch):
+        model = self.trained()
+        assert model.configs[3] == model.configs[4] == model.configs[5]
+        assert model.groups == [[0], [1], [2], [3, 4, 5]]
+        calls = []
+        original = gp.solve_triangular
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "solve_triangular", counted)
+        monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
+        Q = np.random.default_rng(2).random((3 * 7 + 2, 2))
+        post = gp.posterior(model, Q, var_outputs=(3, 4, 5))
+        assert len(calls) == 4  # one per chunk
+        var = post.var_norm[:, 3:6]
+        assert np.array_equal(var[:, 0], var[:, 1]) and np.array_equal(var[:, 0], var[:, 2])
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_output_bits_do_not_depend_on_sharing(self, j):
+        model = self.trained()
+        alone = gp.TrainedGP.fit(model.X, model.Z[:, [j]], [model.configs[j]],
+                                 gp.OutputNormalizer.identity(1), 1, 1,
+                                 jitter=model.jitters[j])
+        Q = np.random.default_rng(3).random((30, 2))
+        shared, single = gp.posterior(model, Q), gp.posterior(alone, Q)
+        assert np.array_equal(model.alphas[j], alone.alphas[0])
+        assert np.array_equal(shared.mean_norm[:, j], single.mean_norm[:, 0])
+        assert np.array_equal(shared.var_norm[:, j], single.var_norm[:, 0])
+
+
 class TestKernelBlock:
     """posterior and TrainedGP.fit build kernel blocks in place with the
     exact arithmetic of gram_matrix."""
@@ -779,6 +897,36 @@ class TestModelIo:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.var, b.var)
         assert np.array_equal(a.mean_norm, b.mean_norm)
+
+    def test_posterior_bit_identical_after_reload_when_groups_coincide(self, tmp_path):
+        # at a budget of 1 every group keeps the same start: one factor in
+        # the trained model, and one in the reloaded one
+        model = gp.train_gp(make_scene("smooth", 40, seed=10), gp.default_kernel(),
+                            gp.TrainConfig(iterations=1))
+        path = tmp_path / "model.txt"
+        model_io.save_model(model, path)
+        loaded = model_io.load_model(path)
+        assert model.groups == loaded.groups == [list(range(6))]
+        Q = np.random.default_rng(0).uniform(0, 1, size=(25, 2))
+        a, b = gp.posterior(model, Q), gp.posterior(loaded, Q)
+        assert np.array_equal(a.mean_norm, b.mean_norm)
+        assert np.array_equal(a.var_norm, b.var_norm)
+
+    def test_six_distinct_configs_load_and_predict(self, tmp_path):
+        # a file from separate fits of every output holds six configs
+        model = six_output_model()
+        path = tmp_path / "model.txt"
+        model_io.save_model(model, path)
+        loaded = model_io.load_model(path)
+        assert loaded.configs == model.configs
+        assert loaded.groups == [[j] for j in range(6)]
+        Q = np.random.default_rng(1).random((12, 2))
+        a, b = gp.posterior(model, Q), gp.posterior(loaded, Q)
+        assert np.array_equal(a.mean_norm, b.mean_norm)
+        assert np.array_equal(a.var_norm, b.var_norm)
+        means, variances = posterior_oracle(loaded, Q)
+        assert np.max(np.abs(b.mean_norm - means)) <= 1e-8
+        assert np.max(np.abs(b.var_norm - np.maximum(variances, 0))) <= 1e-8
 
     def test_header_and_fields(self, tmp_path):
         ds = make_scene("smooth", 10, seed=11)
