@@ -6,18 +6,21 @@ hyperparameters; r, g and b share one set, fitted on the sum of their
 NLLs: a multi-output GP with a shared kernel, the intrinsic
 coregionalisation model with B = I (Bonilla et al. 2008). Outputs that
 share hyperparameters share one Gram matrix, factored once, and one
-posterior variance. Kernels are Matérn (closed forms for half-integer
-smoothness) or RBF; hyperparameters live in log space and are fitted by
-bounded L-BFGS-B (Byrd et al. 1995) on the negative log marginal
-likelihood plus an L2 penalty on the log parameters, with the analytic
-gradient (Rasmussen & Williams, "Gaussian Processes for Machine
-Learning", ch. 5). The linear algebra follows their Algorithm 2.1
-(Cholesky factorisation, no explicit inverses in the prediction path).
+posterior variance; groups whose fits start from one set of
+hyperparameters share the evaluation there. Kernels are Matérn (closed
+forms for half-integer smoothness) or RBF; hyperparameters live in log
+space and are fitted by bounded L-BFGS-B (Byrd et al. 1995) on the
+negative log marginal likelihood plus an L2 penalty on the log
+parameters, with the analytic gradient (Rasmussen & Williams, "Gaussian
+Processes for Machine Learning", ch. 5). The linear algebra follows
+their Algorithm 2.1 (Cholesky factorisation, no explicit inverses in the
+prediction path).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -49,6 +52,8 @@ MAX_JITTER = 1e-2
 # Box bounds of the log-parameters for L-BFGS-B, so that every exp() stays
 # finite and the Gram matrix computable wherever the optimiser probes.
 LOG_PARAM_BOUND = 20.0
+# The largest log-parameter whose exp() is a finite float.
+_MAX_FINITE_LOG = math.log(sys.float_info.max)
 _BOUNDS = (
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
@@ -83,7 +88,7 @@ class KernelConfig:
             raise ValueError(f"nu must be one of {SUPPORTED_NU}, got {self.nu}")
         for name in ("log_signal_var", "log_lengthscale", "log_noise_var"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and np.isfinite(np.exp(value))):
+            if not (math.isfinite(value) and value <= _MAX_FINITE_LOG):
                 raise ValueError(f"{name}={value} gives a non-finite parameter")
 
     @property
@@ -200,9 +205,10 @@ def _cholesky_in_place(K: np.ndarray, fill, jitter: float) -> tuple[np.ndarray, 
     fill(j) writes the Gram matrix with jitter j on its diagonal into the
     Fortran-ordered K; dpotrf then factors it in place. A failed dpotrf
     has overwritten part of K, so each retry refills it, with the jitter
-    multiplied by 10 (starting from 1e-10 when it is zero); past
-    MAX_JITTER it gives up. Returns the factor (in the lower triangle;
-    the upper one is zeroed) and the jitter used.
+    multiplied by 10 (starting from 1e-10 when it is zero or below, so
+    that every start reaches MAX_JITTER); past MAX_JITTER it gives up.
+    Returns the factor (in the lower triangle; the upper one is zeroed)
+    and the jitter used.
     """
     j = jitter
     while True:
@@ -210,7 +216,7 @@ def _cholesky_in_place(K: np.ndarray, fill, jitter: float) -> tuple[np.ndarray, 
         L, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, j
-        nxt = 1e-10 if j == 0.0 else j * 10.0
+        nxt = 1e-10 if j <= 0.0 else j * 10.0
         if nxt > MAX_JITTER:
             raise NotPositiveDefinite("Gram matrix is not positive definite", j)
         j = nxt
@@ -244,7 +250,9 @@ class _Workspace:
     and the exponential factor, and dR (allocated only with grad)
     dR/d(log l). K holds the Gram matrix, then its Cholesky factor, then
     (for a gradient) its inverse. While K holds the factor at theta,
-    theta, alpha and jitter record it; theta is None otherwise.
+    theta and jitter record it; theta is None otherwise. A factor handed
+    over (hand_over) stays with its holder: the next factorisation takes
+    a new buffer for K.
     """
 
     def __init__(self, X: np.ndarray, grad: bool = True):
@@ -254,12 +262,14 @@ class _Workspace:
         self.S = np.empty((n, n), order="F")
         self.E = np.empty((n, n), order="F")
         self.dR = np.empty((n, n), order="F") if grad else None
-        self.fresh_gram()
+        self.K = np.empty((n, n), order="F")
+        self.theta = self.jitter = None
+        self.held = False
 
-    def fresh_gram(self) -> None:
-        """Give K a new buffer; whoever holds the old one keeps its factor."""
-        self.K = np.empty((self.n, self.n), order="F")
-        self.theta = self.alpha = self.jitter = None
+    def hand_over(self) -> np.ndarray:
+        """K, for the caller to keep; it is not written again."""
+        self.held = True
+        return self.K
 
 
 _SCALED_FACTOR = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
@@ -327,51 +337,55 @@ def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     np.einsum("ii->i", ws.K)[:] += math.exp(theta[2]) + jitter
 
 
-def _factor(theta, family, nu, ws: _Workspace, y, jitter) -> None:
-    """Factor the Gram matrix at theta in ws.K and solve for alpha = K^-1 y,
-    for y of shape (n,) or (n, k).
+def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
+    """Factor the Gram matrix at theta in ws.K, in a new buffer if the
+    current one has been handed over.
 
     The jitter escalates from jitter on a failed factorisation
     (_cholesky_in_place). Afterwards ws.K holds the lower factor and
-    ws.theta, ws.alpha and ws.jitter record it.
+    ws.theta and ws.jitter record it.
     """
-    L, ws.jitter = _cholesky_in_place(ws.K, partial(_fill_gram, theta, family, nu, ws), jitter)
-    ws.alpha = _solve_gram(L, y)
+    if ws.held:
+        ws.K, ws.held = np.empty((ws.n, ws.n), order="F"), False
+    _, ws.jitter = _cholesky_in_place(ws.K, partial(_fill_gram, theta, family, nu, ws), jitter)
     ws.theta = np.array(theta)
 
 
-def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_grad):
-    """Loss (and gradient) at theta = (log sf2, log l, log sn2) of the
-    columns y_1..y_k of y, (n, k) or (n,) for k = 1, which share one Gram
-    matrix K.
+def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_grad):
+    """Loss (and gradient) at theta = (log sf2, log l, log sn2) of each
+    target block y in ys, from one Gram matrix K at theta.
 
-    loss = sum_c (0.5 y_c^T K^-1 y_c + 0.5 log|K| + n/2 log(2 pi))
-           + l2 |theta|^2,
+    A block y, (n, k) or (n,) for k = 1, holds columns y_1..y_k that share
+    theta; its loss is
+        sum_c (0.5 y_c^T K^-1 y_c + 0.5 log|K| + n/2 log(2 pi)) + l2 |theta|^2,
     the sum of the k single-column NLLs with the penalty counted once.
     The gradient uses the trace identity
     dL/dtheta_j = sum_c 0.5 tr((K^-1 - a_c a_c^T) dK/dtheta_j) + 2 l2 theta_j,
     so the trace terms are k times a column's and the alpha terms are
     summed over the columns. tr(K^-1 R) is folded through tr(K^-1 K) = n,
     so that only the lengthscale derivative needs an explicit elementwise
-    pass. One factorisation (and, for a gradient, one inversion) serves
-    every column; with k = 1 the arithmetic is that of a single column,
-    bit for bit. A loss-only evaluation leaves its factor in ws.K; a
-    gradient turns it into the inverse.
+    pass. One factorisation (and, for gradients, one inversion and one
+    pass of each trace) serves every block; each block's own alpha and
+    alpha terms keep the arithmetic of an evaluation of that block alone,
+    so its bits do not depend on which blocks share the evaluation, and
+    with k = 1 they are those of a single column. Returns one (loss, grad)
+    per block, grad None unless want_grad. A loss-only evaluation leaves
+    its factor in ws.K; a gradient turns it into the inverse.
     """
     n = ws.n
-    k = 1 if y.ndim == 1 else y.shape[1]
-    _factor(theta, family, nu, ws, y, jitter)
-    L, alpha, j = ws.K, ws.alpha, ws.jitter
+    _factor(theta, family, nu, ws, jitter)
+    L, j = ws.K, ws.jitter
     logdet_half = float(np.sum(np.log(np.einsum("ii->i", L))))
-    y_alpha = float(np.vdot(y, alpha))
-    loss = (
-        0.5 * y_alpha
-        + k * logdet_half
-        + 0.5 * k * n * math.log(2.0 * math.pi)
-        + l2_weight * float(theta @ theta)
-    )
+    penalty = l2_weight * float(theta @ theta)
+    blocks = []  # (k, alpha, y^T alpha, loss) per block
+    for y in ys:
+        k = 1 if y.ndim == 1 else y.shape[1]
+        alpha = _solve_gram(L, y)
+        y_alpha = float(np.vdot(y, alpha))
+        loss = 0.5 * y_alpha + k * logdet_half + 0.5 * k * n * math.log(2.0 * math.pi) + penalty
+        blocks.append((k, alpha, y_alpha, loss))
     if not want_grad:
-        return loss, None
+        return [(loss, None) for *_, loss in blocks]
 
     sf2 = math.exp(theta[0])
     sn2 = math.exp(theta[2])
@@ -385,19 +399,21 @@ def _objective(theta, family, nu, ws: _Workspace, y, l2_weight, jitter, want_gra
     # the sum over the lower triangle.
     tr_kinv = float(np.einsum("ii->", inv))
     tr_kinv_dr = 2.0 * float(np.einsum("ij,ij->", inv, ws.dR))
-    alpha_dr_alpha = float(np.vdot(alpha, ws.dR @ alpha))
-    alpha_sq = float(np.vdot(alpha, alpha))
     c_diag = sn2 + j
-
-    grad = np.array(
-        [
-            0.5 * (k * (n - c_diag * tr_kinv) - (y_alpha - c_diag * alpha_sq)),
-            0.5 * sf2 * (k * tr_kinv_dr - alpha_dr_alpha),
-            0.5 * sn2 * (k * tr_kinv - alpha_sq),
-        ]
-    )
-    grad += 2.0 * l2_weight * np.asarray(theta)
-    return loss, grad
+    pairs = []
+    for k, alpha, y_alpha, loss in blocks:
+        alpha_dr_alpha = float(np.vdot(alpha, ws.dR @ alpha))
+        alpha_sq = float(np.vdot(alpha, alpha))
+        grad = np.array(
+            [
+                0.5 * (k * (n - c_diag * tr_kinv) - (y_alpha - c_diag * alpha_sq)),
+                0.5 * sf2 * (k * tr_kinv_dr - alpha_dr_alpha),
+                0.5 * sn2 * (k * tr_kinv - alpha_sq),
+            ]
+        )
+        grad += 2.0 * l2_weight * np.asarray(theta)
+        pairs.append((loss, grad))
+    return pairs
 
 
 def _targets(y) -> np.ndarray:
@@ -412,7 +428,9 @@ def nll(cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0) ->
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _targets(y)
     ws = _Workspace(X, grad=False)
-    loss, _ = _objective(cfg.log_params(), cfg.family, cfg.nu, ws, y, l2_weight, jitter, False)
+    [(loss, _)] = _objective(
+        cfg.log_params(), cfg.family, cfg.nu, ws, (y,), l2_weight, jitter, False
+    )
     return loss
 
 
@@ -423,7 +441,9 @@ def nll_gradient(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _targets(y)
     ws = _Workspace(X)
-    _, grad = _objective(cfg.log_params(), cfg.family, cfg.nu, ws, y, l2_weight, jitter, True)
+    [(_, grad)] = _objective(
+        cfg.log_params(), cfg.family, cfg.nu, ws, (y,), l2_weight, jitter, True
+    )
     return grad
 
 
@@ -449,10 +469,8 @@ def _condition(X, Z, configs, jitters, kept=None):
             cfg, j0 = key
             if ws is None:
                 ws = _Workspace(X, grad=False)
-            else:
-                ws.fresh_gram()  # the previous factor keeps its buffer
-            fill = partial(_fill_gram, cfg.log_params(), cfg.family, cfg.nu, ws)
-            shared[key] = _cholesky_in_place(ws.K, fill, j0)
+            _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
+            shared[key] = (ws.hand_over(), ws.jitter)
         factors.append(shared[key][0])
         used.append(shared[key][1])
     alphas = tuple(_solve_gram(L, Z[:, j]) for j, L in enumerate(factors))
@@ -618,9 +636,11 @@ class _BudgetSpent(Exception):
     """The optimiser asked for one evaluation more than the budget."""
 
 
-def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to: float):
+def _minimize_within(
+    fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to: float, first=None
+):
     """Minimise fun(theta, want_grad) -> (loss, grad) by L-BFGS-B in at most
-    budget calls.
+    budget evaluations.
 
     scipy's maxfun is checked only between iterations, so the budget is
     enforced here: the call that would exceed it raises instead, which
@@ -629,6 +649,10 @@ def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to
     (want_grad=False) and L-BFGS-B gets a zero gradient, after which it
     either stops or asks for the evaluation that raises. Returns the
     lowest-loss theta evaluated and the loss of every evaluation in order.
+
+    first, when given, is fun(theta0, want_grad=budget > 1), evaluated
+    already; it is the first evaluation when L-BFGS-B's first theta is
+    theta0, that is, when theta0 is inside the bounds.
 
     A fit that starts with a log noise variance below lift_noise_to can
     end on the plateau where so small a noise barely moves the loss, and
@@ -646,7 +670,10 @@ def _minimize_within(fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to
         if len(losses) == budget:
             raise _BudgetSpent
         last = len(losses) + 1 == budget
-        loss, grad = fun(theta, want_grad=not last)
+        if not losses and first is not None and np.array_equal(theta, theta0):
+            loss, grad = first
+        else:
+            loss, grad = fun(theta, want_grad=not last)
         thetas.append(np.array(theta))
         losses.append(loss)
         grads.append(grad)
@@ -675,29 +702,53 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
     inputs X, on the group's summed loss (_objective), from the
     log-parameters of the KernelConfig starts[j] of its first output j.
 
+    Groups that start from one theta (clipped into the bounds) share their
+    first evaluation: the first of them to be fitted evaluates theta once
+    for all of them (one Gram fill and factorisation and, when a gradient
+    is due, one inversion), and each takes its own loss and gradient from
+    it, bit for bit those of an evaluation of its own.
+
     Returns, per group, the kept log-parameters, the Cholesky factor and
-    jitter at them, and the loss curve. The factor is the workspace's K:
-    when the last evaluation was loss-only and kept, K already holds it;
-    otherwise it is factored once more at the kept log-parameters. The
+    jitter at them, and the loss curve. The factor is the workspace's K,
+    handed over to the group: when K still holds the factor at the kept
+    log-parameters (the last evaluation was loss-only and kept, or at a
+    budget of 1, the shared first evaluation) it goes over as it is, to
+    every group that kept them; otherwise it is factored once more. The
     workspace's other n x n buffers live only for the call.
     """
     ws = _Workspace(X)
+    objective = partial(
+        _objective, family=kernel.family, nu=kernel.nu, ws=ws,
+        l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
+    )
+    ys = [Z[:, outputs] for outputs in OUTPUT_GROUPS]
+    # clipped into the bounds, as L-BFGS-B clips a start, so that a shared
+    # first evaluation is at the theta each search evaluates first
+    lower, upper = np.array(_BOUNDS).T
+    thetas0 = [
+        np.clip(starts[outputs[0]].log_params(), lower, upper) for outputs in OUTPUT_GROUPS
+    ]
+    firsts = {}  # group -> its (loss, grad) from a first evaluation it shares
     fits = []
-    for g, outputs in enumerate(OUTPUT_GROUPS):
-        if g:
-            ws.fresh_gram()  # the previous group's factor goes to the model
-        y = Z[:, outputs]
-        loss_and_grad = partial(
-            _objective, family=kernel.family, nu=kernel.nu, ws=ws,
-            y=y, l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
-        )
+    for g, (y, theta0) in enumerate(zip(ys, thetas0)):
+        if g not in firsts:
+            together = [h for h in range(g, len(ys)) if np.array_equal(thetas0[h], theta0)]
+            if len(together) > 1:
+                # with the gradient _minimize_within asks of a first evaluation
+                pairs = objective(theta0, ys=[ys[h] for h in together],
+                                  want_grad=cfg.iterations > 1)
+                firsts.update(zip(together, pairs))
+
+        def own(theta, want_grad, y=y):
+            [pair] = objective(theta, ys=(y,), want_grad=want_grad)
+            return pair
+
         theta, curve = _minimize_within(
-            loss_and_grad, starts[outputs[0]].log_params(), _BOUNDS, cfg.iterations,
-            kernel.log_noise_var,
+            own, theta0, _BOUNDS, cfg.iterations, kernel.log_noise_var, firsts.get(g),
         )
         if not np.array_equal(ws.theta, theta):
-            _factor(theta, kernel.family, kernel.nu, ws, y, TRAIN_JITTER)
-        fits.append((theta, ws.K, ws.jitter, curve))
+            _factor(theta, kernel.family, kernel.nu, ws, TRAIN_JITTER)
+        fits.append((theta, ws.hand_over(), ws.jitter, curve))
     return fits
 
 
@@ -711,7 +762,8 @@ def train_gp(
     then minimises its loss over one set of log-parameters, inside the
     bounds (+-LOG_PARAM_BOUND, noise variance at least NOISE_VAR_FLOOR),
     starting from the log-parameters of starts[j] for its first output j
-    (one KernelConfig per output; None: the kernel's).
+    (one KernelConfig per output; None: the kernel's). Groups that start
+    from one theta share the evaluation there (_fit_outputs).
     cfg.iterations is an exact budget of loss evaluations per group: the
     search ends when L-BFGS-B converges or asks for one evaluation more,
     and the group keeps the lowest-loss parameters evaluated (with a

@@ -8,6 +8,8 @@ Reloading fills and factors one Gram matrix per distinct (hyperparameters,
 jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model
 that was saved. A file whose six outputs all differ loads to six factors.
+A file with other than six outputs, a norm_std of 0 or below or a
+negative jitter is rejected at that line.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .gp import MATERN, KernelConfig, OutputNormalizer, TrainedGP
 from .sfm_io import read_text, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
+N_OUTPUTS = 6  # x, y, z, r, g, b
 
 
 def _fmt(x: float) -> str:
@@ -100,6 +103,8 @@ def load_model(path) -> TrainedGP:
     input_dim = take_count("input_dim")
     n = take_count("train_points")
     n_outputs = take_count("outputs")
+    if n_outputs != N_OUTPUTS:
+        raise MalformedLine(path, pos, f"outputs: {n_outputs}, not {N_OUTPUTS}")
 
     configs: list[KernelConfig] = []
     means, stds, jitters = [], [], []
@@ -118,7 +123,11 @@ def load_model(path) -> TrainedGP:
             raise MalformedLine(path, block_line, f"output {j}: {exc}") from exc
         means.append(take_number("norm_mean"))
         stds.append(take_number("norm_std"))
+        if stds[-1] <= 0:
+            raise MalformedLine(path, pos, f"norm_std: {stds[-1]} is not positive")
         jitters.append(take_number("jitter"))
+        if jitters[-1] < 0:
+            raise MalformedLine(path, pos, f"jitter: {jitters[-1]} is below 0")
 
     def take_matrix(tag: str, rows: int, cols: int) -> np.ndarray:
         nonlocal pos

@@ -5,6 +5,7 @@ reference goes through Gamma/Bessel special functions, the posterior
 oracle uses explicit dense solves, the chamfer oracle is a double loop,
 the gradient oracle is central finite differences of the loss, the
 masked-trace gradient sums the whole inverse under a triangle mask, the
+per-group fit evaluates every output group's start on its own, the
 COLMAP oracle parses one line and one token at a time into plain Python
 values, the PLY reader reads back what write_ply writes, and the
 candidate and depth oracles go one pixel at a time, deduplicating
@@ -95,6 +96,32 @@ def masked_trace_gradient(cfg, X, y, l2_weight=0.0, jitter=0.0) -> np.ndarray:
         ]
     )
     return grad + 2.0 * l2_weight * theta
+
+
+def fit_outputs_per_group(X, Z, kernel, cfg, starts):
+    """gp._fit_outputs with every output group fitted alone: each group
+    evaluates its own start, in a workspace of its own, and keeps its own
+    factor, factored once more unless its last evaluation left it in K."""
+    fits = []
+    for outputs in gp.OUTPUT_GROUPS:
+        ws = gp._Workspace(X)
+        y = Z[:, outputs]
+
+        def loss_and_grad(theta, want_grad, ws=ws, y=y):
+            [pair] = gp._objective(
+                theta, family=kernel.family, nu=kernel.nu, ws=ws, ys=(y,),
+                l2_weight=cfg.l2_weight, jitter=gp.TRAIN_JITTER, want_grad=want_grad,
+            )
+            return pair
+
+        theta, curve = gp._minimize_within(
+            loss_and_grad, starts[outputs[0]].log_params(), gp._BOUNDS, cfg.iterations,
+            kernel.log_noise_var,
+        )
+        if not np.array_equal(ws.theta, theta):
+            gp._factor(theta, kernel.family, kernel.nu, ws, gp.TRAIN_JITTER)
+        fits.append((theta, ws.K, ws.jitter, curve))
+    return fits
 
 
 def posterior_oracle(model: gp.TrainedGP, Q: np.ndarray):

@@ -554,6 +554,79 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
 
 
+class TestModelFileRanges:
+    """A model-file value out of its range is bad data: exit 2 at its line."""
+
+    @pytest.fixture()
+    def model(self, fixture_dir, tmp_path):
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(model), "--iterations", "2"
+        ) == 0
+        return model
+
+    @staticmethod
+    def set_first(model, key, value) -> int:
+        """Set the first `key` line of the model file; returns its line number."""
+        lines = model.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+        lines[at] = f"{key} {value}"
+        model.write_text("\n".join(lines) + "\n")
+        return at + 1
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("outputs", "5", "outputs: 5, not 6"),
+        ("outputs", "7", "outputs: 7, not 6"),
+        ("norm_std", "0", "norm_std: 0.0 is not positive"),
+        ("norm_std", "-1", "norm_std: -1.0 is not positive"),
+        ("jitter", "-1e-08", "jitter: -1e-08 is below 0"),
+    ])
+    def test_exits_2_at_its_line(self, model, fixture_dir, tmp_path, capsys, key, value, message):
+        line = self.set_first(model, key, value)
+        capsys.readouterr()
+        cloud = tmp_path / "cloud.ply"
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(cloud),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{model}:{line}: {message}" in err
+        assert "Traceback" not in err
+        assert not cloud.exists()
+
+    def test_overflowing_log_parameter_exits_2_without_a_warning(
+        self, model, fixture_dir, tmp_path, capsys
+    ):
+        self.set_first(model, "log_signal_var", "800")
+        line = model.read_text().splitlines().index("output 0") + 1
+        capsys.readouterr()
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {model}:{line}: output 0: "
+            "log_signal_var=800.0 gives a non-finite parameter\n"
+        )
+
+    def test_negative_jitter_exits_2_instead_of_hanging(self, model, fixture_dir, tmp_path):
+        # the jitter escalation once multiplied a negative start by 10 for ever
+        line = self.set_first(model, "jitter", "-10")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "gpgs.cli", "densify", "--model-dir", str(fixture_dir),
+             "--gp-model", str(model), "--output", str(tmp_path / "cloud.ply")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        assert f"{model}:{line}: jitter: -10.0 is below 0" in result.stderr
+
+
 class TestBadUtf8:
     """A byte that is not UTF-8 in an input file is bad data: exit 2."""
 

@@ -14,6 +14,7 @@ from scipy.linalg.lapack import dpotrf
 from gpgs import errors, gp, metrics, model_io, sfm_io
 from oracles import (
     finite_difference_gradient,
+    fit_outputs_per_group,
     masked_trace_gradient,
     matern_reference,
     posterior_oracle,
@@ -28,6 +29,11 @@ NEAR_ZERO_NOISE = -700.0  # exp(-700) ~ 1e-304, numerically a zero noise floor
 # ---------------------------------------------------------------------------
 
 class TestKernelValue:
+    @pytest.mark.parametrize("name", ["log_signal_var", "log_lengthscale", "log_noise_var"])
+    def test_overflowing_log_parameter_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name}=800.0 gives a non-finite parameter"):
+            gp.KernelConfig(**{name: 800.0})
+
     def test_at_zero_distance_equals_signal_var(self):
         cfg = gp.KernelConfig("matern", 0.5, math.log(2.5), 0.0, -5.0)
         assert gp.kernel_value(cfg, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(2.5)
@@ -287,6 +293,21 @@ class TestJitterEscalation:
         model = gp.TrainedGP.fit(X, Z, [cfg], gp.OutputNormalizer.identity(1), 1, 1, jitter=0.0)
         assert 0.0 < model.jitters[0] <= gp.MAX_JITTER
 
+    @pytest.mark.parametrize("start", [-10.0, 0.0])
+    def test_escalation_from_zero_or_below_starts_at_the_floor(self, start):
+        K = np.empty((1, 1), order="F")
+        tried = []
+
+        def fill(j):
+            tried.append(j)
+            assert len(tried) <= 20, "the escalation does not end"
+            K[0, 0] = -1.0  # never positive definite
+
+        with pytest.raises(errors.NotPositiveDefinite):
+            gp._cholesky_in_place(K, fill, start)
+        assert tried[:2] == [start, 1e-10]
+        assert len(tried) == 10 and tried[-1] == pytest.approx(gp.MAX_JITTER)
+
     def test_hopeless_matrix_raises(self):
         cfg = gp.KernelConfig("matern", 0.5, 700.0, 0.0, NEAR_ZERO_NOISE)
         X = np.zeros((2, 2))
@@ -336,7 +357,7 @@ class TestTrainGp:
         original = gp._objective
 
         def counted(theta, *args, **kwargs):
-            calls.append(kwargs["y"][0].tolist())
+            calls.append([y[0].tolist() for y in kwargs["ys"]])
             return original(theta, *args, **kwargs)
 
         monkeypatch.setattr(gp, "_objective", counted)
@@ -345,12 +366,11 @@ class TestTrainGp:
         cfg = gp.TrainConfig(iterations=budget)
         model = gp.train_gp(ds, kernel, cfg)
         monkeypatch.setattr(gp, "_objective", original)
-        # groups train one after another, each on its own block of target columns
+        # the groups share their first evaluation, at their common start, then
+        # train one after another, each on its own block of target columns
         assert gp.OUTPUT_GROUPS == ((0,), (1,), (2,), (3, 4, 5))
-        assert calls == [
-            model.Z[0, list(outputs)].tolist() for outputs in gp.OUTPUT_GROUPS
-            for _ in range(budget)
-        ]
+        rows = [model.Z[0, list(outputs)].tolist() for outputs in gp.OUTPUT_GROUPS]
+        assert calls == [rows] + [[row] for row in rows for _ in range(budget - 1)]
         assert len(model.loss_curves) == len(gp.OUTPUT_GROUPS)
         for outputs, curve in zip(gp.OUTPUT_GROUPS, model.loss_curves):
             trained = model.configs[outputs[0]]
@@ -398,9 +418,11 @@ class TestTrainGp:
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=budget))
         assert len(model.loss_curves) == len(gp.OUTPUT_GROUPS)
-        assert len(wants) == sum(map(len, model.loss_curves))
+        # the first evaluation, at the groups' common start, is every group's
+        shared, *wants = wants
+        assert len(wants) == sum(map(len, model.loss_curves)) - len(gp.OUTPUT_GROUPS)
         for curve in model.loss_curves:
-            used, wants = wants[:len(curve)], wants[len(curve):]
+            used, wants = [shared] + wants[:len(curve) - 1], wants[len(curve) - 1:]
             spent = len(curve) == budget
             assert used == [True] * (len(curve) - spent) + [False] * spent
         if budget == 200:  # the smooth scene converges well inside this budget
@@ -497,12 +519,12 @@ class TestFactorHandover:
         for a, b in zip(model.alphas, refit.alphas):
             assert np.array_equal(a, b)
 
-    def test_budget_of_one_factors_once_per_group(self, monkeypatch):
+    def test_budget_of_one_factors_once(self, monkeypatch):
         calls = self.count_dpotrf(monkeypatch)
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=1))
-        assert len(calls) == len(gp.OUTPUT_GROUPS) == 4
-        # every group kept its start, so the four equal factors are one
+        # every group evaluated and kept the one start: one factor serves all
+        assert len(calls) == 1
         assert model.groups == [list(range(6))]
 
     @pytest.mark.parametrize("budget", [5, 1000])
@@ -512,12 +534,77 @@ class TestFactorHandover:
                             gp.TrainConfig(iterations=budget))
         assert model.jitters == (gp.TRAIN_JITTER,) * 6  # no escalation retries
         # K still holds the factor only when the last evaluation was the
-        # loss-only one that spent the budget, and it was kept
+        # loss-only one that spent the budget, and it was kept; the four
+        # groups' first evaluations, at one start, are one
         held = sum(
             len(curve) == budget and int(np.argmin(curve)) == len(curve) - 1
             for curve in model.loss_curves
         )
-        assert len(calls) == sum(map(len, model.loss_curves)) + len(gp.OUTPUT_GROUPS) - held
+        shared = len(gp.OUTPUT_GROUPS) - 1
+        assert len(calls) == (
+            sum(map(len, model.loss_curves)) - shared + len(gp.OUTPUT_GROUPS) - held
+        )
+
+
+class TestSharedFirstEvaluation:
+    """Groups that start from one theta share their first evaluation, and
+    every result is bit for bit that of fitting each group alone
+    (oracles.fit_outputs_per_group)."""
+
+    KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
+    A, B, C = [0.1, -1.0, -8.0], [0.3, -1.3, -6.0], [-0.2, -0.8, -9.0]
+    STARTS = {  # log-parameters per output, None: the kernel's
+        "cold": None,
+        "distinct": [A, B, C, [0.2, -1.1, -7.0], [0.2, -1.1, -7.0], [0.2, -1.1, -7.0]],
+        "x=y=rgb": [A, A, B, A, A, A],
+        "x=y,z=rgb": [A, A, B, B, B, B],
+        "clipped": [[25.0, -1.0, -30.0]] * 6,  # outside the bounds, all equal
+    }
+
+    @staticmethod
+    def fits(monkeypatch, family, nu, budget, kind):
+        """(train_gp, per-group oracle) models and their dpotrf counts."""
+        kernel = gp.default_kernel(family, nu)
+        logs = TestSharedFirstEvaluation.STARTS[kind]
+        starts = None if logs is None else [kernel.with_log_params(t) for t in logs]
+        ds, cfg = make_scene("smooth", 60, seed=1), gp.TrainConfig(iterations=budget)
+        calls = TestFactorHandover.count_dpotrf(monkeypatch)
+        models, counts = [], []
+        for fit in (gp._fit_outputs, fit_outputs_per_group):
+            monkeypatch.setattr(gp, "_fit_outputs", fit)
+            calls.clear()
+            models.append(gp.train_gp(ds, kernel, cfg, starts=starts))
+            counts.append(len(calls))
+        return models, counts
+
+    @pytest.mark.parametrize("kind", list(STARTS))
+    @pytest.mark.parametrize("budget", [1, 2, 5, 1000])
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_bit_equal_to_per_group_fits(self, monkeypatch, family, nu, budget, kind):
+        (shared, alone), _ = self.fits(monkeypatch, family, nu, budget, kind)
+        if budget == 1000:  # converged
+            assert all(len(curve) < budget for curve in alone.loss_curves)
+        assert shared.configs == alone.configs
+        assert shared.jitters == alone.jitters
+        for name in ("loss_curves", "factors", "alphas"):
+            for a, b in zip(getattr(shared, name), getattr(alone, name), strict=True):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 1000])
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    def test_cold_fit_factors_the_start_once(self, monkeypatch, family, nu, budget):
+        (_, alone), (count, per_group) = self.fits(monkeypatch, family, nu, budget, "cold")
+        evaluations = sum(map(len, alone.loss_curves))
+        refactors = per_group - evaluations
+        if budget == 1:
+            assert count == 1 and refactors == 0
+        else:
+            # the four groups' first evaluations are one
+            assert count == evaluations - 3 + refactors
+
+    def test_distinct_starts_share_nothing(self, monkeypatch):
+        _, (count, per_group) = self.fits(monkeypatch, "matern", 0.5, 5, "distinct")
+        assert count == per_group
 
 
 class TestStarts:
@@ -603,7 +690,9 @@ class TestStarts:
         original = gp._minimize_within
         monkeypatch.setattr(
             gp, "_minimize_within",
-            lambda fun, theta0, bounds, budget, _: original(fun, theta0, bounds, budget, -math.inf),
+            lambda fun, theta0, bounds, budget, _, *first: original(
+                fun, theta0, bounds, budget, -math.inf, *first
+            ),
         )
         plain = gp.train_gp(ds, gp.default_kernel(), cfg)
         for a, b in zip(lifting.loss_curves, plain.loss_curves):
