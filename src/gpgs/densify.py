@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPredictionSet
+from .errors import DimensionMismatch, EmptyPredictionSet, NonFinitePrediction
 from .gp import TrainedGP, posterior
-from .pointcloud import DensifiedCloud, PointSource
+from .pointcloud import FLOAT32_MAX, DensifiedCloud, PointSource
 from .sfm_io import DepthMap, SparseModel
 
 
@@ -138,13 +138,20 @@ def merge_clouds(sparse: SparseModel, preds: PredictedPointSet) -> DensifiedClou
     """Union of the sparse SfM points and the retained predictions.
 
     Predicted colours are clamped to [0, 1] and quantized to 8 bits;
-    every point carries its provenance tag.
+    every point carries its provenance tag. A retained prediction that is
+    not finite in float32 raises NonFinitePrediction.
     """
     sparse_pos = sparse.points3d.xyz.astype(np.float32)
     sparse_col = sparse.points3d.rgb
-    keep = preds.retained
-    gp_pos = preds.mean6[keep, :3].astype(np.float32)
-    gp_col = np.rint(np.clip(preds.mean6[keep, 3:6], 0.0, 1.0) * 255.0).astype(np.uint8)
+    gp_mean = preds.mean6[preds.retained]
+    bad = np.count_nonzero(~(np.abs(gp_mean) <= FLOAT32_MAX).all(axis=1))
+    if bad:
+        raise NonFinitePrediction(
+            f"{bad} of {len(gp_mean)} retained predictions are not finite in float32; "
+            "the model's hyperparameters or normalisation are out of range"
+        )
+    gp_pos = gp_mean[:, :3].astype(np.float32)
+    gp_col = np.rint(np.clip(gp_mean[:, 3:6], 0.0, 1.0) * 255.0).astype(np.uint8)
     positions = np.concatenate([sparse_pos, gp_pos], axis=0)
     colors = np.concatenate([sparse_col, gp_col], axis=0)
     sources = np.concatenate(

@@ -92,6 +92,11 @@ class EmptyPredictionSet(InputDataError):
     pass
 
 
+class NonFinitePrediction(InputDataError):
+    """A retained prediction that a PLY float cannot hold: the model file's
+    values are out of range."""
+
+
 # --- metrics ----------------------------------------------------------------
 
 class EmptySet(InputDataError):

@@ -9,7 +9,8 @@ share hyperparameters share one Gram matrix, factored once, and one
 posterior variance; groups whose fits start from one set of
 hyperparameters share the evaluation there. Kernels are Matérn (closed
 forms for half-integer smoothness) or RBF; hyperparameters live in log
-space and are fitted by bounded L-BFGS-B (Byrd et al. 1995) on the
+space and are fitted by bounded L-BFGS-B (Byrd et al. 1995; the noise
+variance bounded below only, so that the first step stays short) on the
 negative log marginal likelihood plus an L2 penalty on the log
 parameters, with the analytic gradient (Rasmussen & Williams, "Gaussian
 Processes for Machine Learning", ch. 5). The linear algebra follows
@@ -49,15 +50,21 @@ NOISE_VAR_FLOOR = 1e-10
 TRAIN_JITTER = 1e-8
 MAX_JITTER = 1e-2
 
-# Box bounds of the log-parameters for L-BFGS-B, so that every exp() stays
-# finite and the Gram matrix computable wherever the optimiser probes.
+# Bounds of the log-parameters for L-BFGS-B. The noise variance is bounded
+# below only: with every variable bounded on both sides, L-BFGS-B's first
+# line search tries a unit step along -g, which with gradients of O(10-100)
+# lands in the corner of the box, where the loss is 1e6 to 1e10; with one
+# variable unbounded it tries a step of length at most 1 instead (Byrd et
+# al. 1995). No probe with a log noise variance above LOG_PARAM_BOUND is
+# evaluated (_minimize_within), so every exp() stays finite and the Gram
+# matrix computable wherever the optimiser probes.
 LOG_PARAM_BOUND = 20.0
 # The largest log-parameter whose exp() is a finite float.
 _MAX_FINITE_LOG = math.log(sys.float_info.max)
 _BOUNDS = (
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
-    (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
+    (math.log(NOISE_VAR_FLOOR), None),
 )
 
 # The outputs whose hyperparameters training fits together, in the order
@@ -90,6 +97,13 @@ class KernelConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value <= _MAX_FINITE_LOG):
                 raise ValueError(f"{name}={value} gives a non-finite parameter")
+        # every kernel scales distances by c / l, c at most sqrt(5) (_SCALED_FACTOR)
+        ell = math.exp(self.log_lengthscale)
+        if ell == 0.0 or math.isinf(math.sqrt(5.0) / ell):
+            raise ValueError(
+                f"log_lengthscale={self.log_lengthscale} gives a non-finite kernel "
+                "scaling sqrt(5)/lengthscale"
+            )
 
     @property
     def signal_var(self) -> float:
@@ -650,6 +664,12 @@ def _minimize_within(
     either stops or asks for the evaluation that raises. Returns the
     lowest-loss theta evaluated and the loss of every evaluation in order.
 
+    The noise variance has no upper bound (_BOUNDS), and exp() of its log
+    overflows past 709.78. A probe with a log noise variance above
+    LOG_PARAM_BOUND is therefore answered with an infinite loss and a zero
+    gradient, without a call to fun; L-BFGS-B backtracks from it, and it
+    is never the one kept unless every evaluation is one.
+
     first, when given, is fun(theta0, want_grad=budget > 1), evaluated
     already; it is the first evaluation when L-BFGS-B's first theta is
     theta0, that is, when theta0 is inside the bounds.
@@ -670,7 +690,9 @@ def _minimize_within(
         if len(losses) == budget:
             raise _BudgetSpent
         last = len(losses) + 1 == budget
-        if not losses and first is not None and np.array_equal(theta, theta0):
+        if theta[2] > LOG_PARAM_BOUND:
+            loss, grad = math.inf, np.zeros_like(theta)
+        elif not losses and first is not None and np.array_equal(theta, theta0):
             loss, grad = first
         else:
             loss, grad = fun(theta, want_grad=not last)
@@ -723,10 +745,13 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
     )
     ys = [Z[:, outputs] for outputs in OUTPUT_GROUPS]
     # clipped into the bounds, as L-BFGS-B clips a start, so that a shared
-    # first evaluation is at the theta each search evaluates first
-    lower, upper = np.array(_BOUNDS).T
+    # first evaluation is at the theta each search evaluates first; the
+    # noise, which has no upper bound, to at most LOG_PARAM_BOUND, above
+    # which _minimize_within evaluates no probe
+    lower = [low for low, _ in _BOUNDS]
     thetas0 = [
-        np.clip(starts[outputs[0]].log_params(), lower, upper) for outputs in OUTPUT_GROUPS
+        np.clip(starts[outputs[0]].log_params(), lower, LOG_PARAM_BOUND)
+        for outputs in OUTPUT_GROUPS
     ]
     firsts = {}  # group -> its (loss, grad) from a first evaluation it shares
     fits = []
@@ -760,10 +785,14 @@ def train_gp(
     Targets are standardized per output. Each group of OUTPUT_GROUPS (x,
     y and z alone; r, g and b together, on the sum of their three NLLs)
     then minimises its loss over one set of log-parameters, inside the
-    bounds (+-LOG_PARAM_BOUND, noise variance at least NOISE_VAR_FLOOR),
-    starting from the log-parameters of starts[j] for its first output j
-    (one KernelConfig per output; None: the kernel's). Groups that start
-    from one theta share the evaluation there (_fit_outputs).
+    bounds (_BOUNDS: signal variance and lengthscale within
+    +-LOG_PARAM_BOUND; noise variance at least NOISE_VAR_FLOOR and
+    bounded below only, so that L-BFGS-B's first step is no longer than 1
+    instead of a step into the corner of the box; a probe with a log noise
+    variance above LOG_PARAM_BOUND gets an infinite loss and is never
+    kept), starting from the log-parameters of starts[j] for its first
+    output j (one KernelConfig per output; None: the kernel's). Groups
+    that start from one theta share the evaluation there (_fit_outputs).
     cfg.iterations is an exact budget of loss evaluations per group: the
     search ends when L-BFGS-B converges or asks for one evaluation more,
     and the group keeps the lowest-loss parameters evaluated (with a

@@ -9,7 +9,9 @@ jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model
 that was saved. A file whose six outputs all differ loads to six factors.
 A file with other than six outputs, a norm_std of 0 or below or a
-negative jitter is rejected at that line.
+negative jitter is rejected at that line; a log-parameter whose
+exponential overflows, or a log-lengthscale so small that the kernel's
+sqrt(5)/lengthscale scaling does, at the line of its output block.
 """
 
 from __future__ import annotations

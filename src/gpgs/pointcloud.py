@@ -8,6 +8,11 @@ from enum import IntEnum
 import numpy as np
 
 
+# The largest magnitude a PLY ``float`` coordinate holds: a position beyond
+# it is not finite in float32.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 class PointSource(IntEnum):
     """Provenance tag stored per point (also the on-disk uchar value)."""
 

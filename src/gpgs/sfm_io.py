@@ -33,7 +33,7 @@ from .errors import (
     TruncatedPayload,
     UnknownImage,
 )
-from .pointcloud import DensifiedCloud
+from .pointcloud import FLOAT32_MAX, DensifiedCloud
 
 # Feature with no 3D track; COLMAP writes -1 in images.txt.
 SENTINEL_NONE = -1
@@ -383,9 +383,9 @@ def _points_table(rows: list[list[str]]) -> PointsTable:
     sorted_ids = np.sort(ids)
     if (
         np.any(sorted_ids[1:] == sorted_ids[:-1]) or np.any((rgb < 0) | (rgb > 255))
-        or not np.isfinite(xyz).all()
+        or not (np.abs(xyz) <= FLOAT32_MAX).all()
     ):
-        raise ValueError("duplicate point id, colour out of 8-bit range or non-finite xyz")
+        raise ValueError("duplicate point id, colour out of 8-bit range or xyz beyond float32")
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum((lengths - 8) // 2, out=offsets[1:])
     return PointsTable(ids, xyz, rgb.astype(np.uint8), error, offsets, track)
@@ -415,6 +415,8 @@ def _raise_first_bad_point(path: Path, rows: list[list[str]], linenos: list[int]
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not np.isfinite(xyz).all():
             raise MalformedLine(path, lineno, f"non-finite position: {tokens[1:4]}")
+        if not (np.abs(xyz) <= FLOAT32_MAX).all():
+            raise MalformedLine(path, lineno, f"position beyond float32 range: {tokens[1:4]}")
         point3d_id = int(ids[0])
         if point3d_id in seen:
             raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")

@@ -297,6 +297,8 @@ def _oracle_points(path):
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not all(map(math.isfinite, xyz)):
             raise MalformedLine(path, lineno, f"non-finite position: {tokens[1:4]}")
+        if any(abs(c) > _FLOAT32_MAX for c in xyz):
+            raise MalformedLine(path, lineno, f"position beyond float32 range: {tokens[1:4]}")
         if point3d_id in seen:
             raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
         if any(c < 0 or c > 255 for c in rgb):
@@ -304,6 +306,10 @@ def _oracle_points(path):
         seen.add(point3d_id)
         points.append((point3d_id, xyz, rgb, error, track))
     return points
+
+
+# The largest finite float32, (2 - 2^-23) * 2^127.
+_FLOAT32_MAX = (2.0 - 2.0**-23) * 2.0**127
 
 
 def parse_colmap_oracle(dir_path):

@@ -130,6 +130,29 @@ class TestTrain:
         assert all(groups.count(name) <= 20 for name in set(groups))
         assert len(lines) == 1 + 20 * 4
 
+    def test_infinite_loss_row_written_and_printed(self, dataset, tmp_path, monkeypatch, capsys):
+        # a loss that falls as the noise grows drives the search past
+        # LOG_PARAM_BOUND, where the probe's loss is infinite
+        original = gp._objective
+
+        def tilted(theta, *args, **kwargs):
+            return [
+                (loss - 1e4 * theta[2], None if grad is None else grad - [0.0, 0.0, 1e4])
+                for loss, grad in original(theta, *args, **kwargs)
+            ]
+
+        monkeypatch.setattr(gp, "_objective", tilted)
+        model_path = tmp_path / "model.txt"
+        assert run(
+            "train", "--dataset", str(dataset), "--output", str(model_path),
+            "--iterations", "30",
+        ) == 0
+        rows = (tmp_path / "model_loss.csv").read_text().splitlines()[1:]
+        assert any(row.endswith(",inf") for row in rows)
+        finals = capsys.readouterr().out.split("final per-group NLL: ")[1].splitlines()[0]
+        assert all(np.isfinite(float(entry.split("=")[1])) for entry in finals.split())
+        assert model_io.load_model(model_path).configs[0].log_noise_var <= gp.LOG_PARAM_BOUND
+
     def test_nu_recorded_in_model_file(self, dataset, tmp_path):
         model_path = tmp_path / "model.txt"
         run(
@@ -612,6 +635,43 @@ class TestModelFileRanges:
             "log_signal_var=800.0 gives a non-finite parameter\n"
         )
 
+    @pytest.mark.parametrize("value", [-740.0, -800.0])
+    def test_underflowing_lengthscale_exits_2_without_a_warning(
+        self, model, fixture_dir, tmp_path, capsys, value
+    ):
+        # exp(-800) is 0: a ZeroDivisionError in the kernel; sqrt(5) / exp(-740)
+        # overflows: a NaN Gram matrix
+        self.set_first(model, "log_lengthscale", str(value))
+        line = model.read_text().splitlines().index("output 0") + 1
+        capsys.readouterr()
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {model}:{line}: output 0: "
+            f"log_lengthscale={value} gives a non-finite kernel scaling sqrt(5)/lengthscale\n"
+        )
+
+    def test_prediction_beyond_float32_exits_2_before_the_cloud(
+        self, model, fixture_dir, tmp_path, capsys
+    ):
+        # the denormalised means are finite in float64, not in float32
+        self.set_first(model, "norm_mean", "1e308")
+        capsys.readouterr()
+        cloud = tmp_path / "cloud.ply"
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(cloud),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "retained predictions are not finite in float32" in err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert not cloud.exists()
+        assert not (tmp_path / "cloud_variance.csv").exists()
+
     def test_negative_jitter_exits_2_instead_of_hanging(self, model, fixture_dir, tmp_path):
         # the jitter escalation once multiplied a negative start by 10 for ever
         line = self.set_first(model, "jitter", "-10")
@@ -690,6 +750,20 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert "points3D.txt:4: non-finite position: ['nan', '1.0', '2.0']" in err
         assert not (tmp_path / "run" / "model.txt").exists()
+
+    @pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
+    def test_points3d_position_beyond_float32(self, fixture_dir, tmp_path, capsys, value):
+        # finite in float64, but the cloud's float32 positions cannot hold it
+        self.replace_token(fixture_dir / "points3D.txt", 3, 2, value)
+        run_dir = tmp_path / "run"
+        code = run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(run_dir),
+            "--iterations", "5",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"points3D.txt:4: position beyond float32 range: ['0.5', '{value}', '2.0']" in err
+        assert sorted(p.name for p in run_dir.iterdir()) == ["run-config.txt"]
 
     def test_feature_coordinate(self, fixture_dir, tmp_path, capsys):
         self.replace_token(fixture_dir / "images.txt", 4, 1, "inf")

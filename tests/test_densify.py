@@ -328,6 +328,16 @@ class TestMergeClouds:
         cloud = dn.merge_clouds(sparse, preds)
         assert cloud.colors[-1].tolist() == [0, 128, 255]
 
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_only_a_retained_prediction_must_fit_float32(self, sparse, value):
+        preds = predictions_from_variances([1.0, 2.0])
+        preds.mean6[1, 1] = value
+        kept_first = dn.filter_by_variance(preds, dn.FilterConfig(quantile=0.5))
+        assert len(dn.merge_clouds(sparse, kept_first)) == 6 + 1
+        both = dn.filter_by_variance(preds, dn.FilterConfig(quantile=1.0))
+        with pytest.raises(errors.NonFinitePrediction, match="1 of 2 retained predictions"):
+            dn.merge_clouds(sparse, both)
+
 
 # ---------------------------------------------------------------------------
 # variance_reduction_report

@@ -34,6 +34,19 @@ class TestKernelValue:
         with pytest.raises(ValueError, match=f"{name}=800.0 gives a non-finite parameter"):
             gp.KernelConfig(**{name: 800.0})
 
+    @pytest.mark.parametrize("value", [-740.0, -800.0])
+    def test_underflowing_lengthscale_rejected(self, value):
+        # exp(-800) is 0 (a division by zero in the kernel); exp(-740) is
+        # subnormal and sqrt(5) / exp(-740) overflows (a NaN Gram matrix)
+        with pytest.raises(ValueError, match=f"log_lengthscale={value} gives a non-finite kernel"):
+            gp.KernelConfig(log_lengthscale=value)
+
+    @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("matern", 1.5),
+                                           ("matern", 2.5), ("rbf", None)])
+    def test_tiny_accepted_lengthscale_fills_a_finite_gram_matrix(self, family, nu):
+        cfg = gp.KernelConfig(family, nu, log_lengthscale=-708.9)
+        assert np.isfinite(gp.gram_matrix(cfg, np.zeros((2, 2)))).all()
+
     def test_at_zero_distance_equals_signal_var(self):
         cfg = gp.KernelConfig("matern", 0.5, math.log(2.5), 0.0, -5.0)
         assert gp.kernel_value(cfg, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(2.5)
@@ -710,6 +723,79 @@ class TestStarts:
         cold = gp.train_gp(data, kernel, cfg)
         self.assert_as_good(warm, cold, fresh)
         assert sum(map(len, warm.loss_curves)) < sum(map(len, cold.loss_curves))
+
+
+class TestUnboundedNoise:
+    """The noise variance has no upper bound, so L-BFGS-B's first step is
+    no longer than 1; probes above LOG_PARAM_BOUND are not evaluated."""
+
+    @staticmethod
+    def record_searches(monkeypatch):
+        """The thetas each L-BFGS-B search evaluated, in order, one list per search."""
+        searches = []
+        original = gp._minimize_within
+
+        def recorded(fun, theta0, bounds, budget, lift_noise_to, first=None):
+            # a shared first evaluation is at theta0 and does not call fun
+            evaluated = [] if first is None else [np.array(theta0)]
+            searches.append(evaluated)
+
+            def spy(theta, **kwargs):
+                evaluated.append(np.array(theta))
+                return fun(theta, **kwargs)
+
+            return original(spy, theta0, bounds, budget, lift_noise_to, first)
+
+        monkeypatch.setattr(gp, "_minimize_within", recorded)
+        return searches
+
+    @pytest.mark.parametrize("family,nu", TestFactorHandover.KERNELS)
+    def test_first_step_stays_within_unit_distance(self, monkeypatch, family, nu):
+        # with every variable bounded on both sides, the second theta was
+        # the box corner (log sf2 = -20, log l = +20)
+        searches = self.record_searches(monkeypatch)
+        gp.train_gp(make_scene("smooth", 150, seed=1), gp.default_kernel(family, nu),
+                    gp.TrainConfig(iterations=3))
+        assert len(searches) == len(gp.OUTPUT_GROUPS)
+        for evaluated in searches:
+            assert np.linalg.norm(evaluated[1] - evaluated[0]) <= 1.0 + 1e-12
+
+    def test_search_towards_infinite_noise_is_guarded(self, monkeypatch):
+        # every loss tilted by -1e4 * log noise variance falls as the noise grows
+        seen = []
+        original = gp._objective
+
+        def tilted(theta, *args, **kwargs):
+            seen.append(np.array(theta))
+            return [
+                (loss - 1e4 * theta[2], None if grad is None else grad - [0.0, 0.0, 1e4])
+                for loss, grad in original(theta, *args, **kwargs)
+            ]
+
+        monkeypatch.setattr(gp, "_objective", tilted)
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
+                            gp.TrainConfig(iterations=60))
+        # the search probed past the guard and backtracked from it ...
+        assert any(np.isinf(curve).any() for curve in model.loss_curves)
+        # ... without evaluating a Gram matrix there
+        assert max(theta[2] for theta in seen) <= gp.LOG_PARAM_BOUND
+        for cfg in model.configs:
+            theta = cfg.log_params()
+            assert np.isfinite(theta).all() and theta[2] <= gp.LOG_PARAM_BOUND
+            assert gp.KernelConfig(cfg.family, cfg.nu, *theta) == cfg
+        for curve in model.loss_curves:
+            assert np.isfinite(curve.min())
+
+    def test_start_above_the_guard_is_clipped_to_it(self, monkeypatch):
+        searches = self.record_searches(monkeypatch)
+        kernel = gp.default_kernel()
+        start = kernel.with_log_params([0.0, -1.0, 30.0])
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
+                            gp.TrainConfig(iterations=5), starts=[start] * 6)
+        for evaluated in searches:
+            assert np.array_equal(evaluated[0], [0.0, -1.0, gp.LOG_PARAM_BOUND])
+        for curve in model.loss_curves:
+            assert np.isfinite(curve).all()
 
 
 # ---------------------------------------------------------------------------

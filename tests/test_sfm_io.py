@@ -215,7 +215,7 @@ class TestParserMatchesOracle:
                 st.sampled_from(
                     ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
                      "feature_token", "track_image", "track_feature", "feature_point",
-                     "feature_nan", "xyz_nan"]
+                     "feature_nan", "xyz_nan", "xyz_float32"]
                 ),
                 st.integers(0, 10**6),
             ),
@@ -272,6 +272,8 @@ def _corrupt(images, points, kind, pick):
         row[4 + pick % 3] = "red"
     elif kind == "xyz_nan":
         row[1 + pick % 3] = ("nan", "inf", "-inf")[pick % 3]
+    elif kind == "xyz_float32":
+        row[1 + pick % 3] = ("1e39", "-3.4028236e38", "1e308")[pick % 3]
     elif kind == "rgb_256":
         row[4 + pick % 3] = "256"
     elif kind == "track_token":
