@@ -9,13 +9,15 @@ share hyperparameters share one Gram matrix, factored once, and one
 posterior variance; groups whose fits start from one set of
 hyperparameters share the evaluation there. Kernels are Matérn (closed
 forms for half-integer smoothness) or RBF; hyperparameters live in log
-space and are fitted by bounded L-BFGS-B (Byrd et al. 1995; the noise
-variance bounded below only, so that the first step stays short) on the
-negative log marginal likelihood plus an L2 penalty on the log
-parameters, with the analytic gradient (Rasmussen & Williams, "Gaussian
-Processes for Machine Learning", ch. 5). The linear algebra follows
-their Algorithm 2.1 (Cholesky factorisation, no explicit inverses in the
-prediction path).
+space, inside a box, and are fitted by a projected Newton search with a
+step radius (Nocedal & Wright, "Numerical Optimization", 2006, ch. 4) on
+the negative log marginal likelihood plus an L2 penalty on the log
+parameters, with its analytic gradient and exact Hessian (Rasmussen &
+Williams, "Gaussian Processes for Machine Learning", 2006, §5.4.1). The
+linear algebra follows their Algorithm 2.1 (Cholesky factorisation, no
+explicit inverses in the prediction path). Every n x n matrix product
+goes through scipy's BLAS, the library its LAPACK calls use, so that a
+second BLAS thread pool (numpy's) does not contend with it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemv, dsymm, dsymv
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.spatial.distance import cdist
 
@@ -50,22 +53,30 @@ NOISE_VAR_FLOOR = 1e-10
 TRAIN_JITTER = 1e-8
 MAX_JITTER = 1e-2
 
-# Bounds of the log-parameters for L-BFGS-B. The noise variance is bounded
-# below only: with every variable bounded on both sides, L-BFGS-B's first
-# line search tries a unit step along -g, which with gradients of O(10-100)
-# lands in the corner of the box, where the loss is 1e6 to 1e10; with one
-# variable unbounded it tries a step of length at most 1 instead (Byrd et
-# al. 1995). No probe with a log noise variance above LOG_PARAM_BOUND is
-# evaluated (_minimize_within), so every exp() stays finite and the Gram
-# matrix computable wherever the optimiser probes.
+# The box of the log-parameters that training searches: signal variance
+# and lengthscale within +-LOG_PARAM_BOUND, noise variance from
+# NOISE_VAR_FLOOR to exp(LOG_PARAM_BOUND). Every exp() in it is finite,
+# and so is the Gram matrix at every point of it.
 LOG_PARAM_BOUND = 20.0
 # The largest log-parameter whose exp() is a finite float.
 _MAX_FINITE_LOG = math.log(sys.float_info.max)
 _BOUNDS = (
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
     (-LOG_PARAM_BOUND, LOG_PARAM_BOUND),
-    (math.log(NOISE_VAR_FLOOR), None),
+    (math.log(NOISE_VAR_FLOOR), LOG_PARAM_BOUND),
 )
+_LOWER, _UPPER = np.array(_BOUNDS).T
+
+# The Newton search's stopping tests, L-BFGS-B's defaults (Byrd et al.
+# 1995): a relative reduction of the loss of at most factr * machine
+# epsilon, with factr = 1e7, or a projected gradient of at most _PGTOL in
+# every component.
+_FTOL = 1e7 * np.finfo(float).eps
+_PGTOL = 1e-5
+# Sufficient decrease of an accepted step (Armijo), and the floor of the
+# Hessian's eigenvalue magnitudes, relative to the largest.
+_ARMIJO = 1e-4
+_EIG_FLOOR = 1e-8
 
 # The outputs whose hyperparameters training fits together, in the order
 # it fits them: x, y and z alone, r, g and b as one group.
@@ -258,11 +269,12 @@ def _needs_scratch(cfg: KernelConfig) -> bool:
 class _Workspace:
     """Preallocated n x n buffers for filling and factoring Gram matrices.
 
-    Every loss+gradient evaluation touches several full matrices; reusing
+    Every evaluation touches several full matrices; reusing
     Fortran-ordered buffers keeps LAPACK in-place and avoids allocation
     churn. D holds the pairwise distances, S and E the scaled distances
-    and the exponential factor, and dR (allocated only with grad)
-    dR/d(log l). K holds the Gram matrix, then its Cholesky factor, then
+    and the exponential factor (for a Hessian, E then holds
+    d^2R/d(log l)^2), and dR and M (allocated only with grad) dR/d(log l)
+    and K^-1 dR. K holds the Gram matrix, then its Cholesky factor, then
     (for a gradient) its inverse. While K holds the factor at theta,
     theta and jitter record it; theta is None otherwise. A factor handed
     over (hand_over) stays with its holder: the next factorisation takes
@@ -276,6 +288,7 @@ class _Workspace:
         self.S = np.empty((n, n), order="F")
         self.E = np.empty((n, n), order="F")
         self.dR = np.empty((n, n), order="F") if grad else None
+        self.M = np.empty((n, n), order="F") if grad else None
         self.K = np.empty((n, n), order="F")
         self.theta = self.jitter = None
         self.held = False
@@ -365,26 +378,62 @@ def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
     ws.theta = np.array(theta)
 
 
+def _fill_second_derivative(family, nu, ws: _Workspace) -> None:
+    """Fill ws.E with d^2R/d(log l)^2, from the S and E that _fill_gradient
+    leaves, using S as scratch.
+
+    With s the scaled distance and E the exponential factor it is s(s-1)E
+    (Matérn 0.5), s^2(s-2)E (Matérn 1.5), (s^2/3)(s^2-2s-2)E (Matérn 2.5)
+    and t^2(t^2-2)E (RBF); zero on the diagonal, like dR.
+    """
+    S, E = ws.S, ws.E
+    if family == RBF:
+        np.multiply(S, S, out=S)
+        np.multiply(E, S, out=E)
+        np.subtract(S, 2.0, out=S)  # t^2 - 2
+    elif nu == 0.5:
+        np.multiply(E, S, out=E)
+        np.subtract(S, 1.0, out=S)  # s - 1
+    elif nu == 1.5:
+        np.multiply(E, S, out=E)
+        np.multiply(E, S, out=E)
+        np.subtract(S, 2.0, out=S)  # s - 2
+    else:  # nu == 2.5; _fill_gradient left 1 + s in S
+        np.subtract(S, 1.0, out=S)
+        np.multiply(E, S, out=E)
+        np.multiply(E, S, out=E)
+        np.multiply(E, 1.0 / 3.0, out=E)
+        np.subtract(S, 1.0, out=S)
+        np.multiply(S, S, out=S)
+        np.subtract(S, 3.0, out=S)  # (s - 1)^2 - 3 = s^2 - 2s - 2
+    np.multiply(E, S, out=E)
+
+
 def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_grad):
-    """Loss (and gradient) at theta = (log sf2, log l, log sn2) of each
-    target block y in ys, from one Gram matrix K at theta.
+    """Loss, gradient and Hessian at theta = (log sf2, log l, log sn2) of
+    each target block y in ys, from one Gram matrix K at theta.
 
     A block y, (n, k) or (n,) for k = 1, holds columns y_1..y_k that share
     theta; its loss is
         sum_c (0.5 y_c^T K^-1 y_c + 0.5 log|K| + n/2 log(2 pi)) + l2 |theta|^2,
     the sum of the k single-column NLLs with the penalty counted once.
-    The gradient uses the trace identity
-    dL/dtheta_j = sum_c 0.5 tr((K^-1 - a_c a_c^T) dK/dtheta_j) + 2 l2 theta_j,
-    so the trace terms are k times a column's and the alpha terms are
-    summed over the columns. tr(K^-1 R) is folded through tr(K^-1 K) = n,
-    so that only the lengthscale derivative needs an explicit elementwise
-    pass. One factorisation (and, for gradients, one inversion and one
-    pass of each trace) serves every block; each block's own alpha and
-    alpha terms keep the arithmetic of an evaluation of that block alone,
-    so its bits do not depend on which blocks share the evaluation, and
-    with k = 1 they are those of a single column. Returns one (loss, grad)
-    per block, grad None unless want_grad. A loss-only evaluation leaves
-    its factor in ws.K; a gradient turns it into the inverse.
+    With K_i = dK/dtheta_i, K_ij its second derivatives and a_c = K^-1 y_c,
+    dL/dtheta_i = sum_c 0.5 tr((K^-1 - a_c a_c^T) K_i) + 2 l2 theta_i,
+    d2L/dtheta_i dtheta_j = sum_c [0.5 tr(K^-1 K_ij - K^-1 K_i K^-1 K_j)
+        + a_c^T K_i K^-1 K_j a_c - 0.5 a_c^T K_ij a_c] + 2 l2 [i = j]
+    (Rasmussen & Williams 2006, §5.4.1), so the trace terms are k times a
+    column's and the alpha terms are summed over the columns. Since
+    K_0 = K - (sn2 + jitter) I and K_2 = sn2 I, every trace folds into tr
+    K^-1, ||K^-1||_F^2, <K^-1, dR>, <K^-1, d2R>, tr(K^-1 M) and tr(M M),
+    with M = K^-1 dR the one extra n x n product; they do not depend on
+    y. One factorisation (and, for gradients, one inversion and one pass
+    of each trace) serves every block; each block's own alpha and alpha
+    terms keep the arithmetic of an evaluation of that block alone, so
+    its bits do not depend on which blocks share the evaluation, and with
+    k = 1 they are those of a single column. Returns one (loss, grad,
+    hess) per block, grad and hess None unless want_grad. A loss-only
+    evaluation touches only D, S, E and K and leaves its factor in ws.K;
+    a gradient turns it into the inverse.
     """
     n = ws.n
     _factor(theta, family, nu, ws, jitter)
@@ -399,35 +448,81 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_gr
         loss = 0.5 * y_alpha + k * logdet_half + 0.5 * k * n * math.log(2.0 * math.pi) + penalty
         blocks.append((k, alpha, y_alpha, loss))
     if not want_grad:
-        return [(loss, None) for *_, loss in blocks]
+        return [(loss, None, None) for *_, loss in blocks]
 
     sf2 = math.exp(theta[0])
     sn2 = math.exp(theta[2])
     _fill_gradient(family, nu, ws)
+    _fill_second_derivative(family, nu, ws)
+    dR, d2R = ws.dR, ws.E
     ws.theta = None
     inv, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite("dpotri failed on the Cholesky factor", j)
     # inv holds K^-1 in its lower triangle and zeros above it (dpotrf's
-    # clean). dR is symmetric with a zero diagonal, so tr(K^-1 dR) is twice
-    # the sum over the lower triangle.
+    # clean). dR and d2R are symmetric with a zero diagonal, so their inner
+    # products with K^-1 are twice the sums over the lower triangle; the
+    # BLAS calls read K^-1 as a symmetric matrix from its lower triangle.
     tr_kinv = float(np.einsum("ii->", inv))
-    tr_kinv_dr = 2.0 * float(np.einsum("ij,ij->", inv, ws.dR))
+    tr_kinv_dr = 2.0 * float(np.einsum("ij,ij->", inv, dR))
+    tr_kinv_d2r = 2.0 * float(np.einsum("ij,ij->", inv, d2R))
+    diag_sq = float(np.einsum("ii,ii->", inv, inv))
+    kinv_sq = 2.0 * float(np.einsum("ij,ij->", inv, inv)) - diag_sq
+    M = dsymm(1.0, inv, dR, lower=1, c=ws.M, overwrite_c=1)
+    # tr(K^-1 M) = <K^-1, M^T> over the whole symmetric K^-1
+    tr_kinv_m = (
+        float(np.einsum("ij,ij->", inv, M)) + float(np.einsum("ij,ji->", inv, M))
+        - float(np.einsum("ii,ii->", inv, M))
+    )
+    tr_mm = float(np.einsum("ij,ji->", M, M))
     c_diag = sn2 + j
-    pairs = []
+    # 0.5 tr(K^-1 K_ij - K^-1 K_i K^-1 K_j) of one column
+    traces = 0.5 * _symmetric(
+        c_diag * tr_kinv - c_diag**2 * kinv_sq,
+        sf2 * c_diag * tr_kinv_m,
+        -sn2 * (tr_kinv - c_diag * kinv_sq),
+        sf2 * tr_kinv_d2r - sf2**2 * tr_mm,
+        -sf2 * sn2 * tr_kinv_m,
+        sn2 * tr_kinv - sn2**2 * kinv_sq,
+    )
+    out = []
     for k, alpha, y_alpha, loss in blocks:
-        alpha_dr_alpha = float(np.vdot(alpha, ws.dR @ alpha))
+        # per column a: a^T dR a, a^T K^-1 a, (dR a)^T K^-1 a,
+        # (dR a)^T K^-1 (dR a) and a^T d2R a
+        a_dr_a = a_kinv_a = dr_kinv_a = dr_kinv_dr = a_d2r_a = 0.0
+        for a in alpha.reshape(n, k).T:
+            v = dgemv(1.0, dR, a)
+            w = dsymv(1.0, inv, a, lower=1)
+            a_dr_a += float(np.vdot(a, v))
+            a_kinv_a += float(np.vdot(a, w))
+            dr_kinv_a += float(np.vdot(v, w))
+            dr_kinv_dr += float(np.vdot(v, dsymv(1.0, inv, v, lower=1)))
+            a_d2r_a += float(np.vdot(a, dsymv(1.0, d2R, a, lower=1)))
         alpha_sq = float(np.vdot(alpha, alpha))
         grad = np.array(
             [
                 0.5 * (k * (n - c_diag * tr_kinv) - (y_alpha - c_diag * alpha_sq)),
-                0.5 * sf2 * (k * tr_kinv_dr - alpha_dr_alpha),
+                0.5 * sf2 * (k * tr_kinv_dr - a_dr_a),
                 0.5 * sn2 * (k * tr_kinv - alpha_sq),
             ]
         )
         grad += 2.0 * l2_weight * np.asarray(theta)
-        pairs.append((loss, grad))
-    return pairs
+        hess = k * traces + _symmetric(
+            0.5 * y_alpha - 1.5 * c_diag * alpha_sq + c_diag**2 * a_kinv_a,
+            sf2 * (0.5 * a_dr_a - c_diag * dr_kinv_a),
+            sn2 * (alpha_sq - c_diag * a_kinv_a),
+            sf2**2 * dr_kinv_dr - 0.5 * sf2 * a_d2r_a,
+            sf2 * sn2 * dr_kinv_a,
+            sn2**2 * a_kinv_a - 0.5 * sn2 * alpha_sq,
+        )
+        hess += 2.0 * l2_weight * np.eye(3)
+        out.append((loss, grad, hess))
+    return out
+
+
+def _symmetric(h00, h01, h02, h11, h12, h22) -> np.ndarray:
+    """The symmetric 3 x 3 matrix with the given upper triangle."""
+    return np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
 
 
 def _targets(y) -> np.ndarray:
@@ -442,7 +537,7 @@ def nll(cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0) ->
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _targets(y)
     ws = _Workspace(X, grad=False)
-    [(loss, _)] = _objective(
+    [(loss, _, _)] = _objective(
         cfg.log_params(), cfg.family, cfg.nu, ws, (y,), l2_weight, jitter, False
     )
     return loss
@@ -455,7 +550,7 @@ def nll_gradient(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _targets(y)
     ws = _Workspace(X)
-    [(_, grad)] = _objective(
+    [(_, grad, _)] = _objective(
         cfg.log_params(), cfg.family, cfg.nu, ws, (y,), l2_weight, jitter, True
     )
     return grad
@@ -629,7 +724,7 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
             _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, tmp, tmp, Ks)
             np.multiply(Ks, cfg.signal_var, out=Ks)
             for j in outputs:
-                mean_norm[rows, j] = Ks.T @ model.alphas[j]
+                mean_norm[rows, j] = dgemv(1.0, Ks, model.alphas[j], trans=1)
             asked = [j for j in outputs if j in var_outputs]
             if asked:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.
@@ -646,89 +741,109 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
 # Training
 # ---------------------------------------------------------------------------
 
-class _BudgetSpent(Exception):
-    """The optimiser asked for one evaluation more than the budget."""
+def _newton_step(theta, grad, hess, radius) -> np.ndarray:
+    """The theta that a projected Newton step of length at most radius
+    reaches from theta, inside the box _BOUNDS.
+
+    A variable that sits on a bound with its gradient pointing out of the
+    box stays fixed. On the free ones the step is -|H|^-1 g, with |H| their
+    Hessian block with the magnitudes of its eigenvalues floored at
+    _EIG_FLOOR times the largest, so that it descends where the Hessian is
+    indefinite too (Nocedal & Wright 2006, §3.4). The step is shortened to
+    radius, and theta plus it projected onto the box. Where that leaves no
+    descent (or the Hessian is zero or not finite), the projected
+    steepest-descent step of the same length is taken instead.
+    """
+    free = ~(((theta <= _LOWER) & (grad > 0)) | ((theta >= _UPPER) & (grad < 0)))
+    g = grad[free]
+
+    def projected(step):
+        length = float(np.linalg.norm(step))
+        full = np.zeros_like(theta)
+        full[free] = step * (radius / length) if length > radius else step
+        return np.clip(theta + full, _LOWER, _UPPER)
+
+    block = hess[np.ix_(free, free)]
+    if np.isfinite(block).all():
+        lam, Q = np.linalg.eigh(block)
+        mag = np.abs(lam)
+        if mag.max() > 0.0:
+            mag = np.maximum(mag, _EIG_FLOOR * mag.max())
+            trial = projected(-dgemv(1.0, Q, dgemv(1.0, Q, g, trans=1) / mag))
+            if np.dot(grad, trial - theta) < 0.0:
+                return trial
+    return projected(-g)
 
 
-def _minimize_within(
-    fun, theta0: np.ndarray, bounds, budget: int, lift_noise_to: float, first=None
-):
-    """Minimise fun(theta, want_grad) -> (loss, grad) by L-BFGS-B in at most
-    budget evaluations.
+def _minimize_within(fun, theta0: np.ndarray, budget: int, first=None):
+    """Minimise fun(theta, want_grad) -> (loss, grad, hess) over the box
+    _BOUNDS by projected Newton steps, in at most budget evaluations.
 
-    scipy's maxfun is checked only between iterations, so the budget is
-    enforced here: the call that would exceed it raises instead, which
-    ends the search. Evaluation number budget is therefore the last one,
-    and nothing can follow its gradient: it is computed loss-only
-    (want_grad=False) and L-BFGS-B gets a zero gradient, after which it
-    either stops or asks for the evaluation that raises. Returns the
+    The search starts at theta0 clipped into the box, with a step radius
+    of 1, so that its first step is at most 1 long: a longer one can leave
+    the basin of the start for a corner of the box, where the loss is
+    1e6 to 1e10. Each step is _newton_step's from the current theta. A
+    step whose loss falls by at least _ARMIJO times the fall the gradient
+    predicts is accepted, and the radius doubles; otherwise the current
+    theta stays, and the radius becomes half the failed step's length.
+    The search stops on L-BFGS-B's default tests: a projected gradient of
+    at most _PGTOL in every component, or an accepted step that reduces
+    the loss by a relative _FTOL or less (after a rejected one: a
+    predicted fall that small). Otherwise it stops when budget
+    evaluations are spent. Nothing can follow the evaluation that spends
+    the budget, so it is computed loss-only (want_grad=False). Returns the
     lowest-loss theta evaluated and the loss of every evaluation in order.
 
-    The noise variance has no upper bound (_BOUNDS), and exp() of its log
-    overflows past 709.78. A probe with a log noise variance above
-    LOG_PARAM_BOUND is therefore answered with an infinite loss and a zero
-    gradient, without a call to fun; L-BFGS-B backtracks from it, and it
-    is never the one kept unless every evaluation is one.
-
-    first, when given, is fun(theta0, want_grad=budget > 1), evaluated
-    already; it is the first evaluation when L-BFGS-B's first theta is
-    theta0, that is, when theta0 is inside the bounds.
-
-    A fit that starts with a log noise variance below lift_noise_to can
-    end on the plateau where so small a noise barely moves the loss, and
-    where L-BFGS-B stops short of an optimum with more noise. If its kept
-    noise is still below lift_noise_to and there the loss falls as the
-    noise grows, the search goes on, within the same budget, from the kept
-    theta with its log noise variance lifted to lift_noise_to.
+    first, when given, is fun(clipped theta0, want_grad=budget > 1),
+    evaluated already; it is the search's first evaluation.
     """
-    # Imported here: scipy.optimize adds ~0.1 s and ~9 MB that only training needs.
-    from scipy.optimize import minimize
+    thetas, losses = [], []
 
-    thetas, losses, grads = [], [], []
-
-    def counted(theta):
-        if len(losses) == budget:
-            raise _BudgetSpent
-        last = len(losses) + 1 == budget
-        if theta[2] > LOG_PARAM_BOUND:
-            loss, grad = math.inf, np.zeros_like(theta)
-        elif not losses and first is not None and np.array_equal(theta, theta0):
-            loss, grad = first
+    def evaluate(theta):
+        if not losses and first is not None:
+            result = first
         else:
-            loss, grad = fun(theta, want_grad=not last)
-        thetas.append(np.array(theta))
-        losses.append(loss)
-        grads.append(grad)
-        return loss, np.zeros_like(theta) if last else grad
+            result = fun(theta, want_grad=len(losses) + 1 < budget)
+        thetas.append(theta)
+        losses.append(result[0])
+        return result
 
-    def search(start):
-        try:
-            minimize(
-                counted, start, jac=True, method="L-BFGS-B", bounds=bounds,
-                options={"maxfun": budget, "maxiter": budget},
-            )
-        except _BudgetSpent:
-            pass
-        return int(np.argmin(losses))
-
-    best = search(theta0)
-    kept, grad = thetas[best], grads[best]
-    on_plateau = kept[2] < lift_noise_to and grad is not None and grad[2] < 0
-    if theta0[2] < lift_noise_to and on_plateau:
-        best = search(np.array([kept[0], kept[1], lift_noise_to]))
+    theta = np.clip(theta0, _LOWER, _UPPER)
+    loss, grad, hess = evaluate(theta)
+    radius = 1.0
+    while len(losses) < budget:
+        if np.abs(np.clip(theta - grad, _LOWER, _UPPER) - theta).max() <= _PGTOL:
+            break
+        trial = _newton_step(theta, grad, hess, radius)
+        step = trial - theta
+        fall = -float(np.dot(grad, step))
+        trial_loss, trial_grad, trial_hess = evaluate(trial)
+        if trial_loss <= loss - _ARMIJO * fall:
+            reduction = (loss - trial_loss) / max(abs(loss), abs(trial_loss), 1.0)
+            theta, loss, grad, hess = trial, trial_loss, trial_grad, trial_hess
+            radius *= 2.0
+            if reduction <= _FTOL:
+                break
+        elif fall <= _FTOL * max(abs(loss), 1.0):
+            break
+        else:
+            radius = 0.5 * float(np.linalg.norm(step))
+    best = int(np.argmin(losses))
     return thetas[best], np.array(losses)
 
 
 def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
-    """L-BFGS-B fit of each OUTPUT_GROUPS group of columns of Z on the
-    inputs X, on the group's summed loss (_objective), from the
-    log-parameters of the KernelConfig starts[j] of its first output j.
+    """Newton fit (_minimize_within) of each OUTPUT_GROUPS group of
+    columns of Z on the inputs X, on the group's summed loss (_objective),
+    from the log-parameters of the KernelConfig starts[j] of its first
+    output j.
 
-    Groups that start from one theta (clipped into the bounds) share their
+    Groups that start from one theta (clipped into the box) share their
     first evaluation: the first of them to be fitted evaluates theta once
     for all of them (one Gram fill and factorisation and, when a gradient
-    is due, one inversion), and each takes its own loss and gradient from
-    it, bit for bit those of an evaluation of its own.
+    is due, one inversion and one pass of each trace), and each takes its
+    own loss, gradient and Hessian from it, bit for bit those of an
+    evaluation of its own.
 
     Returns, per group, the kept log-parameters, the Cholesky factor and
     jitter at them, and the loss curve. The factor is the workspace's K,
@@ -744,33 +859,26 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
         l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
     )
     ys = [Z[:, outputs] for outputs in OUTPUT_GROUPS]
-    # clipped into the bounds, as L-BFGS-B clips a start, so that a shared
-    # first evaluation is at the theta each search evaluates first; the
-    # noise, which has no upper bound, to at most LOG_PARAM_BOUND, above
-    # which _minimize_within evaluates no probe
-    lower = [low for low, _ in _BOUNDS]
-    thetas0 = [
-        np.clip(starts[outputs[0]].log_params(), lower, LOG_PARAM_BOUND)
-        for outputs in OUTPUT_GROUPS
-    ]
-    firsts = {}  # group -> its (loss, grad) from a first evaluation it shares
+    # clipped into the box, as _minimize_within clips a start, so that a
+    # shared first evaluation is at the theta each search evaluates first
+    thetas0 = [np.clip(starts[outputs[0]].log_params(), _LOWER, _UPPER)
+               for outputs in OUTPUT_GROUPS]
+    firsts = {}  # group -> its (loss, grad, hess) from a first evaluation it shares
     fits = []
     for g, (y, theta0) in enumerate(zip(ys, thetas0)):
         if g not in firsts:
             together = [h for h in range(g, len(ys)) if np.array_equal(thetas0[h], theta0)]
             if len(together) > 1:
                 # with the gradient _minimize_within asks of a first evaluation
-                pairs = objective(theta0, ys=[ys[h] for h in together],
-                                  want_grad=cfg.iterations > 1)
-                firsts.update(zip(together, pairs))
+                results = objective(theta0, ys=[ys[h] for h in together],
+                                    want_grad=cfg.iterations > 1)
+                firsts.update(zip(together, results))
 
         def own(theta, want_grad, y=y):
-            [pair] = objective(theta, ys=(y,), want_grad=want_grad)
-            return pair
+            [result] = objective(theta, ys=(y,), want_grad=want_grad)
+            return result
 
-        theta, curve = _minimize_within(
-            own, theta0, _BOUNDS, cfg.iterations, kernel.log_noise_var, firsts.get(g),
-        )
+        theta, curve = _minimize_within(own, theta0, cfg.iterations, firsts.get(g))
         if not np.array_equal(ws.theta, theta):
             _factor(theta, kernel.family, kernel.nu, ws, TRAIN_JITTER)
         fits.append((theta, ws.hand_over(), ws.jitter, curve))
@@ -780,34 +888,30 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
 def train_gp(
     ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig, starts=None
 ) -> TrainedGP:
-    """Fit the six outputs' GPs to a pixel-to-point dataset by L-BFGS-B.
+    """Fit the six outputs' GPs to a pixel-to-point dataset by projected
+    Newton steps on the exact Hessian.
 
     Targets are standardized per output. Each group of OUTPUT_GROUPS (x,
     y and z alone; r, g and b together, on the sum of their three NLLs)
-    then minimises its loss over one set of log-parameters, inside the
-    bounds (_BOUNDS: signal variance and lengthscale within
-    +-LOG_PARAM_BOUND; noise variance at least NOISE_VAR_FLOOR and
-    bounded below only, so that L-BFGS-B's first step is no longer than 1
-    instead of a step into the corner of the box; a probe with a log noise
-    variance above LOG_PARAM_BOUND gets an infinite loss and is never
-    kept), starting from the log-parameters of starts[j] for its first
-    output j (one KernelConfig per output; None: the kernel's). Groups
-    that start from one theta share the evaluation there (_fit_outputs).
-    cfg.iterations is an exact budget of loss evaluations per group: the
-    search ends when L-BFGS-B converges or asks for one evaluation more,
-    and the group keeps the lowest-loss parameters evaluated (with a
-    budget of 1, the starting ones). Every evaluation but the one that
-    spends the budget also computes the gradient; that last one is
-    loss-only, since no step can follow it, which leaves the losses and
-    the kept parameters unchanged. The model's loss_curves hold one curve
-    per group, every evaluation in order; a curve of cfg.iterations
-    entries means the budget, not convergence, ended the search.
-    Oversized datasets are first reduced to a seeded uniform subsample of
-    max_train_points. A start below the kernel's noise variance that ends
-    on the low-noise plateau goes on from the kernel's noise variance
-    (_minimize_within). The model keeps the Cholesky factors training
-    computed at the kept parameters, one per distinct (config, jitter),
-    bit for bit those TrainedGP.fit computes there.
+    then minimises its loss over one set of log-parameters, inside the box
+    _BOUNDS (signal variance and lengthscale within +-LOG_PARAM_BOUND,
+    noise variance from NOISE_VAR_FLOOR to exp(LOG_PARAM_BOUND)), starting
+    from the log-parameters of starts[j] for its first output j (one
+    KernelConfig per output; None: the kernel's) with a first step of at
+    most 1 (_minimize_within). Groups that start from one theta share the
+    evaluation there (_fit_outputs). cfg.iterations is an exact budget of
+    loss evaluations per group: the search ends when it converges or has
+    spent the budget, and the group keeps the lowest-loss parameters
+    evaluated (with a budget of 1, the starting ones). Every evaluation
+    but the one that spends the budget also computes the gradient and the
+    Hessian; that last one is loss-only, since no step can follow it,
+    which leaves the losses and the kept parameters unchanged. The model's
+    loss_curves hold one curve per group, every evaluation in order; a
+    curve of cfg.iterations entries means the budget, not convergence,
+    ended the search. Oversized datasets are first reduced to a seeded
+    uniform subsample of max_train_points. The model keeps the Cholesky
+    factors training computed at the kept parameters, one per distinct
+    (config, jitter), bit for bit those TrainedGP.fit computes there.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")

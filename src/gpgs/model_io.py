@@ -11,7 +11,9 @@ that was saved. A file whose six outputs all differ loads to six factors.
 A file with other than six outputs, a norm_std of 0 or below or a
 negative jitter is rejected at that line; a log-parameter whose
 exponential overflows, or a log-lengthscale so small that the kernel's
-sqrt(5)/lengthscale scaling does, at the line of its output block.
+sqrt(5)/lengthscale scaling does, at the line of its output block; any
+other log-parameter outside the box training fits in (gp._BOUNDS), at its
+line, since far outside it the kernel fill can overflow into NaN.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedLine, MissingFile
-from .gp import MATERN, KernelConfig, OutputNormalizer, TrainedGP
+from .gp import _BOUNDS, MATERN, KernelConfig, OutputNormalizer, TrainedGP
 from .sfm_io import read_text, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
 N_OUTPUTS = 6  # x, y, z, r, g, b
+_LOG_PARAM_KEYS = ("log_signal_var", "log_lengthscale", "log_noise_var")
 
 
 def _fmt(x: float) -> str:
@@ -116,13 +119,22 @@ def load_model(path) -> TrainedGP:
             raise MalformedLine(path, pos, f"output blocks out of order near line {pos}")
         family = take_kv("family")
         nu = take_number("nu", lambda t: None if t == "none" else float(t))
-        log_params = [
-            take_number(key) for key in ("log_signal_var", "log_lengthscale", "log_noise_var")
-        ]
+        log_params, param_lines = [], []
+        for key in _LOG_PARAM_KEYS:
+            log_params.append(take_number(key))
+            param_lines.append(pos)
         try:
             configs.append(KernelConfig(family, nu, *log_params))
         except ValueError as exc:
             raise MalformedLine(path, block_line, f"output {j}: {exc}") from exc
+        for key, value, line, (low, high) in zip(
+            _LOG_PARAM_KEYS, log_params, param_lines, _BOUNDS
+        ):
+            if not low <= value <= high:
+                raise MalformedLine(
+                    path, line, f"{key}: {value} is outside [{low}, {high}], "
+                    "the box training fits in"
+                )
         means.append(take_number("norm_mean"))
         stds.append(take_number("norm_std"))
         if stds[-1] <= 0:

@@ -11,6 +11,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -242,10 +243,33 @@ def writing(path):
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def replacing(path):
+    """A binary file whose contents replace path's when the block ends.
+
+    The block writes a temporary file in path's directory, which then
+    takes path's place by os.replace, so path holds either all of its old
+    contents or all of the new ones. If the block or the replacement
+    fails, the temporary file is removed and path is left as it was; an
+    OSError becomes IoFailure (writing). Every artifact is written through
+    here.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with writing(path):
+        try:
+            with open(tmp, "wb") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
 def write_lines(path, lines) -> None:
     """Write the lines to path as UTF-8 text, each ending in a newline."""
-    with writing(path):
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _text_lines(path: Path):
@@ -636,7 +660,7 @@ def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
         "end_header",
     ]
     header = ("\n".join(header_lines) + "\n").encode("ascii")
-    with writing(path), open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(header)
         if binary:
             rec = np.empty(

@@ -1,5 +1,6 @@
 """Command-level tests: flags, config files, exit codes, artifacts."""
 
+import math
 import os
 import struct
 import subprocess
@@ -118,27 +119,29 @@ class TestTrain:
 
     def test_loss_csv_row_count(self, dataset, tmp_path):
         model_path = tmp_path / "model.txt"
+        # no group converges from the kernel's start in 4 evaluations
         assert run(
             "train", "--dataset", str(dataset), "--output", str(model_path),
-            "--iterations", "20",
+            "--iterations", "4",
         ) == 0
         lines = (tmp_path / "model_loss.csv").read_text().splitlines()
         assert lines[0] == "iter,group,loss"
         # one curve per fit group, each of at most --iterations rows
         groups = [line.split(",")[1] for line in lines[1:]]
         assert sorted(set(groups)) == ["rgb", "x", "y", "z"]
-        assert all(groups.count(name) <= 20 for name in set(groups))
-        assert len(lines) == 1 + 20 * 4
+        assert all(groups.count(name) <= 4 for name in set(groups))
+        assert len(lines) == 1 + 4 * 4
 
     def test_infinite_loss_row_written_and_printed(self, dataset, tmp_path, monkeypatch, capsys):
-        # a loss that falls as the noise grows drives the search past
-        # LOG_PARAM_BOUND, where the probe's loss is infinite
+        # a loss that falls as the noise grows, and is infinite above a log
+        # noise variance of 0, drives the search into probes of infinite loss
         original = gp._objective
 
         def tilted(theta, *args, **kwargs):
             return [
-                (loss - 1e4 * theta[2], None if grad is None else grad - [0.0, 0.0, 1e4])
-                for loss, grad in original(theta, *args, **kwargs)
+                (loss - 1e4 * theta[2] if theta[2] <= 0.0 else math.inf,
+                 None if grad is None else grad - [0.0, 0.0, 1e4], hess)
+                for loss, grad, hess in original(theta, *args, **kwargs)
             ]
 
         monkeypatch.setattr(gp, "_objective", tilted)
@@ -151,7 +154,7 @@ class TestTrain:
         assert any(row.endswith(",inf") for row in rows)
         finals = capsys.readouterr().out.split("final per-group NLL: ")[1].splitlines()[0]
         assert all(np.isfinite(float(entry.split("=")[1])) for entry in finals.split())
-        assert model_io.load_model(model_path).configs[0].log_noise_var <= gp.LOG_PARAM_BOUND
+        assert model_io.load_model(model_path).configs[0].log_noise_var <= 0.0
 
     def test_nu_recorded_in_model_file(self, dataset, tmp_path):
         model_path = tmp_path / "model.txt"
@@ -654,6 +657,31 @@ class TestModelFileRanges:
             f"log_lengthscale={value} gives a non-finite kernel scaling sqrt(5)/lengthscale\n"
         )
 
+    @pytest.mark.parametrize("nu,key,value", [
+        ("2.5", "log_lengthscale", -400.0),  # poly(s) overflows, exp(-s) is 0: inf * 0
+        ("0.5", "log_lengthscale", 25.0),
+        ("0.5", "log_signal_var", -25.0),
+        ("0.5", "log_noise_var", 25.0),
+    ])
+    def test_log_parameter_outside_the_box_exits_2_at_its_line(
+        self, model, fixture_dir, tmp_path, capsys, nu, key, value
+    ):
+        self.set_first(model, "nu", nu)
+        line = self.set_first(model, key, str(value))
+        capsys.readouterr()
+        cloud = tmp_path / "cloud.ply"
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(cloud),
+        )
+        low, high = gp._BOUNDS[("log_signal_var", "log_lengthscale", "log_noise_var").index(key)]
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {model}:{line}: {key}: {value} is outside [{low}, {high}], "
+            "the box training fits in\n"
+        )
+        assert not cloud.exists()
+
     def test_prediction_beyond_float32_exits_2_before_the_cloud(
         self, model, fixture_dir, tmp_path, capsys
     ):
@@ -899,9 +927,9 @@ class TestUsageErrors:
         assert not (tmp_path / "ds.csv").exists()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs start-up time that only training needs, so the
-    # CLI imports it lazily; this guards that laziness.
+def test_import_leaves_scipy_optimize_unloaded(surface_dir, tmp_path):
+    # importing scipy.optimize costs start-up time and memory, and nothing
+    # in gpgs needs it: neither the CLI's import nor a training loads it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -911,3 +939,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+    ds = tmp_path / "ds.csv"
+    assert run("build-dataset", "--model-dir", str(surface_dir), "--output", str(ds)) == 0
+    train = (
+        "import sys, gpgs.cli; code = gpgs.cli.main(sys.argv[1:]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", train, "train", "--dataset", str(ds),
+         "--output", str(tmp_path / "model.txt"), "--iterations", "5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"

@@ -294,6 +294,46 @@ class TestBlockObjective:
         )
 
 
+class TestHessian:
+    """The exact Hessian _objective returns with every gradient."""
+
+    @staticmethod
+    def hessian(cfg, X, Y, l2_weight, jitter):
+        [(_, _, hess)] = gp._objective(
+            cfg.log_params(), cfg.family, cfg.nu, gp._Workspace(X), (Y,), l2_weight, jitter, True
+        )
+        return hess
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("family,nu", TestBlockObjective.KERNELS)
+    def test_matches_central_differences_of_the_gradient(self, family, nu, k):
+        step = 1e-5
+        for seed in range(4):
+            cfg, X, Y = TestBlockObjective.problem(family, nu, 20 + seed, k=k)
+            hess = self.hessian(cfg, X, Y, 1e-3, gp.TRAIN_JITTER)
+            assert np.array_equal(hess, hess.T)
+            theta, fd = cfg.log_params(), np.empty((3, 3))
+            for i in range(3):
+                delta = np.zeros(3)
+                delta[i] = step
+                hi, lo = (
+                    gp.nll_gradient(cfg.with_log_params(theta + s * delta), X, Y, 1e-3,
+                                    gp.TRAIN_JITTER)
+                    for s in (1.0, -1.0)
+                )
+                fd[:, i] = (hi - lo) / (2 * step)
+            assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_loss_only_evaluation_has_no_hessian(self):
+        cfg, X, Y = TestBlockObjective.problem("matern", 0.5, 0)
+        ws = gp._Workspace(X)
+        [(loss, grad, hess)] = gp._objective(
+            cfg.log_params(), cfg.family, cfg.nu, ws, (Y,), 0.0, 0.0, False
+        )
+        assert grad is None and hess is None
+        assert loss == gp.nll(cfg, X, Y)
+
+
 # ---------------------------------------------------------------------------
 # Jitter escalation
 # ---------------------------------------------------------------------------
@@ -359,10 +399,12 @@ class TestTrainGp:
             # converged inside the budget, to a stationary point of the loss
             # the group minimises (of order 1e3 per output)
             assert len(curve) < train.iterations
+            theta = cfg.log_params()
             grad = gp.nll_gradient(
                 cfg, model.X, model.Z[:, outputs], train.l2_weight, gp.TRAIN_JITTER
             )
-            assert np.abs(grad).max() < 0.1
+            projected = np.clip(theta - grad, gp._LOWER, gp._UPPER) - theta
+            assert np.abs(projected).max() <= 1e-5
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
     def test_exact_evaluation_budget(self, monkeypatch, budget):
@@ -625,7 +667,7 @@ class TestStarts:
 
     @staticmethod
     def record_fits(monkeypatch):
-        """(start, first evaluated theta) of every L-BFGS-B fit, in order."""
+        """(start, first evaluated theta) of every search, in order."""
         fits = []
         original = gp._minimize_within
 
@@ -669,47 +711,18 @@ class TestStarts:
             gp.train_gp(make_scene("smooth", 20, seed=1), gp.default_kernel(),
                         gp.TrainConfig(iterations=1), starts=[gp.default_kernel()] * 5)
 
-    def test_search_leaves_the_noise_plateau(self, monkeypatch):
+    def test_search_leaves_the_noise_plateau(self):
         # x carries noise of standard deviation 0.05; from a start with almost
-        # no noise the first search stops on the plateau where the noise
-        # barely moves the loss, so the search goes on from its kept theta
-        # with the kernel's noise variance
-        thetas = []
-        original = gp._objective
-
-        def recorded(theta, *args, **kwargs):
-            thetas.append(np.array(theta))
-            return original(theta, *args, **kwargs)
-
-        monkeypatch.setattr(gp, "_objective", recorded)
+        # no noise, where the noise barely moves the loss, the search reaches
+        # the cold fit's optimum, with more noise than the kernel's start
         kernel = gp.default_kernel()
+        ds, cfg = make_scene("smooth", 60, seed=1, noise=0.05), gp.TrainConfig(iterations=200)
         start = kernel.with_log_params([0.0, math.log(0.3), -18.0])
-        model = gp.train_gp(make_scene("smooth", 60, seed=1, noise=0.05), kernel,
-                            gp.TrainConfig(iterations=200), starts=[start] * 6)
-        curve = model.loss_curves[0]
-        x = thetas[:len(curve)]
-        lifted = [i for i, theta in enumerate(x) if theta[2] == kernel.log_noise_var]
-        assert len(lifted) == 1
-        kept = x[int(np.argmin(curve[:lifted[0]]))]
-        assert kept[2] < kernel.log_noise_var
-        assert np.array_equal(x[lifted[0]][:2], kept[:2])
-        assert curve.min() < curve[:lifted[0]].min()
+        model = gp.train_gp(ds, kernel, cfg, starts=[start] * 6)
+        cold = gp.train_gp(ds, kernel, cfg)
+        assert len(model.loss_curves[0]) < cfg.iterations
         assert model.configs[0].log_noise_var > kernel.log_noise_var
-
-    def test_cold_fit_never_lifts_the_noise(self, monkeypatch):
-        ds = make_scene("smooth", 60, seed=1, noise=0.05)
-        cfg = gp.TrainConfig(iterations=200)
-        lifting = gp.train_gp(ds, gp.default_kernel(), cfg)
-        original = gp._minimize_within
-        monkeypatch.setattr(
-            gp, "_minimize_within",
-            lambda fun, theta0, bounds, budget, _, *first: original(
-                fun, theta0, bounds, budget, -math.inf, *first
-            ),
-        )
-        plain = gp.train_gp(ds, gp.default_kernel(), cfg)
-        for a, b in zip(lifting.loss_curves, plain.loss_curves):
-            assert np.array_equal(a, b)
+        assert model.loss_curves[0].min() <= cold.loss_curves[0].min() + 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 5])
     def test_warm_start_as_good_as_cold_fit(self, seed):
@@ -726,65 +739,66 @@ class TestStarts:
 
 
 class TestUnboundedNoise:
-    """The noise variance has no upper bound, so L-BFGS-B's first step is
-    no longer than 1; probes above LOG_PARAM_BOUND are not evaluated."""
+    """The noise variance's upper side and the first step: the box bounds
+    the noise at LOG_PARAM_BOUND, and the search's initial step radius
+    keeps its first step within distance 1."""
 
     @staticmethod
     def record_searches(monkeypatch):
-        """The thetas each L-BFGS-B search evaluated, in order, one list per search."""
+        """The thetas each search evaluated, in order, one list per search."""
         searches = []
         original = gp._minimize_within
 
-        def recorded(fun, theta0, bounds, budget, lift_noise_to, first=None):
-            # a shared first evaluation is at theta0 and does not call fun
-            evaluated = [] if first is None else [np.array(theta0)]
+        def recorded(fun, theta0, budget, first=None):
+            # a shared first evaluation is at the clipped theta0 and does not call fun
+            evaluated = [] if first is None else [np.clip(theta0, gp._LOWER, gp._UPPER)]
             searches.append(evaluated)
 
             def spy(theta, **kwargs):
                 evaluated.append(np.array(theta))
                 return fun(theta, **kwargs)
 
-            return original(spy, theta0, bounds, budget, lift_noise_to, first)
+            return original(spy, theta0, budget, first)
 
         monkeypatch.setattr(gp, "_minimize_within", recorded)
         return searches
 
     @pytest.mark.parametrize("family,nu", TestFactorHandover.KERNELS)
     def test_first_step_stays_within_unit_distance(self, monkeypatch, family, nu):
-        # with every variable bounded on both sides, the second theta was
-        # the box corner (log sf2 = -20, log l = +20)
+        # a long first step can reach the box corner (log sf2 = -20,
+        # log l = +20), where the loss is 1e6 to 1e10; every search's first
+        # step, from cold and from warm starts, is at most 1 long
         searches = self.record_searches(monkeypatch)
-        gp.train_gp(make_scene("smooth", 150, seed=1), gp.default_kernel(family, nu),
-                    gp.TrainConfig(iterations=3))
-        assert len(searches) == len(gp.OUTPUT_GROUPS)
+        kernel, ds = gp.default_kernel(family, nu), make_scene("smooth", 150, seed=1)
+        cold = gp.train_gp(ds, kernel, gp.TrainConfig(iterations=3))
+        gp.train_gp(ds, kernel, gp.TrainConfig(iterations=3), starts=cold.configs)
+        assert len(searches) == 2 * len(gp.OUTPUT_GROUPS)
         for evaluated in searches:
             assert np.linalg.norm(evaluated[1] - evaluated[0]) <= 1.0 + 1e-12
 
     def test_search_towards_infinite_noise_is_guarded(self, monkeypatch):
-        # every loss tilted by -1e4 * log noise variance falls as the noise grows
+        # every loss tilted by -1e4 * log noise variance falls as the noise
+        # grows: the search stops on the box's upper bound of the noise
         seen = []
         original = gp._objective
 
         def tilted(theta, *args, **kwargs):
             seen.append(np.array(theta))
             return [
-                (loss - 1e4 * theta[2], None if grad is None else grad - [0.0, 0.0, 1e4])
-                for loss, grad in original(theta, *args, **kwargs)
+                (loss - 1e4 * theta[2], None if grad is None else grad - [0.0, 0.0, 1e4], hess)
+                for loss, grad, hess in original(theta, *args, **kwargs)
             ]
 
         monkeypatch.setattr(gp, "_objective", tilted)
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=60))
-        # the search probed past the guard and backtracked from it ...
-        assert any(np.isinf(curve).any() for curve in model.loss_curves)
-        # ... without evaluating a Gram matrix there
-        assert max(theta[2] for theta in seen) <= gp.LOG_PARAM_BOUND
+        assert max(theta[2] for theta in seen) == gp.LOG_PARAM_BOUND
         for cfg in model.configs:
             theta = cfg.log_params()
-            assert np.isfinite(theta).all() and theta[2] <= gp.LOG_PARAM_BOUND
+            assert theta[2] == gp.LOG_PARAM_BOUND
             assert gp.KernelConfig(cfg.family, cfg.nu, *theta) == cfg
         for curve in model.loss_curves:
-            assert np.isfinite(curve.min())
+            assert np.isfinite(curve).all() and len(curve) < 60
 
     def test_start_above_the_guard_is_clipped_to_it(self, monkeypatch):
         searches = self.record_searches(monkeypatch)
@@ -796,6 +810,92 @@ class TestUnboundedNoise:
             assert np.array_equal(evaluated[0], [0.0, -1.0, gp.LOG_PARAM_BOUND])
         for curve in model.loss_curves:
             assert np.isfinite(curve).all()
+
+
+class TestNewtonSearch:
+    """_minimize_within on losses with known minima."""
+
+    @staticmethod
+    def quadratic(A, c):
+        """fun(theta, want_grad) of 0.5 (theta - c)^T A (theta - c)."""
+        A, c = np.asarray(A, dtype=float), np.asarray(c, dtype=float)
+
+        def fun(theta, want_grad):
+            r = theta - c
+            loss = 0.5 * float(r @ A @ r)
+            return (loss, A @ r, A) if want_grad else (loss, None, None)
+
+        return fun
+
+    def test_quadratic_converges_in_a_few_steps(self):
+        A = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
+        c = [0.5, -1.0, -3.0]
+        theta, curve = gp._minimize_within(self.quadratic(A, c), np.zeros(3), 100)
+        # radius 1 first, then the full Newton step, then the stop on the
+        # projected gradient
+        assert len(curve) <= 4
+        np.testing.assert_allclose(theta, c, atol=1e-9)
+
+    def test_minimum_outside_the_box_ends_on_its_bound(self):
+        c = [0.5, -1.0, gp.LOG_PARAM_BOUND + 5.0]
+        theta, curve = gp._minimize_within(self.quadratic(np.diag([1.0, 2.0, 3.0]), c),
+                                           np.zeros(3), 100)
+        assert len(curve) < 100
+        np.testing.assert_allclose(theta[:2], c[:2], atol=1e-9)
+        assert theta[2] == gp.LOG_PARAM_BOUND
+
+    def test_variable_on_a_bound_is_fixed(self):
+        # the unconstrained minimum lies above the box; from the bound, where
+        # the gradient points out, the Newton step on the free block alone
+        # reaches the constrained minimum (theta_0 = 2.5)
+        A = [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
+        c = [0.0, 0.0, gp.LOG_PARAM_BOUND + 5.0]
+        start = np.array([0.0, 0.0, gp.LOG_PARAM_BOUND])
+        theta, curve = gp._minimize_within(self.quadratic(A, c), start, 100)
+        # radius 1, then 2, then the stop on the projected gradient
+        assert len(curve) <= 4
+        np.testing.assert_allclose(theta, [2.5, 0.0, gp.LOG_PARAM_BOUND], atol=1e-9)
+
+    def test_indefinite_hessian_still_descends(self):
+        # a saddle at the start: the floored |eigenvalues| turn the Newton
+        # step downhill along the negative-curvature direction
+        def fun(theta, want_grad):
+            a, b, c = theta
+            loss = a * a + 0.25 * b**4 - b * b + c * c
+            if not want_grad:
+                return loss, None, None
+            grad = np.array([2 * a, b**3 - 2 * b, 2 * c])
+            return loss, grad, np.diag([2.0, 3 * b * b - 2.0, 2.0])
+
+        theta, curve = gp._minimize_within(fun, np.array([0.3, 0.1, 0.2]), 100)
+        assert len(curve) < 100
+        np.testing.assert_allclose(np.abs(theta), [0.0, math.sqrt(2.0), 0.0], atol=1e-6)
+        assert curve.min() < curve[0]
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_zero_or_nan_hessian_falls_back_to_steepest_descent(self, bad):
+        fun = self.quadratic(np.eye(3), [0.5, -1.0, -3.0])
+
+        def without_curvature(theta, want_grad):
+            loss, grad, hess = fun(theta, want_grad)
+            return loss, grad, None if hess is None else np.full((3, 3), bad)
+
+        theta, curve = gp._minimize_within(without_curvature, np.zeros(3), 200)
+        assert len(curve) < 200
+        np.testing.assert_allclose(theta, [0.5, -1.0, -3.0], atol=1e-4)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_is_exact_and_its_last_evaluation_loss_only(self, budget):
+        wants = []
+        fun = self.quadratic(np.eye(3), [5.0, 5.0, 5.0])
+
+        def recorded(theta, want_grad):
+            wants.append(want_grad)
+            return fun(theta, want_grad)
+
+        _, curve = gp._minimize_within(recorded, np.zeros(3), budget)
+        assert len(curve) == budget
+        assert wants == [True] * (budget - 1) + [False]
 
 
 # ---------------------------------------------------------------------------

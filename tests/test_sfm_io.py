@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpgs import errors, sfm_io
+from gpgs import errors, gp, model_io, sfm_io
 from gpgs.pointcloud import DensifiedCloud
 from gpgs.sfm_io import SENTINEL_NONE
 
@@ -606,3 +606,97 @@ class TestDatasetCsv:
         assert back.inputs.shape == (5, 3)
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.targets, ds.targets)
+
+
+# ---------------------------------------------------------------------------
+# Atomic artifacts
+# ---------------------------------------------------------------------------
+
+class TestAtomicWrites:
+    """Every artifact replaces its previous version whole or not at all."""
+
+    @staticmethod
+    def writers(tmp_path):
+        """name -> (path, write(version)) of each artifact writer."""
+
+        def model(version):
+            X = np.array([[0.1, 0.2], [0.4, 0.3], [0.8, 0.9]])
+            Z = np.full((3, 6), float(version)) + X[:, :1]
+            cfg = gp.default_kernel()
+            return gp.TrainedGP.fit(X, Z, [cfg] * 6, gp.OutputNormalizer.identity(), 8, 8,
+                                    jitter=gp.TRAIN_JITTER)
+
+        def cloud(version):
+            base = _sample_cloud()
+            return DensifiedCloud(base.positions + version, base.colors, base.sources)
+
+        return {
+            "lines": (tmp_path / "a.txt", lambda p, v: sfm_io.write_lines(p, [f"v{v}"] * 100)),
+            "ply": (tmp_path / "a.ply", lambda p, v: sfm_io.write_ply(cloud(v), p)),
+            "ascii ply": (tmp_path / "b.ply", lambda p, v: sfm_io.write_ply(cloud(v), p, False)),
+            "model": (tmp_path / "m.txt", lambda p, v: model_io.save_model(model(v), p)),
+        }
+
+    @staticmethod
+    def fail_mid_write(monkeypatch, error):
+        """Make every file sfm_io opens write half of its first chunk, then raise."""
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise error
+
+        monkeypatch.setattr(sfm_io, "open", lambda *a, **k: HalfWritten(real_open(*a, **k)),
+                            raising=False)
+
+    @pytest.mark.parametrize("error,raised", [
+        (OSError(28, "No space left on device"), errors.IoFailure),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ])
+    @pytest.mark.parametrize("name", ["lines", "ply", "ascii ply", "model"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name, error,
+                                                  raised):
+        path, write = self.writers(tmp_path)[name]
+        write(path, 1)
+        before = path.read_bytes()
+        self.fail_mid_write(monkeypatch, error)
+        with pytest.raises(raised):
+            write(path, 2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        write(path, 2)
+        assert path.read_bytes() != before
+
+    @pytest.mark.parametrize("name", ["lines", "ply", "model"])
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        path, write = self.writers(tmp_path)[name]
+        write(path, 1)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(sfm_io.os, "replace", refuse)
+        with pytest.raises(errors.IoFailure, match=f"cannot write {path}"):
+            write(path, 2)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_new_file_written_whole(self, tmp_path):
+        path, write = self.writers(tmp_path)["lines"]
+        write(path, 3)
+        assert path.read_text(encoding="utf-8") == "v3\n" * 100
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
