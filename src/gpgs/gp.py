@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -155,8 +155,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.l2_weight < 0:
-            raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
+        corner_penalty = self.l2_weight * sum(max(lo * lo, hi * hi) for lo, hi in _BOUNDS)
+        if not (self.l2_weight >= 0 and math.isfinite(corner_penalty)):
+            raise ValueError(f"l2_weight must be >= 0 with a finite penalty, got {self.l2_weight}")
         if self.max_train_points is not None and self.max_train_points < 1:
             raise ValueError(f"max_train_points must be >= 1, got {self.max_train_points}")
 
@@ -215,7 +216,7 @@ def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.nda
 
     Filled with the arithmetic that training and TrainedGP.fit factor.
     """
-    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)), grad=False)
+    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)))
     _fill_gram(cfg.log_params(), cfg.family, cfg.nu, ws, jitter)
     return ws.K
 
@@ -273,7 +274,7 @@ class _Workspace:
     Fortran-ordered buffers keeps LAPACK in-place and avoids allocation
     churn. D holds the pairwise distances, S and E the scaled distances
     and the exponential factor (for a Hessian, E then holds
-    d^2R/d(log l)^2), and dR and M (allocated only with grad) dR/d(log l)
+    d^2R/d(log l)^2), and dR and M (touched only by derivatives) dR/d(log l)
     and K^-1 dR. K holds the Gram matrix, then its Cholesky factor, then
     (for a gradient) its inverse. While K holds the factor at theta,
     theta and jitter record it; theta is None otherwise. A factor handed
@@ -281,14 +282,14 @@ class _Workspace:
     a new buffer for K.
     """
 
-    def __init__(self, X: np.ndarray, grad: bool = True):
+    def __init__(self, X: np.ndarray):
         n = X.shape[0]
         self.n = n
         self.D = cdist(X, X).T  # exactly symmetric, so this is a Fortran-ordered view of it
         self.S = np.empty((n, n), order="F")
         self.E = np.empty((n, n), order="F")
-        self.dR = np.empty((n, n), order="F") if grad else None
-        self.M = np.empty((n, n), order="F") if grad else None
+        self.dR = np.empty((n, n), order="F")
+        self.M = np.empty((n, n), order="F")
         self.K = np.empty((n, n), order="F")
         self.theta = self.jitter = None
         self.held = False
@@ -409,9 +410,9 @@ def _fill_second_derivative(family, nu, ws: _Workspace) -> None:
     np.multiply(E, S, out=E)
 
 
-def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_grad):
-    """Loss, gradient and Hessian at theta = (log sf2, log l, log sn2) of
-    each target block y in ys, from one Gram matrix K at theta.
+def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
+    """Loss of each target block y in ys at theta = (log sf2, log l, log sn2),
+    from one Gram matrix K at theta, with its gradient and Hessian on demand.
 
     A block y, (n, k) or (n,) for k = 1, holds columns y_1..y_k that share
     theta; its loss is
@@ -426,18 +427,18 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_gr
     K_0 = K - (sn2 + jitter) I and K_2 = sn2 I, every trace folds into tr
     K^-1, ||K^-1||_F^2, <K^-1, dR>, <K^-1, d2R>, tr(K^-1 M) and tr(M M),
     with M = K^-1 dR the one extra n x n product; they do not depend on
-    y. One factorisation (and, for gradients, one inversion and one pass
-    of each trace) serves every block; each block's own alpha and alpha
-    terms keep the arithmetic of an evaluation of that block alone, so
-    its bits do not depend on which blocks share the evaluation, and with
-    k = 1 they are those of a single column. Returns one (loss, grad,
-    hess) per block, grad and hess None unless want_grad. A loss-only
-    evaluation touches only D, S, E and K and leaves its factor in ws.K;
-    a gradient turns it into the inverse.
+    y. Each block's own alpha and alpha terms keep the arithmetic of an
+    evaluation of that block alone, so its bits do not depend on which
+    blocks share the evaluation, and with k = 1 they are those of a single
+    column. Returns one (loss, derivatives) pair per block; the losses take
+    one factorisation, left in ws.K. The first derivatives() call of any
+    block computes every block's (grad, hess) from one inversion of it and
+    one pass of each trace, and later calls return them; a first call
+    after ws has factored again or handed its factor over raises.
     """
     n = ws.n
     _factor(theta, family, nu, ws, jitter)
-    L, j = ws.K, ws.jitter
+    L, factored = ws.K, ws.theta  # a new theta array per factorisation
     logdet_half = float(np.sum(np.log(np.einsum("ii->i", L))))
     penalty = l2_weight * float(theta @ theta)
     blocks = []  # (k, alpha, y^T alpha, loss) per block
@@ -447,11 +448,21 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_gr
         y_alpha = float(np.vdot(y, alpha))
         loss = 0.5 * y_alpha + k * logdet_half + 0.5 * k * n * math.log(2.0 * math.pi) + penalty
         blocks.append((k, alpha, y_alpha, loss))
-    if not want_grad:
-        return [(loss, None, None) for *_, loss in blocks]
 
-    sf2 = math.exp(theta[0])
-    sn2 = math.exp(theta[2])
+    @cache
+    def every_block():
+        if ws.theta is not factored or ws.held:
+            raise RuntimeError("derivatives asked after the workspace's factor was replaced")
+        return _derivatives(theta, family, nu, ws, blocks, l2_weight)
+
+    return [(loss, lambda b=b: every_block()[b]) for b, (*_, loss) in enumerate(blocks)]
+
+
+def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
+    """(grad, hess) of each _objective block, from the factor in ws.K (then its inverse)."""
+    n = ws.n
+    L, j = ws.K, ws.jitter
+    sf2, sn2 = math.exp(theta[0]), math.exp(theta[2])
     _fill_gradient(family, nu, ws)
     _fill_second_derivative(family, nu, ws)
     dR, d2R = ws.dR, ws.E
@@ -486,7 +497,7 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_gr
         sn2 * tr_kinv - sn2**2 * kinv_sq,
     )
     out = []
-    for k, alpha, y_alpha, loss in blocks:
+    for k, alpha, y_alpha, _ in blocks:
         # per column a: a^T dR a, a^T K^-1 a, (dR a)^T K^-1 a,
         # (dR a)^T K^-1 (dR a) and a^T d2R a
         a_dr_a = a_kinv_a = dr_kinv_a = dr_kinv_dr = a_d2r_a = 0.0
@@ -516,7 +527,7 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter, want_gr
             sn2**2 * a_kinv_a - 0.5 * sn2 * alpha_sq,
         )
         hess += 2.0 * l2_weight * np.eye(3)
-        out.append((loss, grad, hess))
+        out.append((grad, hess))
     return out
 
 
@@ -536,9 +547,8 @@ def nll(cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0) ->
     share cfg: the summed NLL plus the L2 log-parameter penalty (_objective)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _targets(y)
-    ws = _Workspace(X, grad=False)
-    [(loss, _, _)] = _objective(
-        cfg.log_params(), cfg.family, cfg.nu, ws, (y,), l2_weight, jitter, False
+    [(loss, _)] = _objective(
+        cfg.log_params(), cfg.family, cfg.nu, _Workspace(X), (y,), l2_weight, jitter
     )
     return loss
 
@@ -549,11 +559,10 @@ def nll_gradient(
     """Analytic gradient of nll over the three log-hyperparameters."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _targets(y)
-    ws = _Workspace(X)
-    [(_, grad, _)] = _objective(
-        cfg.log_params(), cfg.family, cfg.nu, ws, (y,), l2_weight, jitter, True
+    [(_, derivatives)] = _objective(
+        cfg.log_params(), cfg.family, cfg.nu, _Workspace(X), (y,), l2_weight, jitter
     )
-    return grad
+    return derivatives()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +586,7 @@ def _condition(X, Z, configs, jitters, kept=None):
         if key not in shared:
             cfg, j0 = key
             if ws is None:
-                ws = _Workspace(X, grad=False)
+                ws = _Workspace(X)
             _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
             shared[key] = (ws.hand_over(), ws.jitter)
         factors.append(shared[key][0])
@@ -776,8 +785,8 @@ def _newton_step(theta, grad, hess, radius) -> np.ndarray:
 
 
 def _minimize_within(fun, theta0: np.ndarray, budget: int, first=None):
-    """Minimise fun(theta, want_grad) -> (loss, grad, hess) over the box
-    _BOUNDS by projected Newton steps, in at most budget evaluations.
+    """Minimise fun(theta) -> (loss, derivatives) over the box _BOUNDS by
+    projected Newton steps, in at most budget evaluations.
 
     The search starts at theta0 clipped into the box, with a step radius
     of 1, so that its first step is at most 1 long: a longer one can leave
@@ -790,37 +799,36 @@ def _minimize_within(fun, theta0: np.ndarray, budget: int, first=None):
     at most _PGTOL in every component, or an accepted step that reduces
     the loss by a relative _FTOL or less (after a rejected one: a
     predicted fall that small). Otherwise it stops when budget
-    evaluations are spent. Nothing can follow the evaluation that spends
-    the budget, so it is computed loss-only (want_grad=False). Returns the
-    lowest-loss theta evaluated and the loss of every evaluation in order.
-
-    first, when given, is fun(clipped theta0, want_grad=budget > 1),
-    evaluated already; it is the search's first evaluation.
+    evaluations are spent. A trial needs only its loss (Nocedal & Wright
+    2006, ch. 3): derivatives(), the (grad, hess) at theta, is called only
+    at the start, when budget remains, and after an accepted step that
+    neither spends the budget nor stops on _FTOL. Returns the lowest-loss
+    theta evaluated and the loss of every evaluation in order. first, when
+    given, is fun(clipped theta0), already evaluated.
     """
     thetas, losses = [], []
 
     def evaluate(theta):
-        if not losses and first is not None:
-            result = first
-        else:
-            result = fun(theta, want_grad=len(losses) + 1 < budget)
+        result = first if not losses and first is not None else fun(theta)
         thetas.append(theta)
         losses.append(result[0])
         return result
 
     theta = np.clip(theta0, _LOWER, _UPPER)
-    loss, grad, hess = evaluate(theta)
-    radius = 1.0
+    loss, derivatives = evaluate(theta)
+    grad, radius = None, 1.0  # grad is None until derivatives() at theta
     while len(losses) < budget:
+        if grad is None:
+            grad, hess = derivatives()
         if np.abs(np.clip(theta - grad, _LOWER, _UPPER) - theta).max() <= _PGTOL:
             break
         trial = _newton_step(theta, grad, hess, radius)
         step = trial - theta
         fall = -float(np.dot(grad, step))
-        trial_loss, trial_grad, trial_hess = evaluate(trial)
+        trial_loss, trial_derivatives = evaluate(trial)
         if trial_loss <= loss - _ARMIJO * fall:
             reduction = (loss - trial_loss) / max(abs(loss), abs(trial_loss), 1.0)
-            theta, loss, grad, hess = trial, trial_loss, trial_grad, trial_hess
+            theta, loss, derivatives, grad = trial, trial_loss, trial_derivatives, None
             radius *= 2.0
             if reduction <= _FTOL:
                 break
@@ -840,18 +848,16 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
 
     Groups that start from one theta (clipped into the box) share their
     first evaluation: the first of them to be fitted evaluates theta once
-    for all of them (one Gram fill and factorisation and, when a gradient
-    is due, one inversion and one pass of each trace), and each takes its
-    own loss, gradient and Hessian from it, bit for bit those of an
-    evaluation of its own.
+    for all of them (one factorisation and, once a search asks for
+    derivatives, one inversion), each group's bits those of its own.
 
     Returns, per group, the kept log-parameters, the Cholesky factor and
     jitter at them, and the loss curve. The factor is the workspace's K,
     handed over to the group: when K still holds the factor at the kept
-    log-parameters (the last evaluation was loss-only and kept, or at a
-    budget of 1, the shared first evaluation) it goes over as it is, to
-    every group that kept them; otherwise it is factored once more. The
-    workspace's other n x n buffers live only for the call.
+    log-parameters (ws.theta says so: the search took no derivatives at
+    its kept last evaluation, or kept the shared first one at a budget of
+    1) it goes over as it is, to every group that kept them; otherwise it
+    is factored once more. The other n x n buffers live only for the call.
     """
     ws = _Workspace(X)
     objective = partial(
@@ -863,20 +869,16 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
     # shared first evaluation is at the theta each search evaluates first
     thetas0 = [np.clip(starts[outputs[0]].log_params(), _LOWER, _UPPER)
                for outputs in OUTPUT_GROUPS]
-    firsts = {}  # group -> its (loss, grad, hess) from a first evaluation it shares
+    firsts = {}  # group -> its (loss, derivatives) from a first evaluation it shares
     fits = []
     for g, (y, theta0) in enumerate(zip(ys, thetas0)):
         if g not in firsts:
             together = [h for h in range(g, len(ys)) if np.array_equal(thetas0[h], theta0)]
             if len(together) > 1:
-                # with the gradient _minimize_within asks of a first evaluation
-                results = objective(theta0, ys=[ys[h] for h in together],
-                                    want_grad=cfg.iterations > 1)
-                firsts.update(zip(together, results))
+                firsts.update(zip(together, objective(theta0, ys=[ys[h] for h in together])))
 
-        def own(theta, want_grad, y=y):
-            [result] = objective(theta, ys=(y,), want_grad=want_grad)
-            return result
+        def own(theta, y=y):
+            return objective(theta, ys=(y,))[0]
 
         theta, curve = _minimize_within(own, theta0, cfg.iterations, firsts.get(g))
         if not np.array_equal(ws.theta, theta):
@@ -902,10 +904,8 @@ def train_gp(
     evaluation there (_fit_outputs). cfg.iterations is an exact budget of
     loss evaluations per group: the search ends when it converges or has
     spent the budget, and the group keeps the lowest-loss parameters
-    evaluated (with a budget of 1, the starting ones). Every evaluation
-    but the one that spends the budget also computes the gradient and the
-    Hessian; that last one is loss-only, since no step can follow it,
-    which leaves the losses and the kept parameters unchanged. The model's
+    evaluated (with a budget of 1, the starting ones). Only a theta the
+    search steps from gets the gradient and the Hessian. The model's
     loss_curves hold one curve per group, every evaluation in order; a
     curve of cfg.iterations entries means the budget, not convergence,
     ended the search. Oversized datasets are first reduced to a seeded

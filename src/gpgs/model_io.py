@@ -8,12 +8,13 @@ Reloading fills and factors one Gram matrix per distinct (hyperparameters,
 jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model
 that was saved. A file whose six outputs all differ loads to six factors.
-A file with other than six outputs, a norm_std of 0 or below or a
-negative jitter is rejected at that line; a log-parameter whose
-exponential overflows, or a log-lengthscale so small that the kernel's
-sqrt(5)/lengthscale scaling does, at the line of its output block; any
-other log-parameter outside the box training fits in (gp._BOUNDS), at its
-line, since far outside it the kernel fill can overflow into NaN.
+A file with an input_dim other than 2 (u, v) or 3 (u, v, depth), other
+than six outputs, a norm_std of 0 or below or a negative jitter is
+rejected at that line; a log-parameter whose exponential overflows, or a
+log-lengthscale so small that the kernel's sqrt(5)/lengthscale scaling
+does, at the line of its output block; any other log-parameter outside
+the box training fits in (gp._BOUNDS), at its line, since far outside it
+the kernel fill can overflow into NaN.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ def load_model(path) -> TrainedGP:
     width = take_count("width", 1)
     height = take_count("height", 1)
     input_dim = take_count("input_dim")
+    if input_dim not in (2, 3):
+        raise MalformedLine(path, pos, f"input_dim: {input_dim}, not 2 or 3")
     n = take_count("train_points")
     n_outputs = take_count("outputs")
     if n_outputs != N_OUTPUTS:

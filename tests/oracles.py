@@ -102,22 +102,22 @@ def fit_outputs_per_group(X, Z, kernel, cfg, starts):
     """gp._fit_outputs with every output group fitted alone: each group
     evaluates its own start, in a workspace of its own, with the Newton
     search of gp._minimize_within (which clips the start into the box), and
-    keeps its own factor, factored once more unless its last evaluation
-    left it in K."""
+    keeps its own factor, factored once more unless K still holds it (the
+    search took no derivatives at its kept last evaluation)."""
     fits = []
     for outputs in gp.OUTPUT_GROUPS:
         ws = gp._Workspace(X)
         y = Z[:, outputs]
 
-        def loss_grad_hess(theta, want_grad, ws=ws, y=y):
+        def loss_and_derivatives(theta, ws=ws, y=y):
             [result] = gp._objective(
                 theta, family=kernel.family, nu=kernel.nu, ws=ws, ys=(y,),
-                l2_weight=cfg.l2_weight, jitter=gp.TRAIN_JITTER, want_grad=want_grad,
+                l2_weight=cfg.l2_weight, jitter=gp.TRAIN_JITTER,
             )
             return result
 
         theta, curve = gp._minimize_within(
-            loss_grad_hess, starts[outputs[0]].log_params(), cfg.iterations
+            loss_and_derivatives, starts[outputs[0]].log_params(), cfg.iterations
         )
         if not np.array_equal(ws.theta, theta):
             gp._factor(theta, kernel.family, kernel.nu, ws, gp.TRAIN_JITTER)

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -137,11 +138,15 @@ class TestTrain:
         # noise variance of 0, drives the search into probes of infinite loss
         original = gp._objective
 
+        def tilt(derivatives):
+            grad, hess = derivatives()
+            return grad - [0.0, 0.0, 1e4], hess
+
         def tilted(theta, *args, **kwargs):
             return [
                 (loss - 1e4 * theta[2] if theta[2] <= 0.0 else math.inf,
-                 None if grad is None else grad - [0.0, 0.0, 1e4], hess)
-                for loss, grad, hess in original(theta, *args, **kwargs)
+                 partial(tilt, derivatives))
+                for loss, derivatives in original(theta, *args, **kwargs)
             ]
 
         monkeypatch.setattr(gp, "_objective", tilted)
@@ -602,6 +607,9 @@ class TestModelFileRanges:
         return at + 1
 
     @pytest.mark.parametrize("key,value,message", [
+        ("input_dim", "0", "input_dim: 0, not 2 or 3"),
+        ("input_dim", "1", "input_dim: 1, not 2 or 3"),
+        ("input_dim", "4", "input_dim: 4, not 2 or 3"),
         ("outputs", "5", "outputs: 5, not 6"),
         ("outputs", "7", "outputs: 7, not 6"),
         ("norm_std", "0", "norm_std: 0.0 is not positive"),
@@ -914,6 +922,24 @@ class TestUsageErrors:
         assert code == 1
         assert f"usage error: {name} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_l2_weight_without_a_finite_penalty_exits_1(
+        self, fixture_dir, tmp_path, capsys, value
+    ):
+        # nan once ran every fit on NaN losses and wrote a model at its
+        # start; inf and 1e308 (an infinite penalty at the box's corners)
+        # ended in a traceback
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"l2_weight = {value}\n")
+        out = tmp_path / "run"
+        for source in (["--l2-weight", value], ["--config", str(conf)]):
+            code = run("pipeline", "--model-dir", str(fixture_dir), "--output", str(out), *source)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("usage error: l2_weight must be >= 0 with a finite penalty")
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_config_file_not_utf8_exits_1(self, fixture_dir, tmp_path, capsys):
         conf = tmp_path / "run.conf"

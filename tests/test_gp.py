@@ -1,8 +1,10 @@
 """Kernels, marginal likelihood, gradients, training, and posterior."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +24,19 @@ from oracles import (
 from synthdata import dataset_from_arrays, make_scene, smooth_targets
 
 NEAR_ZERO_NOISE = -700.0  # exp(-700) ~ 1e-304, numerically a zero noise floor
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one entry per call of gp's LAPACK routine name."""
+    calls = []
+    original = getattr(gp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gp, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +310,14 @@ class TestBlockObjective:
 
 
 class TestHessian:
-    """The exact Hessian _objective returns with every gradient."""
+    """The exact Hessian _objective's derivatives() returns with the gradient."""
 
     @staticmethod
     def hessian(cfg, X, Y, l2_weight, jitter):
-        [(_, _, hess)] = gp._objective(
-            cfg.log_params(), cfg.family, cfg.nu, gp._Workspace(X), (Y,), l2_weight, jitter, True
+        [(_, derivatives)] = gp._objective(
+            cfg.log_params(), cfg.family, cfg.nu, gp._Workspace(X), (Y,), l2_weight, jitter
         )
-        return hess
+        return derivatives()[1]
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("family,nu", TestBlockObjective.KERNELS)
@@ -324,14 +339,58 @@ class TestHessian:
                 fd[:, i] = (hi - lo) / (2 * step)
             assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
-    def test_loss_only_evaluation_has_no_hessian(self):
+    def test_loss_only_evaluation_has_no_hessian(self, monkeypatch):
         cfg, X, Y = TestBlockObjective.problem("matern", 0.5, 0)
+        calls = count_calls(monkeypatch, "dpotri")
         ws = gp._Workspace(X)
-        [(loss, grad, hess)] = gp._objective(
-            cfg.log_params(), cfg.family, cfg.nu, ws, (Y,), 0.0, 0.0, False
+        [(loss, _)] = gp._objective(
+            cfg.log_params(), cfg.family, cfg.nu, ws, (Y,), 1e-3, gp.TRAIN_JITTER
         )
-        assert grad is None and hess is None
-        assert loss == gp.nll(cfg, X, Y)
+        assert calls == []
+        assert loss == gp.nll(cfg, X, Y, 1e-3, gp.TRAIN_JITTER)
+        # the factor stays in K, recorded at its theta: the factor a fit computes
+        fit = gp.TrainedGP.fit(X, Y, [cfg] * 3, gp.OutputNormalizer.identity(3), 1, 1,
+                               jitter=gp.TRAIN_JITTER)
+        assert np.array_equal(ws.theta, cfg.log_params())
+        assert np.array_equal(ws.K, fit.factors[0])
+
+
+class TestDerivativesOnDemand:
+    """_objective computes derivatives only when asked, once per evaluation;
+    test_loss_only_evaluation_has_no_hessian checks an evaluation never asked."""
+
+    @staticmethod
+    def evaluate(ws, cfg, ys):
+        return gp._objective(cfg.log_params(), cfg.family, cfg.nu, ws, ys, 1e-3, gp.TRAIN_JITTER)
+
+    @pytest.mark.parametrize("family,nu", TestBlockObjective.KERNELS)
+    def test_one_inversion_serves_every_block(self, monkeypatch, family, nu):
+        cfg, X, Y = TestBlockObjective.problem(family, nu, 1, k=3)
+        blocks = (Y[:, 0], Y[:, 1:])
+        calls = count_calls(monkeypatch, "dpotri")
+        ws = gp._Workspace(X)
+        shared = self.evaluate(ws, cfg, blocks)
+        first = shared[1][1]()
+        self.evaluate(ws, cfg, (Y,))  # factors again: the cached results stay valid
+        assert shared[1][1]() is first
+        derivatives = [d() for _, d in shared]
+        assert len(calls) == 1
+        for y, (grad, hess) in zip(blocks, derivatives):
+            [(_, alone)] = self.evaluate(gp._Workspace(X), cfg, (y,))
+            assert all(np.array_equal(a, b) for a, b in zip(alone(), (grad, hess)))
+
+    def test_stale_derivatives_raise(self):
+        cfg, X, Y = TestBlockObjective.problem("matern", 1.5, 2)
+        ws = gp._Workspace(X)
+        [(_, stale)] = self.evaluate(ws, cfg, (Y,))
+        [(_, current)] = self.evaluate(ws, cfg.with_log_params([0.1, -1.0, -5.0]), (Y,))
+        with pytest.raises(RuntimeError, match="factor was replaced"):
+            stale()
+        current()
+        [(_, handed)] = self.evaluate(ws, cfg, (Y,))
+        ws.hand_over()
+        with pytest.raises(RuntimeError, match="factor was replaced"):
+            handed()
 
 
 # ---------------------------------------------------------------------------
@@ -442,44 +501,91 @@ class TestTrainGp:
     @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
                                            ("rbf", None)])
     def test_loss_only_last_evaluation_changes_nothing(self, monkeypatch, family, nu, budget):
+        # the evaluations the search asks no derivatives of (the last one, and
+        # every rejected trial) are loss-only: asking every evaluation for its
+        # derivatives costs inversions and factorisations, and moves no bit
+        # of what training keeps
         ds = make_scene("smooth", 60, seed=1)
         kernel = gp.default_kernel(family, nu)
         cfg = gp.TrainConfig(iterations=budget)
         fast = gp.train_gp(ds, kernel, cfg)
         original = gp._objective
 
-        def always_grad(theta, *args, **kwargs):
-            return original(theta, *args, **{**kwargs, "want_grad": True})
+        def eager(theta, *args, **kwargs):
+            results = original(theta, *args, **kwargs)
+            for _, derivatives in results:
+                derivatives()
+            return results
 
-        monkeypatch.setattr(gp, "_objective", always_grad)
+        monkeypatch.setattr(gp, "_objective", eager)
         full = gp.train_gp(ds, kernel, cfg)
-        for a, b in zip(fast.configs, full.configs):
-            assert np.array_equal(a.log_params(), b.log_params())
-        for a, b in zip(fast.loss_curves, full.loss_curves):
-            assert np.array_equal(a, b)
-        for a, b in zip(fast.alphas, full.alphas):
-            assert np.array_equal(a, b)
+        assert fast.configs == full.configs
+        assert fast.jitters == full.jitters
+        for name in ("loss_curves", "factors", "alphas"):
+            for a, b in zip(getattr(fast, name), getattr(full, name), strict=True):
+                assert np.array_equal(a, b), name
+
+    @staticmethod
+    def record_searches(monkeypatch):
+        """Per search: its evaluations as [theta, derivatives asked], and the
+        thetas _newton_step stepped from."""
+        searches = []
+        search, step = gp._minimize_within, gp._newton_step
+
+        def stepped(theta, *args):
+            searches[-1][1].append(np.array(theta))
+            return step(theta, *args)
+
+        def recorded(fun, theta0, budget, first=None):
+            evaluations = []
+            searches.append((evaluations, []))
+
+            def spy(result, theta):
+                loss, derivatives = result
+                record = [np.array(theta), False]
+                evaluations.append(record)
+
+                def asked():
+                    record[1] = True
+                    return derivatives()
+
+                return loss, asked
+
+            if first is not None:
+                first = spy(first, np.clip(theta0, gp._LOWER, gp._UPPER))
+            return search(lambda theta: spy(fun(theta), theta), theta0, budget, first)
+
+        monkeypatch.setattr(gp, "_newton_step", stepped)
+        monkeypatch.setattr(gp, "_minimize_within", recorded)
+        return searches
 
     @pytest.mark.parametrize("budget", [1, 3, 200])
-    def test_gradient_skipped_only_on_spending_evaluation(self, monkeypatch, budget):
-        wants = []
-        original = gp._objective
-
-        def recorded(theta, *args, **kwargs):
-            wants.append(kwargs["want_grad"])
-            return original(theta, *args, **kwargs)
-
-        monkeypatch.setattr(gp, "_objective", recorded)
+    def test_inversions_are_the_steps_taken(self, monkeypatch, budget):
+        inversions = count_calls(monkeypatch, "dpotri")
+        searches = self.record_searches(monkeypatch)
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=budget))
-        assert len(model.loss_curves) == len(gp.OUTPUT_GROUPS)
-        # the first evaluation, at the groups' common start, is every group's
-        shared, *wants = wants
-        assert len(wants) == sum(map(len, model.loss_curves)) - len(gp.OUTPUT_GROUPS)
-        for curve in model.loss_curves:
-            used, wants = [shared] + wants[:len(curve) - 1], wants[len(curve) - 1:]
-            spent = len(curve) == budget
-            assert used == [True] * (len(curve) - spent) + [False] * spent
+        assert len(searches) == len(gp.OUTPUT_GROUPS)
+        asked = 0
+        for (evaluations, stepped), curve in zip(searches, model.loss_curves):
+            assert len(evaluations) == len(curve)
+            thetas = [theta for theta, ask in evaluations if ask]
+            asked += len(thetas)
+            # the start, once budget remains, then every accepted step the
+            # search went on from: the distinct thetas it stepped from, and
+            # at most one more, the last evaluation, on which it stopped
+            assert evaluations[0][1] == (budget > 1)
+            distinct = [t for i, t in enumerate(stepped)
+                        if i == 0 or not np.array_equal(t, stepped[i - 1])]
+            assert len(thetas) - len(distinct) in (0, 1)
+            assert all(np.array_equal(a, b) for a, b in zip(thetas, distinct))
+            if len(thetas) > len(distinct):
+                assert np.array_equal(thetas[-1], evaluations[-1][0])
+                assert len(curve) < budget
+            if len(curve) == budget:  # nothing follows the evaluation that spends it
+                assert not evaluations[-1][1]
+        # the groups' shared first evaluation inverts once for all of them
+        assert len(inversions) == asked - (len(gp.OUTPUT_GROUPS) - 1) * (budget > 1)
         if budget == 200:  # the smooth scene converges well inside this budget
             assert all(len(curve) < budget for curve in model.loss_curves)
 
@@ -495,6 +601,19 @@ class TestTrainGp:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
             gp.TrainConfig(iterations=0)
+
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf, 1e308])
+    def test_l2_weight_without_a_finite_penalty_rejected(self, weight):
+        with pytest.raises(ValueError, match="l2_weight must be >= 0 with a finite penalty"):
+            gp.TrainConfig(l2_weight=weight)
+
+    def test_l2_weight_limit_comes_from_the_box(self):
+        # the penalty l2 |theta|^2 is largest at a corner of the box
+        corner = sum(max(lo * lo, hi * hi) for lo, hi in gp._BOUNDS)
+        largest = sys.float_info.max / corner
+        gp.TrainConfig(l2_weight=largest * (1 - 1e-12))
+        with pytest.raises(ValueError, match="l2_weight"):
+            gp.TrainConfig(l2_weight=largest * (1 + 1e-12))
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_max_train_points_below_one_rejected(self, points):
@@ -547,18 +666,6 @@ class TestFactorHandover:
 
     KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
 
-    @staticmethod
-    def count_dpotrf(monkeypatch):
-        calls = []
-        original = gp.dpotrf
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gp, "dpotrf", counted)
-        return calls
-
     @pytest.mark.parametrize("budget", [1, 5, 1000])
     @pytest.mark.parametrize("family,nu", KERNELS)
     def test_bit_equal_to_refit(self, family, nu, budget):
@@ -575,7 +682,7 @@ class TestFactorHandover:
             assert np.array_equal(a, b)
 
     def test_budget_of_one_factors_once(self, monkeypatch):
-        calls = self.count_dpotrf(monkeypatch)
+        calls = count_calls(monkeypatch, "dpotrf")
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=1))
         # every group evaluated and kept the one start: one factor serves all
@@ -584,21 +691,49 @@ class TestFactorHandover:
 
     @pytest.mark.parametrize("budget", [5, 1000])
     def test_refactors_only_when_the_kept_factor_is_gone(self, monkeypatch, budget):
-        calls = self.count_dpotrf(monkeypatch)
+        calls = count_calls(monkeypatch, "dpotrf")
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=budget))
         assert model.jitters == (gp.TRAIN_JITTER,) * 6  # no escalation retries
-        # K still holds the factor only when the last evaluation was the
-        # loss-only one that spent the budget, and it was kept; the four
-        # groups' first evaluations, at one start, are one
-        held = sum(
-            len(curve) == budget and int(np.argmin(curve)) == len(curve) - 1
-            for curve in model.loss_curves
-        )
+        # K still holds the factor only when the search kept its last
+        # evaluation and asked no derivatives there: that evaluation spent
+        # the budget or ended the search on _FTOL. The four groups' first
+        # evaluations, at one start, are one
+        held = sum(self.kept_last_without_derivatives(c, budget) for c in model.loss_curves)
         shared = len(gp.OUTPUT_GROUPS) - 1
         assert len(calls) == (
             sum(map(len, model.loss_curves)) - shared + len(gp.OUTPUT_GROUPS) - held
         )
+
+    @staticmethod
+    def kept_last_without_derivatives(curve, budget) -> bool:
+        """Whether a search with this loss curve kept its last evaluation and
+        stopped there on the budget or on _FTOL."""
+        if len(curve) < 2 or int(np.argmin(curve)) != len(curve) - 1:
+            return False
+        before, last = curve[:-1].min(), curve[-1]
+        reduction = (before - last) / max(abs(before), abs(last), 1.0)
+        return len(curve) == budget or reduction <= gp._FTOL
+
+    def test_stop_on_ftol_hands_over_the_last_factor(self, monkeypatch):
+        # on this scene every group's search ends on an accepted step that
+        # lowers the loss by a relative _FTOL or less; the search asks no
+        # derivatives there, so K still holds that step's factor and
+        # nothing is factored again
+        calls = count_calls(monkeypatch, "dpotrf")
+        cfg = gp.TrainConfig(iterations=200)
+        model = gp.train_gp(make_scene("smooth", 40, seed=0), gp.default_kernel("matern", 2.5),
+                            cfg)
+        for curve in model.loss_curves:
+            assert len(curve) < cfg.iterations
+            assert self.kept_last_without_derivatives(curve, cfg.iterations)
+        shared = len(gp.OUTPUT_GROUPS) - 1
+        assert len(calls) == sum(map(len, model.loss_curves)) - shared
+        refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
+                                 model.width, model.height, jitter=model.jitters)
+        for name in ("factors", "alphas"):
+            for a, b in zip(getattr(model, name), getattr(refit, name), strict=True):
+                assert np.array_equal(a, b), name
 
 
 class TestSharedFirstEvaluation:
@@ -623,7 +758,7 @@ class TestSharedFirstEvaluation:
         logs = TestSharedFirstEvaluation.STARTS[kind]
         starts = None if logs is None else [kernel.with_log_params(t) for t in logs]
         ds, cfg = make_scene("smooth", 60, seed=1), gp.TrainConfig(iterations=budget)
-        calls = TestFactorHandover.count_dpotrf(monkeypatch)
+        calls = count_calls(monkeypatch, "dpotrf")
         models, counts = [], []
         for fit in (gp._fit_outputs, fit_outputs_per_group):
             monkeypatch.setattr(gp, "_fit_outputs", fit)
@@ -782,11 +917,15 @@ class TestUnboundedNoise:
         seen = []
         original = gp._objective
 
+        def tilt(derivatives):
+            grad, hess = derivatives()
+            return grad - [0.0, 0.0, 1e4], hess
+
         def tilted(theta, *args, **kwargs):
             seen.append(np.array(theta))
             return [
-                (loss - 1e4 * theta[2], None if grad is None else grad - [0.0, 0.0, 1e4], hess)
-                for loss, grad, hess in original(theta, *args, **kwargs)
+                (loss - 1e4 * theta[2], partial(tilt, derivatives))
+                for loss, derivatives in original(theta, *args, **kwargs)
             ]
 
         monkeypatch.setattr(gp, "_objective", tilted)
@@ -817,15 +956,33 @@ class TestNewtonSearch:
 
     @staticmethod
     def quadratic(A, c):
-        """fun(theta, want_grad) of 0.5 (theta - c)^T A (theta - c)."""
+        """fun(theta) of 0.5 (theta - c)^T A (theta - c)."""
         A, c = np.asarray(A, dtype=float), np.asarray(c, dtype=float)
 
-        def fun(theta, want_grad):
+        def fun(theta):
             r = theta - c
-            loss = 0.5 * float(r @ A @ r)
-            return (loss, A @ r, A) if want_grad else (loss, None, None)
+            return 0.5 * float(r @ A @ r), lambda: (A @ r, A)
 
         return fun
+
+    @staticmethod
+    def recorded(fun, asked):
+        """fun, appending to asked the index of each evaluation whose
+        derivatives the search asks for."""
+        evaluations = []
+
+        def spy(theta):
+            loss, derivatives = fun(theta)
+            index = len(evaluations)
+            evaluations.append(theta)
+
+            def ask():
+                asked.append(index)
+                return derivatives()
+
+            return loss, ask
+
+        return spy
 
     def test_quadratic_converges_in_a_few_steps(self):
         A = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]
@@ -859,13 +1016,11 @@ class TestNewtonSearch:
     def test_indefinite_hessian_still_descends(self):
         # a saddle at the start: the floored |eigenvalues| turn the Newton
         # step downhill along the negative-curvature direction
-        def fun(theta, want_grad):
+        def fun(theta):
             a, b, c = theta
             loss = a * a + 0.25 * b**4 - b * b + c * c
-            if not want_grad:
-                return loss, None, None
             grad = np.array([2 * a, b**3 - 2 * b, 2 * c])
-            return loss, grad, np.diag([2.0, 3 * b * b - 2.0, 2.0])
+            return loss, lambda: (grad, np.diag([2.0, 3 * b * b - 2.0, 2.0]))
 
         theta, curve = gp._minimize_within(fun, np.array([0.3, 0.1, 0.2]), 100)
         assert len(curve) < 100
@@ -876,9 +1031,9 @@ class TestNewtonSearch:
     def test_zero_or_nan_hessian_falls_back_to_steepest_descent(self, bad):
         fun = self.quadratic(np.eye(3), [0.5, -1.0, -3.0])
 
-        def without_curvature(theta, want_grad):
-            loss, grad, hess = fun(theta, want_grad)
-            return loss, grad, None if hess is None else np.full((3, 3), bad)
+        def without_curvature(theta):
+            loss, derivatives = fun(theta)
+            return loss, lambda: (derivatives()[0], np.full((3, 3), bad))
 
         theta, curve = gp._minimize_within(without_curvature, np.zeros(3), 200)
         assert len(curve) < 200
@@ -886,16 +1041,44 @@ class TestNewtonSearch:
 
     @pytest.mark.parametrize("budget", [1, 2, 3])
     def test_budget_is_exact_and_its_last_evaluation_loss_only(self, budget):
-        wants = []
-        fun = self.quadratic(np.eye(3), [5.0, 5.0, 5.0])
-
-        def recorded(theta, want_grad):
-            wants.append(want_grad)
-            return fun(theta, want_grad)
-
-        _, curve = gp._minimize_within(recorded, np.zeros(3), budget)
+        # every step is accepted: derivatives at the start and at each step
+        # but the one that spends the budget
+        asked = []
+        fun = self.recorded(self.quadratic(np.eye(3), [5.0, 5.0, 5.0]), asked)
+        _, curve = gp._minimize_within(fun, np.zeros(3), budget)
         assert len(curve) == budget
-        assert wants == [True] * (budget - 1) + [False]
+        assert asked == list(range(budget - 1))
+
+    def test_rejected_step_is_loss_only(self):
+        quadratic = self.quadratic(np.eye(3), [0.5, -1.0, -3.0])
+        thetas, asked = [], []
+
+        def first_step_fails(theta):
+            thetas.append(theta)
+            loss, derivatives = quadratic(theta)
+            return loss + (100.0 if len(thetas) == 2 else 0.0), derivatives
+
+        theta, curve = gp._minimize_within(self.recorded(first_step_fails, asked),
+                                           np.zeros(3), 100)
+        assert curve[1] > curve[0]  # rejected, then the halved step is taken
+        assert asked[:2] == [0, 2]
+        assert 1 not in asked
+        np.testing.assert_allclose(theta, [0.5, -1.0, -3.0], atol=1e-9)
+
+    def test_stop_on_ftol_asks_no_derivatives(self):
+        # a full Newton step lowers a loss of order 1e10 by 0.125: an
+        # accepted step with a relative reduction below _FTOL ends the search
+        quadratic = self.quadratic(np.eye(3), [0.5, 0.0, 0.0])
+
+        def raised(theta):
+            loss, derivatives = quadratic(theta)
+            return 1e10 + loss, derivatives
+
+        asked = []
+        theta, curve = gp._minimize_within(self.recorded(raised, asked), np.zeros(3), 100)
+        assert curve.tolist() == [1e10 + 0.125, 1e10]
+        assert asked == [0]
+        np.testing.assert_array_equal(theta, [0.5, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
