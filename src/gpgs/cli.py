@@ -60,7 +60,7 @@ class RunConfig:
     ply_binary: bool = True
 
     def kernel_template(self) -> gp.KernelConfig:
-        return gp.default_kernel(self.kernel, self.nu if self.kernel == gp.MATERN else None)
+        return gp.default_kernel(self.kernel, self.nu)
 
     def train_config(self) -> gp.TrainConfig:
         return gp.TrainConfig(
@@ -124,11 +124,14 @@ def parse_config_file(path) -> dict:
 
 
 def write_run_config(cfg: RunConfig, out_dir: Path) -> None:
+    """Write the run's settings as a config file that --config replays;
+    paths not given are left out."""
     with sfm_io.writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"{field.name} = {getattr(cfg, field.name)}"
         for field in dataclasses.fields(RunConfig)
+        if getattr(cfg, field.name) is not None
     ]
     sfm_io.write_lines(out_dir / "run-config.txt", lines)
 
@@ -523,7 +526,11 @@ def validate(cfg: RunConfig) -> None:
     error before any file is touched.
 
     Most ranges live in the module configs, which check them when built.
+    A path setting may be missing but not empty.
     """
+    for name, kind in _FIELD_TYPES.items():
+        if kind == "Optional[str]" and getattr(cfg, name) == "":
+            raise UsageError(f"--{name.replace('_', '-')} must not be empty")
     try:
         cfg.train_config()
         cfg.sampling_config()

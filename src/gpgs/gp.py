@@ -149,7 +149,7 @@ def default_kernel(family: str = MATERN, nu: float | None = 0.5) -> KernelConfig
 class TrainConfig:
     iterations: int = 1000  # loss evaluations per output group, at most
     l2_weight: float = 1e-6
-    max_train_points: int | None = 2000
+    max_train_points: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -158,8 +158,10 @@ class TrainConfig:
         corner_penalty = self.l2_weight * sum(max(lo * lo, hi * hi) for lo, hi in _BOUNDS)
         if not (self.l2_weight >= 0 and math.isfinite(corner_penalty)):
             raise ValueError(f"l2_weight must be >= 0 with a finite penalty, got {self.l2_weight}")
-        if self.max_train_points is not None and self.max_train_points < 1:
+        if self.max_train_points < 1:
             raise ValueError(f"max_train_points must be >= 1, got {self.max_train_points}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -305,12 +307,13 @@ _SCALED_FACTOR = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
 
 def _fill_correlation(family, nu, ell, D, S, E, K) -> None:
     """Fill K with R at the distances D, leaving in S and E what
-    _fill_gradient reads.
+    _fill_derivatives reads.
 
-    Works on the scaled distance s = c * D / l in S, where c folds the
-    sqrt(2 nu) factor of the half-integer Matérn closed forms; E holds the
-    exponential factor. All four arrays have one shape. S and E may be one
-    buffer when the caller does not read them afterwards; for RBF and
+    Works on the scaled distance s = c * D / l in S (t = D / l for RBF),
+    where c folds the sqrt(2 nu) factor of the half-integer Matérn closed
+    forms; E holds the exponential factor. All four arrays have one shape.
+    S and E may be one buffer when the caller does not read them
+    afterwards; for RBF and
     Matérn 0.5, K may be that buffer too. Training, kernel_value and the
     posterior's cross-covariance all fill through here, so their kernel
     values agree bit for bit.
@@ -338,25 +341,6 @@ def _fill_correlation(family, nu, ell, D, S, E, K) -> None:
         np.multiply(K, E, out=K)  # R = poly(s) exp(-s)
 
 
-def _fill_gradient(family, nu, ws: _Workspace) -> None:
-    """Fill ws.dR with dR/d(log l) from the S and E of _fill_correlation.
-
-    dR is zero on the diagonal, where the distance is zero, for every kernel.
-    """
-    S, E, dR = ws.S, ws.E, ws.dR
-    if family == RBF or nu == 1.5:
-        np.multiply(S, S, out=dR)
-        np.multiply(dR, E, out=dR)  # RBF: t^2 exp(-t^2/2); Matérn 1.5: 3 t^2 exp(-s)
-    elif nu == 0.5:
-        np.multiply(S, E, out=dR)  # dR = t exp(-t)
-    else:  # nu == 2.5
-        np.multiply(S, S, out=dR)
-        np.multiply(dR, 1.0 / 3.0, out=dR)
-        np.add(S, 1.0, out=S)
-        np.multiply(dR, S, out=dR)
-        np.multiply(dR, E, out=dR)  # dR = (s^2/3)(1+s) exp(-s)
-
-
 def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     """Fill ws.K with the Gram matrix at theta = (log sf2, log l, log sn2),
     with sn2 + jitter on its diagonal."""
@@ -379,28 +363,39 @@ def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
     ws.theta = np.array(theta)
 
 
-def _fill_second_derivative(family, nu, ws: _Workspace) -> None:
-    """Fill ws.E with d^2R/d(log l)^2, from the S and E that _fill_gradient
-    leaves, using S as scratch.
+def _fill_derivatives(family, nu, ws: _Workspace) -> None:
+    """Fill ws.dR with dR/d(log l), then ws.E with d^2R/d(log l)^2, from the
+    S and E of _fill_correlation, using S as scratch.
 
-    With s the scaled distance and E the exponential factor it is s(s-1)E
-    (Matérn 0.5), s^2(s-2)E (Matérn 1.5), (s^2/3)(s^2-2s-2)E (Matérn 2.5)
-    and t^2(t^2-2)E (RBF); zero on the diagonal, like dR.
+    With s the scaled distance (t for RBF) and E the exponential factor,
+    for RBF and Matérn 0.5, 1.5 and 2.5 dR is t^2 E, s E, s^2 E and
+    (s^2/3)(1+s) E, and d^2R is t^2(t^2-2)E, s(s-1)E, s^2(s-2)E and
+    (s^2/3)(s^2-2s-2)E: both zero on the diagonal, where D is zero.
     """
-    S, E = ws.S, ws.E
+    S, E, dR = ws.S, ws.E, ws.dR
     if family == RBF:
+        np.multiply(S, S, out=dR)
+        np.multiply(dR, E, out=dR)
         np.multiply(S, S, out=S)
         np.multiply(E, S, out=E)
         np.subtract(S, 2.0, out=S)  # t^2 - 2
     elif nu == 0.5:
+        np.multiply(S, E, out=dR)
         np.multiply(E, S, out=E)
         np.subtract(S, 1.0, out=S)  # s - 1
     elif nu == 1.5:
+        np.multiply(S, S, out=dR)
+        np.multiply(dR, E, out=dR)
         np.multiply(E, S, out=E)
         np.multiply(E, S, out=E)
         np.subtract(S, 2.0, out=S)  # s - 2
-    else:  # nu == 2.5; _fill_gradient left 1 + s in S
-        np.subtract(S, 1.0, out=S)
+    else:  # nu == 2.5
+        np.multiply(S, S, out=dR)
+        np.multiply(dR, 1.0 / 3.0, out=dR)
+        np.add(S, 1.0, out=S)
+        np.multiply(dR, S, out=dR)
+        np.multiply(dR, E, out=dR)
+        np.subtract(S, 1.0, out=S)  # (1 + s) - 1, not always s's bits
         np.multiply(E, S, out=E)
         np.multiply(E, S, out=E)
         np.multiply(E, 1.0 / 3.0, out=E)
@@ -459,12 +454,13 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
 
 
 def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
-    """(grad, hess) of each _objective block, from the factor in ws.K (then its inverse)."""
+    """(grad, hess) of each _objective block, from the factor in ws.K, which
+    dpotri turns into K^-1 (ws.theta is None then); dR and d^2R
+    (_fill_derivatives) and M = K^-1 dR fill ws.dR, ws.E and ws.M."""
     n = ws.n
     L, j = ws.K, ws.jitter
     sf2, sn2 = math.exp(theta[0]), math.exp(theta[2])
-    _fill_gradient(family, nu, ws)
-    _fill_second_derivative(family, nu, ws)
+    _fill_derivatives(family, nu, ws)
     dR, d2R = ws.dR, ws.E
     ws.theta = None
     inv, info = dpotri(L, lower=1, overwrite_c=1)
@@ -536,63 +532,38 @@ def _symmetric(h00, h01, h02, h11, h12, h22) -> np.ndarray:
     return np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
 
 
-def _targets(y) -> np.ndarray:
-    """One target column (n,), or the columns of an (n, k) block."""
+def _one_block(cfg: KernelConfig, X, y, l2_weight, jitter):
+    """_objective's (loss, derivatives) at cfg for a column y or an (n, k) y."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    return y if y.ndim == 2 else y.ravel()
+    [result] = _objective(
+        cfg.log_params(), cfg.family, cfg.nu, _Workspace(X),
+        (y if y.ndim == 2 else y.ravel(),), l2_weight, jitter,
+    )
+    return result
 
 
 def nll(cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0) -> float:
     """Training loss for one output, or for the columns of an (n, k) y that
     share cfg: the summed NLL plus the L2 log-parameter penalty (_objective)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = _targets(y)
-    [(loss, _)] = _objective(
-        cfg.log_params(), cfg.family, cfg.nu, _Workspace(X), (y,), l2_weight, jitter
-    )
-    return loss
+    return _one_block(cfg, X, y, l2_weight, jitter)[0]
 
 
 def nll_gradient(
     cfg: KernelConfig, X, y, l2_weight: float = 0.0, jitter: float = 0.0
 ) -> np.ndarray:
     """Analytic gradient of nll over the three log-hyperparameters."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = _targets(y)
-    [(_, derivatives)] = _objective(
-        cfg.log_params(), cfg.family, cfg.nu, _Workspace(X), (y,), l2_weight, jitter
-    )
-    return derivatives()[0]
+    return _one_block(cfg, X, y, l2_weight, jitter)[1]()[0]
 
 
 # ---------------------------------------------------------------------------
 # Trained model
 # ---------------------------------------------------------------------------
 
-def _condition(X, Z, configs, jitters, kept=None):
-    """Factors, alphas and jitters of the outputs Z[:, j] at configs[j],
-    with jitters[j] the jitter each factorisation starts from.
-
-    Outputs with equal (config, jitter) share one factor, factored once
-    with training's arithmetic (_cholesky_in_place) in its own buffer,
-    unless kept maps that (config, jitter) to the (factor, jitter) a
-    training already holds. Each alpha is solved column by column, so its
-    bits do not depend on which outputs share its factor.
-    """
-    shared = dict(kept or {})
-    ws = None
-    factors, used = [], []
-    for key in zip(configs, jitters):
-        if key not in shared:
-            cfg, j0 = key
-            if ws is None:
-                ws = _Workspace(X)
-            _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
-            shared[key] = (ws.hand_over(), ws.jitter)
-        factors.append(shared[key][0])
-        used.append(shared[key][1])
-    alphas = tuple(_solve_gram(L, Z[:, j]) for j, L in enumerate(factors))
-    return tuple(factors), alphas, tuple(used)
+def _alphas(factors, Z) -> tuple[np.ndarray, ...]:
+    """(K + sn2 I)^-1 Z[:, j] for each output j against its factor, one column
+    at a time, so that its bits do not depend on which outputs share it."""
+    return tuple(_solve_gram(L, Z[:, j]) for j, L in enumerate(factors))
 
 
 @dataclass(frozen=True)
@@ -647,17 +618,17 @@ class TrainedGP:
         width: int,
         height: int,
         jitter=0.0,
-        loss_curves=(),
     ) -> "TrainedGP":
         """Condition one GP per column of Z on X at fixed hyperparameters.
 
         Z is already normalized. jitter may be a scalar or a per-output
         sequence; each output records the value escalation settled on.
-        One Gram matrix is filled and factored per distinct (config,
-        jitter), with training's arithmetic, so a refit at the configs and
-        jitters a training kept reproduces its factors and alphas bit for
-        bit. Configs need not repeat: a model file from separate fits of
-        every output loads to six factors.
+        One Gram matrix is filled and factored (_factor) per distinct
+        (config, jitter), the factor its outputs share, so a refit at the
+        configs and jitters a training kept reproduces its factors, alphas
+        and groups bit for bit. Configs need not repeat: a model file from
+        separate fits of every output loads to six factors. The model has
+        no loss curves.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
@@ -666,14 +637,14 @@ class TrainedGP:
         configs = tuple(configs)
         if len(configs) != Z.shape[1]:
             raise DimensionMismatch(f"{len(configs)} kernel configs for {Z.shape[1]} outputs")
-        jitters_in = (
-            tuple(jitter) if np.ndim(jitter) else (float(jitter),) * len(configs)
-        )
-        factors, alphas, jitters = _condition(X, Z, configs, jitters_in)
-        return cls(
-            configs, normalizer, X, Z, factors, alphas, jitters, width, height,
-            tuple(loss_curves),
-        )
+        keys = list(zip(configs, jitter if np.ndim(jitter) else [float(jitter)] * len(configs)))
+        ws, shared = _Workspace(X), {}  # (config, jitter) -> (factor, jitter used)
+        for cfg, j0 in dict.fromkeys(keys):
+            _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
+            shared[cfg, j0] = (ws.hand_over(), ws.jitter)
+        factors = tuple(shared[key][0] for key in keys)
+        jitters = tuple(shared[key][1] for key in keys)
+        return cls(configs, normalizer, X, Z, factors, _alphas(factors, Z), jitters, width, height)
 
 
 @dataclass(frozen=True)
@@ -909,15 +880,15 @@ def train_gp(
     loss_curves hold one curve per group, every evaluation in order; a
     curve of cfg.iterations entries means the budget, not convergence,
     ended the search. Oversized datasets are first reduced to a seeded
-    uniform subsample of max_train_points. The model keeps the Cholesky
-    factors training computed at the kept parameters, one per distinct
-    (config, jitter), bit for bit those TrainedGP.fit computes there.
+    uniform subsample of max_train_points. The model keeps the factor each
+    group's search handed over, the first group's where groups end at one
+    (config, jitter): bit for bit the factors TrainedGP.fit computes there.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     X, Y = ds.inputs, ds.targets
     n = X.shape[0]
-    if cfg.max_train_points is not None and n > cfg.max_train_points:
+    if n > cfg.max_train_points:
         rng = np.random.default_rng(cfg.seed)
         keep = np.sort(rng.choice(n, size=cfg.max_train_points, replace=False))
         X, Y = X[keep], Y[keep]
@@ -929,17 +900,16 @@ def train_gp(
     elif len(starts) != Z.shape[1]:
         raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
     k = Z.shape[1]
-    configs, jitters, kept, curves = [None] * k, [None] * k, {}, []
+    configs, factors, jitters, curves, shared = [None] * k, [None] * k, [None] * k, [], {}
     for outputs, (theta, L, jitter, curve) in zip(
         OUTPUT_GROUPS, _fit_outputs(X, Z, kernel, cfg, starts)
     ):
         fitted = kernel.with_log_params(theta)
+        L = shared.setdefault((fitted, jitter), L)  # groups that end equal share one factor
         for j in outputs:
-            configs[j], jitters[j] = fitted, jitter
-        kept.setdefault((fitted, jitter), (L, jitter))  # groups that end equal share one
+            configs[j], factors[j], jitters[j] = fitted, L, jitter
         curves.append(curve)
-    factors, alphas, jitters = _condition(X, Z, configs, jitters, kept)
     return TrainedGP(
-        tuple(configs), normalizer, X, Z, factors, alphas, jitters, ds.width, ds.height,
-        tuple(curves),
+        tuple(configs), normalizer, X, Z, tuple(factors), _alphas(factors, Z), tuple(jitters),
+        ds.width, ds.height, tuple(curves),
     )

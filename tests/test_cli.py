@@ -403,6 +403,21 @@ class TestPipeline:
             out / "cloud_variance.csv"
         ).read_bytes()
 
+    def test_run_config_replays_its_run(self, surface_dir, tmp_path):
+        # run-config.txt once wrote dataset, gp_model and depth_dir as the
+        # path "None", and a replay exited 2 on the missing depth file None/...
+        out, again = tmp_path / "run", tmp_path / "again"
+        flags = ("--iterations", "20", "--seed", "3")
+        assert run("pipeline", "--model-dir", str(surface_dir), "--output", str(out), *flags) == 0
+        config = out / "run-config.txt"
+        assert "None" not in config.read_text()
+        assert run("pipeline", "--config", str(config), "--output", str(again)) == 0
+        artifacts = sorted(p.name for p in out.iterdir())
+        assert artifacts == sorted(p.name for p in again.iterdir())
+        for name in artifacts:
+            if name != "run-config.txt":
+                assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
     def test_parses_once_and_never_reads_datasets(self, fixture_dir, tmp_path, monkeypatch):
         calls = {"parse_colmap_model": 0, "read_dataset_csv": 0}
         for name in calls:
@@ -910,6 +925,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag,value,name", [
         ("--max-train-points", "0", "max_train_points"),
         ("--max-train-points", "-3", "max_train_points"),
+        ("--seed", "-1", "seed"),
         ("--key-frames", "0", "key_frames"),
         ("--train-fraction", "0", "train_fraction"),
         ("--train-fraction", "1.5", "train_fraction"),
@@ -922,6 +938,45 @@ class TestUsageErrors:
         assert code == 1
         assert f"usage error: {name} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_from_config_or_env_exits_1_before_any_file(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        # a negative seed once passed validation and crashed in the
+        # dataset split, after run-config.txt was written
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = -1\n")
+        out = tmp_path / "run"
+        for source in (["--config", str(conf)], []):
+            if not source:
+                monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+            code = run("pipeline", "--model-dir", str(fixture_dir), "--output", str(out), *source)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("usage error: seed must be >= 0, got -1")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-dataset", "train", "pipeline"])
+    def test_empty_output_exits_1_before_any_file(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, command
+    ):
+        # an empty path once meant the working directory: every command
+        # wrote run-config.txt there, and pipeline all of its artifacts
+        source = ["--model-dir", str(fixture_dir)]
+        if command == "train":
+            dataset = tmp_path / "ds.csv"
+            assert run("build-dataset", *source, "--output", str(dataset)) == 0
+            source = ["--dataset", str(dataset)]
+        conf = tmp_path / "run.conf"
+        conf.write_text("output =\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for output in (["--output", ""], ["--config", str(conf)]):
+            capsys.readouterr()
+            assert run(command, *source, *output) == 1
+            assert capsys.readouterr().err == "usage error: --output must not be empty\n"
+            assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_l2_weight_without_a_finite_penalty_exits_1(

@@ -681,6 +681,21 @@ class TestFactorHandover:
         for a, b in zip(model.alphas, refit.alphas):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("budget", [5, 1000])
+    def test_groups_that_end_equal_share_one_factor(self, budget):
+        # x and y fit equal targets, so their searches end at one (config,
+        # jitter): the model keeps one factor for both, as a refit does
+        scene = make_scene("smooth", 60, seed=1)
+        targets = scene.targets.copy()
+        targets[:, 1] = targets[:, 0]
+        ds = dataset_from_arrays(scene.inputs, targets, scene.width, scene.height)
+        model = gp.train_gp(ds, gp.default_kernel(), gp.TrainConfig(iterations=budget))
+        refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
+                                 model.width, model.height, jitter=model.jitters)
+        for m in (model, refit):
+            assert m.groups == [[0, 1], [2], [3, 4, 5]]
+            assert m.factors[0] is m.factors[1]
+
     def test_budget_of_one_factors_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "dpotrf")
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
