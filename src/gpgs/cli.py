@@ -39,24 +39,25 @@ _GROUP_NAMES = tuple(
 @dataclass
 class RunConfig:
     """Effective configuration of a run after merging defaults, the config
-    file, the GPGS_SEED fallback, and command-line flags (in that order)."""
+    file, the GPGS_SEED fallback, and command-line flags (in that order).
+    The defaults are the module configs' own."""
 
     model_dir: Optional[str] = None
     dataset: Optional[str] = None
     gp_model: Optional[str] = None
     output: Optional[str] = None
     depth_dir: Optional[str] = None
-    kernel: str = gp.MATERN
-    nu: float = 0.5
+    kernel: str = gp.KernelConfig.family
+    nu: float = gp.KernelConfig.nu
     key_frames: int = 1
-    beta: float = 0.25
-    angular_resolution: int = 8
-    filter_quantile: float = 0.75
-    iterations: int = 1000
-    l2_weight: float = 1e-6
-    max_train_points: int = 2000
+    beta: float = dn.SamplingConfig.beta
+    angular_resolution: int = dn.SamplingConfig.angular_resolution
+    filter_quantile: float = dn.FilterConfig.quantile
+    iterations: int = gp.TrainConfig.iterations
+    l2_weight: float = gp.TrainConfig.l2_weight
+    max_train_points: int = gp.TrainConfig.max_train_points
     train_fraction: float = 0.8
-    seed: int = 0
+    seed: int = gp.TrainConfig.seed
     ply_binary: bool = True
 
     def kernel_template(self) -> gp.KernelConfig:
@@ -292,25 +293,6 @@ def cmd_train(cfg: RunConfig) -> Path:
     return out
 
 
-def _print_variance_report(report: dn.VarianceReport) -> None:
-    print("channel   original      filtered      reduction")
-    for name in dn.VarianceReport.CHANNELS:
-        print(
-            f"{name:<9} {report.original[name]:<13.6g} "
-            f"{report.filtered[name]:<13.6g} {report.reduction_pct[name]:.2f}%"
-        )
-
-
-def _write_variance_csv(report: dn.VarianceReport, path: Path) -> None:
-    lines = ["channel,original,filtered,reduction_pct"]
-    for name in dn.VarianceReport.CHANNELS:
-        lines.append(
-            f"{name},{report.original[name]:.17g},"
-            f"{report.filtered[name]:.17g},{report.reduction_pct[name]:.17g}"
-        )
-    sfm_io.write_lines(path, lines)
-
-
 def _densify_one(cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.DepthMap]):
     """Sample candidates around the model's training pixels and predict.
 
@@ -329,7 +311,6 @@ def _concat_predictions(parts: list[dn.PredictedPointSet]) -> dn.PredictedPointS
         return parts[0]
     return dn.PredictedPointSet(
         mean6=np.concatenate([part.mean6 for part in parts]),
-        var6=np.concatenate([part.var6 for part in parts]),
         mean_rgb_var=np.concatenate([part.mean_rgb_var for part in parts]),
         retained=np.concatenate([part.retained for part in parts]),
     )
@@ -367,8 +348,15 @@ def _write_cloud(cfg: RunConfig, sparse, preds: dn.PredictedPointSet, out: Path)
         f"sparse points: {len(sparse.points3d)}  candidates: {len(preds)}  "
         f"retained: {preds.retained_count()}  output points: {len(cloud)}"
     )
-    _print_variance_report(report)
-    _write_variance_csv(report, out.with_name(out.stem + "_variance.csv"))
+    print("channel   original      filtered      reduction")
+    print(
+        f"rgb_mean  {report.original:<13.6g} {report.filtered:<13.6g} "
+        f"{report.reduction_pct:.2f}%"
+    )
+    sfm_io.write_lines(out.with_name(out.stem + "_variance.csv"), [
+        "channel,original,filtered,reduction_pct",
+        f"rgb_mean,{report.original:.17g},{report.filtered:.17g},{report.reduction_pct:.17g}",
+    ])
     print(f"cloud: {out}")
 
 

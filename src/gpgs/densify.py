@@ -44,16 +44,13 @@ class FilterConfig:
 class PredictedPointSet:
     """GP inference results for a batch of candidate pixels.
 
-    Row i of every array belongs to row i of the candidates. var6 rows are
-    posterior variances in normalized-target space; only the three colour
-    entries (columns 3:6) are computed, the position entries are NaN. For
-    a trained model, whose r, g and b share one kernel, the three colour
-    entries are equal. mean_rgb_var is the arithmetic mean of the colour
-    entries. mean6 rows are denormalized (world position + [0,1] colours).
+    Row i of every array belongs to row i of the candidates. mean6 rows are
+    denormalized (world position + [0,1] colours). mean_rgb_var is the
+    mean of the three colour variances in normalized-target space, the
+    uncertainty the filter ranks by.
     """
 
     mean6: np.ndarray         # (m, 6)
-    var6: np.ndarray          # (m, 6)
     mean_rgb_var: np.ndarray  # (m,)
     retained: np.ndarray      # (m,) bool
 
@@ -104,19 +101,18 @@ def infer_dense(model: TrainedGP, candidates: np.ndarray) -> PredictedPointSet:
     """Run batch GP inference over (m, d) candidate inputs; retained flags
     start all False pending filtering. Only the colour variances, which
     the filter ranks by, are computed: one triangular solve per query
-    block when r, g and b share a factor, as they do after train_gp."""
+    block when r, g and b share a factor, as they do after train_gp. A
+    model file whose r, g and b kernels differ still ranks by their mean."""
     if candidates.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"candidates have {candidates.shape[1]} columns, the model takes {model.input_dim}"
         )
     m = len(candidates)
     if m == 0:
-        return PredictedPointSet(
-            np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=bool)
-        )
+        return PredictedPointSet(np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=bool))
     post = posterior(model, candidates, var_outputs=(3, 4, 5))
     mean_rgb_var = post.var_norm[:, 3:6].mean(axis=1)
-    return PredictedPointSet(post.mean, post.var_norm, mean_rgb_var, np.zeros(m, dtype=bool))
+    return PredictedPointSet(post.mean, mean_rgb_var, np.zeros(m, dtype=bool))
 
 
 def filter_by_variance(preds: PredictedPointSet, cfg: FilterConfig) -> PredictedPointSet:
@@ -165,16 +161,12 @@ def merge_clouds(sparse: SparseModel, preds: PredictedPointSet) -> DensifiedClou
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Mean predictive variance before/after filtering, per colour channel
-    and for the RGB average, with percentage reductions. For a trained
-    model, whose r, g and b share one kernel, the r, g, b and rgb_mean
-    entries are equal (up to the rounding of the mean)."""
+    """Mean of mean_rgb_var over all predictions and over the retained
+    ones, and the percentage by which filtering reduced it."""
 
-    original: dict[str, float]
-    filtered: dict[str, float]
-    reduction_pct: dict[str, float]
-
-    CHANNELS = ("r", "g", "b", "rgb_mean")
+    original: float
+    filtered: float
+    reduction_pct: float
 
 
 def variance_reduction_report(preds: PredictedPointSet) -> VarianceReport:
@@ -183,17 +175,7 @@ def variance_reduction_report(preds: PredictedPointSet) -> VarianceReport:
         raise EmptyPredictionSet("cannot report on an empty prediction set")
     if preds.retained_count() == 0:
         raise EmptyPredictionSet("no retained predictions; run filter_by_variance first")
-    series = {
-        "r": preds.var6[:, 3],
-        "g": preds.var6[:, 4],
-        "b": preds.var6[:, 5],
-        "rgb_mean": preds.mean_rgb_var,
-    }
-    original, filtered, reduction = {}, {}, {}
-    for name, values in series.items():
-        orig = float(values.mean())
-        filt = float(values[preds.retained].mean())
-        original[name] = orig
-        filtered[name] = filt
-        reduction[name] = 0.0 if orig == 0.0 else 100.0 * (orig - filt) / orig
+    original = float(preds.mean_rgb_var.mean())
+    filtered = float(preds.mean_rgb_var[preds.retained].mean())
+    reduction = 0.0 if original == 0.0 else 100.0 * (original - filtered) / original
     return VarianceReport(original, filtered, reduction)

@@ -140,7 +140,9 @@ class KernelConfig:
         )
 
 
-def default_kernel(family: str = MATERN, nu: float | None = 0.5) -> KernelConfig:
+def default_kernel(
+    family: str = KernelConfig.family, nu: float | None = KernelConfig.nu
+) -> KernelConfig:
     """Kernel template at the standard initial hyperparameters."""
     return KernelConfig(family=family, nu=nu if family == MATERN else None)
 
@@ -192,9 +194,6 @@ class OutputNormalizer:
 
     def denormalize_mean(self, z: np.ndarray) -> np.ndarray:
         return z * self.std + self.mean
-
-    def denormalize_var(self, var: np.ndarray) -> np.ndarray:
-        return var * self.std**2
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +648,14 @@ class TrainedGP:
 
 @dataclass(frozen=True)
 class PosteriorBatch:
-    mean_norm: np.ndarray  # (m, 6) in standardized target space
-    var_norm: np.ndarray   # (m, 6), clamped at zero; NaN in columns not asked for
-    mean: np.ndarray       # (m, 6) denormalized
-    var: np.ndarray        # (m, 6) denormalized (scaled by per-output std^2)
+    mean: np.ndarray      # (m, 6) denormalized
+    var_norm: np.ndarray  # (m, 6) in standardized target space, clamped at zero;
+                          # NaN in columns not asked for
 
 
 def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
-    """Predictive mean and variance at query inputs Q (m, d).
+    """Predictive mean, in target units, and variance, in standardized
+    target units, at query inputs Q (m, d).
 
     mu = k*^T alpha and var = k(q,q) - ||L^-1 k*||^2 per output, evaluated
     through the cached Cholesky factors (Rasmussen & Williams, Alg. 2.1).
@@ -682,7 +681,7 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     var_outputs = set(range(k) if var_outputs is None else var_outputs)
     if not var_outputs <= set(range(k)):
         raise ValueError(f"variance outputs {sorted(var_outputs)} out of range for {k} outputs")
-    mean_norm = np.empty((m, k))
+    mean = np.empty((m, k))  # standardized until the end
     var_norm = np.full((m, k), np.nan)
     # One distance buffer, one covariance block (and one scratch block, for
     # kernels that need it) serve every chunk and factor. The C-ordered
@@ -704,7 +703,7 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
             _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, tmp, tmp, Ks)
             np.multiply(Ks, cfg.signal_var, out=Ks)
             for j in outputs:
-                mean_norm[rows, j] = dgemv(1.0, Ks, model.alphas[j], trans=1)
+                mean[rows, j] = dgemv(1.0, Ks, model.alphas[j], trans=1)
             asked = [j for j in outputs if j in var_outputs]
             if asked:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.
@@ -712,9 +711,7 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
                 np.multiply(V, V, out=V)
                 var = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
                 var_norm[rows, asked] = var[:, None]
-    mean = model.normalizer.denormalize_mean(mean_norm)
-    var = model.normalizer.denormalize_var(var_norm)
-    return PosteriorBatch(mean_norm, var_norm, mean, var)
+    return PosteriorBatch(model.normalizer.denormalize_mean(mean), var_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Reloading fills and factors one Gram matrix per distinct (hyperparameters,
 jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model
 that was saved. A file whose six outputs all differ loads to six factors.
-A file with an input_dim other than 2 (u, v) or 3 (u, v, depth), other
-than six outputs, a norm_std of 0 or below or a negative jitter is
-rejected at that line; a log-parameter whose exponential overflows, or a
+A file with a width or height outside 1..sfm_io.MAX_IMAGE_SIDE, an
+input_dim other than 2 (u, v) or 3 (u, v, depth), other than six
+outputs, a norm_std of 0 or below or a negative jitter is rejected at
+that line; a log-parameter whose exponential overflows, or a
 log-lengthscale so small that the kernel's sqrt(5)/lengthscale scaling
 does, at the line of its output block; any other log-parameter outside
 the box training fits in (gp._BOUNDS), at its line, since far outside it
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import MalformedLine, MissingFile
 from .gp import _BOUNDS, MATERN, KernelConfig, OutputNormalizer, TrainedGP
-from .sfm_io import read_text, write_lines
+from .sfm_io import MAX_IMAGE_SIDE, read_text, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
 N_OUTPUTS = 6  # x, y, z, r, g, b
@@ -98,14 +99,16 @@ def load_model(path) -> TrainedGP:
             raise MalformedLine(path, pos, f"{key}: non-finite value {value}")
         return number
 
-    def take_count(key: str, least: int = 0) -> int:
+    def take_count(key: str, least: int = 0, most: float = math.inf) -> int:
         value = take_number(key, int)
         if value < least:
             raise MalformedLine(path, pos, f"{key}: {value} is below {least}")
+        if value > most:
+            raise MalformedLine(path, pos, f"{key}: above {most}")
         return value
 
-    width = take_count("width", 1)
-    height = take_count("height", 1)
+    width = take_count("width", 1, MAX_IMAGE_SIDE)
+    height = take_count("height", 1, MAX_IMAGE_SIDE)
     input_dim = take_count("input_dim")
     if input_dim not in (2, 3):
         raise MalformedLine(path, pos, f"input_dim: {input_dim}, not 2 or 3")

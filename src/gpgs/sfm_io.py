@@ -42,6 +42,11 @@ SENTINEL_NONE = -1
 # Depth value marking an unusable pixel; any value <= 0 is treated as invalid.
 INVALID_DEPTH = -1.0
 
+# The largest image width or height that cameras.txt, the dataset CSV and
+# the model file accept: an int32, so a side is exact in float64 and
+# width * height fits in int64.
+MAX_IMAGE_SIDE = 2**31 - 1
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -311,6 +316,8 @@ def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
             raise MalformedLine(path, lineno, f"duplicate camera id {camera_id}")
         if width < 1 or height < 1:
             raise MalformedLine(path, lineno, f"non-positive image size {width}x{height}")
+        if max(width, height) > MAX_IMAGE_SIDE:
+            raise MalformedLine(path, lineno, f"image side above {MAX_IMAGE_SIDE}")
         seen.add(camera_id)
         cameras.append(CameraIntrinsics(camera_id, tokens[1], width, height, params))
     return cameras
@@ -337,6 +344,8 @@ def _parse_images(path: Path) -> list[ImageRecord]:
             except ValueError as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
             name = " ".join(tokens[9:])
+            if not -(2**63) <= image_id < 2**63:
+                raise MalformedLine(path, lineno, "image id outside int64")
             if image_id in seen:
                 raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
             seen.add(image_id)
@@ -727,6 +736,8 @@ def read_dataset_csv(path) -> PixelToPointDataset:
                     raise MalformedLine(path, lineno, f"metadata {key}: {exc}") from exc
                 if key != "image_id" and meta[key] < 1:
                     raise MalformedLine(path, lineno, f"{key} must be positive, got {meta[key]}")
+                if key != "image_id" and meta[key] > MAX_IMAGE_SIDE:
+                    raise MalformedLine(path, lineno, f"{key} is above {MAX_IMAGE_SIDE}")
             continue
         if header is None:
             header = line.split(",")

@@ -254,6 +254,8 @@ def _oracle_images(path):
                 camera_id = int(tokens[8])
             except ValueError as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
+            if not -(2**63) <= image_id < 2**63:
+                raise MalformedLine(path, lineno, "image id outside int64")
             if image_id in seen:
                 raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
             seen.add(image_id)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gpgs import cli, gp, model_io, sfm_io
+from gpgs import densify as dn
 from oracles import read_ply_oracle
 from synthdata import surface_colmap_model, write_colmap_fixture
 
@@ -64,6 +65,36 @@ class TestBuildDataset:
         )
         assert code == 2
         assert "points3D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "size", [f"{sfm_io.MAX_IMAGE_SIDE + 1} 400", "400 1" + "0" * 400], ids=["2^31", "10^400"]
+    )
+    def test_image_side_above_bound_exits_2(self, fixture_dir, tmp_path, capsys, size):
+        # a side of 10^400 once crashed converting it to float
+        cameras = fixture_dir / "cameras.txt"
+        cameras.write_text(cameras.read_text().replace("PINHOLE 400 400", f"PINHOLE {size}"))
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(tmp_path / "ds.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{cameras}:3: image side above {sfm_io.MAX_IMAGE_SIDE}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1])
+    def test_image_id_outside_int64_exits_2(self, fixture_dir, tmp_path, capsys, image_id):
+        # such an id once crashed building the int64 array of image ids
+        images = fixture_dir / "images.txt"
+        images.write_text(images.read_text().replace("2 1 0 0 0 0.5", f"{image_id} 1 0 0 0 0.5"))
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(tmp_path / "ds.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{images}:6: image id outside int64" in err
+        assert "Traceback" not in err
 
     def test_run_config_echoed(self, fixture_dir, tmp_path):
         out = tmp_path / "runs" / "ds.csv"
@@ -201,6 +232,21 @@ class TestTrain:
         assert f"{dataset}:2: width must be positive, got {width}" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize(
+        "width", [str(sfm_io.MAX_IMAGE_SIDE + 1), "1" + "0" * 400], ids=["2^31", "10^400"]
+    )
+    def test_width_above_bound_exits_2(self, dataset, tmp_path, capsys, width):
+        # a width of 10^400 once trained, and densify then crashed converting it
+        lines = dataset.read_text().splitlines()
+        lines[1] = f"# width = {width}"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{dataset}:2: width is above {sfm_io.MAX_IMAGE_SIDE}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_same_seed_byte_identical_model(self, dataset, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):
@@ -239,6 +285,25 @@ class TestTrain:
         )
         assert code == 2
         assert f"{model_path}:2: width: {width} is below 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,at", [("width", 2), ("height", 3)])
+    def test_model_side_above_bound_exits_2(
+        self, dataset, tmp_path, surface_dir, capsys, key, at
+    ):
+        model_path = tmp_path / "model.txt"
+        run("train", "--dataset", str(dataset), "--output", str(model_path), "--iterations", "2")
+        lines = model_path.read_text().splitlines()
+        assert lines[at - 1].startswith(f"{key} ")
+        lines[at - 1] = f"{key} 1{'0' * 400}"
+        model_path.write_text("\n".join(lines) + "\n")
+        code = run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(model_path),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{model_path}:{at}: {key}: above {sfm_io.MAX_IMAGE_SIDE}" in err
+        assert "Traceback" not in err
 
     def test_warns_when_budget_ends_the_fit(self, dataset, tmp_path, capsys):
         assert run(
@@ -302,6 +367,21 @@ class TestDensify:
         assert len(cloud) == sparse + retained
         assert np.count_nonzero(cloud.sources == 1) == retained
         assert (tmp_path / "cloud_variance.csv").exists()
+
+    def test_variance_csv_is_one_rgb_mean_row(self, trained, tmp_path):
+        surface_dir, model = trained
+        assert run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        ) == 0
+        header, row = (tmp_path / "cloud_variance.csv").read_text().splitlines()
+        assert header == "channel,original,filtered,reduction_pct"
+        channel, original, filtered, reduction = row.split(",")
+        assert channel == "rgb_mean"
+        assert 0.0 < float(filtered) < float(original)
+        assert float(reduction) == pytest.approx(
+            100.0 * (float(original) - float(filtered)) / float(original)
+        )
 
     def test_ascii_ply_flag(self, trained, tmp_path):
         surface_dir, model = trained
@@ -857,6 +937,13 @@ class TestNonFinite:
 
 
 class TestConfigPrecedence:
+    def test_defaults_are_the_module_configs(self):
+        cfg = cli.RunConfig()
+        assert cfg.kernel_template() == gp.KernelConfig()
+        assert cfg.train_config() == gp.TrainConfig()
+        assert cfg.sampling_config() == dn.SamplingConfig()
+        assert cfg.filter_config() == dn.FilterConfig()
+
     def test_config_file_applies(self, fixture_dir, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("key_frames = 2\nbeta = 0.1  # tighter radius\n")

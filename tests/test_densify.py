@@ -17,11 +17,8 @@ from synthdata import make_scene, write_colmap_fixture
 def predictions_from_variances(variances) -> dn.PredictedPointSet:
     variances = np.asarray(variances, dtype=float)
     m = len(variances)
-    var6 = np.zeros((m, 6))
-    var6[:, 3] = var6[:, 4] = var6[:, 5] = variances
     return dn.PredictedPointSet(
         mean6=np.tile(np.arange(m, dtype=float)[:, None], (1, 6)),
-        var6=var6,
         mean_rgb_var=variances.copy(),
         retained=np.zeros(m, dtype=bool),
     )
@@ -207,16 +204,16 @@ class TestInferDense:
         candidates = rng.random((5, 2))
         preds = dn.infer_dense(model, candidates)
         post = gp.posterior(model, candidates)
-        # only the colour variances are computed; position columns are NaN
-        assert np.array_equal(preds.var6[:, 3:6], post.var_norm[:, 3:6])
-        assert np.isnan(preds.var6[:, 0:3]).all()
-        assert preds.mean_rgb_var == pytest.approx(post.var_norm[:, 3:6].mean(axis=1))
+        assert np.array_equal(preds.mean6, post.mean)
+        assert np.array_equal(preds.mean_rgb_var, post.var_norm[:, 3:6].mean(axis=1))
 
     def test_mean_rgb_var_is_mean_of_colour_variances(self, interpolating_model):
         model, _ = interpolating_model
         rng = np.random.default_rng(4)
-        preds = dn.infer_dense(model, rng.random((20, 2)))
-        expected = (preds.var6[:, 3] + preds.var6[:, 4] + preds.var6[:, 5]) / 3.0
+        candidates = rng.random((20, 2))
+        preds = dn.infer_dense(model, candidates)
+        var = gp.posterior(model, candidates, var_outputs=(3, 4, 5)).var_norm
+        expected = (var[:, 3] + var[:, 4] + var[:, 5]) / 3.0
         assert np.max(np.abs(preds.mean_rgb_var - expected)) <= 1e-12
 
     def test_depth_model_requires_depth_candidates(self, interpolating_model):
@@ -348,22 +345,21 @@ class TestVarianceReport:
         preds = predictions_from_variances([1.0, 2.0, 3.0, 4.0])
         preds = dn.filter_by_variance(preds, dn.FilterConfig(quantile=0.75))
         report = dn.variance_reduction_report(preds)
-        assert report.original["rgb_mean"] == pytest.approx(2.5)
-        assert report.filtered["rgb_mean"] == pytest.approx(2.0)
-        assert report.reduction_pct["rgb_mean"] == pytest.approx(20.0)
+        assert report.original == pytest.approx(2.5)
+        assert report.filtered == pytest.approx(2.0)
+        assert report.reduction_pct == pytest.approx(20.0)
 
     def test_keep_everything_gives_zero_reduction(self):
         preds = predictions_from_variances([1.0, 2.0, 3.0])
         preds = dn.filter_by_variance(preds, dn.FilterConfig(quantile=1.0))
         report = dn.variance_reduction_report(preds)
-        for name in dn.VarianceReport.CHANNELS:
-            assert report.reduction_pct[name] == pytest.approx(0.0)
+        assert report.reduction_pct == pytest.approx(0.0)
 
     def test_zero_variance_reports_zero_reduction(self):
         preds = predictions_from_variances([0.0, 0.0])
         preds = dn.filter_by_variance(preds, dn.FilterConfig(quantile=0.5))
         report = dn.variance_reduction_report(preds)
-        assert report.reduction_pct["r"] == 0.0
+        assert report.reduction_pct == 0.0
 
     def test_unfiltered_set_rejected(self):
         preds = predictions_from_variances([1.0, 2.0])

@@ -1111,17 +1111,17 @@ def single_point_model(noise_log=NEAR_ZERO_NOISE):
 class TestPosterior:
     def test_interpolates_single_training_point(self):
         post = gp.posterior(single_point_model(), np.array([[0.0]]))
-        assert post.mean_norm[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert post.mean[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert post.var_norm[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_distance_closed_form(self):
         post = gp.posterior(single_point_model(), np.array([[1.0]]))
-        assert post.mean_norm[0, 0] == pytest.approx(2 * math.exp(-1), abs=1e-12)
+        assert post.mean[0, 0] == pytest.approx(2 * math.exp(-1), abs=1e-12)
         assert post.var_norm[0, 0] == pytest.approx(1 - math.exp(-2), abs=1e-12)
 
     def test_reverts_to_prior_far_away(self):
         post = gp.posterior(single_point_model(), np.array([[50.0]]))
-        assert abs(post.mean_norm[0, 0]) < 1e-20
+        assert abs(post.mean[0, 0]) < 1e-20
         assert post.var_norm[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -1147,7 +1147,7 @@ class TestPosterior:
             Q = rng.random((m, 2))
             post = gp.posterior(model, Q)
             means, variances = posterior_oracle(model, Q)
-            assert np.max(np.abs(post.mean_norm - means)) <= 1e-8
+            assert np.max(np.abs(post.mean - means)) <= 1e-8
             assert np.max(np.abs(post.var_norm - np.maximum(variances, 0))) <= 1e-8
 
     def test_exact_interpolation_at_training_inputs(self):
@@ -1196,7 +1196,7 @@ class TestPosteriorChunks:
         monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
         chunked = gp.posterior(model, Q)
         means, variances = posterior_oracle(model, Q)
-        assert np.max(np.abs(chunked.mean_norm - means)) <= 1e-8
+        assert np.max(np.abs(chunked.mean - means)) <= 1e-8
         assert np.max(np.abs(chunked.var_norm - np.maximum(variances, 0))) <= 1e-8
         assert np.array_equal(chunked.var_norm[:, 3:6], single.var_norm[:, 3:6])
 
@@ -1210,7 +1210,6 @@ class TestPosteriorChunks:
         skipped = [j for j in range(6) if j not in var_outputs]
         assert np.array_equal(part.var_norm[:, asked], full.var_norm[:, asked])
         assert np.isnan(part.var_norm[:, skipped]).all()
-        assert np.isnan(part.var[:, skipped]).all()
         assert np.array_equal(part.mean, full.mean)
 
     def test_out_of_range_output_rejected(self):
@@ -1220,7 +1219,7 @@ class TestPosteriorChunks:
     @pytest.mark.parametrize("var_outputs", [None, (), (3, 4, 5)])
     def test_empty_query(self, var_outputs):
         post = gp.posterior(six_output_model(), np.zeros((0, 2)), var_outputs=var_outputs)
-        for arr in (post.mean_norm, post.var_norm, post.mean, post.var):
+        for arr in (post.mean, post.var_norm):
             assert arr.shape == (0, 6)
 
 
@@ -1240,7 +1239,7 @@ def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
     finally:
         tracemalloc.stop()
     block = n * chunk * 8
-    outputs = 4 * Q.shape[0] * 6 * 8  # mean_norm, var_norm, mean, var
+    outputs = 2 * Q.shape[0] * 6 * 8  # mean, var_norm
     assert peak < 2.5 * block + outputs
 
 
@@ -1275,13 +1274,14 @@ class TestSharedFactor:
     @pytest.mark.parametrize("j", [0, 4])
     def test_output_bits_do_not_depend_on_sharing(self, j):
         model = self.trained()
+        norm = model.normalizer
         alone = gp.TrainedGP.fit(model.X, model.Z[:, [j]], [model.configs[j]],
-                                 gp.OutputNormalizer.identity(1), 1, 1,
+                                 gp.OutputNormalizer(norm.mean[[j]], norm.std[[j]]), 1, 1,
                                  jitter=model.jitters[j])
         Q = np.random.default_rng(3).random((30, 2))
         shared, single = gp.posterior(model, Q), gp.posterior(alone, Q)
         assert np.array_equal(model.alphas[j], alone.alphas[0])
-        assert np.array_equal(shared.mean_norm[:, j], single.mean_norm[:, 0])
+        assert np.array_equal(shared.mean[:, j], single.mean[:, 0])
         assert np.array_equal(shared.var_norm[:, j], single.var_norm[:, 0])
 
 
@@ -1308,7 +1308,7 @@ class TestKernelBlock:
         post = gp.posterior(model, Q)
         Ks = gp.gram_matrix(cfg, np.vstack([model.X, Q]))[:n, n:]
         V = solve_triangular(L, Ks, lower=True, check_finite=False)
-        assert np.array_equal(post.mean_norm[:, 0], Ks.T @ alpha)
+        assert np.array_equal(post.mean[:, 0], Ks.T @ alpha)
         assert np.array_equal(
             post.var_norm[:, 0], np.maximum(cfg.signal_var - (V * V).sum(axis=0), 0.0)
         )
@@ -1349,7 +1349,7 @@ class TestNormalizerEquivariance:
         )
         other = [0, 1, 3, 4, 5]
         assert np.array_equal(post_shift.mean[:, other], post_base.mean[:, other])
-        assert np.array_equal(post_shift.var, post_base.var)
+        assert np.array_equal(post_shift.var_norm, post_base.var_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -1368,8 +1368,7 @@ class TestModelIo:
         a = gp.posterior(model, Q)
         b = gp.posterior(loaded, Q)
         assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.var, b.var)
-        assert np.array_equal(a.mean_norm, b.mean_norm)
+        assert np.array_equal(a.var_norm, b.var_norm)
 
     def test_posterior_bit_identical_after_reload_when_groups_coincide(self, tmp_path):
         # at a budget of 1 every group keeps the same start: one factor in
@@ -1382,7 +1381,7 @@ class TestModelIo:
         assert model.groups == loaded.groups == [list(range(6))]
         Q = np.random.default_rng(0).uniform(0, 1, size=(25, 2))
         a, b = gp.posterior(model, Q), gp.posterior(loaded, Q)
-        assert np.array_equal(a.mean_norm, b.mean_norm)
+        assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.var_norm, b.var_norm)
 
     def test_six_distinct_configs_load_and_predict(self, tmp_path):
@@ -1395,10 +1394,10 @@ class TestModelIo:
         assert loaded.groups == [[j] for j in range(6)]
         Q = np.random.default_rng(1).random((12, 2))
         a, b = gp.posterior(model, Q), gp.posterior(loaded, Q)
-        assert np.array_equal(a.mean_norm, b.mean_norm)
+        assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.var_norm, b.var_norm)
         means, variances = posterior_oracle(loaded, Q)
-        assert np.max(np.abs(b.mean_norm - means)) <= 1e-8
+        assert np.max(np.abs(b.mean - means)) <= 1e-8
         assert np.max(np.abs(b.var_norm - np.maximum(variances, 0))) <= 1e-8
 
     def test_header_and_fields(self, tmp_path):

@@ -109,6 +109,12 @@ class TestParseColmap:
         with pytest.raises(errors.MalformedLine, match="duplicate image id"):
             sfm_io.parse_colmap_model(model_dir)
 
+    @pytest.mark.parametrize("image_id", [2**63 - 1, -(2**63)])
+    def test_image_id_at_int64_bounds_parses(self, model_dir, image_id):
+        (model_dir / "images.txt").write_text(f"{image_id} 1 0 0 0 0 0 0 1 a.png\n\n")
+        (model_dir / "points3D.txt").write_text("")
+        assert sfm_io.parse_colmap_model(model_dir).image_by_id(image_id).image_id == image_id
+
     def test_image_with_empty_feature_line(self, model_dir):
         (model_dir / "images.txt").write_text("1 1 0 0 0 0 0 0 1 a.png\n\n")
         (model_dir / "points3D.txt").write_text("")
@@ -215,7 +221,7 @@ class TestParserMatchesOracle:
                 st.sampled_from(
                     ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
                      "feature_token", "track_image", "track_feature", "feature_point",
-                     "feature_nan", "xyz_nan", "xyz_float32"]
+                     "feature_nan", "xyz_nan", "xyz_float32", "image_id_int64"]
                 ),
                 st.integers(0, 10**6),
             ),
@@ -256,6 +262,9 @@ def _corrupt(images, points, kind, pick):
         features = images[pick % len(images)][1]
         if features:
             features[3 * (pick % (len(features) // 3)) + pick % 2] = ("nan", "inf")[pick % 2]
+        return
+    if kind == "image_id_int64":
+        images[pick % len(images)][0][0] = str((2**63 + pick, -(2**63) - 1 - pick)[pick % 2])
         return
     if kind == "feature_point":
         features = images[pick % len(images)][1]
