@@ -100,9 +100,10 @@ def attach_depth(candidates: np.ndarray, depth: DepthMap, width: int, height: in
 def infer_dense(model: TrainedGP, candidates: np.ndarray) -> PredictedPointSet:
     """Run batch GP inference over (m, d) candidate inputs; retained flags
     start all False pending filtering. Only the colour variances, which
-    the filter ranks by, are computed: one triangular solve per query
-    block when r, g and b share a factor, as they do after train_gp. A
-    model file whose r, g and b kernels differ still ranks by their mean."""
+    the filter ranks by, are computed: one inverse of the colour factor
+    per call and one triangular product by it per query block when r, g
+    and b share a factor, as they do after train_gp. A model file whose
+    r, g and b kernels differ still ranks by their mean."""
     if candidates.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"candidates have {candidates.shape[1]} columns, the model takes {model.input_dim}"

@@ -14,8 +14,12 @@ step radius (Nocedal & Wright, "Numerical Optimization", 2006, ch. 4) on
 the negative log marginal likelihood plus an L2 penalty on the log
 parameters, with its analytic gradient and exact Hessian (Rasmussen &
 Williams, "Gaussian Processes for Machine Learning", 2006, §5.4.1). The
-linear algebra follows their Algorithm 2.1 (Cholesky factorisation, no
-explicit inverses in the prediction path). Every n x n matrix product
+linear algebra follows their Algorithm 2.1 (Cholesky factorisation),
+except that the predictive variance multiplies by the inverse factor
+L^-1 (dtrtri) instead of solving against L: as accurate for triangular
+factors (Du Croz & Higham, "Stability of methods for matrix inversion",
+1992), and BLAS's triangular product runs faster than its triangular
+solve. Every n x n matrix product
 goes through scipy's BLAS, the library its LAPACK calls use, so that a
 second BLAS thread pool (numpy's) does not contend with it.
 """
@@ -29,8 +33,8 @@ from functools import cache, partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemv, dsymm, dsymv
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.blas import dgemv, dsymm, dsymv, dtrmm
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, EmptyDataset, NotPositiveDefinite
@@ -83,8 +87,10 @@ _EIG_FLOOR = 1e-8
 OUTPUT_GROUPS = ((0,), (1,), (2,), (3, 4, 5))
 
 # Queries per posterior block: the (n, chunk) distance and covariance
-# blocks bound the posterior's memory at O(n * chunk).
-_QUERY_CHUNK = 4096
+# blocks bound the posterior's memory at O(n * chunk), besides the n x n
+# inverse factors. At n = 2000, 2048 keeps the factor, an inverse and two
+# blocks (about 4 n^2 doubles) below training's n x n workspace.
+_QUERY_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -660,16 +666,23 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     mu = k*^T alpha and var = k(q,q) - ||L^-1 k*||^2 per output, evaluated
     through the cached Cholesky factors (Rasmussen & Williams, Alg. 2.1).
     The outputs that share a factor (model.groups) share its
-    cross-covariance k* and its variance, so each distinct factor costs
-    one fill and, when any of its outputs is listed in var_outputs (None:
-    all), one triangular solve. Variance columns not asked for are NaN.
-    Each mean is one k*^T alpha of its own, so it does not depend on
-    which outputs share its factor. Queries are processed in blocks of
-    _QUERY_CHUNK that share one distance block across the outputs, so
-    memory is O(n * chunk) rather than O(n * m). Each cross-covariance
-    block is filled by _fill_correlation, the fill of the Gram matrices
-    the factors came from, so k(x_i, q) is bit for bit the Gram entry
-    training would compute for that pair.
+    cross-covariance k* and its variance. Each distinct factor L with an
+    output in var_outputs (None: all) is inverted once per call (dtrtri,
+    into a new array: the model is never written), and each block then
+    costs one fill and one triangular product L^-1 k* (dtrmm); a factor
+    whose variance is not asked costs the fill alone. Variance columns not
+    asked for are NaN. Each mean is one k*^T alpha of its own, so it does
+    not depend on which outputs share its factor. Queries are processed in
+    blocks of _QUERY_CHUNK that share one distance block across the
+    outputs, so memory is O(n * chunk + v * n^2) rather than O(n * m),
+    with v the number of inverted factors. Each cross-covariance block is
+    filled by _fill_correlation, the fill of the Gram matrices the factors
+    came from, so k(x_i, q) is bit for bit the Gram entry training would
+    compute for that pair. Results are deterministic for the same inputs,
+    chunk size and BLAS threads, but a query's variance bits may depend
+    on the width of its block and its place in it: BLAS splits a block's
+    columns among threads and kernel panels by the width, and the panels
+    can round differently in the last bits (relative 1e-16).
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != model.input_dim:
@@ -692,12 +705,20 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     block = np.empty((n, chunk), order="F")
     scratch = np.empty((n, chunk), order="F") if any(map(_needs_scratch, model.configs)) else None
     groups = model.groups
+    inverses = {}  # first output of a group -> L^-1, dtrtri's new array
+    for outputs in groups:
+        if var_outputs.intersection(outputs):
+            Li, info = dtrtri(model.factors[outputs[0]], lower=1)
+            if info != 0:
+                raise NotPositiveDefinite("dtrtri failed on the Cholesky factor",
+                                          model.jitters[outputs[0]])
+            inverses[outputs[0]] = Li
     for start in range(0, m, _QUERY_CHUNK):
         rows = slice(start, min(start + _QUERY_CHUNK, m))
         width = rows.stop - start
         D = cdist(Q[rows], model.X, out=dist[:width]).T
         for outputs in groups:
-            cfg, L = model.configs[outputs[0]], model.factors[outputs[0]]
+            cfg = model.configs[outputs[0]]
             Ks = block[:, :width]
             tmp = scratch[:, :width] if _needs_scratch(cfg) else Ks
             _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, tmp, tmp, Ks)
@@ -707,7 +728,7 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
             asked = [j for j in outputs if j in var_outputs]
             if asked:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.
-                V = solve_triangular(L, Ks, lower=True, check_finite=False, overwrite_b=True)
+                V = dtrmm(1.0, inverses[outputs[0]], Ks, lower=1, overwrite_b=1)
                 np.multiply(V, V, out=V)
                 var = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
                 var_norm[rows, asked] = var[:, None]

@@ -365,6 +365,8 @@ def _parse_images(path: Path) -> list[ImageRecord]:
                 raise MalformedLine(path, lineno, str(exc)) from exc
             if not np.isfinite(xys).all():
                 raise MalformedLine(path, lineno, "non-finite feature coordinate")
+            if not (np.abs(xys) <= FLOAT32_MAX).all():
+                raise MalformedLine(path, lineno, "feature coordinate beyond float32 range")
             image_id, name, camera_id, qvec, tvec = header
             images.append(ImageRecord(image_id, name, camera_id, qvec, tvec, xys, ids))
             header = None
@@ -746,6 +748,7 @@ def read_dataset_csv(path) -> PixelToPointDataset:
                 raise MalformedLine(path, lineno, f"header lacks columns {', '.join(missing)}")
             # a repeated column name reads its last occurrence
             column = {name: i for i, name in enumerate(header)}
+            input_names = ("u_norm", "v_norm") + (("depth",) if "depth" in column else ())
             continue
         tokens = line.split(",")
         if len(tokens) != len(header):
@@ -756,6 +759,9 @@ def read_dataset_csv(path) -> PixelToPointDataset:
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not all(map(math.isfinite, row)):
             raise MalformedLine(path, lineno, "non-finite value")
+        # larger inputs overflow the pairwise distances of a Gram matrix
+        if any(abs(row[column[c]]) > FLOAT32_MAX for c in input_names):
+            raise MalformedLine(path, lineno, "input beyond float32 range")
         # the rule DepthMap.value_at applies to a depth map
         if "depth" in column and not row[column["depth"]] > 0.0:
             raise MalformedLine(path, lineno, "depth must be positive")
@@ -764,7 +770,6 @@ def read_dataset_csv(path) -> PixelToPointDataset:
         raise MalformedLine(path, 0, "dataset file has no header line")
     if meta["width"] is None or meta["height"] is None:
         raise MalformedLine(path, 0, "dataset file lacks width/height metadata")
-    input_names = ("u_norm", "v_norm") + (("depth",) if "depth" in column else ())
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     return PixelToPointDataset(
         meta["image_id"], meta["width"], meta["height"],

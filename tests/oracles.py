@@ -272,6 +272,8 @@ def _oracle_images(path):
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not all(math.isfinite(v) for xy in xys for v in xy):
             raise MalformedLine(path, lineno, "non-finite feature coordinate")
+        if any(abs(v) > _FLOAT32_MAX for xy in xys for v in xy):
+            raise MalformedLine(path, lineno, "feature coordinate beyond float32 range")
         images.append(header + (xys, ids))
         header = None
     if header is not None:

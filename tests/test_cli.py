@@ -913,6 +913,47 @@ class TestNonFinite:
         assert code == 2
         assert f"{ds}:6: non-finite value" in capsys.readouterr().err
 
+    def test_feature_coordinate_beyond_float32(self, fixture_dir, tmp_path, capsys):
+        # finite, but far enough apart to overflow a Gram matrix's distances
+        self.replace_token(fixture_dir / "images.txt", 4, 0, "1e200")
+        run_dir = tmp_path / "run"
+        code = run(
+            "pipeline", "--model-dir", str(fixture_dir), "--output", str(run_dir),
+            "--iterations", "5",
+        )
+        assert code == 2
+        assert "images.txt:5: feature coordinate beyond float32 range" in capsys.readouterr().err
+        assert sorted(p.name for p in run_dir.iterdir()) == ["run-config.txt"]
+
+    @pytest.mark.parametrize("column,value", [(0, "1e200"), (1, "-1e308"), (2, "3.5e38")])
+    def test_dataset_input_beyond_float32(self, fixture_dir, tmp_path, capsys, column, value):
+        ds = tmp_path / "ds.csv"
+        depth = tmp_path / "depth"
+        depth.mkdir()
+        write_flat_pfm(depth / "frame1.pfm")
+        assert run(
+            "build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds),
+            "--depth-dir", str(depth),
+        ) == 0
+        assert ds.read_text().splitlines()[3].split(",")[:3] == ["u_norm", "v_norm", "depth"]
+        self.replace_token(ds, 5, column, value)
+        code = run("train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert f"{ds}:6: input beyond float32 range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernel", ["matern", "rbf"])
+    def test_inputs_at_float32_range_train(self, fixture_dir, tmp_path, kernel):
+        ds = tmp_path / "ds.csv"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        self.replace_token(ds, 5, 0, "3.4e38")
+        self.replace_token(ds, 6, 1, "-3.4e38")
+        code = run(
+            "train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"),
+            "--kernel", kernel,
+        )
+        assert code == 0
+
     @pytest.mark.parametrize("key", ["norm_std", "inputs"])
     def test_model_file(self, fixture_dir, tmp_path, capsys, key):
         ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from gpgs import errors, gp, metrics, model_io, sfm_io
 from oracles import (
@@ -27,7 +27,7 @@ NEAR_ZERO_NOISE = -700.0  # exp(-700) ~ 1e-304, numerically a zero noise floor
 
 
 def count_calls(monkeypatch, name):
-    """A list that grows by one entry per call of gp's LAPACK routine name."""
+    """A list that grows by one entry per call of gp's BLAS or LAPACK routine name."""
     calls = []
     original = getattr(gp, name)
 
@@ -1198,7 +1198,10 @@ class TestPosteriorChunks:
         means, variances = posterior_oracle(model, Q)
         assert np.max(np.abs(chunked.mean - means)) <= 1e-8
         assert np.max(np.abs(chunked.var_norm - np.maximum(variances, 0))) <= 1e-8
-        assert np.array_equal(chunked.var_norm[:, 3:6], single.var_norm[:, 3:6])
+        # blocks this narrow may take another dtrmm kernel, so the variance
+        # bits need not match between chunkings (largest difference seen: 6.7e-16)
+        diff = np.max(np.abs(chunked.var_norm[:, 3:6] - single.var_norm[:, 3:6]))
+        assert diff <= 1e-13, f"chunked and single-chunk variances differ by {diff:.3g}"
 
     @pytest.mark.parametrize("var_outputs", [(3, 4, 5), ()])
     def test_variance_subset(self, var_outputs):
@@ -1223,6 +1226,49 @@ class TestPosteriorChunks:
             assert arr.shape == (0, 6)
 
 
+class TestInverseFactor:
+    """The variance multiplies each chunk by L^-1, inverted once per call
+    into a new array."""
+
+    @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("rbf", None)])
+    @pytest.mark.parametrize("lengthscale", [2.0, 20.0])
+    def test_ill_conditioned_factor_matches_oracle(self, family, nu, lengthscale):
+        rng = np.random.default_rng(9)
+        cfg = gp.KernelConfig(family, nu, 0.0, math.log(lengthscale),
+                              math.log(gp.NOISE_VAR_FLOOR))
+        model = gp.TrainedGP.fit(rng.random((40, 2)), rng.standard_normal((40, 1)), [cfg],
+                                 gp.OutputNormalizer.identity(1), 1, 1, jitter=gp.TRAIN_JITTER)
+        Q = rng.random((15, 2))
+        _, variances = posterior_oracle(model, Q)
+        # only the variance goes through the inverse; the means (and, at RBF's
+        # condition numbers of 4e9, the oracle's own dense solve for them) do not
+        post = gp.posterior(model, Q)
+        assert np.max(np.abs(post.var_norm - np.maximum(variances, 0))) <= 1e-8
+
+    @pytest.mark.parametrize("var_outputs,inversions", [(None, 6), ((3, 4, 5), 3), ((), 0)])
+    def test_one_inversion_per_variance_group_per_call(self, monkeypatch, var_outputs,
+                                                       inversions):
+        model = six_output_model()
+        calls = count_calls(monkeypatch, "dtrtri")
+        monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
+        gp.posterior(model, np.random.default_rng(2).random((3 * 7 + 2, 2)), var_outputs)
+        assert len(calls) == inversions
+
+    def test_model_factors_are_not_written(self):
+        model = six_output_model()
+        before = [L.copy() for L in model.factors]
+        gp.posterior(model, np.random.default_rng(2).random((9, 2)))
+        assert all(np.array_equal(L, was) for L, was in zip(model.factors, before))
+
+    def test_singular_factor_raises(self):
+        model = six_output_model()
+        L = model.factors[0].copy(order="F")
+        L[3, 3] = 0.0
+        singular = replace(model, factors=(L,) + model.factors[1:])
+        with pytest.raises(errors.NotPositiveDefinite):
+            gp.posterior(singular, np.zeros((2, 2)), var_outputs=(0,))
+
+
 def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
     n, chunk = 200, 50
     rng = np.random.default_rng(4)
@@ -1240,7 +1286,8 @@ def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
         tracemalloc.stop()
     block = n * chunk * 8
     outputs = 2 * Q.shape[0] * 6 * 8  # mean, var_norm
-    assert peak < 2.5 * block + outputs
+    inverses = len(model.groups) * n * n * 8  # one inverse factor per variance group
+    assert peak < 2.5 * block + outputs + inverses
 
 
 class TestSharedFactor:
@@ -1256,18 +1303,12 @@ class TestSharedFactor:
         model = self.trained()
         assert model.configs[3] == model.configs[4] == model.configs[5]
         assert model.groups == [[0], [1], [2], [3, 4, 5]]
-        calls = []
-        original = gp.solve_triangular
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gp, "solve_triangular", counted)
+        products, inversions = count_calls(monkeypatch, "dtrmm"), count_calls(monkeypatch, "dtrtri")
         monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
         Q = np.random.default_rng(2).random((3 * 7 + 2, 2))
         post = gp.posterior(model, Q, var_outputs=(3, 4, 5))
-        assert len(calls) == 4  # one per chunk
+        assert len(products) == 4  # one per chunk
+        assert len(inversions) == 1  # one per call
         var = post.var_norm[:, 3:6]
         assert np.array_equal(var[:, 0], var[:, 1]) and np.array_equal(var[:, 0], var[:, 2])
 
@@ -1307,7 +1348,7 @@ class TestKernelBlock:
         Q = rng.random((25, 2))
         post = gp.posterior(model, Q)
         Ks = gp.gram_matrix(cfg, np.vstack([model.X, Q]))[:n, n:]
-        V = solve_triangular(L, Ks, lower=True, check_finite=False)
+        V = dtrmm(1.0, dtrtri(L, lower=1)[0], Ks, lower=1)
         assert np.array_equal(post.mean[:, 0], Ks.T @ alpha)
         assert np.array_equal(
             post.var_norm[:, 0], np.maximum(cfg.signal_var - (V * V).sum(axis=0), 0.0)

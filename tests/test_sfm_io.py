@@ -221,7 +221,8 @@ class TestParserMatchesOracle:
                 st.sampled_from(
                     ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
                      "feature_token", "track_image", "track_feature", "feature_point",
-                     "feature_nan", "xyz_nan", "xyz_float32", "image_id_int64"]
+                     "feature_nan", "feature_float32", "xyz_nan", "xyz_float32",
+                     "image_id_int64"]
                 ),
                 st.integers(0, 10**6),
             ),
@@ -262,6 +263,13 @@ def _corrupt(images, points, kind, pick):
         features = images[pick % len(images)][1]
         if features:
             features[3 * (pick % (len(features) // 3)) + pick % 2] = ("nan", "inf")[pick % 2]
+        return
+    if kind == "feature_float32":
+        features = images[pick % len(images)][1]
+        if features:
+            features[3 * (pick % (len(features) // 3)) + pick % 2] = (
+                ("1e39", "-3.4028236e38", "1e200", "-1e308")[pick // 2 % 4]
+            )
         return
     if kind == "image_id_int64":
         images[pick % len(images)][0][0] = str((2**63 + pick, -(2**63) - 1 - pick)[pick % 2])
