@@ -24,6 +24,7 @@ from .gp import (
     PosteriorBatch,
     TrainConfig,
     TrainedGP,
+    condition_gp,
     default_kernel,
     gram_matrix,
     kernel_value,

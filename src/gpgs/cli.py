@@ -22,6 +22,7 @@ from . import densify as dn
 from . import gp, metrics, model_io, sfm_io
 from .errors import (
     EmptyDataset,
+    EmptyPredictionSet,
     InputDataError,
     MissingFile,
     NumericalError,
@@ -34,6 +35,8 @@ SEED_ENV_VAR = "GPGS_SEED"
 _GROUP_NAMES = tuple(
     "".join(metrics.OUTPUT_NAMES[j] for j in outputs) for outputs in gp.OUTPUT_GROUPS
 )
+# The log-parameters whose place on +-gp.LOG_PARAM_BOUND training warns about.
+_BOUNDED_KEYS = ("log_signal_var", "log_lengthscale")
 
 
 @dataclass
@@ -194,17 +197,17 @@ def frame_datasets(
     return datasets
 
 
-def train_model(
-    cfg: RunConfig, ds: sfm_io.PixelToPointDataset, label: str, starts=None
-) -> gp.TrainedGP:
-    """Train the GPs on a dataset, each output group from the starts entry
-    of its first output if given.
+def train_model(cfg: RunConfig, ds: sfm_io.PixelToPointDataset, label: str) -> gp.TrainedGP:
+    """Train the GPs on a dataset.
 
-    Prints a warning, headed by the fit's label, naming the output groups
-    whose fit used all --iterations evaluations: the budget, not
-    convergence, ended their search.
+    Prints warnings on standard error, headed by the fit's label: one
+    naming the output groups whose fit used all --iterations evaluations
+    (the budget, not convergence, ended their search), and one per group
+    that kept a log signal variance or log lengthscale on
+    +-gp.LOG_PARAM_BOUND. A noise variance at its floor is expected on
+    noise-free targets and gets no warning.
     """
-    model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config(), starts)
+    model = gp.train_gp(ds, cfg.kernel_template(), cfg.train_config())
     spent = [
         name for name, curve in zip(_GROUP_NAMES, model.loss_curves)
         if len(curve) == cfg.iterations
@@ -215,6 +218,16 @@ def train_model(
             "of --iterations; their hyperparameters may not have converged",
             file=sys.stderr,
         )
+    for name, outputs in zip(_GROUP_NAMES, gp.OUTPUT_GROUPS):
+        theta = model.configs[outputs[0]].log_params()
+        on_bound = [f"{key} {value:g}" for key, value in zip(_BOUNDED_KEYS, theta)
+                    if abs(value) >= gp.LOG_PARAM_BOUND]
+        if on_bound:
+            print(
+                f"warning: {label}: outputs {name} kept {', '.join(on_bound)}, on the bound "
+                f"+-{gp.LOG_PARAM_BOUND:g}; the fit may have degenerated",
+                file=sys.stderr,
+            )
     return model
 
 
@@ -230,18 +243,6 @@ def holdout_split(cfg: RunConfig, ds: sfm_io.PixelToPointDataset) -> sfm_io.Spli
     return split
 
 
-def evaluate_model(
-    cfg: RunConfig, split: sfm_io.SplitResult
-) -> tuple[metrics.HoldoutReport, tuple[gp.KernelConfig, ...]]:
-    """Train on a holdout_split's train part and score on its test part.
-
-    Returns the report and the kernel configs the fit kept; the model
-    itself is dropped.
-    """
-    model = train_model(cfg, split.train, f"frame {split.train.image_id} evaluate")
-    return metrics.evaluate_holdout(model, split.test), model.configs
-
-
 # Artifact writers
 
 def _write_datasets(datasets, out: Path) -> list[Path]:
@@ -254,22 +255,18 @@ def _write_datasets(datasets, out: Path) -> list[Path]:
     return written
 
 
-def _write_loss_csv(model: gp.TrainedGP, path: Path) -> None:
-    lines = ["iter,group,loss"]
-    for name, curve in zip(_GROUP_NAMES, model.loss_curves):
-        lines += [f"{it},{name},{loss:.17g}" for it, loss in enumerate(curve)]
-    sfm_io.write_lines(path, lines)
-
-
-def _write_model(model: gp.TrainedGP, out: Path) -> None:
+def _write_model(model: gp.TrainedGP, curves, out: Path) -> None:
+    """Write the model file and, beside it, the loss curves of the fit that
+    chose its hyperparameters."""
     model_io.save_model(model, out)
     loss_path = out.with_name(out.stem + "_loss.csv")
-    _write_loss_csv(model, loss_path)
+    lines = ["iter,group,loss"]
+    for name, curve in zip(_GROUP_NAMES, curves):
+        lines += [f"{it},{name},{loss:.17g}" for it, loss in enumerate(curve)]
+    sfm_io.write_lines(loss_path, lines)
     # training keeps each group's lowest-loss evaluation, not its last one
-    finals = "  ".join(
-        f"{name}={curve.min():.6g}" for name, curve in zip(_GROUP_NAMES, model.loss_curves)
-    )
-    print(f"trained on {model.X.shape[0]} points; final per-group NLL: {finals}")
+    finals = "  ".join(f"{name}={curve.min():.6g}" for name, curve in zip(_GROUP_NAMES, curves))
+    print(f"model on {model.X.shape[0]} points; its fit's final per-group NLL: {finals}")
     print(f"model: {out}\nloss curve: {loss_path}")
 
 
@@ -286,29 +283,36 @@ def cmd_train(cfg: RunConfig) -> Path:
     """Train the GPs on a dataset CSV and write the model file."""
     _require(cfg, "dataset", "output")
     ds = sfm_io.read_dataset_csv(cfg.dataset)
-    model = train_model(cfg, ds, f"frame {ds.image_id} densify")
+    model = train_model(cfg, ds, f"frame {ds.image_id} train")
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
-    _write_model(model, out)
+    _write_model(model, model.loss_curves, out)
     return out
 
 
-def _densify_one(cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.DepthMap]):
+def _densify_one(
+    cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.DepthMap], frame: str
+):
     """Sample candidates around the model's training pixels and predict.
 
-    depth is the key frame's depth map, which a depth-trained model needs.
+    depth is the key frame's depth map, which a depth-trained model needs;
+    frame names the key frame or model in the error raised when no
+    candidate is left.
     """
     pixels = model.X[:, :2] * (model.width, model.height)
     candidates = dn.generate_samples(pixels, model.width, model.height, cfg.sampling_config())
     if model.input_dim == 3:
         candidates = dn.attach_depth(candidates, depth, model.width, model.height)
+    if len(candidates) == 0:
+        raise EmptyPredictionSet(
+            f"{frame}: no candidate left by sampling around {len(pixels)} training pixels at "
+            f"beta={cfg.beta} and angular_resolution={cfg.angular_resolution}"
+        )
     preds = dn.infer_dense(model, candidates)
     return dn.filter_by_variance(preds, cfg.filter_config())
 
 
 def _concat_predictions(parts: list[dn.PredictedPointSet]) -> dn.PredictedPointSet:
-    if len(parts) == 1:
-        return parts[0]
     return dn.PredictedPointSet(
         mean6=np.concatenate([part.mean6 for part in parts]),
         mean_rgb_var=np.concatenate([part.mean_rgb_var for part in parts]),
@@ -330,7 +334,7 @@ def cmd_densify(cfg: RunConfig) -> Path:
         depth = _depth_for_frame(cfg, sparse, sfm_io.read_dataset_csv(cfg.dataset).image_id)
         if depth is None:
             raise UsageError("--depth-dir is required for a depth-trained model")
-    filtered = _densify_one(cfg, model, depth)
+    filtered = _densify_one(cfg, model, depth, f"model {cfg.gp_model}")
 
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
@@ -360,7 +364,7 @@ def _write_cloud(cfg: RunConfig, sparse, preds: dn.PredictedPointSet, out: Path)
     print(f"cloud: {out}")
 
 
-def _write_metrics_csv(report: metrics.HoldoutReport, path: Path) -> None:
+def _write_metrics(report: metrics.HoldoutReport, out: Path) -> None:
     lines = ["metric,output,value"]
     bundle = report.bundle
     lines.append(f"r2,joint,{bundle.r2:.17g}")
@@ -371,12 +375,7 @@ def _write_metrics_csv(report: metrics.HoldoutReport, path: Path) -> None:
         r2_text = "" if out_metrics.r2 is None else f"{out_metrics.r2:.17g}"
         lines.append(f"r2,{out_metrics.name},{r2_text}")
         lines.append(f"rmse,{out_metrics.name},{out_metrics.rmse:.17g}")
-    sfm_io.write_lines(path, lines)
-
-
-def _write_metrics(report: metrics.HoldoutReport, out: Path) -> None:
-    _write_metrics_csv(report, out)
-    bundle = report.bundle
+    sfm_io.write_lines(out, lines)
     print(
         f"holdout n={bundle.sample_count}: r2={bundle.r2:.4f} "
         f"rmse={bundle.rmse:.6g} chamfer={bundle.chamfer:.6g}"
@@ -392,7 +391,9 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     """Hold out a test split, train on the rest, and report metrics."""
     _require(cfg, "dataset", "output")
     ds = sfm_io.read_dataset_csv(cfg.dataset)
-    report, _ = evaluate_model(cfg, holdout_split(cfg, ds))
+    split = holdout_split(cfg, ds)
+    model = train_model(cfg, split.train, f"frame {ds.image_id} evaluate")
+    report = metrics.evaluate_holdout(model, split.test)
     out = Path(cfg.output)
     write_run_config(cfg, _output_parent(out))
     _write_metrics(report, out)
@@ -404,14 +405,14 @@ def cmd_pipeline(cfg: RunConfig) -> None:
 
     The COLMAP model is parsed once and each key frame's dataset is built
     once; the dataset, metrics, and model files are written as artifacts
-    and never read back. With several key frames, each frame trains its
-    own GP; the retained predictions of all frames are unioned before
-    merging with the sparse cloud. Each frame first runs the evaluation
-    fit on its train split, then the densification fit on all its
-    samples, each output group starting from the hyperparameters the
-    evaluation fit kept. It densifies with that model, which is the model
-    its model file reloads to. Every frame's split is checked before the
-    first dataset is written or fit runs.
+    and never read back. Each key frame runs one hyperparameter search,
+    the evaluation fit on its train split, which metrics.csv scores; its
+    GPs are then conditioned on all the frame's samples at the configs it
+    kept (gp.condition_gp), and the frame densifies with that model, the
+    one its model file reloads to. The loss-curve file holds the
+    evaluation fit's curves. The retained predictions of all frames are
+    unioned before merging with the sparse cloud. Every frame's split is
+    checked before the first dataset is written or fit runs.
     """
     _require(cfg, "model_dir", "output")
     out_dir = Path(cfg.output)
@@ -427,13 +428,14 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         if len(ds) == 0:
             print(f"skipping empty dataset {ds_path}")
             continue
-        # only the evaluation fit's configs outlive it, so its factors are
-        # freed before the densification fit allocates its buffers
-        report, starts = evaluate_model(cfg, split)
+        fit = train_model(cfg, split.train, f"frame {ds.image_id} evaluate")
+        report = metrics.evaluate_holdout(fit, split.test)
         _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
-        model = train_model(cfg, ds, f"frame {ds.image_id} densify", starts)
-        _write_model(model, _suffixed(out_dir / "model.txt", ds.image_id, multi))
-        filtered_parts.append(_densify_one(cfg, model, depth))
+        configs, curves = fit.configs, fit.loss_curves
+        del fit  # free its factors before the conditioning allocates its own
+        model = gp.condition_gp(ds, configs, cfg.train_config())
+        _write_model(model, curves, _suffixed(out_dir / "model.txt", ds.image_id, multi))
+        filtered_parts.append(_densify_one(cfg, model, depth, f"frame {ds.image_id}"))
         del model  # free its factors before the next frame trains
 
     if not filtered_parts:

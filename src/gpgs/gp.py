@@ -6,9 +6,9 @@ hyperparameters; r, g and b share one set, fitted on the sum of their
 NLLs: a multi-output GP with a shared kernel, the intrinsic
 coregionalisation model with B = I (Bonilla et al. 2008). Outputs that
 share hyperparameters share one Gram matrix, factored once, and one
-posterior variance; groups whose fits start from one set of
-hyperparameters share the evaluation there. Kernels are Matérn (closed
-forms for half-integer smoothness) or RBF; hyperparameters live in log
+posterior variance; every group's fit starts from one set of
+hyperparameters, and the groups share the evaluation there. Kernels are
+Matérn (closed forms for half-integer smoothness) or RBF; hyperparameters live in log
 space, inside a box, and are fitted by a projected Newton search with a
 step radius (Nocedal & Wright, "Numerical Optimization", 2006, ch. 4) on
 the negative log marginal likelihood plus an L2 penalty on the log
@@ -632,8 +632,9 @@ class TrainedGP:
         (config, jitter), the factor its outputs share, so a refit at the
         configs and jitters a training kept reproduces its factors, alphas
         and groups bit for bit. Configs need not repeat: a model file from
-        separate fits of every output loads to six factors. The model has
-        no loss curves.
+        separate fits of every output loads to six factors. condition_gp
+        conditions new data at a fit's configs through here, from
+        TRAIN_JITTER. The model has no loss curves.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
@@ -829,16 +830,12 @@ def _minimize_within(fun, theta0: np.ndarray, budget: int, first=None):
     return thetas[best], np.array(losses)
 
 
-def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
+def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
     """Newton fit (_minimize_within) of each OUTPUT_GROUPS group of
     columns of Z on the inputs X, on the group's summed loss (_objective),
-    from the log-parameters of the KernelConfig starts[j] of its first
-    output j.
-
-    Groups that start from one theta (clipped into the box) share their
-    first evaluation: the first of them to be fitted evaluates theta once
-    for all of them (one factorisation and, once a search asks for
-    derivatives, one inversion), each group's bits those of its own.
+    from the kernel's log-parameters clipped into the box. The groups share
+    the evaluation there: one factorisation and, once a search asks for
+    derivatives, one inversion, each group's bits those of its own.
 
     Returns, per group, the kept log-parameters, the Cholesky factor and
     jitter at them, and the loss curve. The factor is the workspace's K,
@@ -854,54 +851,27 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig, starts):
         l2_weight=cfg.l2_weight, jitter=TRAIN_JITTER,
     )
     ys = [Z[:, outputs] for outputs in OUTPUT_GROUPS]
-    # clipped into the box, as _minimize_within clips a start, so that a
+    # clipped into the box, as _minimize_within clips a start, so that the
     # shared first evaluation is at the theta each search evaluates first
-    thetas0 = [np.clip(starts[outputs[0]].log_params(), _LOWER, _UPPER)
-               for outputs in OUTPUT_GROUPS]
-    firsts = {}  # group -> its (loss, derivatives) from a first evaluation it shares
+    theta0 = np.clip(kernel.log_params(), _LOWER, _UPPER)
     fits = []
-    for g, (y, theta0) in enumerate(zip(ys, thetas0)):
-        if g not in firsts:
-            together = [h for h in range(g, len(ys)) if np.array_equal(thetas0[h], theta0)]
-            if len(together) > 1:
-                firsts.update(zip(together, objective(theta0, ys=[ys[h] for h in together])))
+    for y, first in zip(ys, objective(theta0, ys=ys)):
 
         def own(theta, y=y):
             return objective(theta, ys=(y,))[0]
 
-        theta, curve = _minimize_within(own, theta0, cfg.iterations, firsts.get(g))
+        theta, curve = _minimize_within(own, theta0, cfg.iterations, first)
         if not np.array_equal(ws.theta, theta):
             _factor(theta, kernel.family, kernel.nu, ws, TRAIN_JITTER)
         fits.append((theta, ws.hand_over(), ws.jitter, curve))
     return fits
 
 
-def train_gp(
-    ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig, starts=None
-) -> TrainedGP:
-    """Fit the six outputs' GPs to a pixel-to-point dataset by projected
-    Newton steps on the exact Hessian.
-
-    Targets are standardized per output. Each group of OUTPUT_GROUPS (x,
-    y and z alone; r, g and b together, on the sum of their three NLLs)
-    then minimises its loss over one set of log-parameters, inside the box
-    _BOUNDS (signal variance and lengthscale within +-LOG_PARAM_BOUND,
-    noise variance from NOISE_VAR_FLOOR to exp(LOG_PARAM_BOUND)), starting
-    from the log-parameters of starts[j] for its first output j (one
-    KernelConfig per output; None: the kernel's) with a first step of at
-    most 1 (_minimize_within). Groups that start from one theta share the
-    evaluation there (_fit_outputs). cfg.iterations is an exact budget of
-    loss evaluations per group: the search ends when it converges or has
-    spent the budget, and the group keeps the lowest-loss parameters
-    evaluated (with a budget of 1, the starting ones). Only a theta the
-    search steps from gets the gradient and the Hessian. The model's
-    loss_curves hold one curve per group, every evaluation in order; a
-    curve of cfg.iterations entries means the budget, not convergence,
-    ended the search. Oversized datasets are first reduced to a seeded
-    uniform subsample of max_train_points. The model keeps the factor each
-    group's search handed over, the first group's where groups end at one
-    (config, jitter): bit for bit the factors TrainedGP.fit computes there.
-    """
+def _training_data(ds: PixelToPointDataset, cfg: TrainConfig):
+    """The inputs X, normalized targets Z and normalizer that training fits
+    on: the dataset, first reduced to a seeded uniform subsample of
+    cfg.max_train_points when it is larger, with its targets standardized
+    per output."""
     if len(ds) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     X, Y = ds.inputs, ds.targets
@@ -910,18 +880,32 @@ def train_gp(
         rng = np.random.default_rng(cfg.seed)
         keep = np.sort(rng.choice(n, size=cfg.max_train_points, replace=False))
         X, Y = X[keep], Y[keep]
-
     normalizer = OutputNormalizer.fit(Y)
-    Z = normalizer.normalize(Y)
-    if starts is None:
-        starts = [kernel] * Z.shape[1]
-    elif len(starts) != Z.shape[1]:
-        raise DimensionMismatch(f"{len(starts)} starting configs for {Z.shape[1]} outputs")
+    return X, normalizer.normalize(Y), normalizer
+
+
+def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) -> TrainedGP:
+    """Fit the six outputs' GPs to a pixel-to-point dataset by projected
+    Newton steps on the exact Hessian.
+
+    The dataset is subsampled and its targets standardized first
+    (_training_data). Each group of OUTPUT_GROUPS (x, y and z alone; r, g
+    and b together, on the sum of their three NLLs) then minimises its
+    loss over one set of log-parameters inside the box _BOUNDS, from the
+    kernel's (_minimize_within); the groups share the evaluation there
+    (_fit_outputs). cfg.iterations is an exact budget of loss evaluations
+    per group: a search ends when it converges or has spent the budget,
+    and keeps the lowest-loss parameters evaluated (with a budget of 1,
+    the start). loss_curves hold one curve per group, every evaluation
+    in order; a curve of cfg.iterations entries means the budget, not
+    convergence, ended the search. The model keeps the factor each
+    group's search handed over, one per distinct (config, jitter): bit for
+    bit the factors TrainedGP.fit computes there.
+    """
+    X, Z, normalizer = _training_data(ds, cfg)
     k = Z.shape[1]
     configs, factors, jitters, curves, shared = [None] * k, [None] * k, [None] * k, [], {}
-    for outputs, (theta, L, jitter, curve) in zip(
-        OUTPUT_GROUPS, _fit_outputs(X, Z, kernel, cfg, starts)
-    ):
+    for outputs, (theta, L, jitter, curve) in zip(OUTPUT_GROUPS, _fit_outputs(X, Z, kernel, cfg)):
         fitted = kernel.with_log_params(theta)
         L = shared.setdefault((fitted, jitter), L)  # groups that end equal share one factor
         for j in outputs:
@@ -931,3 +915,12 @@ def train_gp(
         tuple(configs), normalizer, X, Z, tuple(factors), _alphas(factors, Z), tuple(jitters),
         ds.width, ds.height, tuple(curves),
     )
+
+
+def condition_gp(ds: PixelToPointDataset, configs, cfg: TrainConfig) -> TrainedGP:
+    """The GPs at fixed configs (one per output), conditioned on the data
+    train_gp would fit on: the same subsample and normalisation
+    (_training_data), factored from TRAIN_JITTER (TrainedGP.fit). No
+    hyperparameter is searched, and the model has no loss curves."""
+    X, Z, normalizer = _training_data(ds, cfg)
+    return TrainedGP.fit(X, Z, configs, normalizer, ds.width, ds.height, jitter=TRAIN_JITTER)

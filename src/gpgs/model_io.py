@@ -9,8 +9,8 @@ jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model
 that was saved. A file whose six outputs all differ loads to six factors.
 A file with a width or height outside 1..sfm_io.MAX_IMAGE_SIDE, an
-input_dim other than 2 (u, v) or 3 (u, v, depth), other than six
-outputs, a norm_std of 0 or below or a negative jitter is rejected at
+input_dim other than 2 (u, v) or 3 (u, v, depth), no training points,
+other than six outputs, a norm_std of 0 or below or a negative jitter is rejected at
 that line; a log-parameter whose exponential overflows, or a
 log-lengthscale so small that the kernel's sqrt(5)/lengthscale scaling
 does, at the line of its output block; any other log-parameter outside
@@ -112,7 +112,7 @@ def load_model(path) -> TrainedGP:
     input_dim = take_count("input_dim")
     if input_dim not in (2, 3):
         raise MalformedLine(path, pos, f"input_dim: {input_dim}, not 2 or 3")
-    n = take_count("train_points")
+    n = take_count("train_points", 1)
     n_outputs = take_count("outputs")
     if n_outputs != N_OUTPUTS:
         raise MalformedLine(path, pos, f"outputs: {n_outputs}, not {N_OUTPUTS}")

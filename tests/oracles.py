@@ -98,9 +98,9 @@ def masked_trace_gradient(cfg, X, y, l2_weight=0.0, jitter=0.0) -> np.ndarray:
     return grad + 2.0 * l2_weight * theta
 
 
-def fit_outputs_per_group(X, Z, kernel, cfg, starts):
+def fit_outputs_per_group(X, Z, kernel, cfg):
     """gp._fit_outputs with every output group fitted alone: each group
-    evaluates its own start, in a workspace of its own, with the Newton
+    evaluates the kernel's start, in a workspace of its own, with the Newton
     search of gp._minimize_within (which clips the start into the box), and
     keeps its own factor, factored once more unless K still holds it (the
     search took no derivatives at its kept last evaluation)."""
@@ -117,7 +117,7 @@ def fit_outputs_per_group(X, Z, kernel, cfg, starts):
             return result
 
         theta, curve = gp._minimize_within(
-            loss_and_derivatives, starts[outputs[0]].log_params(), cfg.iterations
+            loss_and_derivatives, kernel.log_params(), cfg.iterations
         )
         if not np.array_equal(ws.theta, theta):
             gp._factor(theta, kernel.family, kernel.nu, ws, gp.TRAIN_JITTER)

@@ -1,5 +1,6 @@
 """Command-level tests: flags, config files, exit codes, artifacts."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -313,8 +314,51 @@ class TestTrain:
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert len(warnings) == 1
         assert warnings[0].startswith(
-            "warning: frame 1 densify: outputs x, y, z, rgb used all 1 evaluations"
+            "warning: frame 1 train: outputs x, y, z, rgb used all 1 evaluations"
         )
+
+    def test_warns_when_a_group_keeps_a_bound(self, dataset, tmp_path, capsys):
+        # constant colours standardize to zero targets, whose loss falls with
+        # the signal variance all the way to its bound
+        ds = sfm_io.read_dataset_csv(dataset)
+        targets = ds.targets.copy()
+        targets[:, 3:] = 0.5
+        flat = tmp_path / "flat.csv"
+        sfm_io.write_dataset_csv(
+            sfm_io.PixelToPointDataset(ds.image_id, ds.width, ds.height, ds.inputs, targets), flat
+        )
+        capsys.readouterr()
+        assert run("train", "--dataset", str(flat), "--output", str(tmp_path / "m.txt")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: frame 1 train: outputs rgb kept log_signal_var -20, on the bound +-20; "
+            "the fit may have degenerated"
+        ]
+        # its noise variance sits on NOISE_VAR_FLOOR too, which is not warned about
+        rgb = model_io.load_model(tmp_path / "m.txt").configs[3]
+        assert (rgb.log_signal_var, rgb.log_noise_var) == (-20.0, math.log(gp.NOISE_VAR_FLOOR))
+
+    @pytest.mark.parametrize("key,value,warned", [
+        ("log_noise_var", math.log(gp.NOISE_VAR_FLOOR), None),
+        ("log_lengthscale", gp.LOG_PARAM_BOUND, "log_lengthscale 20"),
+        ("log_lengthscale", 19.5, None),
+    ])
+    def test_bound_warning_names_signal_variance_and_lengthscale_only(
+        self, dataset, tmp_path, capsys, monkeypatch, key, value, warned
+    ):
+        original = gp.train_gp
+
+        def kept_at(*args):
+            model = original(*args)
+            configs = tuple(dataclasses.replace(cfg, **{key: value}) for cfg in model.configs)
+            return dataclasses.replace(model, configs=configs)
+
+        monkeypatch.setattr(gp, "train_gp", kept_at)
+        assert run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt")) == 0
+        expected = [] if warned is None else [
+            f"warning: frame 1 train: outputs {name} kept {warned}, on the bound +-20; "
+            "the fit may have degenerated" for name in ("x", "y", "z", "rgb")
+        ]
+        assert capsys.readouterr().err.splitlines() == expected
 
     def test_no_warning_when_every_output_converges(self, dataset, tmp_path, capsys):
         assert run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt")) == 0
@@ -516,38 +560,38 @@ class TestPipeline:
         assert calls == {"parse_colmap_model": 1, "read_dataset_csv": 0}
         assert (out / "dataset_frame2.csv").exists()
 
-    def test_densification_fit_starts_where_evaluation_fit_ended(
-        self, surface_dir, tmp_path, monkeypatch
-    ):
-        fits = []  # (start, kept theta) of every output group's fit, in order
-        original = gp._minimize_within
+    def test_model_file_holds_the_evaluation_fit(self, surface_dir, tmp_path, monkeypatch):
+        fits = []
+        original = gp.train_gp
 
-        def recorded(fun, theta0, *args):
-            theta, curve = original(fun, theta0, *args)
-            fits.append((np.array(theta0), theta))
-            return theta, curve
+        def recorded(*args):
+            fits.append(original(*args))
+            return fits[-1]
 
-        monkeypatch.setattr(gp, "_minimize_within", recorded)
+        monkeypatch.setattr(gp, "train_gp", recorded)
         out = tmp_path / "run"
         assert run(
             "pipeline", "--model-dir", str(surface_dir), "--output", str(out),
             "--iterations", "30",
         ) == 0
-        # the evaluation fit, then the densification fit, four groups each
-        assert len(fits) == 8
-        template = gp.default_kernel().log_params()
-        for (eval_start, eval_kept), (start, kept) in zip(fits[:4], fits[4:]):
-            assert np.array_equal(eval_start, template)
-            assert np.array_equal(start, eval_kept)
-        saved = model_io.load_model(out / "model.txt").configs
-        assert [cfg.log_params().tolist() for cfg in saved] == [
-            fits[4 + g][1].tolist() for g, outputs in enumerate(gp.OUTPUT_GROUPS)
-            for _ in outputs
+        # one search, on the train split; the model file conditions all the
+        # samples at the configs it kept and holds its loss curves
+        [evaluation] = fits
+        assert len(evaluation.X) == 96
+        saved = model_io.load_model(out / "model.txt")
+        assert len(saved.X) == 120
+        assert saved.configs == evaluation.configs
+        rows = (out / "model_loss.csv").read_text().splitlines()
+        assert rows == ["iter,group,loss"] + [
+            f"{it},{name},{loss:.17g}"
+            for name, curve in zip(("x", "y", "z", "rgb"), evaluation.loss_curves)
+            for it, loss in enumerate(curve)
         ]
 
     def test_budget_of_one_matches_two_cold_fits(self, tmp_path, monkeypatch, capsys):
-        # at --iterations 1 every fit keeps its start, and every start is the
-        # kernel's: artifacts equal those of two cold fits per frame
+        # at --iterations 1 the evaluation fit keeps the kernel's start, so
+        # conditioning there on all samples is a cold fit on them: artifacts
+        # equal those of two cold fits per frame
         model_dir, _, _ = surface_colmap_model(tmp_path / "surface", 2000, 420, seed=0)
         calls = []
         original_fit = gp._fit_outputs
@@ -559,23 +603,39 @@ class TestPipeline:
         monkeypatch.setattr(gp, "_fit_outputs", counted)
         flags = ("--model-dir", str(model_dir), "--iterations", "1")
         assert run("pipeline", "--output", str(tmp_path / "new" / "run"), *flags) == 0
-        assert calls == [336, 420]
+        assert calls == [336]
         err = capsys.readouterr().err
         assert [ln.split(": outputs")[0] for ln in err.splitlines()] == [
-            "warning: frame 1 evaluate", "warning: frame 1 densify",
+            "warning: frame 1 evaluate",
         ]
 
-        original_train = gp.train_gp
         monkeypatch.setattr(
-            gp, "train_gp", lambda ds, kernel, cfg, starts=None: original_train(ds, kernel, cfg)
+            gp, "condition_gp", lambda ds, configs, cfg: gp.train_gp(ds, gp.default_kernel(), cfg)
         )
         assert run("pipeline", "--output", str(tmp_path / "cold" / "run"), *flags) == 0
+        assert calls == [336, 336, 420]
         names = sorted(p.name for p in (tmp_path / "new" / "run").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "cold" / "run").iterdir())
         for name in names:
             if name != "run-config.txt":  # it records the output path
                 new = (tmp_path / "new" / "run" / name).read_bytes()
                 assert new == (tmp_path / "cold" / "run" / name).read_bytes(), name
+
+    def test_no_candidate_left_exits_2(self, tmp_path, capsys):
+        # on the square image, a one-angle circle of radius 0.999 * 400
+        # leaves the image from every feature
+        model_dir, _, _ = surface_colmap_model(tmp_path / "surface", 600, 40, seed=0)
+        code = run(
+            "pipeline", "--model-dir", str(model_dir), "--output", str(tmp_path / "run"),
+            "--angular-resolution", "1", "--beta", "0.999",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "input error: frame 1: no candidate left by sampling around 40 training pixels at "
+            "beta=0.999 and angular_resolution=1\n"
+        )
+        assert not (tmp_path / "run" / "cloud.ply").exists()
 
     def test_empty_test_split_fails_before_densification_fit(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -710,6 +770,7 @@ class TestModelFileRanges:
         ("norm_std", "0", "norm_std: 0.0 is not positive"),
         ("norm_std", "-1", "norm_std: -1.0 is not positive"),
         ("jitter", "-1e-08", "jitter: -1e-08 is below 0"),
+        ("train_points", "0", "train_points: 0 is below 1"),
     ])
     def test_exits_2_at_its_line(self, model, fixture_dir, tmp_path, capsys, key, value, message):
         line = self.set_first(model, key, value)

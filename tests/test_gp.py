@@ -752,18 +752,14 @@ class TestFactorHandover:
 
 
 class TestSharedFirstEvaluation:
-    """Groups that start from one theta share their first evaluation, and
-    every result is bit for bit that of fitting each group alone
-    (oracles.fit_outputs_per_group)."""
+    """Every group starts from the kernel's theta and the groups share their
+    first evaluation there, and every result is bit for bit that of fitting
+    each group alone (oracles.fit_outputs_per_group)."""
 
     KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
-    A, B, C = [0.1, -1.0, -8.0], [0.3, -1.3, -6.0], [-0.2, -0.8, -9.0]
-    STARTS = {  # log-parameters per output, None: the kernel's
+    STARTS = {  # the kernel's log-parameters, None: the initial ones
         "cold": None,
-        "distinct": [A, B, C, [0.2, -1.1, -7.0], [0.2, -1.1, -7.0], [0.2, -1.1, -7.0]],
-        "x=y=rgb": [A, A, B, A, A, A],
-        "x=y,z=rgb": [A, A, B, B, B, B],
-        "clipped": [[25.0, -1.0, -30.0]] * 6,  # outside the bounds, all equal
+        "clipped": [25.0, -1.0, -30.0],  # outside the bounds
     }
 
     @staticmethod
@@ -771,14 +767,14 @@ class TestSharedFirstEvaluation:
         """(train_gp, per-group oracle) models and their dpotrf counts."""
         kernel = gp.default_kernel(family, nu)
         logs = TestSharedFirstEvaluation.STARTS[kind]
-        starts = None if logs is None else [kernel.with_log_params(t) for t in logs]
+        kernel = kernel if logs is None else kernel.with_log_params(logs)
         ds, cfg = make_scene("smooth", 60, seed=1), gp.TrainConfig(iterations=budget)
         calls = count_calls(monkeypatch, "dpotrf")
         models, counts = [], []
         for fit in (gp._fit_outputs, fit_outputs_per_group):
             monkeypatch.setattr(gp, "_fit_outputs", fit)
             calls.clear()
-            models.append(gp.train_gp(ds, kernel, cfg, starts=starts))
+            models.append(gp.train_gp(ds, kernel, cfg))
             counts.append(len(calls))
         return models, counts
 
@@ -807,59 +803,10 @@ class TestSharedFirstEvaluation:
             # the four groups' first evaluations are one
             assert count == evaluations - 3 + refactors
 
-    def test_distinct_starts_share_nothing(self, monkeypatch):
-        _, (count, per_group) = self.fits(monkeypatch, "matern", 0.5, 5, "distinct")
-        assert count == per_group
-
 
 class TestStarts:
-    """Warm starts: train_gp's starts."""
-
-    @staticmethod
-    def record_fits(monkeypatch):
-        """(start, first evaluated theta) of every search, in order."""
-        fits = []
-        original = gp._minimize_within
-
-        def recorded(fun, theta0, *args):
-            evaluated = []
-
-            def spy(theta, **kwargs):
-                evaluated.append(np.array(theta))
-                return fun(theta, **kwargs)
-
-            theta, curve = original(spy, theta0, *args)
-            fits.append((np.array(theta0), evaluated[0]))
-            return theta, curve
-
-        monkeypatch.setattr(gp, "_minimize_within", recorded)
-        return fits
-
-    @staticmethod
-    def assert_as_good(fit, cold, test):
-        """Minimum losses within 1e-3 (relative) of the cold fit's, and a held-out
-        r2 not lower beyond 1e-6, the scale at which fits to one optimum differ."""
-        for a, b in zip(fit.loss_curves, cold.loss_curves):
-            assert abs(a.min() - b.min()) <= 1e-3 * abs(b.min())
-        r2 = [metrics.evaluate_holdout(m, test).bundle.r2 for m in (fit, cold)]
-        assert r2[0] >= r2[1] - 1e-6
-
-    def test_each_output_starts_from_its_config(self, monkeypatch):
-        fits = self.record_fits(monkeypatch)
-        kernel = gp.default_kernel()
-        starts = [kernel.with_log_params([0.1 * j, -1.0 - 0.1 * j, -8.0]) for j in range(6)]
-        gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
-                    gp.TrainConfig(iterations=5), starts=starts)
-        # one fit per group, from the config of the group's first output
-        assert len(fits) == len(gp.OUTPUT_GROUPS)
-        for (theta0, first), outputs in zip(fits, gp.OUTPUT_GROUPS):
-            assert np.array_equal(theta0, starts[outputs[0]].log_params())
-            assert np.array_equal(first, starts[outputs[0]].log_params())
-
-    def test_wrong_number_of_starts_rejected(self):
-        with pytest.raises(errors.DimensionMismatch, match="5 starting configs"):
-            gp.train_gp(make_scene("smooth", 20, seed=1), gp.default_kernel(),
-                        gp.TrainConfig(iterations=1), starts=[gp.default_kernel()] * 5)
+    """Searches from a start other than the kernel's initial theta: the
+    kernel template's log-parameters."""
 
     def test_search_leaves_the_noise_plateau(self):
         # x carries noise of standard deviation 0.05; from a start with almost
@@ -868,24 +815,56 @@ class TestStarts:
         kernel = gp.default_kernel()
         ds, cfg = make_scene("smooth", 60, seed=1, noise=0.05), gp.TrainConfig(iterations=200)
         start = kernel.with_log_params([0.0, math.log(0.3), -18.0])
-        model = gp.train_gp(ds, kernel, cfg, starts=[start] * 6)
+        model = gp.train_gp(ds, start, cfg)
         cold = gp.train_gp(ds, kernel, cfg)
         assert len(model.loss_curves[0]) < cfg.iterations
         assert model.configs[0].log_noise_var > kernel.log_noise_var
         assert model.loss_curves[0].min() <= cold.loss_curves[0].min() + 1e-9
 
+
+class TestConditionGP:
+    """condition_gp: the GPs at fixed configs on the data train_gp fits."""
+
     @pytest.mark.parametrize("seed", [1, 2, 5])
-    def test_warm_start_as_good_as_cold_fit(self, seed):
-        # pipeline's order: the evaluation fit on a train split, then the
-        # fit on all the frame's data from the evaluation fit's kept configs
-        split = sfm_io.split_dataset(make_scene("smooth", 375, seed=seed), 0.8, seed=1)
+    @pytest.mark.parametrize("kind", ["smooth", "piecewise"])
+    def test_evaluation_configs_almost_as_good_as_cold_fit(self, kind, seed):
+        # pipeline's order: the evaluation fit on a train split, then its
+        # configs conditioned on all the frame's data; on these noisy scenes
+        # that costs at most 2.6e-4 of held-out r2 and 1.2% of chamfer
+        # against a cold fit on all the data
+        split = sfm_io.split_dataset(make_scene(kind, 375, seed=seed), 0.8, seed=1)
         data, fresh = split.train, split.test
         kernel, cfg = gp.default_kernel(), gp.TrainConfig()
         evaluation = gp.train_gp(sfm_io.split_dataset(data, 0.8, seed=0).train, kernel, cfg)
-        warm = gp.train_gp(data, kernel, cfg, starts=evaluation.configs)
+        conditioned = gp.condition_gp(data, evaluation.configs, cfg)
         cold = gp.train_gp(data, kernel, cfg)
-        self.assert_as_good(warm, cold, fresh)
-        assert sum(map(len, warm.loss_curves)) < sum(map(len, cold.loss_curves))
+        assert conditioned.configs == evaluation.configs
+        a, b = (metrics.evaluate_holdout(m, fresh).bundle for m in (conditioned, cold))
+        assert a.r2 >= b.r2 - 3e-4
+        assert a.chamfer <= 1.02 * b.chamfer
+
+    def test_same_data_and_factors_as_a_fit_there(self):
+        # at a budget of 1 a fit keeps the kernel's start; conditioning at
+        # that config subsamples, normalizes and factors as the fit did
+        ds = make_scene("smooth", 80, seed=2)
+        cfg = gp.TrainConfig(iterations=1, max_train_points=30, seed=3)
+        fit = gp.train_gp(ds, gp.default_kernel(), cfg)
+        conditioned = gp.condition_gp(ds, fit.configs, cfg)
+        assert conditioned.loss_curves == ()
+        assert conditioned.configs == fit.configs and conditioned.jitters == fit.jitters
+        assert conditioned.groups == fit.groups
+        assert np.array_equal(conditioned.normalizer.mean, fit.normalizer.mean)
+        assert np.array_equal(conditioned.normalizer.std, fit.normalizer.std)
+        for name in ("X", "Z"):
+            assert np.array_equal(getattr(conditioned, name), getattr(fit, name)), name
+        for name in ("factors", "alphas"):
+            for a, b in zip(getattr(conditioned, name), getattr(fit, name), strict=True):
+                assert np.array_equal(a, b), name
+
+    def test_empty_dataset(self):
+        ds = dataset_from_arrays(np.zeros((0, 2)), np.zeros((0, 6)))
+        with pytest.raises(errors.EmptyDataset):
+            gp.condition_gp(ds, [gp.default_kernel()] * 6, gp.TrainConfig())
 
 
 class TestUnboundedNoise:
@@ -917,11 +896,12 @@ class TestUnboundedNoise:
     def test_first_step_stays_within_unit_distance(self, monkeypatch, family, nu):
         # a long first step can reach the box corner (log sf2 = -20,
         # log l = +20), where the loss is 1e6 to 1e10; every search's first
-        # step, from cold and from warm starts, is at most 1 long
+        # step, from the initial theta and from one a cold fit kept, is at
+        # most 1 long
         searches = self.record_searches(monkeypatch)
         kernel, ds = gp.default_kernel(family, nu), make_scene("smooth", 150, seed=1)
         cold = gp.train_gp(ds, kernel, gp.TrainConfig(iterations=3))
-        gp.train_gp(ds, kernel, gp.TrainConfig(iterations=3), starts=cold.configs)
+        gp.train_gp(ds, cold.configs[0], gp.TrainConfig(iterations=3))
         assert len(searches) == 2 * len(gp.OUTPUT_GROUPS)
         for evaluated in searches:
             assert np.linalg.norm(evaluated[1] - evaluated[0]) <= 1.0 + 1e-12
@@ -958,8 +938,7 @@ class TestUnboundedNoise:
         searches = self.record_searches(monkeypatch)
         kernel = gp.default_kernel()
         start = kernel.with_log_params([0.0, -1.0, 30.0])
-        model = gp.train_gp(make_scene("smooth", 60, seed=1), kernel,
-                            gp.TrainConfig(iterations=5), starts=[start] * 6)
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), start, gp.TrainConfig(iterations=5))
         for evaluated in searches:
             assert np.array_equal(evaluated[0], [0.0, -1.0, gp.LOG_PARAM_BOUND])
         for curve in model.loss_curves:
