@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .errors import (
 
 SEED_ENV_VAR = "GPGS_SEED"
 
-# The name of each group of outputs that training fits together: x, y, z, rgb.
+# The name of each group of outputs that training fits together: xyz, rgb.
 _GROUP_NAMES = tuple(
     "".join(metrics.OUTPUT_NAMES[j] for j in outputs) for outputs in gp.OUTPUT_GROUPS
 )
@@ -297,7 +298,8 @@ def _densify_one(
 
     depth is the key frame's depth map, which a depth-trained model needs;
     frame names the key frame or model in the error raised when no
-    candidate is left.
+    candidate is left, and in the warning printed on standard error when
+    ties at the threshold make the filter keep more than its quantile.
     """
     pixels = model.X[:, :2] * (model.width, model.height)
     candidates = dn.generate_samples(pixels, model.width, model.height, cfg.sampling_config())
@@ -309,7 +311,16 @@ def _densify_one(
             f"beta={cfg.beta} and angular_resolution={cfg.angular_resolution}"
         )
     preds = dn.infer_dense(model, candidates)
-    return dn.filter_by_variance(preds, cfg.filter_config())
+    filtered = dn.filter_by_variance(preds, cfg.filter_config())
+    kept, m = filtered.retained_count(), len(filtered)
+    if kept > math.ceil(cfg.filter_quantile * m):
+        tau = filtered.mean_rgb_var[filtered.retained].max()
+        print(
+            f"warning: {frame}: the filter kept {kept} of {m} predictions at quantile "
+            f"{cfg.filter_quantile:g}: ties at its threshold {tau:.6g}",
+            file=sys.stderr,
+        )
+    return filtered
 
 
 def _concat_predictions(parts: list[dn.PredictedPointSet]) -> dn.PredictedPointSet:

@@ -1,9 +1,9 @@
 """Exact Gaussian-process regression over pixel-to-point data.
 
 Zero-mean GPs on shared inputs map normalized pixel coordinates to the
-six target channels (x, y, z, r, g, b). x, y and z each have their own
-hyperparameters; r, g and b share one set, fitted on the sum of their
-NLLs: a multi-output GP with a shared kernel, the intrinsic
+six target channels (x, y, z, r, g, b). x, y and z share one set of
+hyperparameters, r, g and b another, each fitted on the sum of its three
+NLLs: per group, a multi-output GP with a shared kernel, the intrinsic
 coregionalisation model with B = I (Bonilla et al. 2008). Outputs that
 share hyperparameters share one Gram matrix, factored once, and one
 posterior variance; every group's fit starts from one set of
@@ -83,8 +83,8 @@ _ARMIJO = 1e-4
 _EIG_FLOOR = 1e-8
 
 # The outputs whose hyperparameters training fits together, in the order
-# it fits them: x, y and z alone, r, g and b as one group.
-OUTPUT_GROUPS = ((0,), (1,), (2,), (3, 4, 5))
+# it fits them: position (x, y, z), then colour (r, g, b).
+OUTPUT_GROUPS = ((0, 1, 2), (3, 4, 5))
 
 # Queries per posterior block: the (n, chunk) distance and covariance
 # blocks bound the posterior's memory at O(n * chunk), besides the n x n
@@ -575,8 +575,8 @@ def _alphas(factors, Z) -> tuple[np.ndarray, ...]:
 class TrainedGP:
     """Conditioned GPs, one per output, sharing one set of inputs.
 
-    Outputs with equal hyperparameters and jitter (after training, r, g
-    and b) share one Gram matrix and so one Cholesky factor. train_gp
+    Outputs with equal hyperparameters and jitter (after training, x, y, z
+    and r, g, b) share one Gram matrix and so one Cholesky factor. train_gp
     hands over the factors training computed at the kept hyperparameters;
     fit computes them the same way from configs alone. Immutable after
     construction; posterior evaluation is a pure read and may run
@@ -595,7 +595,7 @@ class TrainedGP:
     jitters: tuple[float, ...]             # jitter actually used per output
     width: int
     height: int
-    loss_curves: tuple[np.ndarray, ...] = ()  # train_gp: one per OUTPUT_GROUPS entry
+    loss_curves: tuple[np.ndarray, ...] = ()  # train_gp: xyz's, then rgb's
 
     @property
     def n_outputs(self) -> int:
@@ -831,11 +831,11 @@ def _minimize_within(fun, theta0: np.ndarray, budget: int, first=None):
 
 
 def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
-    """Newton fit (_minimize_within) of each OUTPUT_GROUPS group of
-    columns of Z on the inputs X, on the group's summed loss (_objective),
-    from the kernel's log-parameters clipped into the box. The groups share
-    the evaluation there: one factorisation and, once a search asks for
-    derivatives, one inversion, each group's bits those of its own.
+    """Newton fit (_minimize_within) of each OUTPUT_GROUPS group of columns
+    of Z (xyz, then rgb) on the inputs X, on the group's summed loss
+    (_objective), from the kernel's log-parameters clipped into the box. The
+    groups share the evaluation there: one factorisation and, once a search
+    asks for derivatives, one inversion, each group's bits those of its own.
 
     Returns, per group, the kept log-parameters, the Cholesky factor and
     jitter at them, and the loss curve. The factor is the workspace's K,
@@ -889,8 +889,8 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
     Newton steps on the exact Hessian.
 
     The dataset is subsampled and its targets standardized first
-    (_training_data). Each group of OUTPUT_GROUPS (x, y and z alone; r, g
-    and b together, on the sum of their three NLLs) then minimises its
+    (_training_data). Each group of OUTPUT_GROUPS (x, y and z together,
+    then r, g and b, each on the sum of its three NLLs) then minimises its
     loss over one set of log-parameters inside the box _BOUNDS, from the
     kernel's (_minimize_within); the groups share the evaluation there
     (_fit_outputs). cfg.iterations is an exact budget of loss evaluations

@@ -3,7 +3,7 @@
 The format is versioned ("gpgs-model v1") and stores the per-output
 hyperparameters, the normalizer, and the embedded training data at 17
 significant digits, which round-trips float64 exactly. A trained model's
-r, g and b blocks hold one set of hyperparameters, written three times.
+x, y, z blocks and its r, g, b blocks each hold one set, written thrice.
 Reloading fills and factors one Gram matrix per distinct (hyperparameters,
 jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model

@@ -98,14 +98,15 @@ def masked_trace_gradient(cfg, X, y, l2_weight=0.0, jitter=0.0) -> np.ndarray:
     return grad + 2.0 * l2_weight * theta
 
 
-def fit_outputs_per_group(X, Z, kernel, cfg):
+def fit_outputs_per_group(X, Z, kernel, cfg, groups=gp.OUTPUT_GROUPS):
     """gp._fit_outputs with every output group fitted alone: each group
     evaluates the kernel's start, in a workspace of its own, with the Newton
     search of gp._minimize_within (which clips the start into the box), and
     keeps its own factor, factored once more unless K still holds it (the
-    search took no derivatives at its kept last evaluation)."""
+    search took no derivatives at its kept last evaluation), for each of
+    groups."""
     fits = []
-    for outputs in gp.OUTPUT_GROUPS:
+    for outputs in groups:
         ws = gp._Workspace(X)
         y = Z[:, outputs]
 

@@ -161,9 +161,9 @@ class TestTrain:
         assert lines[0] == "iter,group,loss"
         # one curve per fit group, each of at most --iterations rows
         groups = [line.split(",")[1] for line in lines[1:]]
-        assert sorted(set(groups)) == ["rgb", "x", "y", "z"]
+        assert sorted(set(groups)) == ["rgb", "xyz"]
         assert all(groups.count(name) <= 4 for name in set(groups))
-        assert len(lines) == 1 + 4 * 4
+        assert len(lines) == 1 + 4 * len(gp.OUTPUT_GROUPS)
 
     def test_infinite_loss_row_written_and_printed(self, dataset, tmp_path, monkeypatch, capsys):
         # a loss that falls as the noise grows, and is infinite above a log
@@ -314,7 +314,7 @@ class TestTrain:
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert len(warnings) == 1
         assert warnings[0].startswith(
-            "warning: frame 1 train: outputs x, y, z, rgb used all 1 evaluations"
+            "warning: frame 1 train: outputs xyz, rgb used all 1 evaluations"
         )
 
     def test_warns_when_a_group_keeps_a_bound(self, dataset, tmp_path, capsys):
@@ -356,7 +356,7 @@ class TestTrain:
         assert run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt")) == 0
         expected = [] if warned is None else [
             f"warning: frame 1 train: outputs {name} kept {warned}, on the bound +-20; "
-            "the fit may have degenerated" for name in ("x", "y", "z", "rgb")
+            "the fit may have degenerated" for name in ("xyz", "rgb")
         ]
         assert capsys.readouterr().err.splitlines() == expected
 
@@ -411,6 +411,42 @@ class TestDensify:
         assert len(cloud) == sparse + retained
         assert np.count_nonzero(cloud.sources == 1) == retained
         assert (tmp_path / "cloud_variance.csv").exists()
+
+    def test_no_filter_warning_at_its_quantile(self, trained, tmp_path, capsys):
+        surface_dir, model = trained
+        assert run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        ) == 0
+        captured = capsys.readouterr()
+        candidates = int(captured.out.split("candidates:")[1].split()[0])
+        retained = int(captured.out.split("retained:")[1].split()[0])
+        assert retained == math.ceil(0.75 * candidates)
+        assert "warning:" not in captured.err
+
+    def test_warns_when_ties_keep_more_than_the_quantile(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        # every candidate ranks at one colour variance, so the threshold
+        # ties them all and the filter keeps every one of them
+        surface_dir, model = trained
+        original = dn.infer_dense
+
+        def tied(*args):
+            preds = original(*args)
+            return dataclasses.replace(preds, mean_rgb_var=np.full(len(preds), 0.25))
+
+        monkeypatch.setattr(dn, "infer_dense", tied)
+        assert run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        ) == 0
+        captured = capsys.readouterr()
+        candidates = int(captured.out.split("candidates:")[1].split()[0])
+        assert captured.err.splitlines() == [
+            f"warning: model {model}: the filter kept {candidates} of {candidates} predictions "
+            "at quantile 0.75: ties at its threshold 0.25"
+        ]
 
     def test_variance_csv_is_one_rgb_mean_row(self, trained, tmp_path):
         surface_dir, model = trained
@@ -584,7 +620,7 @@ class TestPipeline:
         rows = (out / "model_loss.csv").read_text().splitlines()
         assert rows == ["iter,group,loss"] + [
             f"{it},{name},{loss:.17g}"
-            for name, curve in zip(("x", "y", "z", "rgb"), evaluation.loss_curves)
+            for name, curve in zip(("xyz", "rgb"), evaluation.loss_curves, strict=True)
             for it, loss in enumerate(curve)
         ]
 

@@ -482,7 +482,7 @@ class TestTrainGp:
         monkeypatch.setattr(gp, "_objective", original)
         # the groups share their first evaluation, at their common start, then
         # train one after another, each on its own block of target columns
-        assert gp.OUTPUT_GROUPS == ((0,), (1,), (2,), (3, 4, 5))
+        assert gp.OUTPUT_GROUPS == ((0, 1, 2), (3, 4, 5))
         rows = [model.Z[0, list(outputs)].tolist() for outputs in gp.OUTPUT_GROUPS]
         assert calls == [rows] + [[row] for row in rows for _ in range(budget - 1)]
         assert len(model.loss_curves) == len(gp.OUTPUT_GROUPS)
@@ -683,18 +683,20 @@ class TestFactorHandover:
 
     @pytest.mark.parametrize("budget", [5, 1000])
     def test_groups_that_end_equal_share_one_factor(self, budget):
-        # x and y fit equal targets, so their searches end at one (config,
-        # jitter): the model keeps one factor for both, as a refit does
+        # the xyz and rgb groups fit equal targets, so their searches end at
+        # one (config, jitter): the model keeps one factor for both, as a
+        # refit does
         scene = make_scene("smooth", 60, seed=1)
         targets = scene.targets.copy()
-        targets[:, 1] = targets[:, 0]
+        targets[:, 3:6] = targets[:, 0:3]
         ds = dataset_from_arrays(scene.inputs, targets, scene.width, scene.height)
         model = gp.train_gp(ds, gp.default_kernel(), gp.TrainConfig(iterations=budget))
+        assert len(model.loss_curves[0]) > 1  # both searches left the shared start
         refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
                                  model.width, model.height, jitter=model.jitters)
         for m in (model, refit):
-            assert m.groups == [[0, 1], [2], [3, 4, 5]]
-            assert m.factors[0] is m.factors[1]
+            assert m.groups == [[0, 1, 2, 3, 4, 5]]
+            assert m.factors[0] is m.factors[3]
 
     def test_budget_of_one_factors_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "dpotrf")
@@ -712,7 +714,7 @@ class TestFactorHandover:
         assert model.jitters == (gp.TRAIN_JITTER,) * 6  # no escalation retries
         # K still holds the factor only when the search kept its last
         # evaluation and asked no derivatives there: that evaluation spent
-        # the budget or ended the search on _FTOL. The four groups' first
+        # the budget or ended the search on _FTOL. The groups' first
         # evaluations, at one start, are one
         held = sum(self.kept_last_without_derivatives(c, budget) for c in model.loss_curves)
         shared = len(gp.OUTPUT_GROUPS) - 1
@@ -800,8 +802,8 @@ class TestSharedFirstEvaluation:
         if budget == 1:
             assert count == 1 and refactors == 0
         else:
-            # the four groups' first evaluations are one
-            assert count == evaluations - 3 + refactors
+            # the groups' first evaluations are one
+            assert count == evaluations - (len(gp.OUTPUT_GROUPS) - 1) + refactors
 
 
 class TestStarts:
@@ -809,17 +811,50 @@ class TestStarts:
     kernel template's log-parameters."""
 
     def test_search_leaves_the_noise_plateau(self):
-        # x carries noise of standard deviation 0.05; from a start with almost
-        # no noise, where the noise barely moves the loss, the search reaches
-        # the cold fit's optimum, with more noise than the kernel's start
+        # x, y and z carry noise of standard deviation 0.05; from a start with
+        # almost no noise, where the noise barely moves the loss, the search
+        # reaches the cold fit's optimum, with more noise than the kernel's
+        # start (at n = 80; at n = 60 the xyz optimum interpolates, with a
+        # log noise variance of -16.15)
         kernel = gp.default_kernel()
-        ds, cfg = make_scene("smooth", 60, seed=1, noise=0.05), gp.TrainConfig(iterations=200)
+        ds, cfg = make_scene("smooth", 80, seed=1, noise=0.05), gp.TrainConfig(iterations=200)
         start = kernel.with_log_params([0.0, math.log(0.3), -18.0])
         model = gp.train_gp(ds, start, cfg)
         cold = gp.train_gp(ds, kernel, cfg)
         assert len(model.loss_curves[0]) < cfg.iterations
         assert model.configs[0].log_noise_var > kernel.log_noise_var
         assert model.loss_curves[0].min() <= cold.loss_curves[0].min() + 1e-9
+
+
+class TestSharedPositionTheta:
+    """One theta for x, y and z against one per output: fewer evaluations,
+    and almost the held-out quality of separate fits of x, y and z."""
+
+    PER_OUTPUT = ((0,), (1,), (2,), (3, 4, 5))
+
+    @pytest.mark.parametrize("kind,seed,noise,r2_cost,chamfer_cost", [
+        *[(kind, seed, 0.01, 1e-4, 0.015) for kind in ("smooth", "piecewise")
+          for seed in (1, 2, 3, 4, 5)],
+        # a shared noise variance costs more where x, y and z carry more noise
+        *[(kind, seed, 0.05, 1.5e-3, 0.03) for kind in ("smooth", "piecewise")
+          for seed in (1, 2, 5)],
+    ])
+    def test_close_to_per_output_fits(self, kind, seed, noise, r2_cost, chamfer_cost):
+        split = sfm_io.split_dataset(make_scene(kind, 375, seed, noise), 0.8, seed=1)
+        kernel, cfg = gp.default_kernel(), gp.TrainConfig()
+        shared = gp.train_gp(split.train, kernel, cfg)
+        X, Z, normalizer = gp._training_data(split.train, cfg)
+        fits = fit_outputs_per_group(X, Z, kernel, cfg, self.PER_OUTPUT)
+        configs = [None] * Z.shape[1]
+        for outputs, (theta, *_) in zip(self.PER_OUTPUT, fits, strict=True):
+            for j in outputs:
+                configs[j] = kernel.with_log_params(theta)
+        alone = gp.TrainedGP.fit(X, Z, configs, normalizer, split.train.width,
+                                 split.train.height, jitter=gp.TRAIN_JITTER)
+        assert sum(map(len, shared.loss_curves)) < sum(len(curve) for *_, curve in fits)
+        a, b = (metrics.evaluate_holdout(m, split.test).bundle for m in (shared, alone))
+        assert a.r2 >= b.r2 - r2_cost
+        assert a.chamfer <= (1.0 + chamfer_cost) * b.chamfer
 
 
 class TestConditionGP:
@@ -1280,8 +1315,9 @@ class TestSharedFactor:
 
     def test_colour_group_solves_once_per_chunk(self, monkeypatch):
         model = self.trained()
+        assert model.configs[0] == model.configs[1] == model.configs[2]
         assert model.configs[3] == model.configs[4] == model.configs[5]
-        assert model.groups == [[0], [1], [2], [3, 4, 5]]
+        assert model.groups == [[0, 1, 2], [3, 4, 5]]
         products, inversions = count_calls(monkeypatch, "dtrmm"), count_calls(monkeypatch, "dtrtri")
         monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
         Q = np.random.default_rng(2).random((3 * 7 + 2, 2))
@@ -1290,6 +1326,13 @@ class TestSharedFactor:
         assert len(inversions) == 1  # one per call
         var = post.var_norm[:, 3:6]
         assert np.array_equal(var[:, 0], var[:, 1]) and np.array_equal(var[:, 0], var[:, 2])
+        # every variance: one product per group and chunk, one inversion per group
+        products.clear()
+        inversions.clear()
+        var = gp.posterior(model, Q).var_norm
+        assert len(products) == 2 * 4 and len(inversions) == 2
+        for outputs in model.groups:
+            assert all(np.array_equal(var[:, outputs[0]], var[:, j]) for j in outputs)
 
     @pytest.mark.parametrize("j", [0, 4])
     def test_output_bits_do_not_depend_on_sharing(self, j):
