@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +29,6 @@ from .errors import (
     UsageError,
 )
 
-SEED_ENV_VAR = "GPGS_SEED"
-
 # The name of each group of outputs that training fits together: xyz, rgb.
 _GROUP_NAMES = tuple(
     "".join(metrics.OUTPUT_NAMES[j] for j in outputs) for outputs in gp.OUTPUT_GROUPS
@@ -43,8 +40,8 @@ _BOUNDED_KEYS = ("log_signal_var", "log_lengthscale")
 @dataclass
 class RunConfig:
     """Effective configuration of a run after merging defaults, the config
-    file, the GPGS_SEED fallback, and command-line flags (in that order).
-    The defaults are the module configs' own."""
+    file, and command-line flags (in that order). The defaults are the
+    module configs' own."""
 
     model_dir: Optional[str] = None
     dataset: Optional[str] = None
@@ -167,10 +164,6 @@ def _depth_for_frame(cfg: RunConfig, model: sfm_io.SparseModel, image_id: int):
     return sfm_io.read_depth_pfm(path)
 
 
-def _output_parent(out: Path) -> Path:
-    return out.parent if out.parent != Path("") else Path(".")
-
-
 # Stages: each takes and returns objects; they print progress but write no file.
 
 def frame_datasets(
@@ -276,7 +269,7 @@ def cmd_build_dataset(cfg: RunConfig) -> list[Path]:
     _require(cfg, "model_dir", "output")
     datasets = [ds for ds, _ in frame_datasets(cfg, sfm_io.parse_colmap_model(cfg.model_dir))]
     out = Path(cfg.output)
-    write_run_config(cfg, _output_parent(out))
+    write_run_config(cfg, out.parent)
     return _write_datasets(datasets, out)
 
 
@@ -286,31 +279,49 @@ def cmd_train(cfg: RunConfig) -> Path:
     ds = sfm_io.read_dataset_csv(cfg.dataset)
     model = train_model(cfg, ds, f"frame {ds.image_id} train")
     out = Path(cfg.output)
-    write_run_config(cfg, _output_parent(out))
+    write_run_config(cfg, out.parent)
     _write_model(model, model.loss_curves, out)
     return out
 
 
-def _densify_one(
-    cfg: RunConfig, model: gp.TrainedGP, depth: Optional[sfm_io.DepthMap], frame: str
-):
-    """Sample candidates around the model's training pixels and predict.
+# The relative spread of the colour variances at or below which they cannot
+# rank the candidates: a colour fit to constant colours spreads about 5e-5,
+# smooth scenes 0.97 to 0.997, and 1e-3 lies far from both.
+_RANKLESS_SPREAD = 1e-3
 
-    depth is the key frame's depth map, which a depth-trained model needs;
-    frame names the key frame or model in the error raised when no
-    candidate is left, and in the warning printed on standard error when
-    ties at the threshold make the filter keep more than its quantile.
-    """
-    pixels = model.X[:, :2] * (model.width, model.height)
-    candidates = dn.generate_samples(pixels, model.width, model.height, cfg.sampling_config())
-    if model.input_dim == 3:
-        candidates = dn.attach_depth(candidates, depth, model.width, model.height)
+
+def _candidates(cfg: RunConfig, X: np.ndarray, size, depth, frame: str) -> np.ndarray:
+    """Candidate inputs sampled around the training pixels of the inputs X
+    of an image of size (width, height), with a depth column from depth,
+    the key frame's depth map, when X has one. frame names the key frame
+    or model in the error raised when no candidate is left."""
+    pixels = X[:, :2] * size
+    candidates = dn.generate_samples(pixels, *size, cfg.sampling_config())
+    if X.shape[1] == 3:
+        candidates = dn.attach_depth(candidates, depth, *size)
     if len(candidates) == 0:
         raise EmptyPredictionSet(
             f"{frame}: no candidate left by sampling around {len(pixels)} training pixels at "
             f"beta={cfg.beta} and angular_resolution={cfg.angular_resolution}"
         )
+    return candidates
+
+
+def _filtered(cfg: RunConfig, model: gp.TrainedGP, candidates, frame: str):
+    """The predictions at the candidates, filtered by colour variance.
+
+    Prints a warning on standard error, headed by frame, when the colour
+    variances cannot rank the candidates (_RANKLESS_SPREAD), and one when
+    ties at the threshold make the filter keep more than its quantile.
+    """
     preds = dn.infer_dense(model, candidates)
+    lo, hi = preds.mean_rgb_var.min(), preds.mean_rgb_var.max()
+    if len(preds) > 1 and hi - lo <= _RANKLESS_SPREAD * hi:
+        print(
+            f"warning: {frame}: the colour variances of all {len(preds)} candidates lie "
+            f"between {lo:.6g} and {hi:.6g}, too close to rank them for the filter",
+            file=sys.stderr,
+        )
     filtered = dn.filter_by_variance(preds, cfg.filter_config())
     kept, m = filtered.retained_count(), len(filtered)
     if kept > math.ceil(cfg.filter_quantile * m):
@@ -345,10 +356,12 @@ def cmd_densify(cfg: RunConfig) -> Path:
         depth = _depth_for_frame(cfg, sparse, sfm_io.read_dataset_csv(cfg.dataset).image_id)
         if depth is None:
             raise UsageError("--depth-dir is required for a depth-trained model")
-    filtered = _densify_one(cfg, model, depth, f"model {cfg.gp_model}")
+    frame = f"model {cfg.gp_model}"
+    candidates = _candidates(cfg, model.X, (model.width, model.height), depth, frame)
+    filtered = _filtered(cfg, model, candidates, frame)
 
     out = Path(cfg.output)
-    write_run_config(cfg, _output_parent(out))
+    write_run_config(cfg, out.parent)
     _write_cloud(cfg, sparse, filtered, out)
     return out
 
@@ -406,7 +419,7 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     model = train_model(cfg, split.train, f"frame {ds.image_id} evaluate")
     report = metrics.evaluate_holdout(model, split.test)
     out = Path(cfg.output)
-    write_run_config(cfg, _output_parent(out))
+    write_run_config(cfg, out.parent)
     _write_metrics(report, out)
     return out
 
@@ -422,7 +435,8 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     kept (gp.condition_gp), and the frame densifies with that model, the
     one its model file reloads to. The loss-curve file holds the
     evaluation fit's curves. The retained predictions of all frames are
-    unioned before merging with the sparse cloud. Every frame's split is
+    unioned before merging with the sparse cloud. Every frame's split and
+    candidates, sampled around the inputs that the conditioning keeps, are
     checked before the first dataset is written or fit runs.
     """
     _require(cfg, "model_dir", "output")
@@ -432,10 +446,15 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)
     frames = frame_datasets(cfg, sparse)
     splits = [holdout_split(cfg, ds) if len(ds) else None for ds, _ in frames]
+    candidates = [
+        _candidates(cfg, gp._training_data(ds, cfg.train_config())[0], (ds.width, ds.height),
+                    depth, f"frame {ds.image_id}") if len(ds) else None
+        for ds, depth in frames
+    ]
     ds_paths = _write_datasets([ds for ds, _ in frames], out_dir / "dataset.csv")
     multi = len(frames) > 1
     filtered_parts = []
-    for (ds, depth), split, ds_path in zip(frames, splits, ds_paths):
+    for (ds, _), split, frame_candidates, ds_path in zip(frames, splits, candidates, ds_paths):
         if len(ds) == 0:
             print(f"skipping empty dataset {ds_path}")
             continue
@@ -446,7 +465,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         del fit  # free its factors before the conditioning allocates its own
         model = gp.condition_gp(ds, configs, cfg.train_config())
         _write_model(model, curves, _suffixed(out_dir / "model.txt", ds.image_id, multi))
-        filtered_parts.append(_densify_one(cfg, model, depth, f"frame {ds.image_id}"))
+        filtered_parts.append(_filtered(cfg, model, frame_candidates, f"frame {ds.image_id}"))
         del model  # free its factors before the next frame trains
 
     if not filtered_parts:
@@ -502,12 +521,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     merged = {}
     if args.config:
         merged.update(parse_config_file(args.config))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None and "seed" not in merged:
-        try:
-            merged["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
     for key in _FIELD_TYPES:
         if key == "ply_binary":
             continue

@@ -52,8 +52,8 @@ INIT_LOG_LENGTHSCALE = math.log(0.1)
 INIT_LOG_NOISE_VAR = math.log(1e-4)
 
 NOISE_VAR_FLOOR = 1e-10
-# Diagonal jitter that training starts every factorisation from; the
-# Cholesky helper escalates it, up to MAX_JITTER, when a factorisation fails.
+# Diagonal jitter that training starts every factorisation from; _factor
+# escalates it, up to MAX_JITTER, when a factorisation fails.
 TRAIN_JITTER = 1e-8
 MAX_JITTER = 1e-2
 
@@ -229,31 +229,8 @@ def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Cholesky with jitter escalation
+# Cholesky solves
 # ---------------------------------------------------------------------------
-
-def _cholesky_in_place(K: np.ndarray, fill, jitter: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of a Gram matrix plus jitter, in K's buffer.
-
-    fill(j) writes the Gram matrix with jitter j on its diagonal into the
-    Fortran-ordered K; dpotrf then factors it in place. A failed dpotrf
-    has overwritten part of K, so each retry refills it, with the jitter
-    multiplied by 10 (starting from 1e-10 when it is zero or below, so
-    that every start reaches MAX_JITTER); past MAX_JITTER it gives up.
-    Returns the factor (in the lower triangle; the upper one is zeroed)
-    and the jitter used.
-    """
-    j = jitter
-    while True:
-        fill(j)
-        L, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
-        if info == 0:
-            return L, j
-        nxt = 1e-10 if j <= 0.0 else j * 10.0
-        if nxt > MAX_JITTER:
-            raise NotPositiveDefinite("Gram matrix is not positive definite", j)
-        j = nxt
-
 
 def _solve_gram(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(L L^T)^-1 y by two triangular solves against the lower factor L.
@@ -355,17 +332,27 @@ def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
 
 
 def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
-    """Factor the Gram matrix at theta in ws.K, in a new buffer if the
-    current one has been handed over.
+    """Factor the Gram matrix at theta plus jitter in ws.K, in place
+    (dpotrf), in a new buffer if the current one has been handed over.
 
-    The jitter escalates from jitter on a failed factorisation
-    (_cholesky_in_place). Afterwards ws.K holds the lower factor and
-    ws.theta and ws.jitter record it.
+    A failed dpotrf has overwritten part of K, so each retry refills it,
+    with the jitter multiplied by 10 (starting from 1e-10 when it is zero
+    or below, so that every start reaches MAX_JITTER); past MAX_JITTER it
+    gives up. Afterwards ws.K holds the lower factor (the upper triangle
+    is zeroed), and ws.theta and ws.jitter record it.
     """
     if ws.held:
         ws.K, ws.held = np.empty((ws.n, ws.n), order="F"), False
-    _, ws.jitter = _cholesky_in_place(ws.K, partial(_fill_gram, theta, family, nu, ws), jitter)
-    ws.theta = np.array(theta)
+    while True:
+        _fill_gram(theta, family, nu, ws, jitter)
+        _, info = dpotrf(ws.K, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            break
+        escalated = 1e-10 if jitter <= 0.0 else jitter * 10.0
+        if escalated > MAX_JITTER:
+            raise NotPositiveDefinite("Gram matrix is not positive definite", jitter)
+        jitter = escalated
+    ws.theta, ws.jitter = np.array(theta), jitter
 
 
 def _fill_derivatives(family, nu, ws: _Workspace) -> None:

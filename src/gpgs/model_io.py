@@ -9,13 +9,14 @@ jitter) with the arithmetic training used (TrainedGP.fit), so the
 factors, and with them posterior outputs, are bit-identical to the model
 that was saved. A file whose six outputs all differ loads to six factors.
 A file with a width or height outside 1..sfm_io.MAX_IMAGE_SIDE, an
-input_dim other than 2 (u, v) or 3 (u, v, depth), no training points,
-other than six outputs, a norm_std of 0 or below or a negative jitter is rejected at
-that line; a log-parameter whose exponential overflows, or a
-log-lengthscale so small that the kernel's sqrt(5)/lengthscale scaling
-does, at the line of its output block; any other log-parameter outside
-the box training fits in (gp._BOUNDS), at its line, since far outside it
-the kernel fill can overflow into NaN.
+input_dim other than 2 (u, v) or 3 (u, v, depth), no training points or
+more than its remaining lines can hold, other than six outputs, a
+norm_std of 0 or below or a negative jitter is rejected at that line;
+a log-parameter whose exponential overflows, or a log-lengthscale so
+small that the kernel's sqrt(5)/lengthscale scaling does, at the line of
+its output block; any other log-parameter outside the box training fits
+in (gp._BOUNDS), at its line, since far outside it the kernel fill can
+overflow into NaN.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import MalformedLine, MissingFile
 from .gp import _BOUNDS, MATERN, KernelConfig, OutputNormalizer, TrainedGP
+from .pointcloud import FLOAT32_MAX
 from .sfm_io import MAX_IMAGE_SIDE, read_text, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
@@ -112,7 +114,9 @@ def load_model(path) -> TrainedGP:
     input_dim = take_count("input_dim")
     if input_dim not in (2, 3):
         raise MalformedLine(path, pos, f"input_dim: {input_dim}, not 2 or 3")
-    n = take_count("train_points", 1)
+    # at most what the lines after it hold of the inputs and the targets: a
+    # larger count made take_matrix raise MemoryError or ValueError allocating
+    n = take_count("train_points", 1, (len(lines) - pos - 1) // 2)
     n_outputs = take_count("outputs")
     if n_outputs != N_OUTPUTS:
         raise MalformedLine(path, pos, f"outputs: {n_outputs}, not {N_OUTPUTS}")
@@ -167,6 +171,9 @@ def load_model(path) -> TrainedGP:
                 raise MalformedLine(path, pos + 1, f"{tag} row {i}: {exc}") from exc
             if not np.isfinite(out[i]).all():
                 raise MalformedLine(path, pos + 1, f"{tag} row {i}: non-finite value")
+            # the dataset CSV's bound: larger inputs overflow the candidate pixels
+            if tag == "inputs" and not (np.abs(out[i]) <= FLOAT32_MAX).all():
+                raise MalformedLine(path, pos + 1, f"{tag} row {i}: beyond float32 range")
             pos += 1
         return out
 

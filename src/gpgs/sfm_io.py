@@ -77,28 +77,18 @@ class ImageRecord:
 
 @dataclass(frozen=True, eq=False)
 class PointsTable:
-    """The points of points3D.txt as read-only columns, in file order.
+    """The ids, positions and colours of points3D.txt as read-only columns,
+    in file order. The parse checks each point's ERROR and track but keeps
+    neither: nothing downstream reads them."""
 
-    Point i observes the (image_id, feature_index) rows
-    ``track[track_offsets[i]:track_offsets[i + 1]]``.
-    """
-
-    ids: np.ndarray            # (n,) int64
-    xyz: np.ndarray            # (n, 3) float64
-    rgb: np.ndarray            # (n, 3) uint8
-    error: np.ndarray          # (n,) float64
-    track_offsets: np.ndarray  # (n + 1,) int64
-    track: np.ndarray          # (t, 2) int64 (image_id, feature_index)
+    ids: np.ndarray  # (n,) int64
+    xyz: np.ndarray  # (n, 3) float64
+    rgb: np.ndarray  # (n, 3) uint8
     _order: np.ndarray = field(init=False, repr=False)  # argsort of ids
 
     def __post_init__(self):
         n = len(self.ids)
-        t = int(self.track_offsets[-1]) if len(self.track_offsets) else -1
-        shapes = {
-            "ids": (np.int64, (n,)), "xyz": (np.float64, (n, 3)), "rgb": (np.uint8, (n, 3)),
-            "error": (np.float64, (n,)), "track_offsets": (np.int64, (n + 1,)),
-            "track": (np.int64, (t, 2)),
-        }
+        shapes = {"ids": (np.int64, (n,)), "xyz": (np.float64, (n, 3)), "rgb": (np.uint8, (n, 3))}
         for name, (dtype, shape) in shapes.items():
             column = np.asarray(getattr(self, name), dtype=dtype).view()
             if column.shape != shape:
@@ -109,10 +99,6 @@ class PointsTable:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def track_of(self, row: int) -> np.ndarray:
-        """(k, 2) track of the point in the given row."""
-        return self.track[self.track_offsets[row] : self.track_offsets[row + 1]]
 
     def rows_of(self, point_ids) -> np.ndarray:
         """Row of each point id, -1 where the table has no such id."""
@@ -387,11 +373,12 @@ def _data_rows(path: Path) -> tuple[list[list[str]], list[int]]:
 
 
 def _point_columns(rows: list[list[str]]):
-    """(ids, xyz, rgb, error, track) of points3D rows of 8 + 2k tokens.
+    """(ids, xyz, rgb, track) of points3D rows of 8 + 2k tokens.
 
     Converts column by column with Python's int/float, so values match a
     per-token parse bit for bit; a bad token raises ValueError (or
-    OverflowError for an integer beyond int64).
+    OverflowError for an integer beyond int64). ERROR is converted, so
+    that it must be a float, and dropped.
     """
     n = len(rows)
     ids = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, n)
@@ -401,32 +388,31 @@ def _point_columns(rows: list[list[str]]):
     rgb = np.fromiter(
         map(int, chain.from_iterable(map(itemgetter(4, 5, 6), rows))), np.int64, 3 * n
     ).reshape(n, 3)
-    error = np.fromiter(map(float, map(itemgetter(7), rows)), np.float64, n)
+    np.fromiter(map(float, map(itemgetter(7), rows)), np.float64, n)  # ERROR: checked only
     track = np.fromiter(
         map(int, chain.from_iterable(row[8:] for row in rows)), np.int64
     ).reshape(-1, 2)
-    return ids, xyz, rgb, error, track
+    return ids, xyz, rgb, track
 
 
-def _points_table(rows: list[list[str]]) -> PointsTable:
-    """Points table of tokenised points3D rows; ValueError or
+def _points_table(rows: list[list[str]]):
+    """Points table of tokenised points3D rows, their (t, 2) track entries
+    (image_id, feature_index) and each row's field count; ValueError or
     OverflowError if any row is bad, without saying which."""
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     if np.any((lengths < 8) | (lengths % 2 == 1)):
         raise ValueError("a row has the wrong number of fields")
-    ids, xyz, rgb, error, track = _point_columns(rows)
+    ids, xyz, rgb, track = _point_columns(rows)
     sorted_ids = np.sort(ids)
     if (
         np.any(sorted_ids[1:] == sorted_ids[:-1]) or np.any((rgb < 0) | (rgb > 255))
         or not (np.abs(xyz) <= FLOAT32_MAX).all()
     ):
         raise ValueError("duplicate point id, colour out of 8-bit range or xyz beyond float32")
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum((lengths - 8) // 2, out=offsets[1:])
-    return PointsTable(ids, xyz, rgb.astype(np.uint8), error, offsets, track)
+    return PointsTable(ids, xyz, rgb.astype(np.uint8)), track, lengths
 
 
-def _parse_points3d(path: Path) -> PointsTable:
+def _parse_points3d(path: Path):
     rows, linenos = _data_rows(path)
     try:
         return _points_table(rows)
@@ -445,7 +431,7 @@ def _raise_first_bad_point(path: Path, rows: list[list[str]], linenos: list[int]
         if len(tokens) < 8 or len(tokens) % 2 == 1:
             raise MalformedLine(path, lineno, f"expected 8 + 2k fields, got {len(tokens)}")
         try:
-            ids, xyz, rgb, _, _ = _point_columns([tokens])
+            ids, xyz, rgb, _ = _point_columns([tokens])
         except (ValueError, OverflowError) as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not np.isfinite(xyz).all():
@@ -477,7 +463,7 @@ def parse_colmap_model(dir_path) -> SparseModel:
 
     cameras = _parse_cameras(paths["cameras"])
     images = _parse_images(paths["images"])
-    points = _parse_points3d(paths["points3D"])
+    points, track, lengths = _parse_points3d(paths["points3D"])
 
     # feature -> point id
     feature_ids = np.concatenate(
@@ -501,7 +487,7 @@ def parse_colmap_model(dir_path) -> SparseModel:
     # track -> image id and feature index
     image_ids = np.array([img.image_id for img in images], dtype=np.int64)
     n_features = np.array([img.xys.shape[0] for img in images], dtype=np.int64)
-    track_image, track_feature = points.track[:, 0], points.track[:, 1]
+    track_image, track_feature = track[:, 0], track[:, 1]
     image_rows = _index_of(image_ids, np.argsort(image_ids), track_image)
     known = image_rows >= 0
     limit = np.zeros_like(track_feature)
@@ -509,7 +495,7 @@ def parse_colmap_model(dir_path) -> SparseModel:
     bad = ~known | (track_feature < 0) | (track_feature >= limit)
     if bad.any():
         k = int(np.argmax(bad))
-        point_id = int(points.ids[_owner(points.track_offsets[1:], k)])
+        point_id = int(points.ids[_owner(np.cumsum((lengths - 8) // 2), k)])
         image_id, feat_idx = int(track_image[k]), int(track_feature[k])
         if not known[k]:
             raise DanglingReference(
@@ -759,9 +745,11 @@ def read_dataset_csv(path) -> PixelToPointDataset:
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not all(map(math.isfinite, row)):
             raise MalformedLine(path, lineno, "non-finite value")
-        # larger inputs overflow the pairwise distances of a Gram matrix
-        if any(abs(row[column[c]]) > FLOAT32_MAX for c in input_names):
-            raise MalformedLine(path, lineno, "input beyond float32 range")
+        # larger inputs overflow the pairwise distances of a Gram matrix,
+        # larger targets their standardisation
+        for kind, names in (("input", input_names), ("target", "xyzrgb")):
+            if any(abs(row[column[c]]) > FLOAT32_MAX for c in names):
+                raise MalformedLine(path, lineno, f"{kind} beyond float32 range")
         # the rule DepthMap.value_at applies to a depth map
         if "depth" in column and not row[column["depth"]] > 0.0:
             raise MalformedLine(path, lineno, "depth must be positive")

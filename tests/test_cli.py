@@ -428,7 +428,8 @@ class TestDensify:
         self, trained, tmp_path, capsys, monkeypatch
     ):
         # every candidate ranks at one colour variance, so the threshold
-        # ties them all and the filter keeps every one of them
+        # ties them all and the filter keeps every one of them; equal
+        # variances cannot rank the candidates either, which warns first
         surface_dir, model = trained
         original = dn.infer_dense
 
@@ -444,8 +445,10 @@ class TestDensify:
         captured = capsys.readouterr()
         candidates = int(captured.out.split("candidates:")[1].split()[0])
         assert captured.err.splitlines() == [
+            f"warning: model {model}: the colour variances of all {candidates} candidates lie "
+            "between 0.25 and 0.25, too close to rank them for the filter",
             f"warning: model {model}: the filter kept {candidates} of {candidates} predictions "
-            "at quantile 0.75: ties at its threshold 0.25"
+            "at quantile 0.75: ties at its threshold 0.25",
         ]
 
     def test_variance_csv_is_one_rgb_mean_row(self, trained, tmp_path):
@@ -563,6 +566,20 @@ class TestPipeline:
             out / "cloud_variance.csv"
         ).read_bytes()
 
+    def test_subsampled_cloud_matches_densify_of_saved_model(self, surface_dir, tmp_path):
+        # pipeline samples its candidates before the model exists, around
+        # the subsample the model file holds
+        flags = ("--iterations", "10", "--max-train-points", "50")
+        out = tmp_path / "run"
+        assert run("pipeline", "--model-dir", str(surface_dir), "--output", str(out), *flags) == 0
+        assert len(model_io.load_model(out / "model.txt").X) == 50
+        cloud = tmp_path / "densify" / "cloud.ply"
+        assert run(
+            "densify", "--model-dir", str(surface_dir), "--gp-model", str(out / "model.txt"),
+            "--output", str(cloud), *flags,
+        ) == 0
+        assert cloud.read_bytes() == (out / "cloud.ply").read_bytes()
+
     def test_run_config_replays_its_run(self, surface_dir, tmp_path):
         # run-config.txt once wrote dataset, gp_model and depth_dir as the
         # path "None", and a replay exited 2 on the missing depth file None/...
@@ -671,7 +688,8 @@ class TestPipeline:
             "input error: frame 1: no candidate left by sampling around 40 training pixels at "
             "beta=0.999 and angular_resolution=1\n"
         )
-        assert not (tmp_path / "run" / "cloud.ply").exists()
+        # checked beside the split, before the first artifact is written
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["run-config.txt"]
 
     def test_empty_test_split_fails_before_densification_fit(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -745,6 +763,45 @@ class TestPipeline:
         assert sorted(reads) == ["frame1.pfm", "frame2.pfm"]
 
 
+class TestRanklessVariances:
+    """Colour variances too close to rank the candidates warn at densify time."""
+
+    @pytest.fixture()
+    def grey_dir(self, surface_dir):
+        # every point one colour: the colour fit's variances hardly differ
+        points = surface_dir / "points3D.txt"
+        rows = [line.split() for line in points.read_text().splitlines()]
+        points.write_text("".join(" ".join(t[:4] + ["128"] * 3 + t[7:]) + "\n" for t in rows))
+        return surface_dir
+
+    @staticmethod
+    def rankless_warnings(err):
+        return [ln for ln in err.splitlines() if "too close to rank them" in ln]
+
+    def test_pipeline_warns(self, grey_dir, tmp_path, capsys):
+        assert run("pipeline", "--model-dir", str(grey_dir), "--output", str(tmp_path / "run")) == 0
+        [line] = self.rankless_warnings(capsys.readouterr().err)
+        assert line.startswith("warning: frame 1: the colour variances of all 679 candidates")
+
+    def test_train_and_densify_warn(self, grey_dir, tmp_path, capsys):
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(grey_dir), "--output", str(ds)) == 0
+        assert run("train", "--dataset", str(ds), "--output", str(model)) == 0
+        assert not self.rankless_warnings(capsys.readouterr().err)
+        assert run(
+            "densify", "--model-dir", str(grey_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        ) == 0
+        [line] = self.rankless_warnings(capsys.readouterr().err)
+        assert line.startswith(f"warning: model {model}: the colour variances of all")
+
+    def test_smooth_scene_does_not_warn(self, surface_dir, tmp_path, capsys):
+        assert run(
+            "pipeline", "--model-dir", str(surface_dir), "--output", str(tmp_path / "run"),
+        ) == 0
+        assert "warning:" not in capsys.readouterr().err
+
+
 class TestUnwritableOutput:
     """An output that cannot be written is bad input: exit 2, no traceback."""
 
@@ -807,6 +864,10 @@ class TestModelFileRanges:
         ("norm_std", "-1", "norm_std: -1.0 is not positive"),
         ("jitter", "-1e-08", "jitter: -1e-08 is below 0"),
         ("train_points", "0", "train_points: 0 is below 1"),
+        # counts no file of this size holds once crashed allocating the
+        # sections: MemoryError for 2^31 rows, ValueError for 10^14
+        ("train_points", "2147483648", "train_points: above 34"),
+        ("train_points", "99999999999999", "train_points: above 34"),
     ])
     def test_exits_2_at_its_line(self, model, fixture_dir, tmp_path, capsys, key, value, message):
         line = self.set_first(model, key, value)
@@ -1038,6 +1099,31 @@ class TestNonFinite:
         assert code == 2
         assert f"{ds}:6: input beyond float32 range" in capsys.readouterr().err
 
+    def test_dataset_target_beyond_float32(self, fixture_dir, tmp_path, capsys):
+        # a larger target once overflowed the standardisation of its column
+        ds = tmp_path / "ds.csv"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        self.replace_token(ds, 5, 2, "1e308")
+        code = run("train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert f"{ds}:6: target beyond float32 range" in capsys.readouterr().err
+
+    def test_model_file_input_beyond_float32(self, fixture_dir, tmp_path, capsys):
+        # a larger input once overflowed the candidate pixels of densify
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(model), "--iterations", "2"
+        ) == 0
+        at = model.read_text().splitlines().index("inputs") + 1
+        self.replace_token(model, at, 0, "1e308")
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(tmp_path / "cloud.ply"),
+        )
+        assert code == 2
+        assert f"{model}:{at + 1}: inputs row 0: beyond float32 range" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kernel", ["matern", "rbf"])
     def test_inputs_at_float32_range_train(self, fixture_dir, tmp_path, kernel):
@@ -1115,20 +1201,6 @@ class TestConfigPrecedence:
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, fixture_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        out = tmp_path / "ds.csv"
-        run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(out))
-        assert "seed = 123" in (tmp_path / "run-config.txt").read_text()
-
-    def test_flag_beats_env_seed(self, fixture_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        out = tmp_path / "ds.csv"
-        run(
-            "build-dataset", "--model-dir", str(fixture_dir),
-            "--output", str(out), "--seed", "7",
-        )
-        assert "seed = 7" in (tmp_path / "run-config.txt").read_text()
 
 
 class TestUsageErrors:
@@ -1164,22 +1236,19 @@ class TestUsageErrors:
         assert f"usage error: {name} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_seed_from_config_or_env_exits_1_before_any_file(
-        self, fixture_dir, tmp_path, capsys, monkeypatch
+    def test_negative_seed_from_config_exits_1_before_any_file(
+        self, fixture_dir, tmp_path, capsys
     ):
         # a negative seed once passed validation and crashed in the
         # dataset split, after run-config.txt was written
         conf = tmp_path / "run.conf"
         conf.write_text("seed = -1\n")
         out = tmp_path / "run"
-        for source in (["--config", str(conf)], []):
-            if not source:
-                monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
-            code = run("pipeline", "--model-dir", str(fixture_dir), "--output", str(out), *source)
-            err = capsys.readouterr().err
-            assert code == 1
-            assert err.startswith("usage error: seed must be >= 0, got -1")
-            assert not out.exists()
+        code = run("pipeline", "--model-dir", str(fixture_dir), "--output", str(out),
+                   "--config", str(conf))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: seed must be >= 0, got -1")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["build-dataset", "train", "pipeline"])
     def test_empty_output_exits_1_before_any_file(

@@ -406,17 +406,20 @@ class TestJitterEscalation:
         assert 0.0 < model.jitters[0] <= gp.MAX_JITTER
 
     @pytest.mark.parametrize("start", [-10.0, 0.0])
-    def test_escalation_from_zero_or_below_starts_at_the_floor(self, start):
-        K = np.empty((1, 1), order="F")
+    def test_escalation_from_zero_or_below_starts_at_the_floor(self, start, monkeypatch):
+        ws = gp._Workspace(np.zeros((1, 2)))
+        fill_gram = gp._fill_gram
         tried = []
 
-        def fill(j):
-            tried.append(j)
+        def spy(theta, family, nu, ws, jitter):
+            tried.append(jitter)
             assert len(tried) <= 20, "the escalation does not end"
-            K[0, 0] = -1.0  # never positive definite
+            fill_gram(theta, family, nu, ws, jitter)
+            ws.K[0, 0] = -1.0  # never positive definite
 
+        monkeypatch.setattr(gp, "_fill_gram", spy)
         with pytest.raises(errors.NotPositiveDefinite):
-            gp._cholesky_in_place(K, fill, start)
+            gp._factor(np.zeros(3), gp.MATERN, 0.5, ws, start)
         assert tried[:2] == [start, 1e-10]
         assert len(tried) == 10 and tried[-1] == pytest.approx(gp.MAX_JITTER)
 

@@ -50,8 +50,6 @@ class TestParseColmap:
         assert points.ids[row] == 101
         assert np.allclose(points.xyz[row], [1, 2, 3])
         assert tuple(points.rgb[row]) == (255, 0, 0)
-        assert points.error[row] == 0.5
-        assert points.track_of(row).tolist() == [[1, 0], [2, 0]]
 
     def test_empty_points3d(self, tmp_path, model_dir):
         (model_dir / "points3D.txt").write_text("# empty\n")
@@ -208,9 +206,7 @@ class TestParserMatchesOracle:
         assert table.ids.tolist() == [p[0] for p in points]
         assert table.xyz.tobytes() == np.array([p[1] for p in points]).reshape(-1, 3).tobytes()
         assert table.rgb.tolist() == [list(p[2]) for p in points]
-        assert table.error.tobytes() == np.array([p[3] for p in points]).tobytes()
         for row, point in enumerate(points):
-            assert table.track_of(row).tolist() == [list(entry) for entry in point[4]]
             assert table.rows_of([point[0]]).tolist() == [row]
 
     @given(
