@@ -88,8 +88,9 @@ OUTPUT_GROUPS = ((0, 1, 2), (3, 4, 5))
 
 # Queries per posterior block: the (n, chunk) distance and covariance
 # blocks bound the posterior's memory at O(n * chunk), besides the n x n
-# inverse factors. At n = 2000, 2048 keeps the factor, an inverse and two
-# blocks (about 4 n^2 doubles) below training's n x n workspace.
+# inverse factors. At n = 2000, a one-group model holds its factor, an
+# inverse and one block (about 3 n^2 doubles), as many as a search that
+# takes no derivatives.
 _QUERY_CHUNK = 2048
 
 
@@ -213,8 +214,8 @@ def kernel_value(cfg: KernelConfig, a, b) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"input shapes differ: {a.shape} vs {b.shape}")
     D = np.full((1, 1), np.linalg.norm(a - b))
-    S, K = np.empty_like(D), np.empty_like(D)
-    _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, S, S, K)
+    E, K = np.empty_like(D), np.empty_like(D)
+    _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, E, K)
     return float(cfg.signal_var * K[0, 0])
 
 
@@ -223,7 +224,7 @@ def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.nda
 
     Filled with the arithmetic that training and TrainedGP.fit factor.
     """
-    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)))
+    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)), search=False)
     _fill_gram(cfg.log_params(), cfg.family, cfg.nu, ws, jitter)
     return ws.K
 
@@ -242,9 +243,9 @@ def _solve_gram(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     return solve_triangular(L, w, lower=True, trans="T", check_finite=False)
 
 
-def _needs_scratch(cfg: KernelConfig) -> bool:
-    """Whether _fill_correlation needs S and E apart from K (Matérn 1.5, 2.5)."""
-    return cfg.family == MATERN and cfg.nu != 0.5
+def _needs_scratch(family, nu) -> bool:
+    """Whether _fill_correlation needs E apart from K (Matérn 1.5, 2.5)."""
+    return family == MATERN and nu != 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +253,30 @@ def _needs_scratch(cfg: KernelConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Preallocated n x n buffers for filling and factoring Gram matrices.
+    """The n x n buffers for filling and factoring Gram matrices on the
+    inputs X, each allocated only for a step that reads it.
 
-    Every evaluation touches several full matrices; reusing
-    Fortran-ordered buffers keeps LAPACK in-place and avoids allocation
-    churn. D holds the pairwise distances, S and E the scaled distances
-    and the exponential factor (for a Hessian, E then holds
-    d^2R/d(log l)^2), and dR and M (touched only by derivatives) dR/d(log l)
-    and K^-1 dR. K holds the Gram matrix, then its Cholesky factor, then
-    (for a gradient) its inverse. While K holds the factor at theta,
-    theta and jitter record it; theta is None otherwise. A factor handed
-    over (hand_over) stays with its holder: the next factorisation takes
-    a new buffer for K.
+    K holds the Gram matrix, then its Cholesky factor, then (for a
+    gradient) its inverse. While K holds the factor at theta, theta and
+    jitter record it; theta is None otherwise. A factor handed over
+    (hand_over) stays with its holder: the next factorisation takes a new
+    buffer for K. A search workspace (search=True) also keeps the pairwise
+    distances D, filled once, and E, the exponential factor of the last
+    Gram fill, which derivatives read; S and dR are allocated by the first
+    derivatives (_fill_derivatives), so a search that never asks for them
+    holds three n x n buffers. Without search, K is the only buffer: each
+    fill computes the distances into K itself (_fill_gram).
     """
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, search: bool = True):
         n = X.shape[0]
-        self.n = n
-        self.D = cdist(X, X).T  # exactly symmetric, so this is a Fortran-ordered view of it
-        self.S = np.empty((n, n), order="F")
-        self.E = np.empty((n, n), order="F")
-        self.dR = np.empty((n, n), order="F")
-        self.M = np.empty((n, n), order="F")
+        self.n, self.X = n, X
         self.K = np.empty((n, n), order="F")
+        # cdist(X, X) is exactly symmetric, so its transpose is a
+        # Fortran-ordered view of it
+        self.D = cdist(X, X).T if search else None
+        self.E = np.empty((n, n), order="F") if search else None
+        self.S = self.dR = None
         self.theta = self.jitter = None
         self.held = False
 
@@ -287,46 +289,67 @@ class _Workspace:
 _SCALED_FACTOR = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
 
 
-def _fill_correlation(family, nu, ell, D, S, E, K) -> None:
-    """Fill K with R at the distances D, leaving in S and E what
-    _fill_derivatives reads.
+def _scale(family, nu, ell) -> float:
+    """c / l, the factor that scales distances to s (t for RBF, c = 1)."""
+    return (1.0 if family == RBF else _SCALED_FACTOR[nu]) / ell
 
-    Works on the scaled distance s = c * D / l in S (t = D / l for RBF),
-    where c folds the sqrt(2 nu) factor of the half-integer Matérn closed
-    forms; E holds the exponential factor. All four arrays have one shape.
-    S and E may be one buffer when the caller does not read them
-    afterwards; for RBF and
-    Matérn 0.5, K may be that buffer too. Training, kernel_value and the
-    posterior's cross-covariance all fill through here, so their kernel
-    values agree bit for bit.
+
+def _fill_correlation(family, nu, ell, D, E, K) -> None:
+    """Fill K with R at the distances D, leaving in E the exponential
+    factor that _fill_derivatives reads.
+
+    Works on the scaled distance s = c * D / l (t = D / l for RBF), where
+    c folds the sqrt(2 nu) factor of the half-integer Matérn closed forms.
+    All three arrays have one shape, and D is read only first, so it may
+    share a buffer with E or K. For RBF and Matérn 0.5, R is E, and E and
+    K may be one buffer; Matérn 1.5 and 2.5 keep s in E while K takes
+    the polynomial, so they need E apart from K. Training, TrainedGP.fit,
+    kernel_value and the posterior's cross-covariance all fill through
+    here, so their kernel values agree bit for bit.
     """
     if family == RBF:
-        np.multiply(D, 1.0 / ell, out=S)
-        np.multiply(S, S, out=E)
+        np.multiply(D, _scale(family, nu, ell), out=E)
+        np.multiply(E, E, out=E)
         np.multiply(E, -0.5, out=E)
         np.exp(E, out=E)  # E = exp(-t^2/2) = R
-        np.copyto(K, E)
-        return
-    np.multiply(D, _SCALED_FACTOR[nu] / ell, out=S)
-    if nu == 1.5:
-        np.add(S, 1.0, out=K)  # 1 + s
-    elif nu == 2.5:
-        np.multiply(S, S, out=K)
-        np.multiply(K, 1.0 / 3.0, out=K)
-        np.add(K, S, out=K)
-        np.add(K, 1.0, out=K)  # 1 + s + s^2/3
-    np.negative(S, out=E)
-    np.exp(E, out=E)  # E = exp(-s)
-    if nu == 0.5:
-        np.copyto(K, E)
+    elif nu == 0.5:
+        # D * (-c/l) is -(D * c/l) bit for bit: IEEE rounding is symmetric in sign
+        np.multiply(D, -_scale(family, nu, ell), out=E)
+        np.exp(E, out=E)  # E = exp(-s) = R
     else:
+        np.multiply(D, _scale(family, nu, ell), out=E)  # E = s
+        if nu == 1.5:
+            np.add(E, 1.0, out=K)  # 1 + s
+        else:  # nu == 2.5
+            np.multiply(E, E, out=K)
+            np.multiply(K, 1.0 / 3.0, out=K)
+            np.add(K, E, out=K)
+            np.add(K, 1.0, out=K)  # 1 + s + s^2/3
+        np.negative(E, out=E)
+        np.exp(E, out=E)  # E = exp(-s)
         np.multiply(K, E, out=K)  # R = poly(s) exp(-s)
+        return
+    if K is not E:
+        np.copyto(K, E)
 
 
 def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     """Fill ws.K with the Gram matrix at theta = (log sf2, log l, log sn2),
-    with sn2 + jitter on its diagonal."""
-    _fill_correlation(family, nu, math.exp(theta[1]), ws.D, ws.S, ws.E, ws.K)
+    with sn2 + jitter on its diagonal.
+
+    A search workspace fills from its distances D and leaves the
+    exponential factor in its E. Without search, the distances are
+    computed into K itself (cdist(X, X) is exactly symmetric, so its
+    transpose is K) and the correlation is filled in place; Matérn 1.5
+    and 2.5 take one n x n scratch buffer for the fill alone.
+    """
+    ell = math.exp(theta[1])
+    if ws.D is not None:
+        _fill_correlation(family, nu, ell, ws.D, ws.E, ws.K)
+    else:
+        cdist(ws.X, ws.X, out=ws.K.T)
+        E = np.empty((ws.n, ws.n), order="F") if _needs_scratch(family, nu) else ws.K
+        _fill_correlation(family, nu, ell, ws.K, E, ws.K)
     np.multiply(ws.K, math.exp(theta[0]), out=ws.K)
     np.einsum("ii->i", ws.K)[:] += math.exp(theta[2]) + jitter
 
@@ -355,16 +378,21 @@ def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
     ws.theta, ws.jitter = np.array(theta), jitter
 
 
-def _fill_derivatives(family, nu, ws: _Workspace) -> None:
+def _fill_derivatives(family, nu, ell, ws: _Workspace) -> None:
     """Fill ws.dR with dR/d(log l), then ws.E with d^2R/d(log l)^2, from the
-    S and E of _fill_correlation, using S as scratch.
+    E of the last _fill_gram, with the scaled distance recomputed into
+    ws.S (the fill's bits), which is then scratch. The first call
+    allocates S and dR.
 
     With s the scaled distance (t for RBF) and E the exponential factor,
     for RBF and Matérn 0.5, 1.5 and 2.5 dR is t^2 E, s E, s^2 E and
     (s^2/3)(1+s) E, and d^2R is t^2(t^2-2)E, s(s-1)E, s^2(s-2)E and
     (s^2/3)(s^2-2s-2)E: both zero on the diagonal, where D is zero.
     """
+    if ws.S is None:
+        ws.S, ws.dR = (np.empty((ws.n, ws.n), order="F") for _ in range(2))
     S, E, dR = ws.S, ws.E, ws.dR
+    np.multiply(ws.D, _scale(family, nu, ell), out=S)
     if family == RBF:
         np.multiply(S, S, out=dR)
         np.multiply(dR, E, out=dR)
@@ -448,11 +476,12 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
 def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
     """(grad, hess) of each _objective block, from the factor in ws.K, which
     dpotri turns into K^-1 (ws.theta is None then); dR and d^2R
-    (_fill_derivatives) and M = K^-1 dR fill ws.dR, ws.E and ws.M."""
+    (_fill_derivatives) fill ws.dR and ws.E, and M = K^-1 dR the fill's
+    scratch ws.S."""
     n = ws.n
     L, j = ws.K, ws.jitter
     sf2, sn2 = math.exp(theta[0]), math.exp(theta[2])
-    _fill_derivatives(family, nu, ws)
+    _fill_derivatives(family, nu, math.exp(theta[1]), ws)
     dR, d2R = ws.dR, ws.E
     ws.theta = None
     inv, info = dpotri(L, lower=1, overwrite_c=1)
@@ -467,7 +496,7 @@ def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
     tr_kinv_d2r = 2.0 * float(np.einsum("ij,ij->", inv, d2R))
     diag_sq = float(np.einsum("ii,ii->", inv, inv))
     kinv_sq = 2.0 * float(np.einsum("ij,ij->", inv, inv)) - diag_sq
-    M = dsymm(1.0, inv, dR, lower=1, c=ws.M, overwrite_c=1)
+    M = dsymm(1.0, inv, dR, lower=1, c=ws.S, overwrite_c=1)
     # tr(K^-1 M) = <K^-1, M^T> over the whole symmetric K^-1
     tr_kinv_m = (
         float(np.einsum("ij,ij->", inv, M)) + float(np.einsum("ij,ji->", inv, M))
@@ -616,12 +645,16 @@ class TrainedGP:
         Z is already normalized. jitter may be a scalar or a per-output
         sequence; each output records the value escalation settled on.
         One Gram matrix is filled and factored (_factor) per distinct
-        (config, jitter), the factor its outputs share, so a refit at the
-        configs and jitters a training kept reproduces its factors, alphas
-        and groups bit for bit. Configs need not repeat: a model file from
-        separate fits of every output loads to six factors. condition_gp
-        conditions new data at a fit's configs through here, from
-        TRAIN_JITTER. The model has no loss curves.
+        (config, jitter), the factor its outputs share, each in its own
+        n x n buffer: the distances are computed into it and the
+        correlation filled over them (_fill_gram without search; Matérn
+        1.5 and 2.5 take one scratch buffer for the fill), and a jitter
+        retry computes them again. The fill is training's, so a refit at
+        the configs and jitters a training kept reproduces its factors,
+        alphas and groups bit for bit. Configs need not repeat: a model
+        file from separate fits of every output loads to six factors.
+        condition_gp conditions new data at a fit's configs through here,
+        from TRAIN_JITTER. The model has no loss curves.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
@@ -631,7 +664,7 @@ class TrainedGP:
         if len(configs) != Z.shape[1]:
             raise DimensionMismatch(f"{len(configs)} kernel configs for {Z.shape[1]} outputs")
         keys = list(zip(configs, jitter if np.ndim(jitter) else [float(jitter)] * len(configs)))
-        ws, shared = _Workspace(X), {}  # (config, jitter) -> (factor, jitter used)
+        ws, shared = _Workspace(X, search=False), {}  # (config, jitter) -> (factor, jitter used)
         for cfg, j0 in dict.fromkeys(keys):
             _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
             shared[cfg, j0] = (ws.hand_over(), ws.jitter)
@@ -662,8 +695,12 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     asked for are NaN. Each mean is one k*^T alpha of its own, so it does
     not depend on which outputs share its factor. Queries are processed in
     blocks of _QUERY_CHUNK that share one distance block across the
-    outputs, so memory is O(n * chunk + v * n^2) rather than O(n * m),
-    with v the number of inverted factors. Each cross-covariance block is
+    outputs; the last group to read a block's distances fills its
+    cross-covariance over them, and the groups before it fill one
+    covariance block. So memory is O(n * chunk + v * n^2) rather than
+    O(n * m), with v the number of inverted factors, and a one-group
+    model holds one (chunk, n) block (two for Matérn 1.5 and 2.5, whose
+    fill takes a scratch block). Each cross-covariance block is
     filled by _fill_correlation, the fill of the Gram matrices the factors
     came from, so k(x_i, q) is bit for bit the Gram entry training would
     compute for that pair. Results are deterministic for the same inputs,
@@ -684,15 +721,18 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
         raise ValueError(f"variance outputs {sorted(var_outputs)} out of range for {k} outputs")
     mean = np.empty((m, k))  # standardized until the end
     var_norm = np.full((m, k), np.nan)
-    # One distance buffer, one covariance block (and one scratch block, for
-    # kernels that need it) serve every chunk and factor. The C-ordered
-    # (chunk, n) distance rows transpose to Fortran-ordered (n, chunk)
-    # views, as do the column prefixes of the Fortran-ordered blocks.
+    # One distance buffer serves every chunk; the last group to read a
+    # chunk's distances fills its covariance over them, and the groups
+    # before it fill one covariance block (kernels that need it fill
+    # through one scratch block). The C-ordered (chunk, n) distance rows
+    # transpose to Fortran-ordered (n, chunk) views, as do the column
+    # prefixes of the Fortran-ordered blocks.
     n, chunk = model.X.shape[0], min(m, _QUERY_CHUNK)
-    dist = np.empty((chunk, n))
-    block = np.empty((n, chunk), order="F")
-    scratch = np.empty((n, chunk), order="F") if any(map(_needs_scratch, model.configs)) else None
     groups = model.groups
+    dist = np.empty((chunk, n))
+    block = np.empty((n, chunk), order="F") if len(groups) > 1 else None
+    scratch = (np.empty((n, chunk), order="F")
+               if any(_needs_scratch(c.family, c.nu) for c in model.configs) else None)
     inverses = {}  # first output of a group -> L^-1, dtrtri's new array
     for outputs in groups:
         if var_outputs.intersection(outputs):
@@ -707,9 +747,9 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
         D = cdist(Q[rows], model.X, out=dist[:width]).T
         for outputs in groups:
             cfg = model.configs[outputs[0]]
-            Ks = block[:, :width]
-            tmp = scratch[:, :width] if _needs_scratch(cfg) else Ks
-            _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, tmp, tmp, Ks)
+            Ks = D if outputs is groups[-1] else block[:, :width]
+            E = scratch[:, :width] if _needs_scratch(cfg.family, cfg.nu) else Ks
+            _fill_correlation(cfg.family, cfg.nu, cfg.lengthscale, D, E, Ks)
             np.multiply(Ks, cfg.signal_var, out=Ks)
             for j in outputs:
                 mean[rows, j] = dgemv(1.0, Ks, model.alphas[j], trans=1)
@@ -830,7 +870,9 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
     log-parameters (ws.theta says so: the search took no derivatives at
     its kept last evaluation, or kept the shared first one at a budget of
     1) it goes over as it is, to every group that kept them; otherwise it
-    is factored once more. The other n x n buffers live only for the call.
+    is factored once more. The other n x n buffers (_Workspace: D and E,
+    and S and dR once a search asks for derivatives) live only for the
+    call.
     """
     ws = _Workspace(X)
     objective = partial(

@@ -3,11 +3,14 @@
 Starting from a small valid model file and dataset CSV, hypothesis
 replaces, deletes and inserts tokens; `gpgs densify` and `gpgs train`
 must exit 0, 2 (bad input data) or 3 (numerical failure), and no
-exception may escape main. The search is derandomized and keeps no
-example database, so every run tries the same cases.
+exception may escape main. Each file of a COLMAP text model goes the
+same way through `gpgs build-dataset`, which must exit 0 or 2. The search
+is derandomized and keeps no example database, so every run tries the
+same cases.
 """
 
 import re
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,3 +98,17 @@ def test_train_on_a_mutated_dataset_csv(valid, edits):
         "--iterations", "2",
     ])
     assert code in (0, 2, 3)
+
+
+@FUZZ
+@given(edits=EDITS)
+@pytest.mark.parametrize("name", ["cameras.txt", "images.txt", "points3D.txt"])
+def test_build_dataset_on_a_mutated_colmap_file(valid, name, edits):
+    model_dir, _, _, work = valid
+    mutated = work / "colmap"
+    shutil.copytree(model_dir, mutated, dirs_exist_ok=True)
+    (mutated / name).write_text(mutate((model_dir / name).read_text(), edits, " "))
+    code = cli.main([
+        "build-dataset", "--model-dir", str(mutated), "--output", str(work / "ds_out.csv"),
+    ])
+    assert code in (0, 2)

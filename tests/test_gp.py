@@ -423,6 +423,21 @@ class TestJitterEscalation:
         assert tried[:2] == [start, 1e-10]
         assert len(tried) == 10 and tried[-1] == pytest.approx(gp.MAX_JITTER)
 
+    @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("matern", 2.5), ("rbf", None)])
+    def test_fit_retry_refills_the_distances(self, family, nu):
+        # a failed dpotrf has overwritten the distances a fit fills into K;
+        # the retry recomputes them, so it factors gram_matrix at its jitter
+        cfg = gp.KernelConfig(family, nu, 0.0, math.log(0.3), NEAR_ZERO_NOISE)
+        X = np.random.default_rng(3).random((6, 2))
+        X[3:] = X[:3]
+        Z = np.random.default_rng(4).standard_normal((6, 1))
+        model = gp.TrainedGP.fit(X, Z, [cfg], gp.OutputNormalizer.identity(1), 1, 1, jitter=0.0)
+        jitter = model.jitters[0]
+        assert 0.0 < jitter <= gp.MAX_JITTER  # the fit from 0.0 retried
+        L, info = dpotrf(gp.gram_matrix(cfg, X, jitter), lower=1, clean=1)
+        assert info == 0
+        assert np.array_equal(model.factors[0], L)
+
     def test_hopeless_matrix_raises(self):
         cfg = gp.KernelConfig("matern", 0.5, 700.0, 0.0, NEAR_ZERO_NOISE)
         X = np.zeros((2, 2))
@@ -1286,25 +1301,69 @@ class TestInverseFactor:
             gp.posterior(singular, np.zeros((2, 2)), var_outputs=(0,))
 
 
-def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
+def traced_peak(call) -> int:
+    """The peak of tracemalloc's traced memory during call(), after one
+    warm-up call that takes the first-call allocations of numpy and scipy."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def posterior_blocks(monkeypatch, configs) -> float:
+    """traced_peak of a posterior over a model at configs, besides its
+    outputs and inverse factors, in (n, chunk) blocks."""
     n, chunk = 200, 50
     rng = np.random.default_rng(4)
-    configs = [gp.KernelConfig("matern", 0.5, 0.1 * j, math.log(0.3), -6.0) for j in range(6)]
     model = gp.TrainedGP.fit(rng.random((n, 2)), rng.standard_normal((n, 6)), configs,
                              gp.OutputNormalizer.identity(6), 1, 1)
     Q = rng.random((3 * chunk + 7, 2))
     monkeypatch.setattr(gp, "_QUERY_CHUNK", chunk)
-    gp.posterior(model, Q)  # warm-up: first-call allocations of numpy and scipy
-    tracemalloc.start()
-    try:
-        gp.posterior(model, Q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: gp.posterior(model, Q))
     block = n * chunk * 8
     outputs = 2 * Q.shape[0] * 6 * 8  # mean, var_norm
     inverses = len(model.groups) * n * n * 8  # one inverse factor per variance group
-    assert peak < 2.5 * block + outputs + inverses
+    return (peak - outputs - inverses) / block
+
+
+def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
+    configs = [gp.KernelConfig("matern", 0.5, 0.1 * j, math.log(0.3), -6.0) for j in range(6)]
+    assert posterior_blocks(monkeypatch, configs) < 2.5
+
+
+@pytest.mark.parametrize("family,nu", [("matern", 0.5), ("rbf", None)])
+def test_one_group_posterior_fills_over_its_distances(monkeypatch, family, nu):
+    cfg = gp.KernelConfig(family, nu, 0.1, math.log(0.3), -6.0)
+    assert posterior_blocks(monkeypatch, [cfg] * 6) < 1.5
+
+
+class TestFitMemory:
+    """The n x n buffers a conditioning fit and a search allocate: 8 n^2
+    bytes each, besides O(n) data."""
+
+    n = 400
+    matrix = 8 * n * n
+
+    @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("rbf", None)])
+    def test_fit_fills_each_factor_in_its_own_buffer(self, family, nu):
+        n = self.n
+        rng = np.random.default_rng(6)
+        X, Z = rng.random((n, 2)), rng.standard_normal((n, 6))
+        cfg = gp.KernelConfig(family, nu, 0.0, math.log(0.2), -4.0)
+        peak = traced_peak(lambda: gp.TrainedGP.fit(
+            X, Z, [cfg] * 6, gp.OutputNormalizer.identity(6), 1, 1, jitter=gp.TRAIN_JITTER))
+        assert peak < 1.2 * self.matrix + 200 * 8 * n
+
+    def test_budget_one_search_allocates_no_derivative_buffers(self):
+        n = self.n
+        ds = make_scene("smooth", n, seed=3)
+        cfg = gp.TrainConfig(iterations=1)
+        peak = traced_peak(lambda: gp.train_gp(ds, gp.default_kernel(), cfg))
+        assert peak < 3.2 * self.matrix
 
 
 class TestSharedFactor:
