@@ -42,10 +42,11 @@ from .metrics import (
     rmse,
 )
 from .model_io import load_model, save_model
-from .pointcloud import DensifiedCloud, PointSource
 from .sfm_io import (
+    DensifiedCloud,
     DepthMap,
     PixelToPointDataset,
+    PointSource,
     PointsTable,
     SparseModel,
     build_pixel_dataset,

@@ -22,7 +22,6 @@ from . import densify as dn
 from . import gp, metrics, model_io, sfm_io
 from .errors import (
     EmptyDataset,
-    EmptyPredictionSet,
     InputDataError,
     MissingFile,
     NumericalError,
@@ -84,7 +83,7 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _convert(key: str, raw: str):
+def _convert(key: str, raw: str, where: str):
     kind = _FIELD_TYPES[key]
     if kind in ("Optional[str]", "str"):
         return raw
@@ -94,11 +93,11 @@ def _convert(key: str, raw: str):
             return True
         if lowered in _BOOL_FALSE:
             return False
-        raise UsageError(f"config value for {key} must be boolean, got {raw!r}")
+        raise UsageError(f"{where}: config value for {key} must be boolean, got {raw!r}")
     try:
         return int(raw) if kind == "int" else float(raw)
     except ValueError as exc:
-        raise UsageError(f"config value for {key}: {exc}") from exc
+        raise UsageError(f"{where}: config value for {key}: {exc}") from exc
 
 
 def parse_config_file(path) -> dict:
@@ -121,7 +120,7 @@ def parse_config_file(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _FIELD_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _convert(key, value.strip())
+        values[key] = _convert(key, value.strip(), f"{path}:{lineno}")
     return values
 
 
@@ -300,7 +299,7 @@ def _candidates(cfg: RunConfig, X: np.ndarray, size, depth, frame: str) -> np.nd
     if X.shape[1] == 3:
         candidates = dn.attach_depth(candidates, depth, *size)
     if len(candidates) == 0:
-        raise EmptyPredictionSet(
+        raise EmptyDataset(
             f"{frame}: no candidate left by sampling around {len(pixels)} training pixels at "
             f"beta={cfg.beta} and angular_resolution={cfg.angular_resolution}"
         )

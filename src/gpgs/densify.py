@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPredictionSet, NonFinitePrediction
+from .errors import EmptyDataset, NonFinitePrediction
 from .gp import TrainedGP, posterior
-from .pointcloud import FLOAT32_MAX, DensifiedCloud, PointSource
-from .sfm_io import DepthMap, SparseModel
+from .sfm_io import FLOAT32_MAX, DensifiedCloud, DepthMap, PointSource, SparseModel
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,9 @@ def generate_samples(
 
 def attach_depth(candidates: np.ndarray, depth: DepthMap, width: int, height: int) -> np.ndarray:
     """Depth-feature mode: append each candidate's depth as a third column,
-    dropping candidates that land on an invalid depth value."""
+    dropping candidates that land on an invalid depth value. The depth map
+    must be width x height, the image the candidates were sampled in."""
+    depth.check_size(width, height)
     d = depth.value_at(candidates[:, 0] * width, candidates[:, 1] * height)
     valid = ~np.isnan(d)
     return np.column_stack([candidates[valid], d[valid]])
@@ -103,17 +104,11 @@ def infer_dense(model: TrainedGP, candidates: np.ndarray) -> PredictedPointSet:
     the filter ranks by, are computed: one inverse of the colour factor
     per call and one triangular product by it per query block when r, g
     and b share a factor, as they do after train_gp. A model file whose
-    r, g and b kernels differ still ranks by their mean."""
-    if candidates.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"candidates have {candidates.shape[1]} columns, the model takes {model.input_dim}"
-        )
-    m = len(candidates)
-    if m == 0:
-        return PredictedPointSet(np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=bool))
+    r, g and b kernels differ still ranks by their mean. posterior checks
+    d against the model's input_dim and answers m = 0 with an empty set."""
     post = posterior(model, candidates, var_outputs=(3, 4, 5))
     mean_rgb_var = post.var_norm[:, 3:6].mean(axis=1)
-    return PredictedPointSet(post.mean, mean_rgb_var, np.zeros(m, dtype=bool))
+    return PredictedPointSet(post.mean, mean_rgb_var, np.zeros(len(candidates), dtype=bool))
 
 
 def filter_by_variance(preds: PredictedPointSet, cfg: FilterConfig) -> PredictedPointSet:
@@ -125,7 +120,7 @@ def filter_by_variance(preds: PredictedPointSet, cfg: FilterConfig) -> Predicted
     """
     m = len(preds)
     if m == 0:
-        raise EmptyPredictionSet("cannot filter an empty prediction set")
+        raise EmptyDataset("cannot filter an empty prediction set")
     k = math.ceil(cfg.quantile * m)
     tau = np.sort(preds.mean_rgb_var)[k - 1]
     return replace(preds, retained=preds.mean_rgb_var <= tau)
@@ -173,9 +168,9 @@ class VarianceReport:
 def variance_reduction_report(preds: PredictedPointSet) -> VarianceReport:
     """Compare mean variance over all predictions vs the retained subset."""
     if len(preds) == 0:
-        raise EmptyPredictionSet("cannot report on an empty prediction set")
+        raise EmptyDataset("cannot report on an empty prediction set")
     if preds.retained_count() == 0:
-        raise EmptyPredictionSet("no retained predictions; run filter_by_variance first")
+        raise EmptyDataset("no retained predictions; run filter_by_variance first")
     original = float(preds.mean_rgb_var.mean())
     filtered = float(preds.mean_rgb_var[preds.retained].mean())
     reduction = 0.0 if original == 0.0 else 100.0 * (original - filtered) / original

@@ -1,9 +1,11 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per kind of failure.
 
 Two broad families matter for the CLI exit codes: anything rooted at
 InputDataError exits with code 2, anything rooted at NumericalError with
-code 3. Usage problems (bad flags, bad config keys) are raised as
-UsageError and exit with code 1.
+code 3. Usage problems (bad flags, bad config keys and values) are raised
+as UsageError and exit with code 1. The only class caught by name inside
+the package is ConstantTruth, which held-out scoring turns into an absent
+per-output r2.
 """
 
 
@@ -23,7 +25,7 @@ class NumericalError(GpgsError):
     """A numerical procedure failed beyond recovery."""
 
 
-# --- SfM / file ingestion -------------------------------------------------
+# --- files ----------------------------------------------------------------
 
 class MissingFile(InputDataError):
     pass
@@ -36,20 +38,8 @@ class MalformedLine(InputDataError):
         self.line_number = line_number
 
 
-class DanglingReference(InputDataError):
-    pass
-
-
-class UnknownImage(InputDataError):
-    pass
-
-
-class NoCorrespondences(InputDataError):
-    pass
-
-
-class EmptyDataset(InputDataError):
-    pass
+class IoFailure(InputDataError):
+    """An artifact or output directory that cannot be written."""
 
 
 # --- depth maps (PFM) -----------------------------------------------------
@@ -66,30 +56,22 @@ class TruncatedPayload(InputDataError):
     pass
 
 
-# --- point-cloud files (PLY) ----------------------------------------------
+# --- data sets --------------------------------------------------------------
 
-class IoFailure(InputDataError):
+class DanglingReference(InputDataError):
+    """An id (camera, image, 3D point, track entry) that names nothing."""
+
+
+class NoCorrespondences(InputDataError):
     pass
 
 
-# --- GP engine --------------------------------------------------------------
+class EmptyDataset(InputDataError):
+    """No sample, candidate, prediction or point left to work on."""
+
 
 class DimensionMismatch(InputDataError):
-    pass
-
-
-class NotPositiveDefinite(NumericalError):
-    """Cholesky factorisation failed even after jitter escalation."""
-
-    def __init__(self, message, jitter):
-        super().__init__(f"{message} (escalated jitter {jitter:g})")
-        self.jitter = jitter
-
-
-# --- densifier --------------------------------------------------------------
-
-class EmptyPredictionSet(InputDataError):
-    pass
+    """Arrays, inputs or images whose shapes or sizes do not fit together."""
 
 
 class NonFinitePrediction(InputDataError):
@@ -97,15 +79,15 @@ class NonFinitePrediction(InputDataError):
     values are out of range."""
 
 
-# --- metrics ----------------------------------------------------------------
-
-class EmptySet(InputDataError):
-    pass
-
-
-class ShapeMismatch(InputDataError):
-    pass
-
-
 class ConstantTruth(InputDataError):
-    pass
+    """Truth values too few or too constant for an r2."""
+
+
+# --- GP engine --------------------------------------------------------------
+
+class NotPositiveDefinite(NumericalError):
+    """Cholesky factorisation failed even after jitter escalation."""
+
+    def __init__(self, message, jitter):
+        super().__init__(f"{message} (escalated jitter {jitter:g})")
+        self.jitter = jitter

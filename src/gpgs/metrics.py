@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConstantTruth, EmptyDataset, EmptySet, ShapeMismatch
+from .errors import ConstantTruth, DimensionMismatch, EmptyDataset
 from .gp import TrainedGP, posterior
 from .sfm_io import PixelToPointDataset
 
@@ -54,9 +54,9 @@ def chamfer_distance(P, G) -> float:
     P = np.atleast_2d(np.asarray(P, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if P.size == 0 or G.size == 0:
-        raise EmptySet("chamfer distance needs two non-empty point sets")
+        raise EmptyDataset("chamfer distance needs two non-empty point sets")
     if P.shape[1] != 3 or G.shape[1] != 3:
-        raise ShapeMismatch(f"points must be 3-vectors, got {P.shape} and {G.shape}")
+        raise DimensionMismatch(f"points must be 3-vectors, got {P.shape} and {G.shape}")
     p_to_g, _ = cKDTree(G).query(P)
     g_to_p, _ = cKDTree(P).query(G)
     return float(p_to_g.mean() + g_to_p.mean())
@@ -71,9 +71,9 @@ def rmse(pred, truth) -> float:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
-        raise ShapeMismatch(f"shapes differ: {pred.shape} vs {truth.shape}")
+        raise DimensionMismatch(f"shapes differ: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
-        raise EmptySet("rmse needs at least one value")
+        raise EmptyDataset("rmse needs at least one value")
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
@@ -86,7 +86,7 @@ def r2_score(pred, truth) -> float:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
-        raise ShapeMismatch(f"shapes differ: {pred.shape} vs {truth.shape}")
+        raise DimensionMismatch(f"shapes differ: {pred.shape} vs {truth.shape}")
     n = truth.shape[0]
     if n < 2:
         raise ConstantTruth(f"r2 needs at least 2 samples, got {n}")

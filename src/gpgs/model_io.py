@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import MalformedLine, MissingFile
 from .gp import _BOUNDS, MATERN, KernelConfig, OutputNormalizer, TrainedGP
-from .pointcloud import FLOAT32_MAX
-from .sfm_io import MAX_IMAGE_SIDE, read_text, write_lines
+from .sfm_io import FLOAT32_MAX, MAX_IMAGE_SIDE, read_text, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
 N_OUTPUTS = 6  # x, y, z, r, g, b

@@ -14,6 +14,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from enum import IntEnum
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -32,9 +33,7 @@ from .errors import (
     MissingFile,
     NoCorrespondences,
     TruncatedPayload,
-    UnknownImage,
 )
-from .pointcloud import FLOAT32_MAX, DensifiedCloud
 
 # Feature with no 3D track; COLMAP writes -1 in images.txt.
 SENTINEL_NONE = -1
@@ -46,6 +45,10 @@ INVALID_DEPTH = -1.0
 # the model file accept: an int32, so a side is exact in float64 and
 # width * height fits in int64.
 MAX_IMAGE_SIDE = 2**31 - 1
+
+# The largest magnitude a PLY ``float`` coordinate holds: a position beyond
+# it is not finite in float32.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ class SparseModel:
         for img in self.images:
             if img.image_id == image_id:
                 return img
-        raise UnknownImage(f"no image with id {image_id}")
+        raise DanglingReference(f"no image with id {image_id}")
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,15 @@ class DepthMap:
                 f"depth grid shape {vals.shape} != (height={self.height}, width={self.width})"
             )
         object.__setattr__(self, "values", vals)
+
+    def check_size(self, width: int, height: int) -> None:
+        """Raise DimensionMismatch unless the grid is width x height, the
+        camera's image size: value_at clips to the grid, so a map of
+        another size would give every pixel a wrong depth."""
+        if (self.width, self.height) != (width, height):
+            raise DimensionMismatch(
+                f"depth map {self.width}x{self.height} vs camera {width}x{height}"
+            )
 
     def value_at(self, u, v) -> np.ndarray:
         """Nearest-pixel depths at finite unnormalized pixel coordinates.
@@ -285,10 +297,8 @@ def _data_lines(path: Path):
 def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
     cameras: list[CameraIntrinsics] = []
     seen: set[int] = set()
-    for lineno, line in _data_lines(path):
-        if not line:
-            continue
-        tokens = line.split()
+    rows, linenos = _data_rows(path)
+    for lineno, tokens in zip(linenos, rows):
         if len(tokens) < 4:
             raise MalformedLine(path, lineno, f"expected at least 4 fields, got {len(tokens)}")
         try:
@@ -539,10 +549,8 @@ def build_pixel_dataset(
     """
     img = model.image_by_id(image_id)
     cam = model.camera_by_id(img.camera_id)
-    if depth is not None and (depth.width != cam.width or depth.height != cam.height):
-        raise DimensionMismatch(
-            f"depth map {depth.width}x{depth.height} vs camera {cam.width}x{cam.height}"
-        )
+    if depth is not None:
+        depth.check_size(cam.width, cam.height)
 
     linked = img.point3d_ids != SENTINEL_NONE
     rows = model.points3d.rows_of(img.point3d_ids[linked])
@@ -633,6 +641,44 @@ def read_depth_pfm(path) -> DepthMap:
 # ---------------------------------------------------------------------------
 # PLY point clouds
 # ---------------------------------------------------------------------------
+
+class PointSource(IntEnum):
+    """Provenance tag stored per point (also the on-disk uchar value)."""
+
+    SFM = 0
+    GP = 1
+
+
+@dataclass(frozen=True)
+class DensifiedCloud:
+    """Union of original SfM points and retained GP predictions.
+
+    Positions are kept as float32 because that is the precision of the PLY
+    ``float`` vertex properties; storing anything wider would make the
+    binary round trip lossy.
+    """
+
+    positions: np.ndarray  # (n, 3) float32
+    colors: np.ndarray     # (n, 3) uint8
+    sources: np.ndarray    # (n,) uint8, values from PointSource
+
+    def __post_init__(self):
+        pos = np.ascontiguousarray(self.positions, dtype=np.float32)
+        col = np.ascontiguousarray(self.colors, dtype=np.uint8)
+        src = np.ascontiguousarray(self.sources, dtype=np.uint8)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(f"positions must be (n, 3), got {pos.shape}")
+        if col.shape != pos.shape:
+            raise ValueError(f"colors shape {col.shape} != positions shape {pos.shape}")
+        if src.shape != (pos.shape[0],):
+            raise ValueError(f"sources shape {src.shape} != ({pos.shape[0]},)")
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "colors", col)
+        object.__setattr__(self, "sources", src)
+
+    def __len__(self) -> int:
+        return self.positions.shape[0]
+
 
 _PLY_ASCII_ROW = "%.9g %.9g %.9g %d %d %d %d\n"
 

@@ -23,7 +23,7 @@ from scipy.special import gamma, kv
 
 from gpgs import gp
 from gpgs.errors import DanglingReference, MalformedLine, MissingFile
-from gpgs.pointcloud import DensifiedCloud
+from gpgs.sfm_io import DensifiedCloud
 
 
 def matern_reference(nu: float, sf2: float, ell: float, d: float) -> float:

@@ -466,6 +466,30 @@ class TestDensify:
             100.0 * (float(original) - float(filtered)) / float(original)
         )
 
+    def test_depth_map_of_another_size_exits_2_before_the_cloud(
+        self, surface_dir, tmp_path, capsys
+    ):
+        # a 40x40 map for a 400x400 image once densified on clipped
+        # lookups and exited 0
+        fitted, small = tmp_path / "fitted", tmp_path / "small"
+        fitted.mkdir()
+        small.mkdir()
+        write_flat_pfm(fitted / "surface.pfm")
+        write_flat_pfm(small / "surface.pfm", width=40, height=40)
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run("build-dataset", "--model-dir", str(surface_dir), "--output", str(ds),
+                   "--depth-dir", str(fitted)) == 0
+        assert run("train", "--dataset", str(ds), "--output", str(model),
+                   "--iterations", "5") == 0
+        capsys.readouterr()
+        out = tmp_path / "out" / "cloud.ply"
+        densify = ["densify", "--model-dir", str(surface_dir), "--gp-model", str(model),
+                   "--dataset", str(ds), "--output", str(out)]
+        assert run(*densify, "--depth-dir", str(small)) == 2
+        assert capsys.readouterr().err == "input error: depth map 40x40 vs camera 400x400\n"
+        assert not out.parent.exists()
+        assert run(*densify, "--depth-dir", str(fitted)) == 0
+
     def test_ascii_ply_flag(self, trained, tmp_path):
         surface_dir, model = trained
         out = tmp_path / "cloud.ply"
@@ -1200,6 +1224,25 @@ class TestConfigPrecedence:
         )
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("seed = abc", "config value for seed: invalid literal for int() with base 10: 'abc'"),
+        ("ply_binary = maybe", "config value for ply_binary must be boolean, got 'maybe'"),
+    ])
+    def test_bad_config_value_exits_1_at_its_line(
+        self, fixture_dir, tmp_path, capsys, line, message
+    ):
+        # a bad value once named neither the file nor the line
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"# settings\nkey_frames = 1\n{line}\n")
+        out = tmp_path / "out" / "ds.csv"
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(out), "--config", str(conf),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {conf}:3: {message}\n"
+        assert not out.parent.exists()
 
 
 

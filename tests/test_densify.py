@@ -166,6 +166,13 @@ class TestArrayPathsMatchOracles:
             attach_depth_oracle(candidates, depth, depth.width, depth.height),
         )
 
+    def test_attach_depth_rejects_a_map_of_another_size(self):
+        # the lookup clips to the grid, so a smaller map once gave every
+        # candidate past its edge the depth of its border
+        depth = sfm_io.DepthMap(4, 2, np.ones((2, 4), dtype=np.float32))
+        with pytest.raises(errors.DimensionMismatch, match="^depth map 4x2 vs camera 8x2$"):
+            dn.attach_depth(np.array([[0.75, 0.5]]), depth, 8, 2)
+
 
 # ---------------------------------------------------------------------------
 # infer_dense
@@ -257,7 +264,7 @@ class TestFilterByVariance:
 
     def test_empty_rejected(self):
         preds = predictions_from_variances([])
-        with pytest.raises(errors.EmptyPredictionSet):
+        with pytest.raises(errors.EmptyDataset):
             dn.filter_by_variance(preds, dn.FilterConfig())
 
     @given(
@@ -363,5 +370,5 @@ class TestVarianceReport:
 
     def test_unfiltered_set_rejected(self):
         preds = predictions_from_variances([1.0, 2.0])
-        with pytest.raises(errors.EmptyPredictionSet):
+        with pytest.raises(errors.EmptyDataset):
             dn.variance_reduction_report(preds)

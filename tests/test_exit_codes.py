@@ -4,20 +4,22 @@ Starting from a small valid model file and dataset CSV, hypothesis
 replaces, deletes and inserts tokens; `gpgs densify` and `gpgs train`
 must exit 0, 2 (bad input data) or 3 (numerical failure), and no
 exception may escape main. Each file of a COLMAP text model goes the
-same way through `gpgs build-dataset`, which must exit 0 or 2. The search
-is derandomized and keeps no example database, so every run tries the
-same cases.
+same way through `gpgs build-dataset`, which must exit 0 or 2, and so
+does a PFM depth map whose header tokens and separators or payload bytes
+are mutated. The search is derandomized and keeps no example database,
+so every run tries the same cases.
 """
 
 import re
 import shutil
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpgs import cli
-from synthdata import write_colmap_fixture
+from synthdata import surface_colmap_model, write_colmap_fixture
 
 _SEPARATOR = re.compile(r"([,\s]+)")
 VALUES = ["0", "-1", "1e308", "nan", "inf", "3.5e38", "2147483648", "9" * 30, "", "word"]
@@ -112,3 +114,54 @@ def test_build_dataset_on_a_mutated_colmap_file(valid, name, edits):
         "build-dataset", "--model-dir", str(mutated), "--output", str(work / "ds_out.csv"),
     ])
     assert code in (0, 2)
+
+
+# A 20x10 depth map: header tokens magic, width, height and scale, each
+# followed by one separator, then 800 bytes of little-endian floats.
+PFM_TOKENS = ("Pf", "20", "10", "-1")
+PFM_PAYLOAD = struct.pack("<200f", *(1.0 + i / 200 for i in range(200)))
+PFM_VALUES = ["Pf", "PF", "0", "-1", "nan", "inf", "1e400", "2147483648", "", "word"]
+
+
+@pytest.fixture(scope="module")
+def depth_scene(tmp_path_factory):
+    """A COLMAP model of one 20x10 image, named surface.png, whose valid
+    depth map builds a dataset."""
+    root = tmp_path_factory.mktemp("pfm")
+    model_dir, _, _ = surface_colmap_model(root / "colmap", 500, 40, 0, width=20, height=10)
+    depth_dir = root / "depth"
+    depth_dir.mkdir()
+    (depth_dir / "surface.pfm").write_bytes(("\n".join(PFM_TOKENS) + "\n").encode() + PFM_PAYLOAD)
+    out = root / "ds.csv"
+    argv = ["build-dataset", "--model-dir", str(model_dir), "--output", str(out),
+            "--depth-dir", str(depth_dir)]
+    assert cli.main(argv) == 0
+    return argv, depth_dir / "surface.pfm"
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["replace", "delete", "insert"]),
+            st.integers(0, 2**16),
+            st.sampled_from(PFM_VALUES),
+        ),
+        max_size=3,
+    ),
+    separators=st.lists(
+        st.sampled_from(["\n", " ", "\t", "\r\n", "  ", "\n\n"]), min_size=4, max_size=4
+    ),
+    flips=st.lists(st.tuples(st.integers(0, len(PFM_PAYLOAD) - 1), st.integers(1, 255)),
+                   max_size=3),
+    keep=st.one_of(st.none(), st.integers(0, len(PFM_PAYLOAD) - 1)),
+)
+def test_build_dataset_on_a_mutated_depth_map(depth_scene, edits, separators, flips, keep):
+    argv, pfm = depth_scene
+    text = "".join(token + sep for token, sep in zip(PFM_TOKENS, separators))
+    header = mutate(text, edits, separators[0])
+    payload = bytearray(PFM_PAYLOAD)
+    for index, mask in flips:
+        payload[index] ^= mask
+    pfm.write_bytes(header.encode() + bytes(payload[:keep]))
+    assert cli.main(argv) in (0, 2)

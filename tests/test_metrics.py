@@ -70,11 +70,11 @@ class TestChamfer:
         assert abs(a - b) <= 1e-9
 
     def test_empty_set_rejected(self):
-        with pytest.raises(errors.EmptySet):
+        with pytest.raises(errors.EmptyDataset):
             metrics.chamfer_distance(np.zeros((0, 3)), np.ones((2, 3)))
 
     def test_non_3d_rejected(self):
-        with pytest.raises(errors.ShapeMismatch):
+        with pytest.raises(errors.DimensionMismatch):
             metrics.chamfer_distance([[0.0, 1.0]], [[1.0, 0.0]])
 
 
@@ -98,7 +98,7 @@ class TestRmse:
         assert metrics.rmse(pred, truth) == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(errors.ShapeMismatch):
+        with pytest.raises(errors.DimensionMismatch):
             metrics.rmse([1.0], [1.0, 2.0])
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpgs import errors, gp, model_io, sfm_io
-from gpgs.pointcloud import DensifiedCloud
+from gpgs.sfm_io import DensifiedCloud
 from gpgs.sfm_io import SENTINEL_NONE
 
 from oracles import parse_colmap_oracle, read_ply_oracle
@@ -373,7 +373,7 @@ class TestBuildDataset:
         assert len(ds) == 3
 
     def test_unknown_image(self, model):
-        with pytest.raises(errors.UnknownImage):
+        with pytest.raises(errors.DanglingReference):
             sfm_io.build_pixel_dataset(model, 42)
 
     def test_zero_linked_features_gives_empty_dataset(self, model_dir):
