@@ -461,11 +461,11 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         report = metrics.evaluate_holdout(fit, split.test)
         _write_metrics(report, _suffixed(out_dir / "metrics.csv", ds.image_id, multi))
         configs, curves = fit.configs, fit.loss_curves
-        del fit  # free its factors before the conditioning allocates its own
+        del fit  # free its inverse factors before the conditioning allocates its own
         model = gp.condition_gp(ds, configs, cfg.train_config())
         _write_model(model, curves, _suffixed(out_dir / "model.txt", ds.image_id, multi))
         filtered_parts.append(_filtered(cfg, model, frame_candidates, f"frame {ds.image_id}"))
-        del model  # free its factors before the next frame trains
+        del model  # free its inverse factors before the next frame trains
 
     if not filtered_parts:
         raise EmptyDataset("no key frame produced a usable dataset")

@@ -53,7 +53,8 @@ class BadDims(InputDataError):
 
 
 class TruncatedPayload(InputDataError):
-    pass
+    """A payload other than exactly the bytes its header gives: cut short,
+    or followed by more."""
 
 
 # --- data sets --------------------------------------------------------------

@@ -16,12 +16,13 @@ parameters, with its analytic gradient and exact Hessian (Rasmussen &
 Williams, "Gaussian Processes for Machine Learning", 2006, §5.4.1). The
 linear algebra follows their Algorithm 2.1 (Cholesky factorisation),
 except that the predictive variance multiplies by the inverse factor
-L^-1 (dtrtri) instead of solving against L: as accurate for triangular
-factors (Du Croz & Higham, "Stability of methods for matrix inversion",
-1992), and BLAS's triangular product runs faster than its triangular
-solve. Every n x n matrix product
-goes through scipy's BLAS, the library its LAPACK calls use, so that a
-second BLAS thread pool (numpy's) does not contend with it.
+L^-1 (dtrtri), which a model keeps in place of L, instead of solving
+against L: as accurate for triangular factors (Du Croz & Higham,
+"Stability of methods for matrix inversion", 1992), and BLAS's
+triangular product runs faster than its triangular solve. Every n x n
+matrix product goes through scipy's BLAS, the library its LAPACK calls
+use, so that a second BLAS thread pool (numpy's) does not contend with
+it.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ _EIG_FLOOR = 1e-8
 OUTPUT_GROUPS = ((0, 1, 2), (3, 4, 5))
 
 # Queries per posterior block: the (n, chunk) distance and covariance
-# blocks bound the posterior's memory at O(n * chunk), besides the n x n
-# inverse factors. At n = 2000, a one-group model holds its factor, an
-# inverse and one block (about 3 n^2 doubles), as many as a search that
-# takes no derivatives.
+# blocks bound the posterior's memory at O(n * chunk), besides the model's
+# n x n inverse factors. At n = 2000, a one-group model holds its inverse
+# factor and one block (about 2 n^2 doubles).
 _QUERY_CHUNK = 2048
 
 
@@ -224,7 +224,7 @@ def gram_matrix(cfg: KernelConfig, X: np.ndarray, jitter: float = 0.0) -> np.nda
 
     Filled with the arithmetic that training and TrainedGP.fit factor.
     """
-    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)), search=False)
+    ws = _Workspace(np.atleast_2d(np.asarray(X, dtype=float)))
     _fill_gram(cfg.log_params(), cfg.family, cfg.nu, ws, jitter)
     return ws.K
 
@@ -260,23 +260,19 @@ class _Workspace:
     gradient) its inverse. While K holds the factor at theta, theta and
     jitter record it; theta is None otherwise. A factor handed over
     (hand_over) stays with its holder: the next factorisation takes a new
-    buffer for K. A search workspace (search=True) also keeps the pairwise
-    distances D, filled once, and E, the exponential factor of the last
-    Gram fill, which derivatives read; S and dR are allocated by the first
-    derivatives (_fill_derivatives), so a search that never asks for them
-    holds three n x n buffers. Without search, K is the only buffer: each
-    fill computes the distances into K itself (_fill_gram).
+    buffer for K. Until its first derivatives, K is the only buffer: each
+    fill computes the distances into K itself (_fill_gram), so a fit, and
+    a search that never asks for derivatives, holds one n x n buffer. The
+    first derivatives (_fill_derivatives) allocate the other four: the
+    pairwise distances D, computed once, E, the exponential factor of the
+    last Gram fill, and S and dR. Later fills read D and leave E.
     """
 
-    def __init__(self, X: np.ndarray, search: bool = True):
+    def __init__(self, X: np.ndarray):
         n = X.shape[0]
         self.n, self.X = n, X
         self.K = np.empty((n, n), order="F")
-        # cdist(X, X) is exactly symmetric, so its transpose is a
-        # Fortran-ordered view of it
-        self.D = cdist(X, X).T if search else None
-        self.E = np.empty((n, n), order="F") if search else None
-        self.S = self.dR = None
+        self.D = self.E = self.S = self.dR = None
         self.theta = self.jitter = None
         self.held = False
 
@@ -337,11 +333,12 @@ def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     """Fill ws.K with the Gram matrix at theta = (log sf2, log l, log sn2),
     with sn2 + jitter on its diagonal.
 
-    A search workspace fills from its distances D and leaves the
-    exponential factor in its E. Without search, the distances are
-    computed into K itself (cdist(X, X) is exactly symmetric, so its
-    transpose is K) and the correlation is filled in place; Matérn 1.5
-    and 2.5 take one n x n scratch buffer for the fill alone.
+    A workspace that has taken derivatives fills from its distances D
+    and leaves the exponential factor in its E. Before that, the
+    distances are computed into K itself (cdist(X, X) is exactly
+    symmetric, so its transpose is K) and the correlation is filled in
+    place; Matérn 1.5 and 2.5 take one n x n scratch buffer for the fill
+    alone. Both paths give the same bits.
     """
     ell = math.exp(theta[1])
     if ws.D is not None:
@@ -382,15 +379,22 @@ def _fill_derivatives(family, nu, ell, ws: _Workspace) -> None:
     """Fill ws.dR with dR/d(log l), then ws.E with d^2R/d(log l)^2, from the
     E of the last _fill_gram, with the scaled distance recomputed into
     ws.S (the fill's bits), which is then scratch. The first call
-    allocates S and dR.
+    allocates D, E, S and dR, computes the distances into D and E from
+    them at ell (_fill_correlation: the fill's operations, so its bits),
+    with S as the fill's scratch.
 
     With s the scaled distance (t for RBF) and E the exponential factor,
     for RBF and Matérn 0.5, 1.5 and 2.5 dR is t^2 E, s E, s^2 E and
     (s^2/3)(1+s) E, and d^2R is t^2(t^2-2)E, s(s-1)E, s^2(s-2)E and
     (s^2/3)(s^2-2s-2)E: both zero on the diagonal, where D is zero.
     """
-    if ws.S is None:
-        ws.S, ws.dR = (np.empty((ws.n, ws.n), order="F") for _ in range(2))
+    if ws.D is None:
+        ws.E, ws.S, ws.dR = (np.empty((ws.n, ws.n), order="F") for _ in range(3))
+        # cdist(X, X) is exactly symmetric, so its transpose is a
+        # Fortran-ordered view of it
+        ws.D = cdist(ws.X, ws.X).T
+        _fill_correlation(family, nu, ell, ws.D, ws.E,
+                          ws.S if _needs_scratch(family, nu) else ws.E)
     S, E, dR = ws.S, ws.E, ws.dR
     np.multiply(ws.D, _scale(family, nu, ell), out=S)
     if family == RBF:
@@ -587,14 +591,31 @@ def _alphas(factors, Z) -> tuple[np.ndarray, ...]:
     return tuple(_solve_gram(L, Z[:, j]) for j, L in enumerate(factors))
 
 
+def _invert_factors(factors, jitters) -> tuple[np.ndarray, ...]:
+    """L^-1 for each output's factor L, each distinct factor inverted once,
+    in place (dtrtri): its lower triangle, with the upper one still zero.
+    A failed inversion raises NotPositiveDefinite at the output's jitter."""
+    inverses = {}  # id(L) -> L^-1, L's own buffer
+    for L, jitter in zip(factors, jitters):
+        if id(L) not in inverses:
+            Li, info = dtrtri(L, lower=1, overwrite_c=1)
+            if info != 0:
+                raise NotPositiveDefinite("dtrtri failed on the Cholesky factor", jitter)
+            inverses[id(L)] = Li
+    return tuple(inverses[id(L)] for L in factors)
+
+
 @dataclass(frozen=True)
 class TrainedGP:
     """Conditioned GPs, one per output, sharing one set of inputs.
 
     Outputs with equal hyperparameters and jitter (after training, x, y, z
-    and r, g, b) share one Gram matrix and so one Cholesky factor. train_gp
-    hands over the factors training computed at the kept hyperparameters;
-    fit computes them the same way from configs alone. Immutable after
+    and r, g, b) share one Gram matrix and so one Cholesky factor L.
+    train_gp takes over the factors training computed at the kept
+    hyperparameters; fit computes them the same way from configs alone.
+    Both solve the alphas against L (_alphas) and then invert each
+    distinct L in its own buffer (_invert_factors), so the model keeps
+    L^-1, all the posterior's variance reads, and not L. Immutable after
     construction; posterior evaluation is a pure read and may run
     concurrently from many threads.
     """
@@ -603,10 +624,10 @@ class TrainedGP:
     normalizer: OutputNormalizer
     X: np.ndarray                          # (n, d) training inputs
     Z: np.ndarray                          # (n, 6) normalized targets
-    factors: tuple[np.ndarray, ...]        # per-output Cholesky factor of K + sn2 I (+ jitter),
-                                           # Fortran-ordered, in the lower triangle (the
-                                           # upper one is zero); outputs with equal config
-                                           # and jitter hold the same array
+    inverse_factors: tuple[np.ndarray, ...]  # per-output L^-1, L the Cholesky factor of
+                                           # K + sn2 I (+ jitter), Fortran-ordered, in the
+                                           # lower triangle (the upper one is zero); outputs
+                                           # with equal config and jitter hold the same array
     alphas: tuple[np.ndarray, ...]         # per-output (K + sn2 I)^-1 z
     jitters: tuple[float, ...]             # jitter actually used per output
     width: int
@@ -625,8 +646,8 @@ class TrainedGP:
     def groups(self) -> list[list[int]]:
         """The outputs that share one factor, in order of their first output."""
         groups: dict[int, list[int]] = {}
-        for j, L in enumerate(self.factors):
-            groups.setdefault(id(L), []).append(j)
+        for j, Li in enumerate(self.inverse_factors):
+            groups.setdefault(id(Li), []).append(j)
         return list(groups.values())
 
     @classmethod
@@ -649,12 +670,14 @@ class TrainedGP:
         n x n buffer: the distances are computed into it and the
         correlation filled over them (_fill_gram without search; Matérn
         1.5 and 2.5 take one scratch buffer for the fill), and a jitter
-        retry computes them again. The fill is training's, so a refit at
-        the configs and jitters a training kept reproduces its factors,
-        alphas and groups bit for bit. Configs need not repeat: a model
-        file from separate fits of every output loads to six factors.
-        condition_gp conditions new data at a fit's configs through here,
-        from TRAIN_JITTER. The model has no loss curves.
+        retry computes them again. The alphas are solved against the
+        factors, and each factor is then inverted in its own buffer. The
+        fill is training's, so a refit at the configs and jitters a
+        training kept reproduces its inverse factors, alphas and groups bit
+        for bit. Configs need not repeat: a model file from separate fits
+        of every output loads to six factors, each inverted. condition_gp
+        conditions new data at a fit's configs through here, from
+        TRAIN_JITTER. The model has no loss curves.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
@@ -664,13 +687,15 @@ class TrainedGP:
         if len(configs) != Z.shape[1]:
             raise DimensionMismatch(f"{len(configs)} kernel configs for {Z.shape[1]} outputs")
         keys = list(zip(configs, jitter if np.ndim(jitter) else [float(jitter)] * len(configs)))
-        ws, shared = _Workspace(X, search=False), {}  # (config, jitter) -> (factor, jitter used)
+        ws, shared = _Workspace(X), {}  # (config, jitter) -> (factor, jitter used)
         for cfg, j0 in dict.fromkeys(keys):
             _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
             shared[cfg, j0] = (ws.hand_over(), ws.jitter)
         factors = tuple(shared[key][0] for key in keys)
         jitters = tuple(shared[key][1] for key in keys)
-        return cls(configs, normalizer, X, Z, factors, _alphas(factors, Z), jitters, width, height)
+        alphas = _alphas(factors, Z)
+        return cls(configs, normalizer, X, Z, _invert_factors(factors, jitters), alphas, jitters,
+                   width, height)
 
 
 @dataclass(frozen=True)
@@ -685,24 +710,24 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     target units, at query inputs Q (m, d).
 
     mu = k*^T alpha and var = k(q,q) - ||L^-1 k*||^2 per output, evaluated
-    through the cached Cholesky factors (Rasmussen & Williams, Alg. 2.1).
-    The outputs that share a factor (model.groups) share its
-    cross-covariance k* and its variance. Each distinct factor L with an
-    output in var_outputs (None: all) is inverted once per call (dtrtri,
-    into a new array: the model is never written), and each block then
-    costs one fill and one triangular product L^-1 k* (dtrmm); a factor
-    whose variance is not asked costs the fill alone. Variance columns not
-    asked for are NaN. Each mean is one k*^T alpha of its own, so it does
-    not depend on which outputs share its factor. Queries are processed in
-    blocks of _QUERY_CHUNK that share one distance block across the
-    outputs; the last group to read a block's distances fills its
-    cross-covariance over them, and the groups before it fill one
-    covariance block. So memory is O(n * chunk + v * n^2) rather than
-    O(n * m), with v the number of inverted factors, and a one-group
-    model holds one (chunk, n) block (two for Matérn 1.5 and 2.5, whose
-    fill takes a scratch block). Each cross-covariance block is
-    filled by _fill_correlation, the fill of the Gram matrices the factors
-    came from, so k(x_i, q) is bit for bit the Gram entry training would
+    through the model's alphas and inverse factors (Rasmussen & Williams,
+    Alg. 2.1, with L^-1 in place of the solve against L). The outputs that
+    share a factor (model.groups) share its cross-covariance k* and its
+    variance. For each distinct factor with an output in var_outputs
+    (None: all), each block costs one fill and one triangular product
+    L^-1 k* (dtrmm) with the model's L^-1, which is never written; a
+    factor whose variance is not asked costs the fill alone. Variance
+    columns not asked for are NaN. Each mean is one k*^T alpha of its
+    own, so it does not depend on which outputs share its factor. Queries
+    are processed in blocks of _QUERY_CHUNK that share one distance block
+    across the outputs; the last group to read a block's distances fills
+    its cross-covariance over them, and the groups before it fill one
+    covariance block. So memory is O(n * chunk) rather than O(n * m),
+    besides the model, with no n x n array, and a one-group model holds
+    one (chunk, n) block (two for Matérn 1.5 and 2.5, whose fill takes a
+    scratch block). Each cross-covariance block is filled by
+    _fill_correlation, the fill of the Gram matrices the factors came
+    from, so k(x_i, q) is bit for bit the Gram entry training would
     compute for that pair. Results are deterministic for the same inputs,
     chunk size and BLAS threads, but a query's variance bits may depend
     on the width of its block and its place in it: BLAS splits a block's
@@ -733,14 +758,6 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     block = np.empty((n, chunk), order="F") if len(groups) > 1 else None
     scratch = (np.empty((n, chunk), order="F")
                if any(_needs_scratch(c.family, c.nu) for c in model.configs) else None)
-    inverses = {}  # first output of a group -> L^-1, dtrtri's new array
-    for outputs in groups:
-        if var_outputs.intersection(outputs):
-            Li, info = dtrtri(model.factors[outputs[0]], lower=1)
-            if info != 0:
-                raise NotPositiveDefinite("dtrtri failed on the Cholesky factor",
-                                          model.jitters[outputs[0]])
-            inverses[outputs[0]] = Li
     for start in range(0, m, _QUERY_CHUNK):
         rows = slice(start, min(start + _QUERY_CHUNK, m))
         width = rows.stop - start
@@ -756,7 +773,7 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
             asked = [j for j in outputs if j in var_outputs]
             if asked:
                 # V = L^-1 k* and then V * V overwrite the covariance block in place.
-                V = dtrmm(1.0, inverses[outputs[0]], Ks, lower=1, overwrite_b=1)
+                V = dtrmm(1.0, model.inverse_factors[outputs[0]], Ks, lower=1, overwrite_b=1)
                 np.multiply(V, V, out=V)
                 var = np.maximum(cfg.signal_var - V.sum(axis=0), 0.0)
                 var_norm[rows, asked] = var[:, None]
@@ -870,9 +887,9 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
     log-parameters (ws.theta says so: the search took no derivatives at
     its kept last evaluation, or kept the shared first one at a budget of
     1) it goes over as it is, to every group that kept them; otherwise it
-    is factored once more. The other n x n buffers (_Workspace: D and E,
-    and S and dR once a search asks for derivatives) live only for the
-    call.
+    is factored once more. The other n x n buffers (_Workspace: D, E, S
+    and dR, once a search asks for derivatives) live only for the call,
+    so at a budget of 1 K is the only one.
     """
     ws = _Workspace(X)
     objective = partial(
@@ -928,8 +945,9 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
     the start). loss_curves hold one curve per group, every evaluation
     in order; a curve of cfg.iterations entries means the budget, not
     convergence, ended the search. The model keeps the factor each
-    group's search handed over, one per distinct (config, jitter): bit for
-    bit the factors TrainedGP.fit computes there.
+    group's search handed over, one per distinct (config, jitter), solved
+    against for the alphas and then inverted in place: bit for bit the
+    inverse factors TrainedGP.fit computes there.
     """
     X, Z, normalizer = _training_data(ds, cfg)
     k = Z.shape[1]
@@ -940,16 +958,18 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
         for j in outputs:
             configs[j], factors[j], jitters[j] = fitted, L, jitter
         curves.append(curve)
+    alphas = _alphas(factors, Z)
     return TrainedGP(
-        tuple(configs), normalizer, X, Z, tuple(factors), _alphas(factors, Z), tuple(jitters),
-        ds.width, ds.height, tuple(curves),
+        tuple(configs), normalizer, X, Z, _invert_factors(factors, jitters), alphas,
+        tuple(jitters), ds.width, ds.height, tuple(curves),
     )
 
 
 def condition_gp(ds: PixelToPointDataset, configs, cfg: TrainConfig) -> TrainedGP:
     """The GPs at fixed configs (one per output), conditioned on the data
     train_gp would fit on: the same subsample and normalisation
-    (_training_data), factored from TRAIN_JITTER (TrainedGP.fit). No
-    hyperparameter is searched, and the model has no loss curves."""
+    (_training_data), factored from TRAIN_JITTER and inverted
+    (TrainedGP.fit). No hyperparameter is searched, and the model has no
+    loss curves."""
     X, Z, normalizer = _training_data(ds, cfg)
     return TrainedGP.fit(X, Z, configs, normalizer, ds.width, ds.height, jitter=TRAIN_JITTER)

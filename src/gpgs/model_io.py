@@ -4,10 +4,11 @@ The format is versioned ("gpgs-model v1") and stores the per-output
 hyperparameters, the normalizer, and the embedded training data at 17
 significant digits, which round-trips float64 exactly. A trained model's
 x, y, z blocks and its r, g, b blocks each hold one set, written thrice.
-Reloading fills and factors one Gram matrix per distinct (hyperparameters,
-jitter) with the arithmetic training used (TrainedGP.fit), so the
-factors, and with them posterior outputs, are bit-identical to the model
-that was saved. A file whose six outputs all differ loads to six factors.
+Reloading fills, factors and inverts one Gram matrix per distinct
+(hyperparameters, jitter) with the arithmetic training used
+(TrainedGP.fit), so the inverse factors, and with them posterior outputs,
+are bit-identical to the model that was saved. A file whose six outputs
+all differ loads to six inverse factors.
 A file with a width or height outside 1..sfm_io.MAX_IMAGE_SIDE, an
 input_dim other than 2 (u, v) or 3 (u, v, depth), no training points or
 more than its remaining lines can hold, other than six outputs, a

@@ -593,7 +593,9 @@ def read_depth_pfm(path) -> DepthMap:
 
     PFM stores rows bottom-to-top; the returned grid is top-to-bottom.
     The sign of the scale line selects endianness; its magnitude is not
-    applied. Non-finite payload values become the invalid marker.
+    applied, but it must be finite and non-zero. One whitespace byte ends
+    the header, and the 4 * width * height payload bytes must end the
+    file. Non-finite payload values become the invalid marker.
     """
     path = Path(path)
     try:
@@ -625,11 +627,13 @@ def read_depth_pfm(path) -> DepthMap:
         scale = float(scale_tok)
     except ValueError as exc:
         raise BadDims(f"{path}: bad scale token {scale_tok!r}") from exc
+    if not (math.isfinite(scale) and scale != 0.0):
+        raise BadDims(f"{path}: scale {scale_tok!r} is not finite and non-zero")
     off += 1  # single whitespace byte terminates the header
-    payload = raw[off : off + 4 * width * height]
-    if len(payload) < 4 * width * height:
+    payload, need = raw[off:], 4 * width * height
+    if len(payload) != need:
         raise TruncatedPayload(
-            f"{path}: payload holds {len(payload)} bytes, need {4 * width * height}"
+            f"{path}: payload holds {len(payload)} bytes after the header, need exactly {need}"
         )
     endian = "<" if scale < 0 else ">"
     grid = np.frombuffer(payload, dtype=endian + "f4").reshape(height, width)

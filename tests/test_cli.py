@@ -123,6 +123,23 @@ class TestBuildDataset:
         ds = sfm_io.read_dataset_csv(out)
         assert ds.has_depth
 
+    @pytest.mark.parametrize("old,new", [
+        (b"-1.0\n", b"-1.0\r\n"),  # a two-byte end of header
+        (b"-1.0\n", b"0\n"),  # a zero scale
+        (None, b"\0"),  # a trailing byte
+    ], ids=["two-byte-header-end", "zero-scale", "trailing-byte"])
+    def test_malformed_depth_map_exits_2(self, fixture_dir, tmp_path, capsys, old, new):
+        pfm = tmp_path / "frame1.pfm"
+        write_flat_pfm(pfm)
+        data = pfm.read_bytes()
+        pfm.write_bytes(data + new if old is None else data.replace(old, new, 1))
+        code = run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(tmp_path / "ds.csv"), "--depth-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "frame1.pfm" in capsys.readouterr().err
+
     @pytest.mark.parametrize("depth", ["-3", "0"])
     def test_non_positive_depth_in_dataset_exits_2(self, fixture_dir, tmp_path, capsys, depth):
         write_flat_pfm(tmp_path / "frame1.pfm")

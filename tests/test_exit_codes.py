@@ -6,8 +6,11 @@ must exit 0, 2 (bad input data) or 3 (numerical failure), and no
 exception may escape main. Each file of a COLMAP text model goes the
 same way through `gpgs build-dataset`, which must exit 0 or 2, and so
 does a PFM depth map whose header tokens and separators or payload bytes
-are mutated. The search is derandomized and keeps no example database,
-so every run tries the same cases.
+are mutated, or which has bytes cut from or added to its end; it exits 0
+only when one byte ends its header and exactly the payload follows. The
+COLMAP files also go through `gpgs pipeline`, which must exit 0 or 2.
+The search is derandomized and keeps no example database, so every run
+tries the same cases.
 """
 
 import re
@@ -116,6 +119,34 @@ def test_build_dataset_on_a_mutated_colmap_file(valid, name, edits):
     assert code in (0, 2)
 
 
+@pytest.fixture(scope="module")
+def pipeline_scene(tmp_path_factory):
+    """A COLMAP model of one 20x10 image with 40 linked features, on which
+    pipeline runs, and a directory for the mutated files and outputs."""
+    root = tmp_path_factory.mktemp("pipeline")
+    model_dir, _, _ = surface_colmap_model(root / "colmap", 500, 40, 0, width=20, height=10)
+    work = root / "work"
+    work.mkdir()
+    assert cli.main(["pipeline", "--model-dir", str(model_dir), "--output", str(work / "run"),
+                     "--iterations", "3"]) == 0
+    return model_dir, work
+
+
+@FUZZ
+@given(edits=EDITS)
+@pytest.mark.parametrize("name", ["cameras.txt", "images.txt", "points3D.txt"])
+def test_pipeline_on_a_mutated_colmap_file(pipeline_scene, name, edits):
+    model_dir, work = pipeline_scene
+    mutated = work / "colmap"
+    shutil.copytree(model_dir, mutated, dirs_exist_ok=True)
+    (mutated / name).write_text(mutate((model_dir / name).read_text(), edits, " "))
+    code = cli.main([
+        "pipeline", "--model-dir", str(mutated), "--output", str(work / "run"),
+        "--iterations", "3",
+    ])
+    assert code in (0, 2)
+
+
 # A 20x10 depth map: header tokens magic, width, height and scale, each
 # followed by one separator, then 800 bytes of little-endian floats.
 PFM_TOKENS = ("Pf", "20", "10", "-1")
@@ -155,13 +186,23 @@ def depth_scene(tmp_path_factory):
     flips=st.lists(st.tuples(st.integers(0, len(PFM_PAYLOAD) - 1), st.integers(1, 255)),
                    max_size=3),
     keep=st.one_of(st.none(), st.integers(0, len(PFM_PAYLOAD) - 1)),
+    extra=st.binary(max_size=2),
 )
-def test_build_dataset_on_a_mutated_depth_map(depth_scene, edits, separators, flips, keep):
+# a header that ends in two bytes, and a byte after the payload, were once
+# read one byte off and accepted
+@example(edits=[], separators=["\n", "\n", "\n", "\r\n"], flips=[], keep=None, extra=b"")
+@example(edits=[], separators=["\n", " ", "\n", "\n"], flips=[], keep=None, extra=b"\0")
+def test_build_dataset_on_a_mutated_depth_map(depth_scene, edits, separators, flips, keep,
+                                              extra):
     argv, pfm = depth_scene
     text = "".join(token + sep for token, sep in zip(PFM_TOKENS, separators))
     header = mutate(text, edits, separators[0])
     payload = bytearray(PFM_PAYLOAD)
     for index, mask in flips:
         payload[index] ^= mask
-    pfm.write_bytes(header.encode() + bytes(payload[:keep]))
-    assert cli.main(argv) in (0, 2)
+    pfm.write_bytes(header.encode() + bytes(payload[:keep]) + extra)
+    code = cli.main(argv)
+    assert code in (0, 2)
+    if code == 0:  # only a header ended by one byte, then exactly the whole payload
+        assert header[-1:].isspace() and not header[-2:-1].isspace()
+        assert keep is None and extra == b""

@@ -3,7 +3,6 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -348,11 +347,12 @@ class TestHessian:
         )
         assert calls == []
         assert loss == gp.nll(cfg, X, Y, 1e-3, gp.TRAIN_JITTER)
-        # the factor stays in K, recorded at its theta: the factor a fit computes
+        # the factor stays in K, recorded at its theta: the factor a fit
+        # computes, and inverts into the model's L^-1
         fit = gp.TrainedGP.fit(X, Y, [cfg] * 3, gp.OutputNormalizer.identity(3), 1, 1,
                                jitter=gp.TRAIN_JITTER)
         assert np.array_equal(ws.theta, cfg.log_params())
-        assert np.array_equal(ws.K, fit.factors[0])
+        assert np.array_equal(dtrtri(ws.K, lower=1)[0], fit.inverse_factors[0])
 
 
 class TestDerivativesOnDemand:
@@ -436,7 +436,7 @@ class TestJitterEscalation:
         assert 0.0 < jitter <= gp.MAX_JITTER  # the fit from 0.0 retried
         L, info = dpotrf(gp.gram_matrix(cfg, X, jitter), lower=1, clean=1)
         assert info == 0
-        assert np.array_equal(model.factors[0], L)
+        assert np.array_equal(model.inverse_factors[0], dtrtri(L, lower=1)[0])
 
     def test_hopeless_matrix_raises(self):
         cfg = gp.KernelConfig("matern", 0.5, 700.0, 0.0, NEAR_ZERO_NOISE)
@@ -539,7 +539,7 @@ class TestTrainGp:
         full = gp.train_gp(ds, kernel, cfg)
         assert fast.configs == full.configs
         assert fast.jitters == full.jitters
-        for name in ("loss_curves", "factors", "alphas"):
+        for name in ("loss_curves", "inverse_factors", "alphas"):
             for a, b in zip(getattr(fast, name), getattr(full, name), strict=True):
                 assert np.array_equal(a, b), name
 
@@ -694,7 +694,7 @@ class TestFactorHandover:
         refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
                                  model.width, model.height, jitter=model.jitters)
         assert refit.jitters == model.jitters
-        for a, b in zip(model.factors, refit.factors):
+        for a, b in zip(model.inverse_factors, refit.inverse_factors):
             assert np.array_equal(np.tril(a), np.tril(b))
         for a, b in zip(model.alphas, refit.alphas):
             assert np.array_equal(a, b)
@@ -714,7 +714,7 @@ class TestFactorHandover:
                                  model.width, model.height, jitter=model.jitters)
         for m in (model, refit):
             assert m.groups == [[0, 1, 2, 3, 4, 5]]
-            assert m.factors[0] is m.factors[3]
+            assert m.inverse_factors[0] is m.inverse_factors[3]
 
     def test_budget_of_one_factors_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "dpotrf")
@@ -766,7 +766,7 @@ class TestFactorHandover:
         assert len(calls) == sum(map(len, model.loss_curves)) - shared
         refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
                                  model.width, model.height, jitter=model.jitters)
-        for name in ("factors", "alphas"):
+        for name in ("inverse_factors", "alphas"):
             for a, b in zip(getattr(model, name), getattr(refit, name), strict=True):
                 assert np.array_equal(a, b), name
 
@@ -807,7 +807,7 @@ class TestSharedFirstEvaluation:
             assert all(len(curve) < budget for curve in alone.loss_curves)
         assert shared.configs == alone.configs
         assert shared.jitters == alone.jitters
-        for name in ("loss_curves", "factors", "alphas"):
+        for name in ("loss_curves", "inverse_factors", "alphas"):
             for a, b in zip(getattr(shared, name), getattr(alone, name), strict=True):
                 assert np.array_equal(a, b), name
 
@@ -910,7 +910,7 @@ class TestConditionGP:
         assert np.array_equal(conditioned.normalizer.std, fit.normalizer.std)
         for name in ("X", "Z"):
             assert np.array_equal(getattr(conditioned, name), getattr(fit, name)), name
-        for name in ("factors", "alphas"):
+        for name in ("inverse_factors", "alphas"):
             for a, b in zip(getattr(conditioned, name), getattr(fit, name), strict=True):
                 assert np.array_equal(a, b), name
 
@@ -1259,8 +1259,8 @@ class TestPosteriorChunks:
 
 
 class TestInverseFactor:
-    """The variance multiplies each chunk by L^-1, inverted once per call
-    into a new array."""
+    """The variance multiplies each chunk by the model's L^-1, each distinct
+    factor inverted once, when the model is built."""
 
     @pytest.mark.parametrize("family,nu", [("matern", 0.5), ("rbf", None)])
     @pytest.mark.parametrize("lengthscale", [2.0, 20.0])
@@ -1277,28 +1277,38 @@ class TestInverseFactor:
         post = gp.posterior(model, Q)
         assert np.max(np.abs(post.var_norm - np.maximum(variances, 0))) <= 1e-8
 
-    @pytest.mark.parametrize("var_outputs,inversions", [(None, 6), ((3, 4, 5), 3), ((), 0)])
-    def test_one_inversion_per_variance_group_per_call(self, monkeypatch, var_outputs,
-                                                       inversions):
-        model = six_output_model()
+    @pytest.mark.parametrize("var_outputs,groups", [(None, 6), ((3, 4, 5), 3), ((), 0)])
+    def test_one_inversion_per_variance_group_per_call(self, monkeypatch, var_outputs, groups):
+        # the model inverts each of its six distinct factors once; a call
+        # inverts none, and multiplies each chunk by the L^-1 of each group
+        # whose variance it asks
         calls = count_calls(monkeypatch, "dtrtri")
+        model = six_output_model()
+        assert len(calls) == 6
+        calls.clear()
+        products = count_calls(monkeypatch, "dtrmm")
         monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
         gp.posterior(model, np.random.default_rng(2).random((3 * 7 + 2, 2)), var_outputs)
-        assert len(calls) == inversions
+        assert calls == []
+        assert len(products) == 4 * groups
 
     def test_model_factors_are_not_written(self):
         model = six_output_model()
-        before = [L.copy() for L in model.factors]
+        before = [L.copy() for L in model.inverse_factors]
         gp.posterior(model, np.random.default_rng(2).random((9, 2)))
-        assert all(np.array_equal(L, was) for L, was in zip(model.factors, before))
+        assert all(np.array_equal(L, was) for L, was in zip(model.inverse_factors, before))
 
     def test_singular_factor_raises(self):
-        model = six_output_model()
-        L = model.factors[0].copy(order="F")
+        # a factor with a zero on its diagonal has no inverse: the model
+        # construction that inverts it (_invert_factors) raises
+        cfg = gp.KernelConfig("matern", 0.5, 0.0, math.log(0.3), -6.0)
+        L, info = dpotrf(gp.gram_matrix(cfg, np.random.default_rng(5).random((30, 2))),
+                         lower=1, clean=1)
+        assert info == 0
         L[3, 3] = 0.0
-        singular = replace(model, factors=(L,) + model.factors[1:])
-        with pytest.raises(errors.NotPositiveDefinite):
-            gp.posterior(singular, np.zeros((2, 2)), var_outputs=(0,))
+        with pytest.raises(errors.NotPositiveDefinite, match="dtrtri failed") as exc_info:
+            gp._invert_factors((L, L), (0.0, 0.0))
+        assert exc_info.value.jitter == 0.0
 
 
 def traced_peak(call) -> int:
@@ -1316,7 +1326,7 @@ def traced_peak(call) -> int:
 
 def posterior_blocks(monkeypatch, configs) -> float:
     """traced_peak of a posterior over a model at configs, besides its
-    outputs and inverse factors, in (n, chunk) blocks."""
+    outputs, in (n, chunk) blocks: it allocates no n x n array."""
     n, chunk = 200, 50
     rng = np.random.default_rng(4)
     model = gp.TrainedGP.fit(rng.random((n, 2)), rng.standard_normal((n, 6)), configs,
@@ -1326,8 +1336,7 @@ def posterior_blocks(monkeypatch, configs) -> float:
     peak = traced_peak(lambda: gp.posterior(model, Q))
     block = n * chunk * 8
     outputs = 2 * Q.shape[0] * 6 * 8  # mean, var_norm
-    inverses = len(model.groups) * n * n * 8  # one inverse factor per variance group
-    return (peak - outputs - inverses) / block
+    return (peak - outputs) / block
 
 
 def test_posterior_keeps_one_distance_and_one_kernel_block(monkeypatch):
@@ -1359,11 +1368,50 @@ class TestFitMemory:
         assert peak < 1.2 * self.matrix + 200 * 8 * n
 
     def test_budget_one_search_allocates_no_derivative_buffers(self):
+        # K alone: the distances are computed into it, as in a fit
         n = self.n
         ds = make_scene("smooth", n, seed=3)
         cfg = gp.TrainConfig(iterations=1)
         peak = traced_peak(lambda: gp.train_gp(ds, gp.default_kernel(), cfg))
-        assert peak < 3.2 * self.matrix
+        assert peak < 1.2 * self.matrix
+
+    def test_search_allocates_its_buffers_at_its_first_derivatives(self, monkeypatch):
+        ds = make_scene("smooth", self.n, seed=3)
+        kernel, cfg = gp.default_kernel(), gp.TrainConfig(iterations=2)
+        fill_derivatives, before = gp._fill_derivatives, []
+
+        def spy(*args):
+            before.append(tracemalloc.get_traced_memory()[0])
+            fill_derivatives(*args)
+
+        monkeypatch.setattr(gp, "_fill_derivatives", spy)
+        model = None
+
+        def train():
+            nonlocal model
+            model = gp.train_gp(ds, kernel, cfg)
+
+        peak = traced_peak(train)
+        # a search holds K alone until its first derivatives, then D, E, S,
+        # dR and K; rgb's search takes a new K once xyz holds its factor.
+        # The groups share the first evaluation's derivatives: one call per
+        # training, and the warm-up training's is not traced
+        _, traced = before
+        assert traced < 1.2 * self.matrix
+        assert 5.8 * self.matrix < peak < 6.2 * self.matrix
+        # the groups' trials were accepted, so each kept loss is one filled
+        # from D, bit for bit the loss filled from the distances in K
+        for outputs, curve in zip(gp.OUTPUT_GROUPS, model.loss_curves):
+            assert len(curve) == 2 and curve[1] < curve[0]
+            trained = model.configs[outputs[0]]
+            assert curve[1] == gp.nll(trained, model.X, model.Z[:, outputs], cfg.l2_weight,
+                                      gp.TRAIN_JITTER)
+        refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
+                                 model.width, model.height, jitter=model.jitters)
+        assert refit.configs == model.configs and refit.jitters == model.jitters
+        for name in ("inverse_factors", "alphas"):
+            for a, b in zip(getattr(model, name), getattr(refit, name), strict=True):
+                assert np.array_equal(a, b), name
 
 
 class TestSharedFactor:
@@ -1376,23 +1424,24 @@ class TestSharedFactor:
                            gp.TrainConfig(iterations=iterations))
 
     def test_colour_group_solves_once_per_chunk(self, monkeypatch):
+        products, inversions = count_calls(monkeypatch, "dtrmm"), count_calls(monkeypatch, "dtrtri")
         model = self.trained()
         assert model.configs[0] == model.configs[1] == model.configs[2]
         assert model.configs[3] == model.configs[4] == model.configs[5]
         assert model.groups == [[0, 1, 2], [3, 4, 5]]
-        products, inversions = count_calls(monkeypatch, "dtrmm"), count_calls(monkeypatch, "dtrtri")
+        assert len(inversions) == 2  # one per group, when the model is built
+        inversions.clear()
         monkeypatch.setattr(gp, "_QUERY_CHUNK", 7)
         Q = np.random.default_rng(2).random((3 * 7 + 2, 2))
         post = gp.posterior(model, Q, var_outputs=(3, 4, 5))
         assert len(products) == 4  # one per chunk
-        assert len(inversions) == 1  # one per call
+        assert len(inversions) == 0  # none per call
         var = post.var_norm[:, 3:6]
         assert np.array_equal(var[:, 0], var[:, 1]) and np.array_equal(var[:, 0], var[:, 2])
-        # every variance: one product per group and chunk, one inversion per group
+        # every variance: one product per group and chunk, and no inversion
         products.clear()
-        inversions.clear()
         var = gp.posterior(model, Q).var_norm
-        assert len(products) == 2 * 4 and len(inversions) == 2
+        assert len(products) == 2 * 4 and len(inversions) == 0
         for outputs in model.groups:
             assert all(np.array_equal(var[:, outputs[0]], var[:, j]) for j in outputs)
 
@@ -1427,11 +1476,13 @@ class TestKernelBlock:
     @pytest.mark.parametrize("family,nu", KERNELS)
     def test_posterior_bit_equal_to_gram_matrix(self, family, nu):
         model, rng = self.model(family, nu)
-        cfg, L, alpha = model.configs[0], model.factors[0], model.alphas[0]
+        cfg, alpha = model.configs[0], model.alphas[0]
         n = model.X.shape[0]
         Q = rng.random((25, 2))
         post = gp.posterior(model, Q)
         Ks = gp.gram_matrix(cfg, np.vstack([model.X, Q]))[:n, n:]
+        L, info = dpotrf(gp.gram_matrix(cfg, model.X), lower=1, clean=1)
+        assert info == 0
         V = dtrmm(1.0, dtrtri(L, lower=1)[0], Ks, lower=1)
         assert np.array_equal(post.mean[:, 0], Ks.T @ alpha)
         assert np.array_equal(
@@ -1441,9 +1492,10 @@ class TestKernelBlock:
     @pytest.mark.parametrize("family,nu", KERNELS)
     def test_fit_factors_gram_matrix(self, family, nu):
         model, _ = self.model(family, nu)
-        want, info = dpotrf(gp.gram_matrix(model.configs[0], model.X), lower=1)
+        L, info = dpotrf(gp.gram_matrix(model.configs[0], model.X), lower=1, clean=1)
         assert info == 0 and model.jitters[0] == 0.0
-        assert np.array_equal(np.tril(model.factors[0]), np.tril(want))
+        # the model keeps L^-1, its upper triangle zero
+        assert np.array_equal(model.inverse_factors[0], dtrtri(L, lower=1)[0])
 
 
 class TestNormalizerEquivariance:

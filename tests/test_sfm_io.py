@@ -501,6 +501,30 @@ class TestPfm:
         with pytest.raises(errors.TruncatedPayload):
             sfm_io.read_depth_pfm(path)
 
+    @pytest.mark.parametrize("data,held", [
+        # the header's last separator is two bytes: one of them starts the payload
+        (_pfm_bytes(2, 1, -1.0, [1.5, 2.5]).replace(b"-1.0\n", b"-1.0\r\n"), 9),
+        (_pfm_bytes(2, 1, -1.0, [1.5, 2.5]) + b"\0", 9),  # a trailing byte
+        (_pfm_bytes(2, 1, -1.0, [1.5, 2.5])[:-1], 7),
+        (_pfm_bytes(2, 1, -1.0, [1.5, 2.5])[:-8], 0),
+        (b"Pf\n2 1\n-1.0", 0),  # no byte ends the header
+    ], ids=["two-byte-header-end", "trailing-byte", "one-byte-short", "no-payload",
+            "no-header-end"])
+    def test_payload_must_be_exactly_the_rest_of_the_file(self, tmp_path, data, held):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(data)
+        with pytest.raises(errors.TruncatedPayload,
+                           match=f"holds {held} bytes after the header, need exactly 8"):
+            sfm_io.read_depth_pfm(path)
+
+    @pytest.mark.parametrize("scale", ["0", "-0.0", "nan", "inf", "-inf"])
+    def test_scale_must_be_finite_and_non_zero(self, tmp_path, scale):
+        # a zero or NaN scale would select big-endian without saying so
+        path = tmp_path / "d.pfm"
+        path.write_bytes(f"Pf\n2 1\n{scale}\n".encode() + struct.pack("<2f", 1.5, 2.5))
+        with pytest.raises(errors.BadDims, match="not finite and non-zero"):
+            sfm_io.read_depth_pfm(path)
+
     def test_non_finite_becomes_invalid_marker(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(_pfm_bytes(2, 1, -1.0, [float("nan"), 2.0]))
