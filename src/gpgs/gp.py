@@ -90,8 +90,9 @@ OUTPUT_GROUPS = ((0, 1, 2), (3, 4, 5))
 # Queries per posterior block: the (n, chunk) distance and covariance
 # blocks bound the posterior's memory at O(n * chunk), besides the model's
 # n x n inverse factors. At n = 2000, a one-group model holds its inverse
-# factor and one block (about 2 n^2 doubles).
-_QUERY_CHUNK = 2048
+# factor (32 MB) and one 4.1 MB block. Narrower blocks run slower: at 128,
+# n = 2000, the posterior over 11,683 queries took 0.89 s against 0.63 s.
+_QUERY_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +264,18 @@ class _Workspace:
     buffer for K. Until its first derivatives, K is the only buffer: each
     fill computes the distances into K itself (_fill_gram), so a fit, and
     a search that never asks for derivatives, holds one n x n buffer. The
-    first derivatives (_fill_derivatives) allocate the other four: the
-    pairwise distances D, computed once, E, the exponential factor of the
-    last Gram fill, and S and dR. Later fills read D and leave E.
+    first derivatives (_fill_derivatives) allocate the other three: the
+    pairwise distances D, computed once, and S and dR, which each
+    derivatives call fills from D and which are scratch between calls. A
+    search after them holds four. Later fills read D, with S as the
+    scratch of Matérn 1.5 and 2.5.
     """
 
     def __init__(self, X: np.ndarray):
         n = X.shape[0]
         self.n, self.X = n, X
         self.K = np.empty((n, n), order="F")
-        self.D = self.E = self.S = self.dR = None
+        self.D = self.S = self.dR = None
         self.theta = self.jitter = None
         self.held = False
 
@@ -290,51 +293,60 @@ def _scale(family, nu, ell) -> float:
     return (1.0 if family == RBF else _SCALED_FACTOR[nu]) / ell
 
 
-def _fill_correlation(family, nu, ell, D, E, K) -> None:
-    """Fill K with R at the distances D, leaving in E the exponential
-    factor that _fill_derivatives reads.
-
-    Works on the scaled distance s = c * D / l (t = D / l for RBF), where
-    c folds the sqrt(2 nu) factor of the half-integer Matérn closed forms.
-    All three arrays have one shape, and D is read only first, so it may
-    share a buffer with E or K. For RBF and Matérn 0.5, R is E, and E and
-    K may be one buffer; Matérn 1.5 and 2.5 keep s in E while K takes
-    the polynomial, so they need E apart from K. Training, TrainedGP.fit,
-    kernel_value and the posterior's cross-covariance all fill through
-    here, so their kernel values agree bit for bit.
-    """
+def _fill_exponential(family, nu, ell, D, E) -> None:
+    """Fill E with the kernel's exponential factor at the distances D:
+    exp(-t^2/2) for RBF, exp(-s) for Matérn, with _fill_correlation's
+    operations, so its bits. D may be E."""
     if family == RBF:
         np.multiply(D, _scale(family, nu, ell), out=E)
         np.multiply(E, E, out=E)
         np.multiply(E, -0.5, out=E)
-        np.exp(E, out=E)  # E = exp(-t^2/2) = R
     elif nu == 0.5:
         # D * (-c/l) is -(D * c/l) bit for bit: IEEE rounding is symmetric in sign
         np.multiply(D, -_scale(family, nu, ell), out=E)
-        np.exp(E, out=E)  # E = exp(-s) = R
     else:
-        np.multiply(D, _scale(family, nu, ell), out=E)  # E = s
-        if nu == 1.5:
-            np.add(E, 1.0, out=K)  # 1 + s
-        else:  # nu == 2.5
-            np.multiply(E, E, out=K)
-            np.multiply(K, 1.0 / 3.0, out=K)
-            np.add(K, E, out=K)
-            np.add(K, 1.0, out=K)  # 1 + s + s^2/3
+        np.multiply(D, _scale(family, nu, ell), out=E)
         np.negative(E, out=E)
-        np.exp(E, out=E)  # E = exp(-s)
-        np.multiply(K, E, out=K)  # R = poly(s) exp(-s)
+    np.exp(E, out=E)
+
+
+def _fill_correlation(family, nu, ell, D, E, K) -> None:
+    """Fill K with R at the distances D, with E as scratch.
+
+    Works on the scaled distance s = c * D / l (t = D / l for RBF), where
+    c folds the sqrt(2 nu) factor of the half-integer Matérn closed forms.
+    All three arrays have one shape, and D is read only first, so it may
+    share a buffer with E or K. For RBF and Matérn 0.5, R is the
+    exponential factor (_fill_exponential), and E and K may be one
+    buffer; Matérn 1.5 and 2.5 keep s in E while K takes the polynomial,
+    so they need E apart from K. Training, TrainedGP.fit, kernel_value
+    and the posterior's cross-covariance all fill through here, so their
+    kernel values agree bit for bit.
+    """
+    if not _needs_scratch(family, nu):
+        _fill_exponential(family, nu, ell, D, E)  # E = R
+        if K is not E:
+            np.copyto(K, E)
         return
-    if K is not E:
-        np.copyto(K, E)
+    np.multiply(D, _scale(family, nu, ell), out=E)  # E = s
+    if nu == 1.5:
+        np.add(E, 1.0, out=K)  # 1 + s
+    else:  # nu == 2.5
+        np.multiply(E, E, out=K)
+        np.multiply(K, 1.0 / 3.0, out=K)
+        np.add(K, E, out=K)
+        np.add(K, 1.0, out=K)  # 1 + s + s^2/3
+    np.negative(E, out=E)
+    np.exp(E, out=E)  # E = exp(-s), _fill_exponential's bits
+    np.multiply(K, E, out=K)  # R = poly(s) exp(-s)
 
 
 def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     """Fill ws.K with the Gram matrix at theta = (log sf2, log l, log sn2),
     with sn2 + jitter on its diagonal.
 
-    A workspace that has taken derivatives fills from its distances D
-    and leaves the exponential factor in its E. Before that, the
+    A workspace that has taken derivatives fills from its distances D,
+    with S as the scratch of Matérn 1.5 and 2.5. Before that, the
     distances are computed into K itself (cdist(X, X) is exactly
     symmetric, so its transpose is K) and the correlation is filled in
     place; Matérn 1.5 and 2.5 take one n x n scratch buffer for the fill
@@ -342,7 +354,8 @@ def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
     """
     ell = math.exp(theta[1])
     if ws.D is not None:
-        _fill_correlation(family, nu, ell, ws.D, ws.E, ws.K)
+        _fill_correlation(family, nu, ell, ws.D,
+                          ws.S if _needs_scratch(family, nu) else ws.K, ws.K)
     else:
         cdist(ws.X, ws.X, out=ws.K.T)
         E = np.empty((ws.n, ws.n), order="F") if _needs_scratch(family, nu) else ws.K
@@ -375,58 +388,62 @@ def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
     ws.theta, ws.jitter = np.array(theta), jitter
 
 
-def _fill_derivatives(family, nu, ell, ws: _Workspace) -> None:
-    """Fill ws.dR with dR/d(log l), then ws.E with d^2R/d(log l)^2, from the
-    E of the last _fill_gram, with the scaled distance recomputed into
-    ws.S (the fill's bits), which is then scratch. The first call
-    allocates D, E, S and dR, computes the distances into D and E from
-    them at ell (_fill_correlation: the fill's operations, so its bits),
-    with S as the fill's scratch.
+def _fill_derivatives(family, nu, ell, ws: _Workspace, read_d2r) -> None:
+    """Fill ws.S with d^2R/d(log l)^2 and call read_d2r(ws.S), then fill
+    ws.dR with dR/d(log l); S is free afterwards. Each call recomputes the
+    exponential factor from D at ell (_fill_exponential: the Gram fill's
+    operations, so its bits), and the first allocates D, S and dR and
+    computes the distances into D.
 
     With s the scaled distance (t for RBF) and E the exponential factor,
     for RBF and Matérn 0.5, 1.5 and 2.5 dR is t^2 E, s E, s^2 E and
     (s^2/3)(1+s) E, and d^2R is t^2(t^2-2)E, s(s-1)E, s^2(s-2)E and
-    (s^2/3)(s^2-2s-2)E: both zero on the diagonal, where D is zero.
+    (s^2/3)(s^2-2s-2)E: both zero on the diagonal, where D is zero. For
+    RBF and Matérn 0.5, dR is a factor of d^2R, so one exponential serves
+    both. Matérn 1.5 and 2.5 multiply d^2R as (E s) s and dR as s^2 E;
+    building both from one E in two buffers would reassociate a product
+    and move its bits, so each takes an exponential of its own: d^2R with
+    dR as scratch, then dR with S.
     """
     if ws.D is None:
-        ws.E, ws.S, ws.dR = (np.empty((ws.n, ws.n), order="F") for _ in range(3))
+        ws.S, ws.dR = (np.empty((ws.n, ws.n), order="F") for _ in range(2))
         # cdist(X, X) is exactly symmetric, so its transpose is a
         # Fortran-ordered view of it
         ws.D = cdist(ws.X, ws.X).T
-        _fill_correlation(family, nu, ell, ws.D, ws.E,
-                          ws.S if _needs_scratch(family, nu) else ws.E)
-    S, E, dR = ws.S, ws.E, ws.dR
-    np.multiply(ws.D, _scale(family, nu, ell), out=S)
-    if family == RBF:
-        np.multiply(S, S, out=dR)
-        np.multiply(dR, E, out=dR)
-        np.multiply(S, S, out=S)
-        np.multiply(E, S, out=E)
-        np.subtract(S, 2.0, out=S)  # t^2 - 2
-    elif nu == 0.5:
-        np.multiply(S, E, out=dR)
-        np.multiply(E, S, out=E)
-        np.subtract(S, 1.0, out=S)  # s - 1
-    elif nu == 1.5:
-        np.multiply(S, S, out=dR)
-        np.multiply(dR, E, out=dR)
-        np.multiply(E, S, out=E)
-        np.multiply(E, S, out=E)
-        np.subtract(S, 2.0, out=S)  # s - 2
-    else:  # nu == 2.5
-        np.multiply(S, S, out=dR)
-        np.multiply(dR, 1.0 / 3.0, out=dR)
-        np.add(S, 1.0, out=S)
+    D, S, dR, c = ws.D, ws.S, ws.dR, _scale(family, nu, ell)
+    _fill_exponential(family, nu, ell, D, dR)  # dR = E
+    np.multiply(D, c, out=S)
+    if not _needs_scratch(family, nu):
+        # with u = t^2 (RBF) or s (Matérn 0.5): dR = E u, d^2R = dR (u - k)
+        if family == RBF:
+            np.multiply(S, S, out=S)
         np.multiply(dR, S, out=dR)
-        np.multiply(dR, E, out=dR)
+        np.subtract(S, 2.0 if family == RBF else 1.0, out=S)
+        np.multiply(dR, S, out=S)
+        read_d2r(S)
+        return
+    if nu == 2.5:
+        np.add(S, 1.0, out=S)
         np.subtract(S, 1.0, out=S)  # (1 + s) - 1, not always s's bits
-        np.multiply(E, S, out=E)
-        np.multiply(E, S, out=E)
-        np.multiply(E, 1.0 / 3.0, out=E)
+    np.multiply(dR, S, out=dR)
+    np.multiply(dR, S, out=dR)
+    if nu == 1.5:
+        np.subtract(S, 2.0, out=S)  # s - 2
+    else:
+        np.multiply(dR, 1.0 / 3.0, out=dR)
         np.subtract(S, 1.0, out=S)
         np.multiply(S, S, out=S)
         np.subtract(S, 3.0, out=S)  # (s - 1)^2 - 3 = s^2 - 2s - 2
-    np.multiply(E, S, out=E)
+    np.multiply(dR, S, out=S)
+    read_d2r(S)
+    np.multiply(D, c, out=S)  # s
+    np.multiply(S, S, out=dR)
+    if nu == 2.5:
+        np.multiply(dR, 1.0 / 3.0, out=dR)
+        np.add(S, 1.0, out=S)
+        np.multiply(dR, S, out=dR)  # (s^2/3)(1 + s)
+    _fill_exponential(family, nu, ell, D, S)
+    np.multiply(dR, S, out=dR)
 
 
 def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
@@ -479,14 +496,12 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
 
 def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
     """(grad, hess) of each _objective block, from the factor in ws.K, which
-    dpotri turns into K^-1 (ws.theta is None then); dR and d^2R
-    (_fill_derivatives) fill ws.dR and ws.E, and M = K^-1 dR the fill's
-    scratch ws.S."""
+    dpotri turns into K^-1 (ws.theta is None then). _fill_derivatives then
+    fills d^2R into ws.S, where its two uses read it, and dR into ws.dR;
+    M = K^-1 dR overwrites d^2R in ws.S."""
     n = ws.n
     L, j = ws.K, ws.jitter
     sf2, sn2 = math.exp(theta[0]), math.exp(theta[2])
-    _fill_derivatives(family, nu, math.exp(theta[1]), ws)
-    dR, d2R = ws.dR, ws.E
     ws.theta = None
     inv, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
@@ -495,9 +510,21 @@ def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
     # clean). dR and d2R are symmetric with a zero diagonal, so their inner
     # products with K^-1 are twice the sums over the lower triangle; the
     # BLAS calls read K^-1 as a symmetric matrix from its lower triangle.
+    d2r_terms = []  # <K^-1, d2R>, then each block's a^T d2R a summed over its columns
+
+    def read_d2r(d2R):
+        d2r_terms.append(2.0 * float(np.einsum("ij,ij->", inv, d2R)))
+        for k, alpha, *_ in blocks:
+            a_d2r_a = 0.0
+            for a in alpha.reshape(n, k).T:
+                a_d2r_a += float(np.vdot(a, dsymv(1.0, d2R, a, lower=1)))
+            d2r_terms.append(a_d2r_a)
+
+    _fill_derivatives(family, nu, math.exp(theta[1]), ws, read_d2r)
+    tr_kinv_d2r, *a_d2r_as = d2r_terms
+    dR = ws.dR
     tr_kinv = float(np.einsum("ii->", inv))
     tr_kinv_dr = 2.0 * float(np.einsum("ij,ij->", inv, dR))
-    tr_kinv_d2r = 2.0 * float(np.einsum("ij,ij->", inv, d2R))
     diag_sq = float(np.einsum("ii,ii->", inv, inv))
     kinv_sq = 2.0 * float(np.einsum("ij,ij->", inv, inv)) - diag_sq
     M = dsymm(1.0, inv, dR, lower=1, c=ws.S, overwrite_c=1)
@@ -518,10 +545,10 @@ def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
         sn2 * tr_kinv - sn2**2 * kinv_sq,
     )
     out = []
-    for k, alpha, y_alpha, _ in blocks:
-        # per column a: a^T dR a, a^T K^-1 a, (dR a)^T K^-1 a,
-        # (dR a)^T K^-1 (dR a) and a^T d2R a
-        a_dr_a = a_kinv_a = dr_kinv_a = dr_kinv_dr = a_d2r_a = 0.0
+    for (k, alpha, y_alpha, _), a_d2r_a in zip(blocks, a_d2r_as):
+        # per column a: a^T dR a, a^T K^-1 a, (dR a)^T K^-1 a and
+        # (dR a)^T K^-1 (dR a)
+        a_dr_a = a_kinv_a = dr_kinv_a = dr_kinv_dr = 0.0
         for a in alpha.reshape(n, k).T:
             v = dgemv(1.0, dR, a)
             w = dsymv(1.0, inv, a, lower=1)
@@ -529,7 +556,6 @@ def _derivatives(theta, family, nu, ws: _Workspace, blocks, l2_weight):
             a_kinv_a += float(np.vdot(a, w))
             dr_kinv_a += float(np.vdot(v, w))
             dr_kinv_dr += float(np.vdot(v, dsymv(1.0, inv, v, lower=1)))
-            a_d2r_a += float(np.vdot(a, dsymv(1.0, d2R, a, lower=1)))
         alpha_sq = float(np.vdot(alpha, alpha))
         grad = np.array(
             [
@@ -719,20 +745,20 @@ def posterior(model: TrainedGP, Q, var_outputs=None) -> PosteriorBatch:
     factor whose variance is not asked costs the fill alone. Variance
     columns not asked for are NaN. Each mean is one k*^T alpha of its
     own, so it does not depend on which outputs share its factor. Queries
-    are processed in blocks of _QUERY_CHUNK that share one distance block
-    across the outputs; the last group to read a block's distances fills
-    its cross-covariance over them, and the groups before it fill one
-    covariance block. So memory is O(n * chunk) rather than O(n * m),
+    are processed in blocks of _QUERY_CHUNK (256) that share one distance
+    block across the outputs; the last group to read a block's distances
+    fills its cross-covariance over them, and the groups before it fill
+    one covariance block. So memory is O(n * chunk) rather than O(n * m),
     besides the model, with no n x n array, and a one-group model holds
-    one (chunk, n) block (two for Matérn 1.5 and 2.5, whose fill takes a
-    scratch block). Each cross-covariance block is filled by
-    _fill_correlation, the fill of the Gram matrices the factors came
-    from, so k(x_i, q) is bit for bit the Gram entry training would
+    one (chunk, n) block, 4.1 MB at n = 2000 (two for Matérn 1.5 and 2.5,
+    whose fill takes a scratch block). Each cross-covariance block is
+    filled by _fill_correlation, the fill of the Gram matrices the factors
+    came from, so k(x_i, q) is bit for bit the Gram entry training would
     compute for that pair. Results are deterministic for the same inputs,
-    chunk size and BLAS threads, but a query's variance bits may depend
-    on the width of its block and its place in it: BLAS splits a block's
-    columns among threads and kernel panels by the width, and the panels
-    can round differently in the last bits (relative 1e-16).
+    chunk size and BLAS threads, but a query's mean and variance bits may
+    depend on the width of its block and its place in it: BLAS splits a
+    block's columns among threads and kernel panels by the width, and the
+    panels can round differently in the last bits (relative 1e-16).
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != model.input_dim:
@@ -887,9 +913,10 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
     log-parameters (ws.theta says so: the search took no derivatives at
     its kept last evaluation, or kept the shared first one at a budget of
     1) it goes over as it is, to every group that kept them; otherwise it
-    is factored once more. The other n x n buffers (_Workspace: D, E, S
-    and dR, once a search asks for derivatives) live only for the call,
-    so at a budget of 1 K is the only one.
+    is factored once more. The other n x n buffers (_Workspace: D, S and
+    dR, once a search asks for derivatives) live only for the call, so at
+    a budget of 1 K is the only one, and after the first derivatives a
+    search holds four, besides any factor handed over before it.
     """
     ws = _Workspace(X)
     objective = partial(

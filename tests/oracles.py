@@ -75,7 +75,7 @@ def masked_trace_gradient(cfg, X, y, l2_weight=0.0, jitter=0.0) -> np.ndarray:
     L, info = dpotrf(ws.K, lower=1, clean=0, overwrite_a=1)
     assert info == 0
     alpha = gp._solve_gram(L, y)
-    gp._fill_derivatives(cfg.family, cfg.nu, cfg.lengthscale, ws)
+    gp._fill_derivatives(cfg.family, cfg.nu, cfg.lengthscale, ws, lambda d2R: None)
     inv, info = dpotri(L, lower=1, overwrite_c=1)
     assert info == 0
     mask = np.full((n, n), 2.0, order="F")

@@ -8,7 +8,9 @@ same way through `gpgs build-dataset`, which must exit 0 or 2, and so
 does a PFM depth map whose header tokens and separators or payload bytes
 are mutated, or which has bytes cut from or added to its end; it exits 0
 only when one byte ends its header and exactly the payload follows. The
-COLMAP files also go through `gpgs pipeline`, which must exit 0 or 2.
+COLMAP files and the depth map also go through `gpgs pipeline`, which
+must exit 0 or 2 (0 only for a well-formed map), the depth map feeding
+both its dataset and its candidates' depths.
 The search is derandomized and keeps no example database, so every run
 tries the same cases.
 """
@@ -152,26 +154,9 @@ def test_pipeline_on_a_mutated_colmap_file(pipeline_scene, name, edits):
 PFM_TOKENS = ("Pf", "20", "10", "-1")
 PFM_PAYLOAD = struct.pack("<200f", *(1.0 + i / 200 for i in range(200)))
 PFM_VALUES = ["Pf", "PF", "0", "-1", "nan", "inf", "1e400", "2147483648", "", "word"]
-
-
-@pytest.fixture(scope="module")
-def depth_scene(tmp_path_factory):
-    """A COLMAP model of one 20x10 image, named surface.png, whose valid
-    depth map builds a dataset."""
-    root = tmp_path_factory.mktemp("pfm")
-    model_dir, _, _ = surface_colmap_model(root / "colmap", 500, 40, 0, width=20, height=10)
-    depth_dir = root / "depth"
-    depth_dir.mkdir()
-    (depth_dir / "surface.pfm").write_bytes(("\n".join(PFM_TOKENS) + "\n").encode() + PFM_PAYLOAD)
-    out = root / "ds.csv"
-    argv = ["build-dataset", "--model-dir", str(model_dir), "--output", str(out),
-            "--depth-dir", str(depth_dir)]
-    assert cli.main(argv) == 0
-    return argv, depth_dir / "surface.pfm"
-
-
-@FUZZ
-@given(
+# Mutations of that map: header token edits, the four separators, payload
+# byte flips, a cut of the payload and bytes added after it.
+PFM_MUTATIONS = dict(
     edits=st.lists(
         st.tuples(
             st.sampled_from(["replace", "delete", "insert"]),
@@ -188,21 +173,64 @@ def depth_scene(tmp_path_factory):
     keep=st.one_of(st.none(), st.integers(0, len(PFM_PAYLOAD) - 1)),
     extra=st.binary(max_size=2),
 )
-# a header that ends in two bytes, and a byte after the payload, were once
-# read one byte off and accepted
-@example(edits=[], separators=["\n", "\n", "\n", "\r\n"], flips=[], keep=None, extra=b"")
-@example(edits=[], separators=["\n", " ", "\n", "\n"], flips=[], keep=None, extra=b"\0")
-def test_build_dataset_on_a_mutated_depth_map(depth_scene, edits, separators, flips, keep,
-                                              extra):
-    argv, pfm = depth_scene
+
+
+def write_mutated_pfm(pfm, edits, separators, flips, keep, extra) -> str:
+    """Write the mutated depth map to pfm; return its header."""
     text = "".join(token + sep for token, sep in zip(PFM_TOKENS, separators))
     header = mutate(text, edits, separators[0])
     payload = bytearray(PFM_PAYLOAD)
     for index, mask in flips:
         payload[index] ^= mask
     pfm.write_bytes(header.encode() + bytes(payload[:keep]) + extra)
-    code = cli.main(argv)
+    return header
+
+
+def assert_read_only_if_well_formed(code, header, keep, extra) -> None:
+    """The exit code of a command on a mutated map is 0 or 2, and 0 only
+    for a header ended by one byte, then exactly the whole payload."""
     assert code in (0, 2)
-    if code == 0:  # only a header ended by one byte, then exactly the whole payload
+    if code == 0:
         assert header[-1:].isspace() and not header[-2:-1].isspace()
         assert keep is None and extra == b""
+
+
+@pytest.fixture(scope="module")
+def depth_scene(tmp_path_factory):
+    """A COLMAP model of one 20x10 image, named surface.png, whose valid
+    depth map builds a dataset and runs pipeline; the build-dataset and
+    pipeline arguments, and the depth map's path."""
+    root = tmp_path_factory.mktemp("pfm")
+    model_dir, _, _ = surface_colmap_model(root / "colmap", 500, 40, 0, width=20, height=10)
+    depth_dir = root / "depth"
+    depth_dir.mkdir()
+    (depth_dir / "surface.pfm").write_bytes(("\n".join(PFM_TOKENS) + "\n").encode() + PFM_PAYLOAD)
+    inputs = ["--model-dir", str(model_dir), "--depth-dir", str(depth_dir)]
+    build = ["build-dataset", *inputs, "--output", str(root / "ds.csv")]
+    pipeline = ["pipeline", *inputs, "--output", str(root / "run"), "--iterations", "3"]
+    assert cli.main(build) == 0
+    assert cli.main(pipeline) == 0
+    return build, pipeline, depth_dir / "surface.pfm"
+
+
+@FUZZ
+@given(**PFM_MUTATIONS)
+# a header that ends in two bytes, and a byte after the payload, were once
+# read one byte off and accepted
+@example(edits=[], separators=["\n", "\n", "\n", "\r\n"], flips=[], keep=None, extra=b"")
+@example(edits=[], separators=["\n", " ", "\n", "\n"], flips=[], keep=None, extra=b"\0")
+def test_build_dataset_on_a_mutated_depth_map(depth_scene, edits, separators, flips, keep,
+                                              extra):
+    build, _, pfm = depth_scene
+    header = write_mutated_pfm(pfm, edits, separators, flips, keep, extra)
+    assert_read_only_if_well_formed(cli.main(build), header, keep, extra)
+
+
+@FUZZ
+@given(**PFM_MUTATIONS)
+def test_pipeline_on_a_mutated_depth_map(depth_scene, edits, separators, flips, keep, extra):
+    # pipeline reads the map once: its depths feed the dataset and then
+    # the candidates (attach_depth)
+    _, pipeline, pfm = depth_scene
+    header = write_mutated_pfm(pfm, edits, separators, flips, keep, extra)
+    assert_read_only_if_well_formed(cli.main(pipeline), header, keep, extra)
