@@ -259,16 +259,14 @@ class _Workspace:
 
     K holds the Gram matrix, then its Cholesky factor, then (for a
     gradient) its inverse. While K holds the factor at theta, theta and
-    jitter record it; theta is None otherwise. A factor handed over
-    (hand_over) stays with its holder: the next factorisation takes a new
-    buffer for K. Until its first derivatives, K is the only buffer: each
-    fill computes the distances into K itself (_fill_gram), so a fit, and
-    a search that never asks for derivatives, holds one n x n buffer. The
-    first derivatives (_fill_derivatives) allocate the other three: the
-    pairwise distances D, computed once, and S and dR, which each
-    derivatives call fills from D and which are scratch between calls. A
-    search after them holds four. Later fills read D, with S as the
-    scratch of Matérn 1.5 and 2.5.
+    jitter record it; theta is None otherwise. Until its first
+    derivatives, K is the only buffer: each fill computes the distances
+    into K itself (_fill_gram), so a fit, and a search that never asks for
+    derivatives, holds one n x n buffer. The first derivatives
+    (_fill_derivatives) allocate the other three: the pairwise distances
+    D, computed once, and S and dR, which each derivatives call fills from
+    D and which are scratch between calls. A search after them holds four.
+    Later fills read D, with S as the scratch of Matérn 1.5 and 2.5.
     """
 
     def __init__(self, X: np.ndarray):
@@ -277,12 +275,6 @@ class _Workspace:
         self.K = np.empty((n, n), order="F")
         self.D = self.S = self.dR = None
         self.theta = self.jitter = None
-        self.held = False
-
-    def hand_over(self) -> np.ndarray:
-        """K, for the caller to keep; it is not written again."""
-        self.held = True
-        return self.K
 
 
 _SCALED_FACTOR = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
@@ -366,7 +358,7 @@ def _fill_gram(theta, family, nu, ws: _Workspace, jitter) -> None:
 
 def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
     """Factor the Gram matrix at theta plus jitter in ws.K, in place
-    (dpotrf), in a new buffer if the current one has been handed over.
+    (dpotrf).
 
     A failed dpotrf has overwritten part of K, so each retry refills it,
     with the jitter multiplied by 10 (starting from 1e-10 when it is zero
@@ -374,8 +366,6 @@ def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
     gives up. Afterwards ws.K holds the lower factor (the upper triangle
     is zeroed), and ws.theta and ws.jitter record it.
     """
-    if ws.held:
-        ws.K, ws.held = np.empty((ws.n, ws.n), order="F"), False
     while True:
         _fill_gram(theta, family, nu, ws, jitter)
         _, info = dpotrf(ws.K, lower=1, clean=1, overwrite_a=1)
@@ -470,7 +460,7 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
     one factorisation, left in ws.K. The first derivatives() call of any
     block computes every block's (grad, hess) from one inversion of it and
     one pass of each trace, and later calls return them; a first call
-    after ws has factored again or handed its factor over raises.
+    after ws has factored again raises.
     """
     n = ws.n
     _factor(theta, family, nu, ws, jitter)
@@ -487,7 +477,7 @@ def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):
 
     @cache
     def every_block():
-        if ws.theta is not factored or ws.held:
+        if ws.theta is not factored:
             raise RuntimeError("derivatives asked after the workspace's factor was replaced")
         return _derivatives(theta, family, nu, ws, blocks, l2_weight)
 
@@ -611,36 +601,14 @@ def nll_gradient(
 # Trained model
 # ---------------------------------------------------------------------------
 
-def _alphas(factors, Z) -> tuple[np.ndarray, ...]:
-    """(K + sn2 I)^-1 Z[:, j] for each output j against its factor, one column
-    at a time, so that its bits do not depend on which outputs share it."""
-    return tuple(_solve_gram(L, Z[:, j]) for j, L in enumerate(factors))
-
-
-def _invert_factors(factors, jitters) -> tuple[np.ndarray, ...]:
-    """L^-1 for each output's factor L, each distinct factor inverted once,
-    in place (dtrtri): its lower triangle, with the upper one still zero.
-    A failed inversion raises NotPositiveDefinite at the output's jitter."""
-    inverses = {}  # id(L) -> L^-1, L's own buffer
-    for L, jitter in zip(factors, jitters):
-        if id(L) not in inverses:
-            Li, info = dtrtri(L, lower=1, overwrite_c=1)
-            if info != 0:
-                raise NotPositiveDefinite("dtrtri failed on the Cholesky factor", jitter)
-            inverses[id(L)] = Li
-    return tuple(inverses[id(L)] for L in factors)
-
-
 @dataclass(frozen=True)
 class TrainedGP:
     """Conditioned GPs, one per output, sharing one set of inputs.
 
     Outputs with equal hyperparameters and jitter (after training, x, y, z
-    and r, g, b) share one Gram matrix and so one Cholesky factor L.
-    train_gp takes over the factors training computed at the kept
-    hyperparameters; fit computes them the same way from configs alone.
-    Both solve the alphas against L (_alphas) and then invert each
-    distinct L in its own buffer (_invert_factors), so the model keeps
+    and r, g, b) share one Gram matrix and so one Cholesky factor L. fit
+    builds every model, train_gp's too: it solves the alphas against each
+    distinct L and then inverts L in its own buffer, so the model keeps
     L^-1, all the posterior's variance reads, and not L. Immutable after
     construction; posterior evaluation is a pure read and may run
     concurrently from many threads.
@@ -691,37 +659,46 @@ class TrainedGP:
 
         Z is already normalized. jitter may be a scalar or a per-output
         sequence; each output records the value escalation settled on.
-        One Gram matrix is filled and factored (_factor) per distinct
-        (config, jitter), the factor its outputs share, each in its own
-        n x n buffer: the distances are computed into it and the
-        correlation filled over them (_fill_gram without search; Matérn
-        1.5 and 2.5 take one scratch buffer for the fill), and a jitter
-        retry computes them again. The alphas are solved against the
-        factors, and each factor is then inverted in its own buffer. The
-        fill is training's, so a refit at the configs and jitters a
-        training kept reproduces its inverse factors, alphas and groups bit
-        for bit. Configs need not repeat: a model file from separate fits
-        of every output loads to six factors, each inverted. condition_gp
-        conditions new data at a fit's configs through here, from
-        TRAIN_JITTER. The model has no loss curves.
+        Each distinct (config, jitter) takes a workspace of its own, whose
+        one n x n buffer holds the factor its outputs share: the distances
+        are computed into it and the correlation filled over them
+        (_fill_gram without search; Matérn 1.5 and 2.5 take one scratch
+        buffer for the fill), factored (_factor, where a jitter retry
+        computes them again), solved against for each of its outputs'
+        alphas, one column at a time so that an alpha's bits do not depend
+        on which outputs share L, and then inverted in place (dtrtri): the
+        lower triangle, with the upper one still zero. The fill is
+        training's, so the factors are bit for bit those a search computes
+        at the same config and jitter. Configs need not repeat: a model
+        file from separate fits of every output loads to six factors, each
+        inverted. train_gp and condition_gp condition at searched or given
+        configs through here, from TRAIN_JITTER. The model has no loss
+        curves.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[0] != X.shape[0]:
             raise DimensionMismatch(f"targets {Z.shape} do not match inputs {X.shape}")
         configs = tuple(configs)
-        if len(configs) != Z.shape[1]:
-            raise DimensionMismatch(f"{len(configs)} kernel configs for {Z.shape[1]} outputs")
-        keys = list(zip(configs, jitter if np.ndim(jitter) else [float(jitter)] * len(configs)))
-        ws, shared = _Workspace(X), {}  # (config, jitter) -> (factor, jitter used)
-        for cfg, j0 in dict.fromkeys(keys):
+        k = len(configs)
+        if k != Z.shape[1]:
+            raise DimensionMismatch(f"{k} kernel configs for {Z.shape[1]} outputs")
+        shared = {}  # (config, jitter) -> the outputs that share its factor
+        for j, key in enumerate(zip(configs, jitter if np.ndim(jitter) else [float(jitter)] * k)):
+            shared.setdefault(key, []).append(j)
+        inverse_factors, alphas, jitters = [None] * k, [None] * k, [None] * k
+        for (cfg, j0), outputs in shared.items():
+            ws = _Workspace(X)
             _factor(cfg.log_params(), cfg.family, cfg.nu, ws, j0)
-            shared[cfg, j0] = (ws.hand_over(), ws.jitter)
-        factors = tuple(shared[key][0] for key in keys)
-        jitters = tuple(shared[key][1] for key in keys)
-        alphas = _alphas(factors, Z)
-        return cls(configs, normalizer, X, Z, _invert_factors(factors, jitters), alphas, jitters,
-                   width, height)
+            for j in outputs:
+                alphas[j] = _solve_gram(ws.K, Z[:, j])
+            Li, info = dtrtri(ws.K, lower=1, overwrite_c=1)
+            if info != 0:
+                raise NotPositiveDefinite("dtrtri failed on the Cholesky factor", ws.jitter)
+            for j in outputs:
+                inverse_factors[j], jitters[j] = Li, ws.jitter
+        return cls(configs, normalizer, X, Z, tuple(inverse_factors), tuple(alphas),
+                   tuple(jitters), width, height)
 
 
 @dataclass(frozen=True)
@@ -907,16 +884,9 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
     groups share the evaluation there: one factorisation and, once a search
     asks for derivatives, one inversion, each group's bits those of its own.
 
-    Returns, per group, the kept log-parameters, the Cholesky factor and
-    jitter at them, and the loss curve. The factor is the workspace's K,
-    handed over to the group: when K still holds the factor at the kept
-    log-parameters (ws.theta says so: the search took no derivatives at
-    its kept last evaluation, or kept the shared first one at a budget of
-    1) it goes over as it is, to every group that kept them; otherwise it
-    is factored once more. The other n x n buffers (_Workspace: D, S and
-    dR, once a search asks for derivatives) live only for the call, so at
-    a budget of 1 K is the only one, and after the first derivatives a
-    search holds four, besides any factor handed over before it.
+    Returns, per group, the kept log-parameters and the loss curve. The
+    workspace's n x n buffers live only for the call: K alone at a budget
+    of 1, and K, D, S and dR once a search asks for derivatives.
     """
     ws = _Workspace(X)
     objective = partial(
@@ -933,10 +903,7 @@ def _fit_outputs(X, Z, kernel: KernelConfig, cfg: TrainConfig):
         def own(theta, y=y):
             return objective(theta, ys=(y,))[0]
 
-        theta, curve = _minimize_within(own, theta0, cfg.iterations, first)
-        if not np.array_equal(ws.theta, theta):
-            _factor(theta, kernel.family, kernel.nu, ws, TRAIN_JITTER)
-        fits.append((theta, ws.hand_over(), ws.jitter, curve))
+        fits.append(_minimize_within(own, theta0, cfg.iterations, first))
     return fits
 
 
@@ -971,25 +938,18 @@ def train_gp(ds: PixelToPointDataset, kernel: KernelConfig, cfg: TrainConfig) ->
     and keeps the lowest-loss parameters evaluated (with a budget of 1,
     the start). loss_curves hold one curve per group, every evaluation
     in order; a curve of cfg.iterations entries means the budget, not
-    convergence, ended the search. The model keeps the factor each
-    group's search handed over, one per distinct (config, jitter), solved
-    against for the alphas and then inverted in place: bit for bit the
-    inverse factors TrainedGP.fit computes there.
+    convergence, ended the search. The model is conditioned at the kept
+    parameters by TrainedGP.fit, from TRAIN_JITTER, after the search's
+    buffers are freed: condition_gp at the searched configs.
     """
     X, Z, normalizer = _training_data(ds, cfg)
-    k = Z.shape[1]
-    configs, factors, jitters, curves, shared = [None] * k, [None] * k, [None] * k, [], {}
-    for outputs, (theta, L, jitter, curve) in zip(OUTPUT_GROUPS, _fit_outputs(X, Z, kernel, cfg)):
-        fitted = kernel.with_log_params(theta)
-        L = shared.setdefault((fitted, jitter), L)  # groups that end equal share one factor
+    configs = [None] * Z.shape[1]
+    fits = _fit_outputs(X, Z, kernel, cfg)
+    for outputs, (theta, _) in zip(OUTPUT_GROUPS, fits):
         for j in outputs:
-            configs[j], factors[j], jitters[j] = fitted, L, jitter
-        curves.append(curve)
-    alphas = _alphas(factors, Z)
-    return TrainedGP(
-        tuple(configs), normalizer, X, Z, _invert_factors(factors, jitters), alphas,
-        tuple(jitters), ds.width, ds.height, tuple(curves),
-    )
+            configs[j] = kernel.with_log_params(theta)
+    model = TrainedGP.fit(X, Z, configs, normalizer, ds.width, ds.height, jitter=TRAIN_JITTER)
+    return replace(model, loss_curves=tuple(curve for _, curve in fits))
 
 
 def condition_gp(ds: PixelToPointDataset, configs, cfg: TrainConfig) -> TrainedGP:

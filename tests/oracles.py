@@ -101,10 +101,8 @@ def masked_trace_gradient(cfg, X, y, l2_weight=0.0, jitter=0.0) -> np.ndarray:
 def fit_outputs_per_group(X, Z, kernel, cfg, groups=gp.OUTPUT_GROUPS):
     """gp._fit_outputs with every output group fitted alone: each group
     evaluates the kernel's start, in a workspace of its own, with the Newton
-    search of gp._minimize_within (which clips the start into the box), and
-    keeps its own factor, factored once more unless K still holds it (the
-    search took no derivatives at its kept last evaluation), for each of
-    groups."""
+    search of gp._minimize_within (which clips the start into the box).
+    Returns (theta, curve) for each of groups."""
     fits = []
     for outputs in groups:
         ws = gp._Workspace(X)
@@ -117,12 +115,7 @@ def fit_outputs_per_group(X, Z, kernel, cfg, groups=gp.OUTPUT_GROUPS):
             )
             return result
 
-        theta, curve = gp._minimize_within(
-            loss_and_derivatives, kernel.log_params(), cfg.iterations
-        )
-        if not np.array_equal(ws.theta, theta):
-            gp._factor(theta, kernel.family, kernel.nu, ws, gp.TRAIN_JITTER)
-        fits.append((theta, ws.K, ws.jitter, curve))
+        fits.append(gp._minimize_within(loss_and_derivatives, kernel.log_params(), cfg.iterations))
     return fits
 
 

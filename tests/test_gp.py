@@ -387,10 +387,6 @@ class TestDerivativesOnDemand:
         with pytest.raises(RuntimeError, match="factor was replaced"):
             stale()
         current()
-        [(_, handed)] = self.evaluate(ws, cfg, (Y,))
-        ws.hand_over()
-        with pytest.raises(RuntimeError, match="factor was replaced"):
-            handed()
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +675,25 @@ class TestTrainGp:
 
 
 class TestFactorHandover:
-    """train_gp keeps the Cholesky factors training computed at the kept
-    hyperparameters instead of factoring every Gram matrix again."""
+    """train_gp's model is a refit: TrainedGP.fit at the kept
+    hyperparameters, from TRAIN_JITTER, after the search. Its factors are
+    bit for bit those the search computed there, and every distinct
+    (config, jitter) is factored once more."""
 
     KERNELS = [("matern", 0.5), ("matern", 1.5), ("matern", 2.5), ("rbf", None)]
 
     @pytest.mark.parametrize("budget", [1, 5, 1000])
     @pytest.mark.parametrize("family,nu", KERNELS)
     def test_bit_equal_to_refit(self, family, nu, budget):
-        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(family, nu),
-                            gp.TrainConfig(iterations=budget))
-        if budget == 1000:  # converged: every kept factor is factored once more
+        cfg = gp.TrainConfig(iterations=budget)
+        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(family, nu), cfg)
+        if budget == 1000:  # converged
             assert all(len(curve) < budget for curve in model.loss_curves)
+        # each kept loss, from the search's factor, is the loss from a fresh
+        # fill at the model's config: the factor the model was built from
+        for outputs, curve in zip(gp.OUTPUT_GROUPS, model.loss_curves, strict=True):
+            assert curve.min() == gp.nll(model.configs[outputs[0]], model.X,
+                                         model.Z[:, outputs], cfg.l2_weight, gp.TRAIN_JITTER)
         refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
                                  model.width, model.height, jitter=model.jitters)
         assert refit.jitters == model.jitters
@@ -716,59 +719,17 @@ class TestFactorHandover:
             assert m.groups == [[0, 1, 2, 3, 4, 5]]
             assert m.inverse_factors[0] is m.inverse_factors[3]
 
-    def test_budget_of_one_factors_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "dpotrf")
-        model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
-                            gp.TrainConfig(iterations=1))
-        # every group evaluated and kept the one start: one factor serves all
-        assert len(calls) == 1
-        assert model.groups == [list(range(6))]
-
-    @pytest.mark.parametrize("budget", [5, 1000])
-    def test_refactors_only_when_the_kept_factor_is_gone(self, monkeypatch, budget):
+    @pytest.mark.parametrize("budget", [1, 5, 1000])
+    def test_factors_each_evaluation_and_each_model_factor(self, monkeypatch, budget):
         calls = count_calls(monkeypatch, "dpotrf")
         model = gp.train_gp(make_scene("smooth", 60, seed=1), gp.default_kernel(),
                             gp.TrainConfig(iterations=budget))
         assert model.jitters == (gp.TRAIN_JITTER,) * 6  # no escalation retries
-        # K still holds the factor only when the search kept its last
-        # evaluation and asked no derivatives there: that evaluation spent
-        # the budget or ended the search on _FTOL. The groups' first
-        # evaluations, at one start, are one
-        held = sum(self.kept_last_without_derivatives(c, budget) for c in model.loss_curves)
-        shared = len(gp.OUTPUT_GROUPS) - 1
-        assert len(calls) == (
-            sum(map(len, model.loss_curves)) - shared + len(gp.OUTPUT_GROUPS) - held
-        )
-
-    @staticmethod
-    def kept_last_without_derivatives(curve, budget) -> bool:
-        """Whether a search with this loss curve kept its last evaluation and
-        stopped there on the budget or on _FTOL."""
-        if len(curve) < 2 or int(np.argmin(curve)) != len(curve) - 1:
-            return False
-        before, last = curve[:-1].min(), curve[-1]
-        reduction = (before - last) / max(abs(before), abs(last), 1.0)
-        return len(curve) == budget or reduction <= gp._FTOL
-
-    def test_stop_on_ftol_hands_over_the_last_factor(self, monkeypatch):
-        # on this scene every group's search ends on an accepted step that
-        # lowers the loss by a relative _FTOL or less; the search asks no
-        # derivatives there, so K still holds that step's factor and
-        # nothing is factored again
-        calls = count_calls(monkeypatch, "dpotrf")
-        cfg = gp.TrainConfig(iterations=200)
-        model = gp.train_gp(make_scene("smooth", 40, seed=0), gp.default_kernel("matern", 2.5),
-                            cfg)
-        for curve in model.loss_curves:
-            assert len(curve) < cfg.iterations
-            assert self.kept_last_without_derivatives(curve, cfg.iterations)
-        shared = len(gp.OUTPUT_GROUPS) - 1
-        assert len(calls) == sum(map(len, model.loss_curves)) - shared
-        refit = gp.TrainedGP.fit(model.X, model.Z, model.configs, model.normalizer,
-                                 model.width, model.height, jitter=model.jitters)
-        for name in ("inverse_factors", "alphas"):
-            for a, b in zip(getattr(model, name), getattr(refit, name), strict=True):
-                assert np.array_equal(a, b), name
+        if budget == 1:  # every group kept the one start: one factor serves all
+            assert model.groups == [list(range(6))]
+        # the groups' first evaluations, at one start, are one
+        evaluations = sum(map(len, model.loss_curves)) - (len(gp.OUTPUT_GROUPS) - 1)
+        assert len(calls) == evaluations + len(model.groups)
 
 
 class TestSharedFirstEvaluation:
@@ -814,14 +775,11 @@ class TestSharedFirstEvaluation:
     @pytest.mark.parametrize("budget", [1, 2, 5, 1000])
     @pytest.mark.parametrize("family,nu", KERNELS)
     def test_cold_fit_factors_the_start_once(self, monkeypatch, family, nu, budget):
-        (_, alone), (count, per_group) = self.fits(monkeypatch, family, nu, budget, "cold")
+        (shared, alone), (count, per_group) = self.fits(monkeypatch, family, nu, budget, "cold")
         evaluations = sum(map(len, alone.loss_curves))
-        refactors = per_group - evaluations
-        if budget == 1:
-            assert count == 1 and refactors == 0
-        else:
-            # the groups' first evaluations are one
-            assert count == evaluations - (len(gp.OUTPUT_GROUPS) - 1) + refactors
+        assert per_group == evaluations + len(alone.groups)
+        # the groups' first evaluations are one
+        assert count == evaluations - (len(gp.OUTPUT_GROUPS) - 1) + len(shared.groups)
 
 
 class TestStarts:
@@ -1298,16 +1256,21 @@ class TestInverseFactor:
         gp.posterior(model, np.random.default_rng(2).random((9, 2)))
         assert all(np.array_equal(L, was) for L, was in zip(model.inverse_factors, before))
 
-    def test_singular_factor_raises(self):
+    def test_singular_factor_raises(self, monkeypatch):
         # a factor with a zero on its diagonal has no inverse: the model
-        # construction that inverts it (_invert_factors) raises
+        # construction that inverts it (TrainedGP.fit) raises
+        dtrtri = gp.dtrtri
+
+        def singular(L, **kwargs):
+            L[3, 3] = 0.0
+            return dtrtri(L, **kwargs)
+
+        monkeypatch.setattr(gp, "dtrtri", singular)
         cfg = gp.KernelConfig("matern", 0.5, 0.0, math.log(0.3), -6.0)
-        L, info = dpotrf(gp.gram_matrix(cfg, np.random.default_rng(5).random((30, 2))),
-                         lower=1, clean=1)
-        assert info == 0
-        L[3, 3] = 0.0
+        X = np.random.default_rng(5).random((30, 2))
         with pytest.raises(errors.NotPositiveDefinite, match="dtrtri failed") as exc_info:
-            gp._invert_factors((L, L), (0.0, 0.0))
+            gp.TrainedGP.fit(X, np.zeros((30, 2)), [cfg] * 2, gp.OutputNormalizer.identity(2),
+                             1, 1, jitter=0.0)
         assert exc_info.value.jitter == 0.0
 
 
@@ -1407,12 +1370,12 @@ class TestFitMemory:
 
         peak = traced_peak(train)
         # a search holds K alone until its first derivatives, then D, S, dR
-        # and K; rgb's search takes a new K once xyz holds its factor.
+        # and K; rgb's search holds D, S, dR and K, and nothing of xyz's.
         # The groups share the first evaluation's derivatives: one call per
         # training, and the warm-up training's is not traced
         _, traced = before
         assert traced < 1.2 * self.matrix
-        assert 4.8 * self.matrix < peak < 5.2 * self.matrix
+        assert 3.8 * self.matrix < peak < 4.2 * self.matrix
         # the groups' trials were accepted, so each kept loss is one filled
         # from D, bit for bit the loss filled from the distances in K
         for outputs, curve in zip(gp.OUTPUT_GROUPS, model.loss_curves):
