@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,18 +101,34 @@ def _convert(key: str, raw: str, where: str):
         raise UsageError(f"{where}: config value for {key}: {exc}") from exc
 
 
+# A '#' at the start of a line or after whitespace starts a comment, so a
+# path such as scene#1 reads whole.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _recordable(value: str) -> bool:
+    """Whether a `key = value` line in UTF-8 reads the value back whole."""
+    return (
+        value == value.strip()
+        and value.splitlines() == [value]
+        and not _COMMENT.search(f" {value}")
+        and value.encode("utf-8", "replace").decode("utf-8") == value
+    )
+
+
 def parse_config_file(path) -> dict:
-    """Plain-text `key = value` lines; '#' starts a comment."""
+    """Plain-text `key = value` lines in UTF-8, with or without a byte-order
+    mark; '#' at the start of a line or after whitespace starts a comment."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"missing config file {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -539,11 +556,21 @@ def validate(cfg: RunConfig) -> None:
     error before any file is touched.
 
     Most ranges live in the module configs, which check them when built.
-    A path setting may be missing but not empty.
+    A path setting may be missing but not empty, and run-config.txt must
+    be able to record it (_recordable).
     """
     for name, kind in _FIELD_TYPES.items():
-        if kind == "Optional[str]" and getattr(cfg, name) == "":
-            raise UsageError(f"--{name.replace('_', '-')} must not be empty")
+        value, flag = getattr(cfg, name), f"--{name.replace('_', '-')}"
+        if kind != "Optional[str]" or value is None:
+            continue
+        if value == "":
+            raise UsageError(f"{flag} must not be empty")
+        if not _recordable(value):
+            raise UsageError(
+                f"{flag} {value!r}: run-config.txt cannot record a path with leading or "
+                "trailing whitespace, a line break, a '#' at its start or after whitespace, "
+                "or a byte that is not UTF-8"
+            )
     try:
         cfg.train_config()
         cfg.sampling_config()

@@ -265,8 +265,9 @@ class _Workspace:
     derivatives, holds one n x n buffer. The first derivatives
     (_fill_derivatives) allocate the other three: the pairwise distances
     D, computed once, and S and dR, which each derivatives call fills from
-    D and which are scratch between calls. A search after them holds four.
-    Later fills read D, with S as the scratch of Matérn 1.5 and 2.5.
+    D with one exponential and which are scratch between calls. A search
+    after them holds four. Later fills read D, with S as the scratch of
+    Matérn 1.5 and 2.5.
     """
 
     def __init__(self, X: np.ndarray):
@@ -287,18 +288,14 @@ def _scale(family, nu, ell) -> float:
 
 def _fill_exponential(family, nu, ell, D, E) -> None:
     """Fill E with the kernel's exponential factor at the distances D:
-    exp(-t^2/2) for RBF, exp(-s) for Matérn, with _fill_correlation's
-    operations, so its bits. D may be E."""
+    exp(-t^2/2) for RBF, exp(-s) for Matérn. For RBF and Matérn 0.5 this is
+    R itself (_fill_correlation). D may be E."""
     if family == RBF:
         np.multiply(D, _scale(family, nu, ell), out=E)
         np.multiply(E, E, out=E)
         np.multiply(E, -0.5, out=E)
-    elif nu == 0.5:
-        # D * (-c/l) is -(D * c/l) bit for bit: IEEE rounding is symmetric in sign
-        np.multiply(D, -_scale(family, nu, ell), out=E)
     else:
-        np.multiply(D, _scale(family, nu, ell), out=E)
-        np.negative(E, out=E)
+        np.multiply(D, -_scale(family, nu, ell), out=E)
     np.exp(E, out=E)
 
 
@@ -329,7 +326,7 @@ def _fill_correlation(family, nu, ell, D, E, K) -> None:
         np.add(K, E, out=K)
         np.add(K, 1.0, out=K)  # 1 + s + s^2/3
     np.negative(E, out=E)
-    np.exp(E, out=E)  # E = exp(-s), _fill_exponential's bits
+    np.exp(E, out=E)  # E = exp(-s)
     np.multiply(K, E, out=K)  # R = poly(s) exp(-s)
 
 
@@ -380,20 +377,15 @@ def _factor(theta, family, nu, ws: _Workspace, jitter) -> None:
 
 def _fill_derivatives(family, nu, ell, ws: _Workspace, read_d2r) -> None:
     """Fill ws.S with d^2R/d(log l)^2 and call read_d2r(ws.S), then fill
-    ws.dR with dR/d(log l); S is free afterwards. Each call recomputes the
-    exponential factor from D at ell (_fill_exponential: the Gram fill's
-    operations, so its bits), and the first allocates D, S and dR and
-    computes the distances into D.
+    ws.dR with dR/d(log l); S is free afterwards. Each call computes the
+    exponential factor E from D at ell once, and the first allocates D, S
+    and dR and computes the distances into D.
 
-    With s the scaled distance (t for RBF) and E the exponential factor,
-    for RBF and Matérn 0.5, 1.5 and 2.5 dR is t^2 E, s E, s^2 E and
-    (s^2/3)(1+s) E, and d^2R is t^2(t^2-2)E, s(s-1)E, s^2(s-2)E and
-    (s^2/3)(s^2-2s-2)E: both zero on the diagonal, where D is zero. For
-    RBF and Matérn 0.5, dR is a factor of d^2R, so one exponential serves
-    both. Matérn 1.5 and 2.5 multiply d^2R as (E s) s and dR as s^2 E;
-    building both from one E in two buffers would reassociate a product
-    and move its bits, so each takes an exponential of its own: d^2R with
-    dR as scratch, then dR with S.
+    With s the scaled distance (t for RBF), dR = a E and d^2R = dR q,
+    where (a, q) is (t^2, t^2 - 2) for RBF, (s, s - 1) for Matérn 0.5 and
+    (s^2, s - 2) for 1.5. Matérn 2.5 reads d^2R = (s^2/3) E (s^2 - 2s - 2)
+    first and then finishes dR = (s^2/3) E (1 + s). Both are zero on the
+    diagonal, where D is zero.
     """
     if ws.D is None:
         ws.S, ws.dR = (np.empty((ws.n, ws.n), order="F") for _ in range(2))
@@ -401,39 +393,27 @@ def _fill_derivatives(family, nu, ell, ws: _Workspace, read_d2r) -> None:
         # Fortran-ordered view of it
         ws.D = cdist(ws.X, ws.X).T
     D, S, dR, c = ws.D, ws.S, ws.dR, _scale(family, nu, ell)
+    matern_nu = nu if family == MATERN else None
     _fill_exponential(family, nu, ell, D, dR)  # dR = E
-    np.multiply(D, c, out=S)
-    if not _needs_scratch(family, nu):
-        # with u = t^2 (RBF) or s (Matérn 0.5): dR = E u, d^2R = dR (u - k)
-        if family == RBF:
-            np.multiply(S, S, out=S)
-        np.multiply(dR, S, out=dR)
-        np.subtract(S, 2.0 if family == RBF else 1.0, out=S)
-        np.multiply(dR, S, out=S)
-        read_d2r(S)
-        return
-    if nu == 2.5:
-        np.add(S, 1.0, out=S)
-        np.subtract(S, 1.0, out=S)  # (1 + s) - 1, not always s's bits
+    np.multiply(D, c, out=S)  # S = s
+    if matern_nu is None:
+        np.multiply(S, S, out=S)  # S = t^2
     np.multiply(dR, S, out=dR)
-    np.multiply(dR, S, out=dR)
-    if nu == 1.5:
-        np.subtract(S, 2.0, out=S)  # s - 2
-    else:
+    if matern_nu in (1.5, 2.5):
+        np.multiply(dR, S, out=dR)  # E s^2
+    if matern_nu == 2.5:
         np.multiply(dR, 1.0 / 3.0, out=dR)
         np.subtract(S, 1.0, out=S)
         np.multiply(S, S, out=S)
         np.subtract(S, 3.0, out=S)  # (s - 1)^2 - 3 = s^2 - 2s - 2
-    np.multiply(dR, S, out=S)
+    else:
+        np.subtract(S, 1.0 if matern_nu == 0.5 else 2.0, out=S)  # q
+    np.multiply(dR, S, out=S)  # d^2R
     read_d2r(S)
-    np.multiply(D, c, out=S)  # s
-    np.multiply(S, S, out=dR)
-    if nu == 2.5:
-        np.multiply(dR, 1.0 / 3.0, out=dR)
+    if matern_nu == 2.5:
+        np.multiply(D, c, out=S)
         np.add(S, 1.0, out=S)
-        np.multiply(dR, S, out=dR)  # (s^2/3)(1 + s)
-    _fill_exponential(family, nu, ell, D, S)
-    np.multiply(dR, S, out=dR)
+        np.multiply(dR, S, out=dR)  # (s^2/3) E (1 + s)
 
 
 def _objective(theta, family, nu, ws: _Workspace, ys, l2_weight, jitter):

@@ -2,7 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: the Matérn
 reference goes through Gamma/Bessel special functions, the posterior
-oracle uses explicit dense solves, the chamfer oracle is a double loop,
+oracle uses explicit dense solves, the lengthscale derivatives apply the
+chain rule to the correlation's own s-derivatives in 40-digit mpmath
+arithmetic, the chamfer oracle is a double loop,
 the gradient oracle is central finite differences of the loss, the
 masked-trace gradient sums the whole inverse under a triangle mask, the
 per-group fit evaluates every output group's start on its own, the
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.special import gamma, kv
@@ -36,11 +39,39 @@ def matern_reference(nu: float, sf2: float, ell: float, d: float) -> float:
 
 def rbf_reference(sf2: float, ell: float, d: float) -> float:
     """RBF covariance via 50-digit mpmath arithmetic."""
-    import mpmath
-
     with mpmath.workdps(50):
         t = mpmath.mpf(d) / mpmath.mpf(ell)
         return float(mpmath.mpf(sf2) * mpmath.exp(-t * t / 2))
+
+
+# R'(s) and R''(s) of each correlation R(s) over the scaled distance s:
+# t = d / l for RBF, where R = exp(-t^2/2), and sqrt(2 nu) d / l for Matérn.
+_CORRELATION_SLOPES = {
+    None: (lambda t: -t * mpmath.exp(-t * t / 2), lambda t: (t * t - 1) * mpmath.exp(-t * t / 2)),
+    0.5: (lambda s: -mpmath.exp(-s), lambda s: mpmath.exp(-s)),
+    1.5: (lambda s: -s * mpmath.exp(-s), lambda s: (s - 1) * mpmath.exp(-s)),
+    2.5: (
+        lambda s: -s * (1 + s) / 3 * mpmath.exp(-s),
+        lambda s: (s * s - s - 1) / 3 * mpmath.exp(-s),
+    ),
+}
+
+
+def lengthscale_derivatives_reference(family, nu, ell, D):
+    """dR/d(log l) and d^2R/d(log l)^2 at the distances D, as float arrays.
+
+    s = c d / l gives ds/d(log l) = -s, so dR = -s R'(s) and
+    d^2R = s R'(s) + s^2 R''(s), each element in 40-digit arithmetic.
+    """
+    slope, curvature = _CORRELATION_SLOPES[nu if family == gp.MATERN else None]
+    c = 1 if family == gp.RBF else mpmath.sqrt(2 * mpmath.mpf(nu))
+    dR, d2R = np.empty(D.shape), np.empty(D.shape)
+    with mpmath.workdps(40):
+        for i in np.ndindex(D.shape):
+            s = c * mpmath.mpf(float(D[i])) / mpmath.mpf(ell)
+            dR[i] = float(-s * slope(s))
+            d2R[i] = float(s * slope(s) + s * s * curvature(s))
+    return dR, d2R
 
 
 def finite_difference_gradient(cfg, X, y, l2_weight, step=1e-5):

@@ -33,6 +33,17 @@ def surface_dir(tmp_path):
     return model_dir
 
 
+def assert_replays(out, again):
+    """Replaying out's run-config.txt into again writes every other
+    artifact of out byte for byte."""
+    assert run("pipeline", "--config", str(out / "run-config.txt"), "--output", str(again)) == 0
+    artifacts = sorted(p.name for p in out.iterdir())
+    assert artifacts == sorted(p.name for p in again.iterdir())
+    for name in artifacts:
+        if name != "run-config.txt":
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def write_flat_pfm(path, width=400, height=400, value=1.0):
     header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
     payload = struct.pack(f"<{width * height}f", *([value] * (width * height)))
@@ -627,14 +638,17 @@ class TestPipeline:
         out, again = tmp_path / "run", tmp_path / "again"
         flags = ("--iterations", "20", "--seed", "3")
         assert run("pipeline", "--model-dir", str(surface_dir), "--output", str(out), *flags) == 0
-        config = out / "run-config.txt"
-        assert "None" not in config.read_text()
-        assert run("pipeline", "--config", str(config), "--output", str(again)) == 0
-        artifacts = sorted(p.name for p in out.iterdir())
-        assert artifacts == sorted(p.name for p in again.iterdir())
-        for name in artifacts:
-            if name != "run-config.txt":
-                assert (out / name).read_bytes() == (again / name).read_bytes(), name
+        assert "None" not in (out / "run-config.txt").read_text()
+        assert_replays(out, again)
+
+    def test_run_config_replays_paths_with_hash(self, tmp_path):
+        # a '#' inside a path once cut the replayed model_dir short at it
+        model_dir, _, _ = surface_colmap_model(tmp_path / "scene#1", 600, 120, seed=0)
+        out, again = tmp_path / "out#a", tmp_path / "again"
+        assert run("pipeline", "--model-dir", str(model_dir), "--output", str(out),
+                   "--iterations", "5") == 0
+        assert f"model_dir = {model_dir}\n" in (out / "run-config.txt").read_text()
+        assert_replays(out, again)
 
     def test_parses_once_and_never_reads_datasets(self, fixture_dir, tmp_path, monkeypatch):
         calls = {"parse_colmap_model": 0, "read_dataset_csv": 0}
@@ -1242,6 +1256,17 @@ class TestConfigPrecedence:
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_config_file_with_byte_order_mark_applies(self, fixture_dir, tmp_path):
+        # the mark once made the first key '\ufeffkey_frames', an unknown key
+        conf = tmp_path / "bom.conf"
+        conf.write_bytes(b"\xef\xbb\xbfkey_frames = 2\n")
+        out = tmp_path / "ds.csv"
+        assert run(
+            "build-dataset", "--model-dir", str(fixture_dir),
+            "--output", str(out), "--config", str(conf),
+        ) == 0
+        assert (tmp_path / "ds_frame1.csv").exists()
+
     @pytest.mark.parametrize("line,message", [
         ("seed = abc", "config value for seed: invalid literal for int() with base 10: 'abc'"),
         ("ply_binary = maybe", "config value for ply_binary must be boolean, got 'maybe'"),
@@ -1295,6 +1320,25 @@ class TestUsageErrors:
         assert code == 1
         assert f"usage error: {name} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,template", [
+        ("--output", "{tmp}/run #1"),
+        ("--output", "{tmp}/run\n"),
+        ("--output", "{tmp}/a\u2028b"),
+        ("--model-dir", " {tmp}/colmap"),
+        ("--model-dir", "{tmp}/colmap\t"),
+        ("--model-dir", "#colmap"),
+        ("--depth-dir", "{tmp}/depth\udc85"),
+    ])
+    def test_path_run_config_cannot_record_exits_1_before_any_file(
+        self, fixture_dir, tmp_path, capsys, flag, template
+    ):
+        paths = {"--model-dir": str(fixture_dir), "--output": str(tmp_path / "run")}
+        paths[flag] = template.format(tmp=tmp_path)
+        code = run("pipeline", *(arg for item in paths.items() for arg in item))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["colmap"]
 
     def test_negative_seed_from_config_exits_1_before_any_file(
         self, fixture_dir, tmp_path, capsys

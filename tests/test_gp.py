@@ -16,6 +16,7 @@ from gpgs import errors, gp, metrics, model_io, sfm_io
 from oracles import (
     finite_difference_gradient,
     fit_outputs_per_group,
+    lengthscale_derivatives_reference,
     masked_trace_gradient,
     matern_reference,
     posterior_oracle,
@@ -353,6 +354,35 @@ class TestHessian:
                                jitter=gp.TRAIN_JITTER)
         assert np.array_equal(ws.theta, cfg.log_params())
         assert np.array_equal(dtrtri(ws.K, lower=1)[0], fit.inverse_factors[0])
+
+
+class TestLengthscaleDerivatives:
+    """_fill_derivatives' dR in ws.dR and the d^2R it hands to read_d2r."""
+
+    @staticmethod
+    def fill(family, nu, ell, ws):
+        handed = []
+        gp._fill_derivatives(family, nu, ell, ws, lambda d2R: handed.append(d2R.copy()))
+        [d2R] = handed
+        return ws.dR.copy(), d2R
+
+    @pytest.mark.parametrize("family,nu", TestBlockObjective.KERNELS)
+    def test_match_the_closed_form(self, family, nu):
+        X = np.random.default_rng(11).random((30, 2)) * 3.0
+        D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1))
+        ws = gp._Workspace(X)
+        for ell in (0.25, 1.7):  # the second call refills the first's buffers
+            want = lengthscale_derivatives_reference(family, nu, ell, D)
+            for got, ref in zip(self.fill(family, nu, ell, ws), want):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("family,nu", TestBlockObjective.KERNELS)
+    def test_one_exponential_per_call(self, family, nu, monkeypatch):
+        calls = count_calls(monkeypatch, "_fill_exponential")
+        ws = gp._Workspace(np.random.default_rng(12).random((8, 2)))
+        for ell, want in ((0.5, 1), (2.0, 2)):
+            self.fill(family, nu, ell, ws)
+            assert len(calls) == want
 
 
 class TestDerivativesOnDemand:
