@@ -24,6 +24,7 @@ from . import gp, metrics, model_io, sfm_io
 from .errors import (
     EmptyDataset,
     InputDataError,
+    MalformedLine,
     MissingFile,
     NumericalError,
     UsageError,
@@ -107,32 +108,32 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _recordable(value: str) -> bool:
-    """Whether a `key = value` line in UTF-8 reads the value back whole."""
+    """Whether a `key = value` line in UTF-8 reads the value back whole:
+    sfm_io.text_lines ends a line at \\n and \\r."""
     return (
         value == value.strip()
-        and value.splitlines() == [value]
+        and "\n" not in value and "\r" not in value
         and not _COMMENT.search(f" {value}")
         and value.encode("utf-8", "replace").decode("utf-8") == value
     )
 
 
 def parse_config_file(path) -> dict:
-    """Plain-text `key = value` lines in UTF-8, with or without a byte-order
-    mark; '#' at the start of a line or after whitespace starts a comment."""
+    """Plain-text `key = value` lines, read by sfm_io.text_lines; '#' at the
+    start of a line or after whitespace starts a comment. A byte that is
+    not UTF-8 is a usage error, an unreadable file an input error."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"missing config file {path}")
     try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        lines = list(sfm_io.text_lines(path))
+    except MalformedLine as exc:
+        raise UsageError(str(exc)) from exc
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in _FIELD_TYPES:

@@ -101,11 +101,11 @@ def attach_depth(candidates: np.ndarray, depth: DepthMap, width: int, height: in
 def infer_dense(model: TrainedGP, candidates: np.ndarray) -> PredictedPointSet:
     """Run batch GP inference over (m, d) candidate inputs; retained flags
     start all False pending filtering. Only the colour variances, which
-    the filter ranks by, are computed: one inverse of the colour factor
-    per call and one triangular product by it per query block when r, g
-    and b share a factor, as they do after train_gp. A model file whose
-    r, g and b kernels differ still ranks by their mean. posterior checks
-    d against the model's input_dim and answers m = 0 with an empty set."""
+    the filter ranks by, are computed: one triangular product (dtrmm) by
+    the colour factor's inverse, kept by TrainedGP.fit, per block of
+    gp._QUERY_CHUNK queries when r, g and b share a factor, as they do after
+    train_gp; a model file whose r, g and b kernels differ still ranks by
+    their mean. posterior checks d against input_dim; m = 0 gives an empty set."""
     post = posterior(model, candidates, var_outputs=(3, 4, 5))
     mean_rgb_var = post.var_norm[:, 3:6].mean(axis=1)
     return PredictedPointSet(post.mean, mean_rgb_var, np.zeros(len(candidates), dtype=bool))

@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedLine, MissingFile
+from .errors import MalformedLine
 from .gp import _BOUNDS, MATERN, KernelConfig, OutputNormalizer, TrainedGP
-from .sfm_io import FLOAT32_MAX, MAX_IMAGE_SIDE, read_text, write_lines
+from .sfm_io import FLOAT32_MAX, MAX_IMAGE_SIDE, text_lines, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
 N_OUTPUTS = 6  # x, y, z, r, g, b
@@ -73,9 +73,7 @@ def save_model(model: TrainedGP, path) -> None:
 
 def load_model(path) -> TrainedGP:
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"missing model file {path}")
-    lines = read_text(path).splitlines()
+    lines = [line.rstrip("\n") for _, line in text_lines(path)]
     if not lines or lines[0].strip() != MODEL_HEADER:
         raise MalformedLine(path, 1, f"expected header {MODEL_HEADER!r}")
 

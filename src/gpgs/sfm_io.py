@@ -57,20 +57,22 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """A camera's id and image size: the parse checks its parameters but
+    keeps neither them nor its model name, since nothing reads them."""
+
     camera_id: int
-    model: str
     width: int
     height: int
-    params: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class ImageRecord:
+    """An image without its pose: the parse checks qvec and tvec but keeps
+    neither, since nothing reads them."""
+
     image_id: int
     name: str
     camera_id: int
-    qvec: np.ndarray        # (4,) wxyz
-    tvec: np.ndarray        # (3,)
     xys: np.ndarray         # (n, 2) pixel coordinates
     point3d_ids: np.ndarray  # (n,) int64, SENTINEL_NONE where unlinked
 
@@ -219,18 +221,38 @@ class SplitResult:
 # COLMAP text parsing
 # ---------------------------------------------------------------------------
 
-def read_text(path) -> str:
-    """The file's contents decoded as UTF-8.
-
-    A byte that is not UTF-8 raises MalformedLine at its line: bad data,
-    where the UnicodeDecodeError itself would pass for a bad argument.
-    """
-    raw = Path(path).read_bytes()
+@contextmanager
+def reading(path):
+    """Turn an OSError in the block, which reads path, into MissingFile:
+    an unreadable input is an input error (exit 2), never a traceback."""
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise MalformedLine(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
+        yield
+    except OSError as exc:
+        raise MissingFile(f"cannot read {path}: {exc}") from exc
+
+
+def text_lines(path):
+    """Stream (line number, line) for each line of a UTF-8 text file, the
+    reader of every text input. A leading byte-order mark is dropped, and
+    \\n, \\r\\n and \\r each end a line, as open() reads them; a line keeps
+    its end as \\n (the last line may have none). A byte that is not UTF-8
+    raises MalformedLine at the line that rule puts it on; an OSError
+    raises MissingFile (reading)."""
+    path = Path(path)
+    with reading(path):
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            # the decoder reads in blocks: decode the whole file to find the byte
+            raw = path.read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[: exc.start].replace(b"\r\n", b"\n")
+                line = head.count(b"\n") + head.count(b"\r") + 1
+                raise MalformedLine(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8")
+            raise
 
 
 @contextmanager
@@ -275,25 +297,6 @@ def write_lines(path, lines) -> None:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _text_lines(path: Path):
-    """Stream the lines of a UTF-8 text file; bad UTF-8 raises MalformedLine."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError:
-            read_text(path)  # error path: raises MalformedLine at the bad byte's line
-            raise
-
-
-def _data_lines(path: Path):
-    """Yield (line_number, stripped_line) skipping comments; keeps blanks."""
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        yield lineno, line
-
-
 def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
     cameras: list[CameraIntrinsics] = []
     seen: set[int] = set()
@@ -305,7 +308,7 @@ def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
             camera_id = int(tokens[0])
             width = int(tokens[2])
             height = int(tokens[3])
-            params = tuple(float(t) for t in tokens[4:])
+            list(map(float, tokens[4:]))  # params: checked, not kept
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
         if camera_id in seen:
@@ -315,7 +318,7 @@ def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
         if max(width, height) > MAX_IMAGE_SIDE:
             raise MalformedLine(path, lineno, f"image side above {MAX_IMAGE_SIDE}")
         seen.add(camera_id)
-        cameras.append(CameraIntrinsics(camera_id, tokens[1], width, height, params))
+        cameras.append(CameraIntrinsics(camera_id, width, height))
     return cameras
 
 
@@ -324,18 +327,19 @@ def _parse_images(path: Path) -> list[ImageRecord]:
     seen: set[int] = set()
     header = None  # pending image header awaiting its feature line
     last_lineno = 0
-    for lineno, line in _data_lines(path):
+    for lineno, line in text_lines(path):
+        tokens = line.split()
+        if tokens and tokens[0].startswith("#"):
+            continue
         last_lineno = lineno
         if header is None:
-            if not line:
+            if not tokens:
                 continue
-            tokens = line.split()
             if len(tokens) < 10:
                 raise MalformedLine(path, lineno, f"expected 10 header fields, got {len(tokens)}")
             try:
                 image_id = int(tokens[0])
-                qvec = np.array([float(t) for t in tokens[1:5]])
-                tvec = np.array([float(t) for t in tokens[5:8]])
+                list(map(float, tokens[1:8]))  # qvec and tvec: checked, not kept
                 camera_id = int(tokens[8])
             except ValueError as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
@@ -345,9 +349,8 @@ def _parse_images(path: Path) -> list[ImageRecord]:
             if image_id in seen:
                 raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
             seen.add(image_id)
-            header = (image_id, name, camera_id, qvec, tvec)
+            header = (image_id, name, camera_id)
         else:
-            tokens = line.split()
             if len(tokens) % 3 != 0:
                 raise MalformedLine(
                     path, lineno, f"feature line has {len(tokens)} fields, not a multiple of 3"
@@ -363,8 +366,7 @@ def _parse_images(path: Path) -> list[ImageRecord]:
                 raise MalformedLine(path, lineno, "non-finite feature coordinate")
             if not (np.abs(xys) <= FLOAT32_MAX).all():
                 raise MalformedLine(path, lineno, "feature coordinate beyond float32 range")
-            image_id, name, camera_id, qvec, tvec = header
-            images.append(ImageRecord(image_id, name, camera_id, qvec, tvec, xys, ids))
+            images.append(ImageRecord(*header, xys, ids))
             header = None
     if header is not None:
         raise MalformedLine(path, last_lineno, "image header without a feature line")
@@ -374,7 +376,7 @@ def _parse_images(path: Path) -> list[ImageRecord]:
 def _data_rows(path: Path) -> tuple[list[list[str]], list[int]]:
     """Tokens and line number of every non-blank, non-comment line."""
     rows, linenos = [], []
-    for lineno, line in enumerate(_text_lines(path), start=1):
+    for lineno, line in text_lines(path):
         tokens = line.split()
         if tokens and not tokens[0].startswith("#"):
             rows.append(tokens)
@@ -598,10 +600,8 @@ def read_depth_pfm(path) -> DepthMap:
     file. Non-finite payload values become the invalid marker.
     """
     path = Path(path)
-    try:
+    with reading(path):
         raw = path.read_bytes()
-    except OSError as exc:
-        raise MissingFile(f"cannot read {path}: {exc}") from exc
 
     def next_token(offset: int) -> tuple[bytes, int]:
         while offset < len(raw) and raw[offset : offset + 1].isspace():
@@ -755,12 +755,10 @@ _DATASET_REQUIRED_COLUMNS = ("u_norm", "v_norm", "x", "y", "z", "r", "g", "b")
 
 def read_dataset_csv(path) -> PixelToPointDataset:
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"missing dataset file {path}")
     meta = {"image_id": 0, "width": None, "height": None}
     header = None
     rows: list[list[float]] = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
             continue

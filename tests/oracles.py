@@ -228,8 +228,10 @@ def attach_depth_oracle(candidates, depth, width, height) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _data_lines(path):
-    """(line_number, stripped_line) of every non-comment line; keeps blanks."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line_number, stripped_line) of every non-comment line; keeps blanks.
+    The file is UTF-8, a byte-order mark is dropped and lines end as open()
+    ends them (universal newlines)."""
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line.startswith("#"):

@@ -650,6 +650,16 @@ class TestPipeline:
         assert f"model_dir = {model_dir}\n" in (out / "run-config.txt").read_text()
         assert_replays(out, again)
 
+    def test_run_config_replays_paths_with_a_line_separator(self, tmp_path):
+        # U+2028 once counted as a line break, so such a path was refused;
+        # a config file's lines end at \n, \r\n and \r only
+        model_dir, _, _ = surface_colmap_model(tmp_path / "colmap", 600, 120, seed=0)
+        out, again = tmp_path / "a\u2028b", tmp_path / "again"
+        assert run("pipeline", "--model-dir", str(model_dir), "--output", str(out),
+                   "--iterations", "5") == 0
+        assert f"output = {out}\n" in (out / "run-config.txt").read_text(encoding="utf-8")
+        assert_replays(out, again)
+
     def test_parses_once_and_never_reads_datasets(self, fixture_dir, tmp_path, monkeypatch):
         calls = {"parse_colmap_model": 0, "read_dataset_csv": 0}
         for name in calls:
@@ -1071,6 +1081,91 @@ class TestBadUtf8:
         assert "byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
+def artifacts(out: Path) -> dict:
+    """The bytes of each file in out but run-config.txt, which records paths."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run-config.txt"}
+
+
+class TestTextInputs:
+    """Every text input is read one way: UTF-8 with or without a byte-order
+    mark, lines ended by \\n, \\r\\n or \\r, a bad byte reported at its line and
+    an unreadable file an input error (exit 2)."""
+
+    @pytest.fixture()
+    def inputs(self, fixture_dir, tmp_path):
+        """{file name: (path, the command line reading it given an output
+        directory)} for the COLMAP files, a dataset CSV, a model file and
+        a config file."""
+        ds, model, conf = tmp_path / "ds.csv", tmp_path / "model.txt", tmp_path / "run.conf"
+        assert run("build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds)) == 0
+        assert run("train", "--dataset", str(ds), "--output", str(model), "--iterations", "2") == 0
+        conf.write_text("iterations = 2\n")
+
+        def build(out, *extra):
+            return ["build-dataset", "--model-dir", str(fixture_dir),
+                    "--output", str(out / "ds.csv"), *extra]
+
+        stages = {name: (fixture_dir / name, build)
+                  for name in ("cameras.txt", "images.txt", "points3D.txt")}
+        stages["ds.csv"] = (ds, lambda out: ["train", "--dataset", str(ds), "--iterations", "2",
+                                             "--output", str(out / "model.txt")])
+        stages["model.txt"] = (model, lambda out: ["densify", "--model-dir", str(fixture_dir),
+                                                   "--gp-model", str(model),
+                                                   "--output", str(out / "cloud.ply")])
+        stages["run.conf"] = (conf, lambda out: build(out, "--config", str(conf)))
+        return stages
+
+    @pytest.mark.parametrize("name", ["cameras.txt", "images.txt", "points3D.txt", "ds.csv",
+                                      "model.txt"])
+    def test_byte_order_mark_changes_nothing(self, inputs, tmp_path, name):
+        # a mark once made the first token '\ufeff1', or hid the CSV's
+        # header and the model file's
+        path, argv = inputs[name]
+        assert run(*argv(tmp_path / "plain")) == 0
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(*argv(tmp_path / "marked")) == 0
+        assert artifacts(tmp_path / "marked") == artifacts(tmp_path / "plain")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("name", ["points3D.txt", "ds.csv", "model.txt"])
+    def test_bad_byte_reported_at_its_line(self, inputs, tmp_path, capsys, name, end):
+        # in a \r-terminated file the byte was once reported at line 1
+        path, argv = inputs[name]
+        lines = [line.encode() for line in path.read_text().split("\n")[:-1]]
+        lines[4] += b"\xff"
+        path.write_bytes(end.encode().join(lines) + end.encode())
+        assert run(*argv(tmp_path / "out")) == 2
+        assert f"input error: {path}:5: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_form_feed_inside_a_csv_row_ends_no_line(self, inputs, tmp_path):
+        # str.splitlines once ended line 7 of the dataset CSV at the form feed
+        path, argv = inputs["ds.csv"]
+        assert run(*argv(tmp_path / "plain")) == 0
+        lines = path.read_text().split("\n")
+        lines[6] = lines[6].replace(",", ",\f", 1)
+        path.write_text("\n".join(lines))
+        assert run(*argv(tmp_path / "fed")) == 0
+        assert artifacts(tmp_path / "fed") == artifacts(tmp_path / "plain")
+
+    @pytest.mark.parametrize("name", ["cameras.txt", "images.txt", "points3D.txt", "ds.csv",
+                                      "model.txt", "run.conf"])
+    def test_unreadable_input_exits_2(self, inputs, tmp_path, capsys, monkeypatch, name):
+        # an OSError past the existence check once ended in a traceback
+        path, argv = inputs[name]
+        real_open = open
+
+        def refusing(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        # Path.read_text and Path.read_bytes open through io.open
+        monkeypatch.setattr("builtins.open", refusing)
+        monkeypatch.setattr("io.open", refusing)
+        assert run(*argv(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot read {path}: ")
+
+
 class TestNonFinite:
     """A non-finite number where a finite one is required is bad data: exit 2."""
 
@@ -1324,7 +1419,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag,template", [
         ("--output", "{tmp}/run #1"),
         ("--output", "{tmp}/run\n"),
-        ("--output", "{tmp}/a\u2028b"),
+        ("--output", "{tmp}/a\rb"),
         ("--model-dir", " {tmp}/colmap"),
         ("--model-dir", "{tmp}/colmap\t"),
         ("--model-dir", "#colmap"),
@@ -1402,7 +1497,7 @@ class TestUsageErrors:
             "--output", str(tmp_path / "ds.csv"), "--config", str(conf),
         )
         assert code == 1
-        assert "can't decode byte 0xff" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"usage error: {conf}:2: byte 0xff is not UTF-8\n"
         assert not (tmp_path / "ds.csv").exists()
 
 

@@ -3,7 +3,11 @@
 import re
 from pathlib import Path
 
-from gpgs import gp
+import numpy as np
+
+from gpgs import gp, sfm_io
+from oracles import read_ply_oracle
+from synthdata import surface_colmap_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +32,15 @@ def test_posterior_memory_bullet_states_the_query_block():
     widths = re.findall(r"\((\d+), n\)|blocks of (\d+)|O\(n · (\d+)\)", bullet)
     assert len(widths) == 3
     assert {int("".join(width)) for width in widths} == {gp._QUERY_CHUNK}
+
+
+def test_library_use_snippet_writes_a_densified_cloud(tmp_path, monkeypatch):
+    # the snippet runs as printed, on a COLMAP model in colmap/
+    code = readme().split("## Library use", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    model_dir, _, _ = surface_colmap_model(tmp_path / "colmap", 600, 120, seed=0)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    sources = read_ply_oracle(tmp_path / "cloud.ply").sources
+    n_sparse = len(sfm_io.parse_colmap_model(model_dir).points3d)
+    assert np.count_nonzero(sources == sfm_io.PointSource.SFM) == n_sparse
+    assert np.count_nonzero(sources == sfm_io.PointSource.GP) >= 1

@@ -99,6 +99,14 @@ class TestParseColmap:
         assert exc_info.value.line_number == 1
         assert "cameras.txt" in exc_info.value.path
 
+    def test_non_numeric_camera_param_reports_its_line(self, model_dir):
+        # the parameters are checked although the record no longer keeps them
+        (model_dir / "cameras.txt").write_text("# cameras\n1 PINHOLE 400 300 350 fx 200 150\n")
+        with pytest.raises(errors.MalformedLine) as exc_info:
+            sfm_io.parse_colmap_model(model_dir)
+        assert exc_info.value.line_number == 2
+        assert str(exc_info.value).endswith("could not convert string to float: 'fx'")
+
     def test_duplicate_image_id(self, model_dir):
         text = (model_dir / "images.txt").read_text().replace(
             "2 1 0 0 0 0.5", "1 1 0 0 0 0.5"
@@ -158,8 +166,15 @@ def colmap_rows(draw):
     return images, points
 
 
-def _write_colmap_text(dir_path: Path, images, points, draw_flags) -> Path:
-    """Write the rows with comments and blank lines where draw_flags says."""
+# Per file: whether it starts with a byte-order mark, and its line end.
+FILE_STYLES = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(["\n", "\r\n", "\r"])), min_size=3, max_size=3
+)
+
+
+def _write_colmap_text(dir_path: Path, images, points, draw_flags, styles) -> Path:
+    """Write the rows with comments and blank lines where draw_flags says,
+    each file with the byte-order mark and line end its style draws."""
     flags = iter(draw_flags)
     image_lines, point_lines = ["# images"], ["# points"]
     for header, features in images:
@@ -170,17 +185,22 @@ def _write_colmap_text(dir_path: Path, images, points, draw_flags) -> Path:
         if next(flags):
             point_lines += ["", "  # indented comment"]
         point_lines.append(" ".join(row))
-    (dir_path / "cameras.txt").write_text("# cameras\n1 PINHOLE 400 300 350 350 200 150\n")
-    (dir_path / "images.txt").write_text("\n".join(image_lines) + "\n")
-    (dir_path / "points3D.txt").write_text("\n".join(point_lines) + "\n")
+    files = {
+        "cameras.txt": ["# cameras", "1 PINHOLE 400 300 350 350 200 150"],
+        "images.txt": image_lines,
+        "points3D.txt": point_lines,
+    }
+    for (name, lines), (bom, end) in zip(files.items(), styles):
+        text = "\ufeff" * bom + end.join(lines) + end
+        (dir_path / name).write_bytes(text.encode("utf-8"))
     return dir_path
 
 
-def _parse_both(images, points, flags):
+def _parse_both(images, points, flags, styles):
     """(array result or exception, oracle result or exception) for one model."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        model_dir = _write_colmap_text(Path(tmp), images, points, flags)
+        model_dir = _write_colmap_text(Path(tmp), images, points, flags, styles)
         for parse in (sfm_io.parse_colmap_model, parse_colmap_oracle):
             try:
                 out.append(parse(model_dir))
@@ -190,15 +210,20 @@ def _parse_both(images, points, flags):
 
 
 class TestParserMatchesOracle:
-    @given(rows=colmap_rows(), flags=st.lists(st.booleans(), min_size=30, max_size=30))
+    @given(
+        rows=colmap_rows(), flags=st.lists(st.booleans(), min_size=30, max_size=30),
+        styles=FILE_STYLES,
+    )
     @settings(max_examples=60, deadline=None)
-    def test_valid_models_equal(self, rows, flags):
-        model, (cameras, images, points) = _parse_both(*rows, flags)
-        assert [(c.camera_id, c.model, c.width, c.height, c.params) for c in model.cameras] == cameras
-        for img, (image_id, name, camera_id, qvec, tvec, xys, ids) in zip(model.images, images):
+    def test_valid_models_equal(self, rows, flags, styles):
+        # the records keep what a caller reads: no camera model or
+        # parameters, no image pose
+        model, (cameras, images, points) = _parse_both(*rows, flags, styles)
+        assert [(c.camera_id, c.width, c.height) for c in model.cameras] == [
+            (camera_id, width, height) for camera_id, _, width, height, _ in cameras
+        ]
+        for img, (image_id, name, camera_id, _, _, xys, ids) in zip(model.images, images):
             assert (img.image_id, img.name, img.camera_id) == (image_id, name, camera_id)
-            assert img.qvec.tobytes() == np.array(qvec).tobytes()
-            assert img.tvec.tobytes() == np.array(tvec).tobytes()
             assert img.xys.tobytes() == np.array(xys, dtype=np.float64).reshape(-1, 2).tobytes()
             assert img.point3d_ids.tolist() == ids
         table = model.points3d
@@ -218,12 +243,13 @@ class TestParserMatchesOracle:
                     ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
                      "feature_token", "track_image", "track_feature", "feature_point",
                      "feature_nan", "feature_float32", "xyz_nan", "xyz_float32",
-                     "image_id_int64"]
+                     "image_id_int64", "pose_token"]
                 ),
                 st.integers(0, 10**6),
             ),
             min_size=1, max_size=2,
         ),
+        styles=FILE_STYLES,
     )
     @settings(max_examples=150, deadline=None)
     @example(
@@ -233,12 +259,13 @@ class TestParserMatchesOracle:
         ),
         flags=[False] * 30,
         edits=[("odd_track", 0), ("track_image", 0)],
+        styles=[(False, "\n")] * 3,
     )
-    def test_bad_models_raise_like_oracle(self, rows, flags, edits):
+    def test_bad_models_raise_like_oracle(self, rows, flags, edits, styles):
         images, points = rows
         for kind, pick in edits:
             _corrupt(images, points, kind, pick)
-        got, want = _parse_both(images, points, flags)
+        got, want = _parse_both(images, points, flags, styles)
         if not isinstance(want, Exception):
             assert not isinstance(got, Exception)
             return
@@ -266,6 +293,9 @@ def _corrupt(images, points, kind, pick):
             features[3 * (pick % (len(features) // 3)) + pick % 2] = (
                 ("1e39", "-3.4028236e38", "1e200", "-1e308")[pick // 2 % 4]
             )
+        return
+    if kind == "pose_token":
+        images[pick % len(images)][0][1 + pick % 7] = "pose"
         return
     if kind == "image_id_int64":
         images[pick % len(images)][0][0] = str((2**63 + pick, -(2**63) - 1 - pick)[pick % 2])
