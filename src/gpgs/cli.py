@@ -528,7 +528,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--train-fraction", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument(
-            "--ascii-ply", action="store_true", default=None,
+            "--ascii-ply", dest="ply_binary", action="store_false", default=None,
             help="write ASCII instead of binary PLY",
         )
     return parser
@@ -539,13 +539,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         merged.update(parse_config_file(args.config))
     for key in _FIELD_TYPES:
-        if key == "ply_binary":
-            continue
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if getattr(args, "ascii_ply", None):
-        merged["ply_binary"] = False
     try:
         return RunConfig(**merged)
     except (TypeError, ValueError) as exc:

@@ -731,84 +731,106 @@ def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
 # Dataset CSV interchange
 # ---------------------------------------------------------------------------
 
-def write_dataset_csv(ds: PixelToPointDataset, path) -> None:
-    """Write the dataset with '#'-prefixed metadata and a one-line header.
+def within(low, high=math.inf):
+    """The rule that a number lie in [low, high]: a function that says what
+    is wrong with a number outside it, and returns None for one inside. A
+    number above high goes unnamed: it may run to hundreds of digits."""
+    return lambda v: f"{v} is below {low}" if v < low else f"above {high}" if v > high else None
 
-    Columns are u_norm,v_norm[,depth],x,y,z,r,g,b; the depth column is
-    present when the inputs have one. 17 significant digits give exact
-    float64 round trips.
-    """
-    cols = ["u_norm", "v_norm"] + (["depth"] if ds.has_depth else []) + list("xyzrgb")
-    lines = [
-        f"# image_id = {ds.image_id}",
-        f"# width = {ds.width}",
-        f"# height = {ds.height}",
-        ",".join(cols),
-    ]
+
+# The rule of an image width or height in a dataset CSV or a model file.
+IMAGE_SIDE = within(1, MAX_IMAGE_SIDE)
+
+
+def line_value(path, lines, i: int, prefix: str, kind, rule=None):
+    """The value after prefix on lines[i], line i + 1 of path's stripped
+    lines, converted by kind. A float must be finite, and a rule, if given,
+    must return None for the value. Anything else, a ValueError from kind
+    included, raises MalformedLine at that line."""
+    key = prefix.strip("# =")
+    if i >= len(lines) or not lines[i].startswith(prefix):
+        got = repr(lines[i]) if i < len(lines) else "the end of the file"
+        raise MalformedLine(path, i + 1, f"expected {prefix.strip()!r}, got {got}")
+    try:
+        value = kind(lines[i][len(prefix):].strip())
+    except ValueError as exc:
+        raise MalformedLine(path, i + 1, f"{key}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MalformedLine(path, i + 1, f"{key}: non-finite value {value}")
+    wrong = rule and rule(value)
+    if wrong:
+        raise MalformedLine(path, i + 1, f"{key}: {wrong}")
+    return value
+
+
+def number_row(path, lineno: int, tokens, n_inputs: int, n_targets: int) -> list[float]:
+    """The numbers of one row of the dataset CSV or the model file: n_inputs
+    inputs, then n_targets targets. Each must be finite and within
+    float32's range: larger inputs overflow the pairwise distances of a
+    Gram matrix and the candidate pixels, larger targets their
+    standardisation. A third input is a depth, which must be positive, the
+    rule DepthMap.value_at applies. MalformedLine at lineno otherwise."""
+    n = n_inputs + n_targets
+    if len(tokens) != n:
+        raise MalformedLine(path, lineno, f"expected {n} values, got {len(tokens)}")
+    try:
+        row = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise MalformedLine(path, lineno, str(exc)) from exc
+    if not all(map(math.isfinite, row)):
+        raise MalformedLine(path, lineno, "non-finite value")
+    for kind, values in (("input", row[:n_inputs]), ("target", row[n_inputs:])):
+        if any(abs(v) > FLOAT32_MAX for v in values):
+            raise MalformedLine(path, lineno, f"{kind} beyond float32 range")
+    if n_inputs == 3 and not row[2] > 0.0:
+        raise MalformedLine(path, lineno, "depth must be positive")
+    return row
+
+
+# The dataset CSV's layout: a '# key = value' line for each metadata key,
+# in this order, each value an int that passes the key's rule (an image id
+# is an int64, as in images.txt); then the header for the inputs' width;
+# then one row per sample.
+DATASET_METADATA = {
+    "image_id": within(-(2**63), 2**63 - 1),
+    "width": IMAGE_SIDE,
+    "height": IMAGE_SIDE,
+}
+DATASET_HEADERS = {
+    2: "u_norm,v_norm,x,y,z,r,g,b",
+    3: "u_norm,v_norm,depth,x,y,z,r,g,b",
+}
+
+
+def write_dataset_csv(ds: PixelToPointDataset, path) -> None:
+    """Write the dataset in the DATASET_METADATA and DATASET_HEADERS
+    layout, at 17 significant digits, which round-trip float64 exactly."""
+    values = (ds.image_id, ds.width, ds.height)
+    lines = [f"# {key} = {value}" for key, value in zip(DATASET_METADATA, values)]
+    lines.append(DATASET_HEADERS[ds.inputs.shape[1]])
     for row in np.hstack([ds.inputs, ds.targets]).tolist():
         lines.append(",".join(f"{v:.17g}" for v in row))
     write_lines(path, lines)
 
 
-_DATASET_REQUIRED_COLUMNS = ("u_norm", "v_norm", "x", "y", "z", "r", "g", "b")
-
-
 def read_dataset_csv(path) -> PixelToPointDataset:
+    """Read the layout write_dataset_csv writes, and nothing else: an
+    input error (MalformedLine) names the first line that departs from it."""
     path = Path(path)
-    meta = {"image_id": 0, "width": None, "height": None}
-    header = None
-    rows: list[list[float]] = []
-    for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            key = key.strip()
-            if key in meta:
-                try:
-                    meta[key] = int(value.strip())
-                except ValueError as exc:
-                    raise MalformedLine(path, lineno, f"metadata {key}: {exc}") from exc
-                if key != "image_id" and meta[key] < 1:
-                    raise MalformedLine(path, lineno, f"{key} must be positive, got {meta[key]}")
-                if key != "image_id" and meta[key] > MAX_IMAGE_SIDE:
-                    raise MalformedLine(path, lineno, f"{key} is above {MAX_IMAGE_SIDE}")
-            continue
-        if header is None:
-            header = line.split(",")
-            missing = [c for c in _DATASET_REQUIRED_COLUMNS if c not in header]
-            if missing:
-                raise MalformedLine(path, lineno, f"header lacks columns {', '.join(missing)}")
-            # a repeated column name reads its last occurrence
-            column = {name: i for i, name in enumerate(header)}
-            input_names = ("u_norm", "v_norm") + (("depth",) if "depth" in column else ())
-            continue
-        tokens = line.split(",")
-        if len(tokens) != len(header):
-            raise MalformedLine(path, lineno, f"expected {len(header)} columns, got {len(tokens)}")
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, str(exc)) from exc
-        if not all(map(math.isfinite, row)):
-            raise MalformedLine(path, lineno, "non-finite value")
-        # larger inputs overflow the pairwise distances of a Gram matrix,
-        # larger targets their standardisation
-        for kind, names in (("input", input_names), ("target", "xyzrgb")):
-            if any(abs(row[column[c]]) > FLOAT32_MAX for c in names):
-                raise MalformedLine(path, lineno, f"{kind} beyond float32 range")
-        # the rule DepthMap.value_at applies to a depth map
-        if "depth" in column and not row[column["depth"]] > 0.0:
-            raise MalformedLine(path, lineno, "depth must be positive")
-        rows.append(row)
-    if header is None:
-        raise MalformedLine(path, 0, "dataset file has no header line")
-    if meta["width"] is None or meta["height"] is None:
-        raise MalformedLine(path, 0, "dataset file lacks width/height metadata")
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    lines = [line.strip() for _, line in text_lines(path)]
+    image_id, width, height = (
+        line_value(path, lines, i, f"# {key} =", int, rule)
+        for i, (key, rule) in enumerate(DATASET_METADATA.items())
+    )
+    n_inputs = next((k for k, header in DATASET_HEADERS.items() if lines[3:4] == [header]), 0)
+    if not n_inputs:
+        headers = " or ".join(map(repr, DATASET_HEADERS.values()))
+        raise MalformedLine(path, 4, f"expected the header {headers}")
+    rows = [
+        number_row(path, lineno, line.split(","), n_inputs, 6)
+        for lineno, line in enumerate(lines[4:], start=5)
+    ]
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), n_inputs + 6)
     return PixelToPointDataset(
-        meta["image_id"], meta["width"], meta["height"],
-        table[:, [column[c] for c in input_names]],
-        table[:, [column[c] for c in "xyzrgb"]],
+        image_id, width, height, table[:, :n_inputs].copy(), table[:, n_inputs:].copy()
     )

@@ -239,8 +239,58 @@ class TestTrain:
         ]
         dataset.write_text("\n".join(lines) + "\n")
         code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        err = capsys.readouterr().err
         assert code == 2
-        assert "lacks columns g" in capsys.readouterr().err
+        assert f"input error: {dataset}:4: expected the header 'u_norm,v_norm,x,y,z,r,g,b'" in err
+        assert "Traceback" not in err
+
+    def test_dataset_without_image_id_exits_2(self, dataset, tmp_path, capsys):
+        # it once trained as frame 0
+        lines = dataset.read_text().splitlines()
+        assert lines[0].startswith("# image_id = ")
+        dataset.write_text("\n".join(lines[1:]) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            f"input error: {dataset}:1: expected '# image_id =', got '# width = "
+        )
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("image_id,message", [
+        (2**63, f"above {2**63 - 1}"), (-(2**63) - 1, f"{-(2**63) - 1} is below {-(2**63)}"),
+    ])
+    def test_dataset_image_id_outside_int64_exits_2(
+        self, dataset, tmp_path, capsys, image_id, message
+    ):
+        # images.txt holds no such id; it once trained
+        lines = dataset.read_text().splitlines()
+        lines[0] = f"# image_id = {image_id}"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"input error: {dataset}:1: image_id: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("edit", ["reordered", "extra"])
+    def test_dataset_columns_not_the_writers_exit_2(self, dataset, tmp_path, capsys, edit):
+        # both once trained to the writer's model
+        lines = dataset.read_text().splitlines()
+        rows = [line.split(",") for line in lines[3:]]
+        if edit == "reordered":
+            rows = [row[:2] + row[3:4] + row[2:3] + row[4:] for row in rows]  # y before x
+        else:
+            rows = [row + ["junk" if i == 0 else "0"] for i, row in enumerate(rows)]
+        dataset.write_text("\n".join(lines[:3] + [",".join(row) for row in rows]) + "\n")
+        code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {dataset}:4: expected the header ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_non_numeric_width_exits_2(self, dataset, tmp_path, capsys):
         lines = dataset.read_text().splitlines()
@@ -258,7 +308,7 @@ class TestTrain:
         dataset.write_text("\n".join(lines) + "\n")
         code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
         assert code == 2
-        assert f"{dataset}:2: width must be positive, got {width}" in capsys.readouterr().err
+        assert f"{dataset}:2: width: {width} is below 1" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize(
@@ -272,7 +322,7 @@ class TestTrain:
         code = run("train", "--dataset", str(dataset), "--output", str(tmp_path / "m.txt"))
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{dataset}:2: width is above {sfm_io.MAX_IMAGE_SIDE}" in err
+        assert f"{dataset}:2: width: above {sfm_io.MAX_IMAGE_SIDE}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m.txt").exists()
 
@@ -898,8 +948,78 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
 
 
+# For each rule of model_io.RULES, values just outside it.
+_OUTSIDE_RULES = {
+    "width": ["0", str(sfm_io.MAX_IMAGE_SIDE + 1)],
+    "height": ["-1", str(sfm_io.MAX_IMAGE_SIDE + 1)],
+    "input_dim": ["1", "4"],
+    "outputs": ["5", "7"],
+    **{
+        key: [repr(math.nextafter(low, -math.inf)), repr(math.nextafter(high, math.inf))]
+        for key, (low, high) in zip(model_io.LOG_PARAM_KEYS, gp._BOUNDS)
+    },
+    "norm_std": ["0", "-5e-324"],
+    "jitter": ["-5e-324"],
+}
+
+
 class TestModelFileRanges:
     """A model-file value out of its range is bad data: exit 2 at its line."""
+
+    def test_every_rule_has_values_outside_it(self):
+        assert _OUTSIDE_RULES.keys() == model_io.RULES.keys()
+        for key, values in _OUTSIDE_RULES.items():
+            kind = int if key in model_io.HEAD_KEYS else float
+            assert all(model_io.RULES[key](kind(value)) for value in values), key
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, values in _OUTSIDE_RULES.items() for value in values
+    ])
+    def test_value_outside_its_rule_exits_2_at_its_line(
+        self, model, fixture_dir, tmp_path, capsys, key, value
+    ):
+        line = self.set_first(model, key, value)
+        capsys.readouterr()
+        cloud = tmp_path / "cloud.ply"
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--output", str(cloud),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {model}:{line}: {key}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not cloud.exists()
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_non_positive_depth_input_exits_2_at_its_row(
+        self, fixture_dir, tmp_path, capsys, depth
+    ):
+        # a dataset CSV and a depth map reject it too
+        write_flat_pfm(tmp_path / "frame1.pfm")
+        ds, model = tmp_path / "ds.csv", tmp_path / "model.txt"
+        assert run(
+            "build-dataset", "--model-dir", str(fixture_dir), "--output", str(ds),
+            "--depth-dir", str(tmp_path),
+        ) == 0
+        assert run(
+            "train", "--dataset", str(ds), "--output", str(model), "--iterations", "2"
+        ) == 0
+        lines = model.read_text().splitlines()
+        at = lines.index("inputs") + 2
+        u, v, _ = lines[at - 1].split()
+        lines[at - 1] = f"{u} {v} {depth}"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        cloud = tmp_path / "cloud.ply"
+        code = run(
+            "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
+            "--dataset", str(ds), "--depth-dir", str(tmp_path), "--output", str(cloud),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"input error: {model}:{at}: depth must be positive\n"
+        assert not cloud.exists()
 
     @pytest.fixture()
     def model(self, fixture_dir, tmp_path):
@@ -951,8 +1071,9 @@ class TestModelFileRanges:
     def test_overflowing_log_parameter_exits_2_without_a_warning(
         self, model, fixture_dir, tmp_path, capsys
     ):
-        self.set_first(model, "log_signal_var", "800")
-        line = model.read_text().splitlines().index("output 0") + 1
+        # the box rule reports it at its own line, before KernelConfig
+        # would reject the overflow
+        line = self.set_first(model, "log_signal_var", "800")
         capsys.readouterr()
         code = run(
             "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
@@ -960,8 +1081,8 @@ class TestModelFileRanges:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            f"input error: {model}:{line}: output 0: "
-            "log_signal_var=800.0 gives a non-finite parameter\n"
+            f"input error: {model}:{line}: "
+            "log_signal_var: 800.0 is outside [-20.0, 20.0], the box training fits in\n"
         )
 
     @pytest.mark.parametrize("value", [-740.0, -800.0])
@@ -970,8 +1091,7 @@ class TestModelFileRanges:
     ):
         # exp(-800) is 0: a ZeroDivisionError in the kernel; sqrt(5) / exp(-740)
         # overflows: a NaN Gram matrix
-        self.set_first(model, "log_lengthscale", str(value))
-        line = model.read_text().splitlines().index("output 0") + 1
+        line = self.set_first(model, "log_lengthscale", str(value))
         capsys.readouterr()
         code = run(
             "densify", "--model-dir", str(fixture_dir), "--gp-model", str(model),
@@ -979,8 +1099,8 @@ class TestModelFileRanges:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            f"input error: {model}:{line}: output 0: "
-            f"log_lengthscale={value} gives a non-finite kernel scaling sqrt(5)/lengthscale\n"
+            f"input error: {model}:{line}: "
+            f"log_lengthscale: {value} is outside [-20.0, 20.0], the box training fits in\n"
         )
 
     @pytest.mark.parametrize("nu,key,value", [
@@ -1272,7 +1392,7 @@ class TestNonFinite:
             "--output", str(tmp_path / "cloud.ply"),
         )
         assert code == 2
-        assert f"{model}:{at + 1}: inputs row 0: beyond float32 range" in capsys.readouterr().err
+        assert f"{model}:{at + 1}: input beyond float32 range" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kernel", ["matern", "rbf"])

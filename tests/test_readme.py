@@ -1,11 +1,12 @@
 """README.md against the source tree it describes."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 
-from gpgs import gp, sfm_io
+from gpgs import cli, gp, sfm_io
 from oracles import read_ply_oracle
 from synthdata import surface_colmap_model
 
@@ -23,6 +24,30 @@ def test_layout_names_every_module():
     modules = sorted(path.name for path in (ROOT / "src" / "gpgs").glob("*.py"))
     assert sorted(listed) == modules
     assert len(listed) == len(set(listed))
+
+
+def test_options_table_lists_every_flag_with_its_default():
+    # the table's rows are exactly the flags the parser defines, each with
+    # the default a run gets when the flag is absent
+    table = readme().split("## Options", 1)[1].split("\n\n")[2]
+    rows = dict(re.findall(r"^\| `(--[\w-]+)` \| ([^|]+?) \|", table, flags=re.MULTILINE))
+    [subcommands] = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    defaults = cli.RunConfig()
+    for parser in subcommands.choices.values():
+        flags = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+        assert sorted(rows) == sorted(a.option_strings[0] for a in flags)
+        for action in flags:
+            cell = rows[action.option_strings[0]]
+            default = getattr(defaults, action.dest, None)
+            if isinstance(action, argparse._StoreConstAction):  # a switch: on or off
+                assert cell == ("on" if default == action.const else "off")
+            elif default is None:
+                assert cell == "—"
+            elif isinstance(default, (int, float)):
+                assert float(cell.strip("`")) == default, action.dest
+            else:
+                assert cell.strip("`") == default, action.dest
 
 
 def test_posterior_memory_bullet_states_the_query_block():
