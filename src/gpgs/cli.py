@@ -25,7 +25,6 @@ from .errors import (
     EmptyDataset,
     InputDataError,
     MalformedLine,
-    MissingFile,
     NumericalError,
     UsageError,
 )
@@ -171,14 +170,9 @@ def _suffixed(path: Path, image_id: int, multi: bool) -> Path:
     return path.with_name(f"{path.stem}_frame{image_id}{path.suffix}")
 
 
-def _depth_for_frame(cfg: RunConfig, model: sfm_io.SparseModel, image_id: int):
-    if cfg.depth_dir is None:
-        return None
-    name = Path(model.image_by_id(image_id).name).stem + ".pfm"
-    path = Path(cfg.depth_dir) / name
-    if not path.is_file():
-        raise MissingFile(f"missing depth file {path} for key frame {image_id}")
-    return sfm_io.read_depth_pfm(path)
+def _depth_path(cfg: RunConfig, model: sfm_io.SparseModel, image_id: int) -> Path:
+    """<depth-dir>/<image stem>.pfm, the depth map of an image."""
+    return Path(cfg.depth_dir) / (Path(model.image_by_id(image_id).name).stem + ".pfm")
 
 
 # Stages: each takes and returns objects; they print progress but write no file.
@@ -189,17 +183,23 @@ def frame_datasets(
     """Rank the key frames, print the ranking, and build one dataset per frame.
 
     Returns (dataset, depth map) per key frame; the depth map is None
-    without --depth-dir.
+    without --depth-dir. Two key frames whose image names share a stem
+    would read one depth map: an input error, before any map is read.
     """
     frames = sfm_io.select_key_frames(model, cfg.key_frames)
     print("rank  image_id  linked  name")
     for rank, image_id in enumerate(frames, start=1):
         img = model.image_by_id(image_id)
         print(f"{rank:<5} {image_id:<9} {img.linked_count():<7} {img.name}")
+    paths = [_depth_path(cfg, model, image_id) if cfg.depth_dir else None for image_id in frames]
+    for i, path in enumerate(paths):
+        if path and path in paths[:i]:
+            names = (model.image_by_id(frames[j]).name for j in (paths.index(path), i))
+            raise InputDataError(f"key frames {' and '.join(names)} both read {path}")
 
     datasets = []
-    for image_id in frames:
-        depth = _depth_for_frame(cfg, model, image_id)
+    for image_id, path in zip(frames, paths):
+        depth = sfm_io.read_depth_pfm(path) if path else None
         ds = sfm_io.build_pixel_dataset(model, image_id, depth)
         dropped = model.image_by_id(image_id).linked_count() - len(ds)
         if dropped:
@@ -366,13 +366,12 @@ def cmd_densify(cfg: RunConfig) -> Path:
     sparse = sfm_io.parse_colmap_model(cfg.model_dir)
     depth = None
     if model.input_dim == 3:
-        if cfg.dataset is None:
+        if cfg.dataset is None or cfg.depth_dir is None:
             raise UsageError(
                 "depth-trained model needs --dataset (for the key frame id) and --depth-dir"
             )
-        depth = _depth_for_frame(cfg, sparse, sfm_io.read_dataset_csv(cfg.dataset).image_id)
-        if depth is None:
-            raise UsageError("--depth-dir is required for a depth-trained model")
+        image_id = sfm_io.read_dataset_csv(cfg.dataset).image_id
+        depth = sfm_io.read_depth_pfm(_depth_path(cfg, sparse, image_id))
     frame = f"model {cfg.gp_model}"
     candidates = _candidates(cfg, model.X, (model.width, model.height), depth, frame)
     filtered = _filtered(cfg, model, candidates, frame)

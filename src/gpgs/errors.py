@@ -3,9 +3,10 @@
 Two broad families matter for the CLI exit codes: anything rooted at
 InputDataError exits with code 2, anything rooted at NumericalError with
 code 3. Usage problems (bad flags, bad config keys and values) are raised
-as UsageError and exit with code 1. The only class caught by name inside
-the package is ConstantTruth, which held-out scoring turns into an absent
-per-output r2.
+as UsageError and exit with code 1. Two classes are caught by name inside
+the package: held-out scoring turns ConstantTruth into an absent
+per-output r2, and cli.parse_config_file turns MalformedLine (a byte that
+is not UTF-8) into a UsageError.
 """
 
 

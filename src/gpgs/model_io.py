@@ -18,8 +18,8 @@ float must be finite, and a value in RULES must pass its rule there. The
 log-parameters must lie in gp._BOUNDS, the box training fits in: far
 outside it the kernel fill can overflow into NaN. train_points must lie in
 1..k, k half the lines that follow it, and output j's block opens with
-`output j`. KernelConfig checks family and nu, and sfm_io.number_row each
-row of inputs or targets, as it does a dataset CSV's rows.
+`output j`. KernelConfig checks family and nu, and sfm_io.number_rows the
+rows of inputs and targets, as it does a dataset CSV's rows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MalformedLine
 from .gp import _BOUNDS, MATERN, KernelConfig, OutputNormalizer, TrainedGP
-from .sfm_io import IMAGE_SIDE, line_value, number_row, text_lines, within, write_lines
+from .sfm_io import IMAGE_SIDE, line_value, number_rows, text_lines, within, write_lines
 
 MODEL_HEADER = "gpgs-model v1"
 N_OUTPUTS = 6  # x, y, z, r, g, b
@@ -105,13 +105,9 @@ def load_model(path) -> TrainedGP:
     def take_rows(tag: str, n_inputs: int, n_targets: int) -> np.ndarray:
         nonlocal pos
         expect(tag)
-        rows = [
-            number_row(path, i + 1, lines[i].split() if i < len(lines) else [],
-                       n_inputs, n_targets)
-            for i in range(pos, pos + n)
-        ]
+        rows = [lines[i].split() if i < len(lines) else [] for i in range(pos, pos + n)]
         pos += n
-        return np.array(rows)
+        return number_rows(path, range(pos - n + 1, pos + 1), rows, n_inputs, n_targets)
 
     expect(MODEL_HEADER)
     width, height, input_dim = take("width", int), take("height", int), take("input_dim", int)

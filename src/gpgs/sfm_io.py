@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -41,14 +43,80 @@ SENTINEL_NONE = -1
 # Depth value marking an unusable pixel; any value <= 0 is treated as invalid.
 INVALID_DEPTH = -1.0
 
-# The largest image width or height that cameras.txt, the dataset CSV and
-# the model file accept: an int32, so a side is exact in float64 and
-# width * height fits in int64.
+# The largest image width or height: an int32, so a side is exact in
+# float64 and width * height fits in int64.
 MAX_IMAGE_SIDE = 2**31 - 1
 
 # The largest magnitude a PLY ``float`` coordinate holds: a position beyond
 # it is not finite in float32.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+# Input rules: each value's rule, written once for every reader.
+
+def within(low, high=math.inf):
+    """The rule that a number lie in [low, high]: a function that says what
+    is wrong with a number outside it, and returns None for one inside. A
+    number above high goes unnamed: it may run to hundreds of digits."""
+    return lambda v: f"{v} is below {low}" if v < low else f"above {high}" if v > high else None
+
+
+# The rule of an image width or height: in cameras.txt, a dataset CSV, a
+# model file and a PFM header.
+IMAGE_SIDE = within(1, MAX_IMAGE_SIDE)
+
+# The rule of an image id, in images.txt and a dataset CSV: an int64.
+IMAGE_ID = within(-(2**63), 2**63 - 1)
+
+
+def checked(key: str, value, rule, error):
+    """value, if rule passes it; else raise error(f"{key}: <what rule says>")."""
+    wrong = rule(value)
+    if wrong:
+        raise error(f"{key}: {wrong}")
+    return value
+
+
+def number_faults(name: str, values: np.ndarray) -> list:
+    """(message, row mask) per rule of a feature coordinate, a point position
+    and a dataset CSV's or model file's row, over the rows of values (n, k):
+    each value finite, then within float32's range. Larger inputs overflow a
+    Gram matrix's distances, larger targets their standardisation."""
+    return [
+        (f"non-finite {name}", ~np.isfinite(values).all(axis=1)),
+        (f"{name} beyond float32 range", (np.abs(values) > FLOAT32_MAX).any(axis=1)),
+    ]
+
+
+def read_rows(path, linenos, rows, convert, faults):
+    """convert(rows), the columns of token rows on lines linenos of path,
+    which raises ValueError or OverflowError for a row it cannot read. If
+    it does, the rows are read one at a time up to the first it rejects,
+    and only the rows before it are kept. faults(columns) gives a (message,
+    row mask) per rule, in the order a row is checked; a message may quote
+    the row's tokens as str.format fields. MalformedLine names the earliest
+    bad row, with its first broken rule or convert's error."""
+    try:
+        columns, rejected = convert(rows), len(rows)
+    except (ValueError, OverflowError):
+        rejected, error = next(_rejections(convert, rows))
+        columns = convert(rows[:rejected])
+    marked = [(int(np.argmax(mask)), message) for message, mask in faults(columns) if mask.any()]
+    if marked:
+        row, message = min(marked, key=itemgetter(0))  # the first rule among ties
+        raise MalformedLine(path, linenos[row], message.format(*rows[row]))
+    if rejected < len(rows):
+        raise MalformedLine(path, linenos[rejected], str(error)) from error
+    return columns
+
+
+def _rejections(convert, rows):
+    """(index, error) of each row that convert rejects on its own."""
+    for k, row in enumerate(rows):
+        try:
+            convert([row])
+        except (ValueError, OverflowError) as exc:
+            yield k, exc
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +370,19 @@ def _parse_cameras(path: Path) -> list[CameraIntrinsics]:
     seen: set[int] = set()
     rows, linenos = _data_rows(path)
     for lineno, tokens in zip(linenos, rows):
+        error = partial(MalformedLine, path, lineno)
         if len(tokens) < 4:
-            raise MalformedLine(path, lineno, f"expected at least 4 fields, got {len(tokens)}")
+            raise error(f"expected at least 4 fields, got {len(tokens)}")
         try:
-            camera_id = int(tokens[0])
-            width = int(tokens[2])
-            height = int(tokens[3])
+            camera_id, width, height = int(tokens[0]), int(tokens[2]), int(tokens[3])
             list(map(float, tokens[4:]))  # params: checked, not kept
         except ValueError as exc:
-            raise MalformedLine(path, lineno, str(exc)) from exc
+            raise error(str(exc)) from exc
         if camera_id in seen:
-            raise MalformedLine(path, lineno, f"duplicate camera id {camera_id}")
-        if width < 1 or height < 1:
-            raise MalformedLine(path, lineno, f"non-positive image size {width}x{height}")
-        if max(width, height) > MAX_IMAGE_SIDE:
-            raise MalformedLine(path, lineno, f"image side above {MAX_IMAGE_SIDE}")
+            raise error(f"duplicate camera id {camera_id}")
         seen.add(camera_id)
+        for key, side in (("width", width), ("height", height)):
+            checked(key, side, IMAGE_SIDE, error)
         cameras.append(CameraIntrinsics(camera_id, width, height))
     return cameras
 
@@ -332,40 +397,36 @@ def _parse_images(path: Path) -> list[ImageRecord]:
         if tokens and tokens[0].startswith("#"):
             continue
         last_lineno = lineno
+        error = partial(MalformedLine, path, lineno)
         if header is None:
             if not tokens:
                 continue
             if len(tokens) < 10:
-                raise MalformedLine(path, lineno, f"expected 10 header fields, got {len(tokens)}")
+                raise error(f"expected 10 header fields, got {len(tokens)}")
             try:
                 image_id = int(tokens[0])
                 list(map(float, tokens[1:8]))  # qvec and tvec: checked, not kept
                 camera_id = int(tokens[8])
             except ValueError as exc:
-                raise MalformedLine(path, lineno, str(exc)) from exc
-            name = " ".join(tokens[9:])
-            if not -(2**63) <= image_id < 2**63:
-                raise MalformedLine(path, lineno, "image id outside int64")
+                raise error(str(exc)) from exc
+            checked("image_id", image_id, IMAGE_ID, error)
             if image_id in seen:
-                raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
+                raise error(f"duplicate image id {image_id}")
             seen.add(image_id)
-            header = (image_id, name, camera_id)
+            header = (image_id, " ".join(tokens[9:]), camera_id)
         else:
             if len(tokens) % 3 != 0:
-                raise MalformedLine(
-                    path, lineno, f"feature line has {len(tokens)} fields, not a multiple of 3"
-                )
+                raise error(f"feature line has {len(tokens)} fields, not a multiple of 3")
             n = len(tokens) // 3
             try:
                 xy_tokens = chain.from_iterable(zip(tokens[0::3], tokens[1::3]))
                 xys = np.fromiter(map(float, xy_tokens), np.float64, 2 * n).reshape(n, 2)
                 ids = np.fromiter(map(int, tokens[2::3]), np.int64, n)
             except (ValueError, OverflowError) as exc:
-                raise MalformedLine(path, lineno, str(exc)) from exc
-            if not np.isfinite(xys).all():
-                raise MalformedLine(path, lineno, "non-finite feature coordinate")
-            if not (np.abs(xys) <= FLOAT32_MAX).all():
-                raise MalformedLine(path, lineno, "feature coordinate beyond float32 range")
+                raise error(str(exc)) from exc
+            for message, bad in number_faults("feature coordinate", xys.reshape(1, -1)):
+                if bad[0]:
+                    raise error(message)
             images.append(ImageRecord(*header, xys, ids))
             header = None
     if header is not None:
@@ -385,14 +446,19 @@ def _data_rows(path: Path) -> tuple[list[list[str]], list[int]]:
 
 
 def _point_columns(rows: list[list[str]]):
-    """(ids, xyz, rgb, track) of points3D rows of 8 + 2k tokens.
+    """(ids, xyz, rgb, track, lengths) of points3D rows of 8 + 2k tokens:
+    track holds every row's (image_id, feature_index) entries.
 
     Converts column by column with Python's int/float, so values match a
-    per-token parse bit for bit; a bad token raises ValueError (or
-    OverflowError for an integer beyond int64). ERROR is converted, so
-    that it must be a float, and dropped.
+    per-token parse bit for bit; a row of another length or a bad token
+    raises ValueError (or OverflowError for an integer beyond int64).
+    ERROR is converted, so that it must be a float, and dropped.
     """
     n = len(rows)
+    lengths = np.fromiter(map(len, rows), np.int64, n)
+    uneven = (lengths < 8) | (lengths % 2 == 1)
+    if uneven.any():
+        raise ValueError(f"expected 8 + 2k fields, got {lengths[np.argmax(uneven)]}")
     ids = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, n)
     xyz = np.fromiter(
         map(float, chain.from_iterable(map(itemgetter(1, 2, 3), rows))), np.float64, 3 * n
@@ -404,59 +470,28 @@ def _point_columns(rows: list[list[str]]):
     track = np.fromiter(
         map(int, chain.from_iterable(row[8:] for row in rows)), np.int64
     ).reshape(-1, 2)
-    return ids, xyz, rgb, track
+    return ids, xyz, rgb, track, lengths
 
 
-def _points_table(rows: list[list[str]]):
-    """Points table of tokenised points3D rows, their (t, 2) track entries
-    (image_id, feature_index) and each row's field count; ValueError or
-    OverflowError if any row is bad, without saying which."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    if np.any((lengths < 8) | (lengths % 2 == 1)):
-        raise ValueError("a row has the wrong number of fields")
-    ids, xyz, rgb, track = _point_columns(rows)
-    sorted_ids = np.sort(ids)
-    if (
-        np.any(sorted_ids[1:] == sorted_ids[:-1]) or np.any((rgb < 0) | (rgb > 255))
-        or not (np.abs(xyz) <= FLOAT32_MAX).all()
-    ):
-        raise ValueError("duplicate point id, colour out of 8-bit range or xyz beyond float32")
-    return PointsTable(ids, xyz, rgb.astype(np.uint8)), track, lengths
+def _point_faults(columns) -> list:
+    """The rules of converted points3D rows: the position's, an id no earlier
+    row holds and a colour in 0..255."""
+    ids, xyz, rgb, _, _ = columns
+    order = np.argsort(ids, kind="stable")
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    return [
+        *number_faults("position", xyz),
+        ("duplicate point3d id {0}", repeated),
+        ("colour out of 8-bit range: {4} {5} {6}", ((rgb < 0) | (rgb > 255)).any(axis=1)),
+    ]
 
 
 def _parse_points3d(path: Path):
+    """Points table of points3D.txt, its track entries and row lengths."""
     rows, linenos = _data_rows(path)
-    try:
-        return _points_table(rows)
-    except (ValueError, OverflowError):
-        _raise_first_bad_point(path, rows, linenos)
-
-
-def _raise_first_bad_point(path: Path, rows: list[list[str]], linenos: list[int]):
-    """Check the rows one at a time and raise for the first bad one.
-
-    The error path of _parse_points3d: the bulk conversion says that some
-    row is bad, this pass says which line and why.
-    """
-    seen: set[int] = set()
-    for lineno, tokens in zip(linenos, rows):
-        if len(tokens) < 8 or len(tokens) % 2 == 1:
-            raise MalformedLine(path, lineno, f"expected 8 + 2k fields, got {len(tokens)}")
-        try:
-            ids, xyz, rgb, _ = _point_columns([tokens])
-        except (ValueError, OverflowError) as exc:
-            raise MalformedLine(path, lineno, str(exc)) from exc
-        if not np.isfinite(xyz).all():
-            raise MalformedLine(path, lineno, f"non-finite position: {tokens[1:4]}")
-        if not (np.abs(xyz) <= FLOAT32_MAX).all():
-            raise MalformedLine(path, lineno, f"position beyond float32 range: {tokens[1:4]}")
-        point3d_id = int(ids[0])
-        if point3d_id in seen:
-            raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
-        if np.any(rgb < 0) or np.any(rgb > 255):
-            raise MalformedLine(path, lineno, f"colour out of 8-bit range: {tokens[4:7]}")
-        seen.add(point3d_id)
-    raise RuntimeError(f"{path}: bulk parse rejected rows that pass one by one")
+    ids, xyz, rgb, track, lengths = read_rows(path, linenos, rows, _point_columns, _point_faults)
+    return PointsTable(ids, xyz, rgb.astype(np.uint8)), track, lengths
 
 
 def parse_colmap_model(dir_path) -> SparseModel:
@@ -468,14 +503,9 @@ def parse_colmap_model(dir_path) -> SparseModel:
     first offender in file order.
     """
     dir_path = Path(dir_path)
-    paths = {name: dir_path / f"{name}.txt" for name in ("cameras", "images", "points3D")}
-    for name, path in paths.items():
-        if not path.is_file():
-            raise MissingFile(f"missing {path}")
-
-    cameras = _parse_cameras(paths["cameras"])
-    images = _parse_images(paths["images"])
-    points, track, lengths = _parse_points3d(paths["points3D"])
+    cameras = _parse_cameras(dir_path / "cameras.txt")
+    images = _parse_images(dir_path / "images.txt")
+    points, track, lengths = _parse_points3d(dir_path / "points3D.txt")
 
     # feature -> point id
     feature_ids = np.concatenate(
@@ -602,35 +632,23 @@ def read_depth_pfm(path) -> DepthMap:
     path = Path(path)
     with reading(path):
         raw = path.read_bytes()
-
-    def next_token(offset: int) -> tuple[bytes, int]:
-        while offset < len(raw) and raw[offset : offset + 1].isspace():
-            offset += 1
-        start = offset
-        while offset < len(raw) and not raw[offset : offset + 1].isspace():
-            offset += 1
-        return raw[start:offset], offset
-
-    magic, off = next_token(0)
+    header = re.match(rb"\s*(\S*)\s*(\S*)\s*(\S*)\s*(\S*)", raw)  # four tokens
+    magic, w_tok, h_tok, scale_tok = header.groups()
     if magic != b"Pf":
         raise BadMagic(f"{path}: expected 'Pf' magic, got {magic!r}")
-    w_tok, off = next_token(off)
-    h_tok, off = next_token(off)
     try:
         width, height = int(w_tok), int(h_tok)
     except ValueError as exc:
         raise BadDims(f"{path}: bad dimension tokens {w_tok!r} {h_tok!r}") from exc
-    if width < 1 or height < 1:
-        raise BadDims(f"{path}: non-positive dimensions {width}x{height}")
-    scale_tok, off = next_token(off)
+    for key, side in (("width", width), ("height", height)):
+        checked(key, side, IMAGE_SIDE, lambda message: BadDims(f"{path}: {message}"))
     try:
         scale = float(scale_tok)
     except ValueError as exc:
         raise BadDims(f"{path}: bad scale token {scale_tok!r}") from exc
     if not (math.isfinite(scale) and scale != 0.0):
         raise BadDims(f"{path}: scale {scale_tok!r} is not finite and non-zero")
-    off += 1  # single whitespace byte terminates the header
-    payload, need = raw[off:], 4 * width * height
+    payload, need = raw[header.end() + 1:], 4 * width * height  # one byte ends the header
     if len(payload) != need:
         raise TruncatedPayload(
             f"{path}: payload holds {len(payload)} bytes after the header, need exactly {need}"
@@ -731,68 +749,56 @@ def write_ply(cloud: DensifiedCloud, path, binary: bool = True) -> None:
 # Dataset CSV interchange
 # ---------------------------------------------------------------------------
 
-def within(low, high=math.inf):
-    """The rule that a number lie in [low, high]: a function that says what
-    is wrong with a number outside it, and returns None for one inside. A
-    number above high goes unnamed: it may run to hundreds of digits."""
-    return lambda v: f"{v} is below {low}" if v < low else f"above {high}" if v > high else None
-
-
-# The rule of an image width or height in a dataset CSV or a model file.
-IMAGE_SIDE = within(1, MAX_IMAGE_SIDE)
-
-
 def line_value(path, lines, i: int, prefix: str, kind, rule=None):
     """The value after prefix on lines[i], line i + 1 of path's stripped
     lines, converted by kind. A float must be finite, and a rule, if given,
-    must return None for the value. Anything else, a ValueError from kind
+    must pass the value (checked). Anything else, a ValueError from kind
     included, raises MalformedLine at that line."""
-    key = prefix.strip("# =")
+    key, error = prefix.strip("# ="), partial(MalformedLine, path, i + 1)
     if i >= len(lines) or not lines[i].startswith(prefix):
         got = repr(lines[i]) if i < len(lines) else "the end of the file"
-        raise MalformedLine(path, i + 1, f"expected {prefix.strip()!r}, got {got}")
+        raise error(f"expected {prefix.strip()!r}, got {got}")
     try:
         value = kind(lines[i][len(prefix):].strip())
     except ValueError as exc:
-        raise MalformedLine(path, i + 1, f"{key}: {exc}") from exc
+        raise error(f"{key}: {exc}") from exc
     if isinstance(value, float) and not math.isfinite(value):
-        raise MalformedLine(path, i + 1, f"{key}: non-finite value {value}")
-    wrong = rule and rule(value)
-    if wrong:
-        raise MalformedLine(path, i + 1, f"{key}: {wrong}")
-    return value
+        raise error(f"{key}: non-finite value {value}")
+    return checked(key, value, rule, error) if rule else value
 
 
-def number_row(path, lineno: int, tokens, n_inputs: int, n_targets: int) -> list[float]:
-    """The numbers of one row of the dataset CSV or the model file: n_inputs
-    inputs, then n_targets targets. Each must be finite and within
-    float32's range: larger inputs overflow the pairwise distances of a
-    Gram matrix and the candidate pixels, larger targets their
-    standardisation. A third input is a depth, which must be positive, the
-    rule DepthMap.value_at applies. MalformedLine at lineno otherwise."""
+def number_rows(path, linenos, rows, n_inputs: int, n_targets: int) -> np.ndarray:
+    """The (len(rows), n_inputs + n_targets) table of rows of the dataset
+    CSV or the model file, token lists on lines linenos of path: n_inputs
+    inputs, then n_targets targets. Each value must pass number_faults; a
+    third input is a depth, which must be positive, the rule
+    DepthMap.value_at applies. MalformedLine at the first bad row
+    otherwise (read_rows)."""
     n = n_inputs + n_targets
-    if len(tokens) != n:
-        raise MalformedLine(path, lineno, f"expected {n} values, got {len(tokens)}")
-    try:
-        row = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedLine(path, lineno, str(exc)) from exc
-    if not all(map(math.isfinite, row)):
-        raise MalformedLine(path, lineno, "non-finite value")
-    for kind, values in (("input", row[:n_inputs]), ("target", row[n_inputs:])):
-        if any(abs(v) > FLOAT32_MAX for v in values):
-            raise MalformedLine(path, lineno, f"{kind} beyond float32 range")
-    if n_inputs == 3 and not row[2] > 0.0:
-        raise MalformedLine(path, lineno, "depth must be positive")
-    return row
+
+    def convert(rows):
+        wrong = next((len(row) for row in rows if len(row) != n), None)
+        if wrong is not None:
+            raise ValueError(f"expected {n} values, got {wrong}")
+        values = map(float, chain.from_iterable(rows))
+        return np.fromiter(values, np.float64, n * len(rows)).reshape(len(rows), n)
+
+    def faults(table):
+        depths = table[:, 2] if n_inputs == 3 else np.ones(len(table))
+        return [
+            *number_faults("input", table[:, :n_inputs]),
+            *number_faults("target", table[:, n_inputs:]),
+            ("depth must be positive", ~(depths > 0.0)),
+        ]
+
+    return read_rows(path, linenos, rows, convert, faults)
 
 
 # The dataset CSV's layout: a '# key = value' line for each metadata key,
-# in this order, each value an int that passes the key's rule (an image id
-# is an int64, as in images.txt); then the header for the inputs' width;
-# then one row per sample.
+# in this order, each value an int that passes the key's rule; then the
+# header for the inputs' width; then one row per sample.
 DATASET_METADATA = {
-    "image_id": within(-(2**63), 2**63 - 1),
+    "image_id": IMAGE_ID,
     "width": IMAGE_SIDE,
     "height": IMAGE_SIDE,
 }
@@ -826,11 +832,8 @@ def read_dataset_csv(path) -> PixelToPointDataset:
     if not n_inputs:
         headers = " or ".join(map(repr, DATASET_HEADERS.values()))
         raise MalformedLine(path, 4, f"expected the header {headers}")
-    rows = [
-        number_row(path, lineno, line.split(","), n_inputs, 6)
-        for lineno, line in enumerate(lines[4:], start=5)
-    ]
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), n_inputs + 6)
+    rows = [line.split(",") for line in lines[4:]]
+    table = number_rows(path, range(5, 5 + len(rows)), rows, n_inputs, 6)
     return PixelToPointDataset(
         image_id, width, height, table[:, :n_inputs].copy(), table[:, n_inputs:].copy()
     )

@@ -254,8 +254,11 @@ def _oracle_cameras(path):
             raise MalformedLine(path, lineno, str(exc)) from exc
         if camera_id in seen:
             raise MalformedLine(path, lineno, f"duplicate camera id {camera_id}")
-        if width < 1 or height < 1:
-            raise MalformedLine(path, lineno, f"non-positive image size {width}x{height}")
+        for key, side in (("width", width), ("height", height)):
+            if side < 1:
+                raise MalformedLine(path, lineno, f"{key}: {side} is below 1")
+            if side > _MAX_SIDE:
+                raise MalformedLine(path, lineno, f"{key}: above {_MAX_SIDE}")
         seen.add(camera_id)
         cameras.append((camera_id, tokens[1], width, height, params))
     return cameras
@@ -281,8 +284,10 @@ def _oracle_images(path):
                 camera_id = int(tokens[8])
             except ValueError as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
-            if not -(2**63) <= image_id < 2**63:
-                raise MalformedLine(path, lineno, "image id outside int64")
+            if image_id < -(2**63):
+                raise MalformedLine(path, lineno, f"image_id: {image_id} is below {-(2**63)}")
+            if image_id >= 2**63:
+                raise MalformedLine(path, lineno, f"image_id: above {2**63 - 1}")
             if image_id in seen:
                 raise MalformedLine(path, lineno, f"duplicate image id {image_id}")
             seen.add(image_id)
@@ -328,13 +333,15 @@ def _oracle_points(path):
         except ValueError as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
         if not all(map(math.isfinite, xyz)):
-            raise MalformedLine(path, lineno, f"non-finite position: {tokens[1:4]}")
+            raise MalformedLine(path, lineno, "non-finite position")
         if any(abs(c) > _FLOAT32_MAX for c in xyz):
-            raise MalformedLine(path, lineno, f"position beyond float32 range: {tokens[1:4]}")
+            raise MalformedLine(path, lineno, "position beyond float32 range")
         if point3d_id in seen:
-            raise MalformedLine(path, lineno, f"duplicate point3d id {point3d_id}")
+            raise MalformedLine(path, lineno, f"duplicate point3d id {tokens[0]}")
         if any(c < 0 or c > 255 for c in rgb):
-            raise MalformedLine(path, lineno, f"colour out of 8-bit range: {tokens[4:7]}")
+            raise MalformedLine(
+                path, lineno, f"colour out of 8-bit range: {' '.join(tokens[4:7])}"
+            )
         seen.add(point3d_id)
         points.append((point3d_id, xyz, rgb, error, track))
     return points
@@ -342,6 +349,9 @@ def _oracle_points(path):
 
 # The largest finite float32, (2 - 2^-23) * 2^127.
 _FLOAT32_MAX = (2.0 - 2.0**-23) * 2.0**127
+
+# The largest image side: an int32.
+_MAX_SIDE = 2**31 - 1
 
 
 def parse_colmap_oracle(dir_path):
@@ -351,12 +361,12 @@ def parse_colmap_oracle(dir_path):
     raising for the first offender in file order.
     """
     paths = {name: Path(dir_path) / f"{name}.txt" for name in ("cameras", "images", "points3D")}
-    for path in paths.values():
-        if not path.is_file():
-            raise MissingFile(f"missing {path}")
-    cameras = _oracle_cameras(paths["cameras"])
-    images = _oracle_images(paths["images"])
-    points = _oracle_points(paths["points3D"])
+    try:
+        cameras = _oracle_cameras(paths["cameras"])
+        images = _oracle_images(paths["images"])
+        points = _oracle_points(paths["points3D"])
+    except OSError as exc:
+        raise MissingFile(f"cannot read {exc.filename}: {exc}") from exc
 
     point_ids = {p[0] for p in points}
     camera_ids = {c[0] for c in cameras}

@@ -78,11 +78,12 @@ class TestBuildDataset:
         assert code == 2
         assert "points3D" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "size", [f"{sfm_io.MAX_IMAGE_SIDE + 1} 400", "400 1" + "0" * 400], ids=["2^31", "10^400"]
-    )
-    def test_image_side_above_bound_exits_2(self, fixture_dir, tmp_path, capsys, size):
-        # a side of 10^400 once crashed converting it to float
+    @pytest.mark.parametrize("size,key", [
+        (f"{sfm_io.MAX_IMAGE_SIDE + 1} 400", "width"), ("400 1" + "0" * 400, "height"),
+    ], ids=["2^31", "10^400"])
+    def test_image_side_above_bound_exits_2(self, fixture_dir, tmp_path, capsys, size, key):
+        # a side of 10^400 once crashed converting it to float; the message
+        # is IMAGE_SIDE's, as in a dataset CSV or a model file
         cameras = fixture_dir / "cameras.txt"
         cameras.write_text(cameras.read_text().replace("PINHOLE 400 400", f"PINHOLE {size}"))
         code = run(
@@ -91,12 +92,15 @@ class TestBuildDataset:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{cameras}:3: image side above {sfm_io.MAX_IMAGE_SIDE}" in err
+        assert f"{cameras}:3: {key}: above {sfm_io.MAX_IMAGE_SIDE}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1])
-    def test_image_id_outside_int64_exits_2(self, fixture_dir, tmp_path, capsys, image_id):
-        # such an id once crashed building the int64 array of image ids
+    @pytest.mark.parametrize("image_id,wrong", [
+        (2**63, f"above {2**63 - 1}"), (-(2**63) - 1, f"{-(2**63) - 1} is below {-(2**63)}"),
+    ], ids=[str(2**63), str(-(2**63) - 1)])
+    def test_image_id_outside_int64_exits_2(self, fixture_dir, tmp_path, capsys, image_id, wrong):
+        # such an id once crashed building the int64 array of image ids; the
+        # message is IMAGE_ID's, as in a dataset CSV
         images = fixture_dir / "images.txt"
         images.write_text(images.read_text().replace("2 1 0 0 0 0.5", f"{image_id} 1 0 0 0 0.5"))
         code = run(
@@ -105,7 +109,7 @@ class TestBuildDataset:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{images}:6: image id outside int64" in err
+        assert f"{images}:6: image_id: {wrong}" in err
         assert "Traceback" not in err
 
     def test_run_config_echoed(self, fixture_dir, tmp_path):
@@ -123,6 +127,28 @@ class TestBuildDataset:
         )
         assert code == 2
         assert "frame1.pfm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build-dataset", "pipeline"])
+    def test_key_frames_sharing_a_depth_map_exit_2(self, fixture_dir, tmp_path, capsys, command):
+        # cam0/x.png and cam1/x.png would both read depth/x.pfm: each frame
+        # once got the same depth map, and the command exited 0
+        images = fixture_dir / "images.txt"
+        text = images.read_text().replace("frame1.png", "cam0/x.png")
+        images.write_text(text.replace("frame2.png", "cam1/x.png"))
+        depth = tmp_path / "depth"
+        depth.mkdir()
+        write_flat_pfm(depth / "x.pfm")
+        out = tmp_path / "out"
+        code = run(
+            command, "--model-dir", str(fixture_dir), "--depth-dir", str(depth),
+            "--output", str(out / "ds.csv" if command == "build-dataset" else out),
+            "--key-frames", "2", "--iterations", "3",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        shared = depth / "x.pfm"
+        assert err == f"input error: key frames cam0/x.png and cam1/x.png both read {shared}\n"
+        assert [p.name for p in out.rglob("*") if p.name != "run-config.txt"] == []
 
     def test_depth_dir_adds_column(self, fixture_dir, tmp_path):
         write_flat_pfm(tmp_path / "frame1.pfm")
@@ -1307,7 +1333,8 @@ class TestNonFinite:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "points3D.txt:4: non-finite position: ['nan', '1.0', '2.0']" in err
+        assert "points3D.txt:4: non-finite position\n" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "run" / "model.txt").exists()
 
     @pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
@@ -1321,7 +1348,8 @@ class TestNonFinite:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"points3D.txt:4: position beyond float32 range: ['0.5', '{value}', '2.0']" in err
+        assert "points3D.txt:4: position beyond float32 range\n" in err
+        assert "Traceback" not in err
         assert sorted(p.name for p in run_dir.iterdir()) == ["run-config.txt"]
 
     def test_feature_coordinate(self, fixture_dir, tmp_path, capsys):
@@ -1339,7 +1367,9 @@ class TestNonFinite:
         self.replace_token(ds, 5, 4, "nan")
         code = run("train", "--dataset", str(ds), "--output", str(tmp_path / "m.txt"))
         assert code == 2
-        assert f"{ds}:6: non-finite value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{ds}:6: non-finite target\n" in err
+        assert "Traceback" not in err
 
     def test_feature_coordinate_beyond_float32(self, fixture_dir, tmp_path, capsys):
         # finite, but far enough apart to overflow a Gram matrix's distances

@@ -5,10 +5,11 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gpgs import cli, gp, sfm_io
+from gpgs import cli, errors, gp, sfm_io
 from oracles import read_ply_oracle
-from synthdata import surface_colmap_model
+from synthdata import surface_colmap_model, write_colmap_fixture
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,3 +70,76 @@ def test_library_use_snippet_writes_a_densified_cloud(tmp_path, monkeypatch):
     n_sparse = len(sfm_io.parse_colmap_model(model_dir).points3d)
     assert np.count_nonzero(sources == sfm_io.PointSource.SFM) == n_sparse
     assert np.count_nonzero(sources == sfm_io.PointSource.GP) >= 1
+
+
+# One input that breaks each rule of a reader: (file, text in it, its
+# replacement); an empty text appends the replacement.
+_COLMAP_BREAKS = [
+    ("cameras.txt", "PINHOLE 400 400", "PINHOLE 0 400"),
+    ("cameras.txt", "PINHOLE 400 400", f"PINHOLE 400 {sfm_io.MAX_IMAGE_SIDE + 1}"),
+    ("cameras.txt", "", "1 PINHOLE 400 400 350 350 200 200\n"),
+    ("images.txt", "2 1 0 0 0 0.5", f"{2**63} 1 0 0 0 0.5"),
+    ("images.txt", "2 1 0 0 0 0.5", f"{-(2**63) - 1} 1 0 0 0 0.5"),
+    ("images.txt", "2 1 0 0 0 0.5", "1 1 0 0 0 0.5"),
+    ("images.txt", "200 100 101", "nan 100 101"),
+    ("images.txt", "200 100 101", "1e39 100 101"),
+    ("points3D.txt", "101 1 2 3", "101 inf 2 3"),
+    ("points3D.txt", "101 1 2 3", "101 -1e39 2 3"),
+    ("points3D.txt", "102 0.5", "101 0.5"),
+    ("points3D.txt", "255 0 0 0.5", "255 0 256 0.5"),
+]
+# A dataset CSV's lines: (line index, token index or None for the whole
+# line, replacement).
+_DATASET_BREAKS = [
+    (0, None, f"# image_id = {2**63}"), (1, None, "# width = 0"),
+    (4, 0, "nan"), (4, 1, "1e39"), (4, 3, "nan"), (4, 4, "-1e39"), (4, 2, "0"),
+]
+
+
+def _reader_messages(tmp_path) -> list[str]:
+    """The message of each rule a reader of the COLMAP files, a dataset CSV
+    or a PFM header applies, without its path and line."""
+    def message(read) -> str:
+        with pytest.raises(errors.InputDataError) as caught:
+            read()
+        error = caught.value
+        malformed = isinstance(error, errors.MalformedLine)
+        where = f"{error.path}:{error.line_number}" if malformed else pfm
+        assert str(error).startswith(f"{where}: ")
+        return str(error)[len(f"{where}: "):]
+
+    messages, pfm = [], tmp_path / "d.pfm"
+    for k, (name, old, new) in enumerate(_COLMAP_BREAKS):
+        path = write_colmap_fixture(tmp_path / f"colmap{k}") / name
+        text = path.read_text()
+        path.write_text(text.replace(old, new, 1) if old else text + new)
+        messages.append(message(lambda: sfm_io.parse_colmap_model(path.parent)))
+    ds = sfm_io.PixelToPointDataset(1, 400, 400, np.array([[0.5, 0.5, 2.0]]),
+                                    np.array([[1.0, 2.0, 3.0, 0.5, 0.5, 0.5]]))
+    for k, (line, token, new) in enumerate(_DATASET_BREAKS):
+        path = tmp_path / f"ds{k}.csv"
+        sfm_io.write_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[line].split(",")
+        tokens[0 if token is None else token] = new
+        lines[line] = ",".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        messages.append(message(lambda: sfm_io.read_dataset_csv(path)))
+    pfm.write_bytes(b"Pf\n0 1\n-1.0\n")
+    messages.append(message(lambda: sfm_io.read_depth_pfm(pfm)))
+    return messages
+
+
+def test_rule_table_names_every_reader_rule_message(tmp_path):
+    # the table's messages, <...> standing for a value, are exactly those
+    # that breaking each reader rule gives
+    table = readme().split("Each input value has one rule", 1)[1].split("\n\n")[1]
+    cells = re.findall(r"^\|.*\| ([^|]+) \|$", table, flags=re.MULTILINE)
+    listed = [m for cell in cells for m in re.findall(r"`([^`]+)`", cell)]
+    patterns = {m: re.sub(r"<[\w-]+>", r"\\S+", re.escape(m)) for m in listed}
+    matched = set()
+    for got in _reader_messages(tmp_path):
+        hits = [m for m, pattern in patterns.items() if re.fullmatch(pattern, got)]
+        assert hits, f"README's rule table lacks {got!r}"
+        matched.update(hits)
+    assert sorted(matched) == sorted(listed)

@@ -107,6 +107,28 @@ class TestParseColmap:
         assert exc_info.value.line_number == 2
         assert str(exc_info.value).endswith("could not convert string to float: 'fx'")
 
+    @pytest.mark.parametrize("edits,line,message", [
+        ({5: "103 -1 0 4 0 0 256 0.3 1 2", 7: "105 0 0 x 10 20 30 0.1 1 4"},
+         5, "colour out of 8-bit range: 0 0 256"),
+        ({5: "103 -1 0 x 0 0 255 0.3 1 2", 7: "105 0 0 1 10 20 256 0.1 1 4"},
+         5, "could not convert string to float: 'x'"),
+        ({5: "101 -1 0 4 0 0 255 0.3 1 2", 7: "105 0 0 1 10 20 30 0.1 1"},
+         5, "duplicate point3d id 101"),
+    ], ids=["colour-before-token", "colour-after-token", "field-count-after-duplicate"])
+    def test_first_bad_point_row_is_reported(self, model_dir, edits, line, message):
+        # the earlier of two bad rows, with its own message, whichever rule
+        # each breaks: a bulk-checked rule or the conversion that stops the bulk read
+        path = model_dir / "points3D.txt"
+        lines = path.read_text().splitlines()
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.MalformedLine) as want:
+            parse_colmap_oracle(model_dir)
+        with pytest.raises(errors.MalformedLine) as got:
+            sfm_io.parse_colmap_model(model_dir)
+        assert str(got.value) == str(want.value) == f"{path}:{line}: {message}"
+
     def test_duplicate_image_id(self, model_dir):
         text = (model_dir / "images.txt").read_text().replace(
             "2 1 0 0 0 0.5", "1 1 0 0 0 0.5"
@@ -139,10 +161,18 @@ _coords = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.integers(-999, 99
 def colmap_rows(draw):
     """Token rows of a random valid COLMAP model.
 
-    Returns (images, points): images as [header tokens, feature tokens]
-    pairs, points as token lists. Ids are random and unsorted; tracks run
+    Returns (cameras, images, points): cameras and points as token lists,
+    images as [header tokens, feature tokens] pairs. Ids are random and
+    unsorted; image sides run from 1 to sfm_io.MAX_IMAGE_SIDE; tracks run
     from empty to long; every reference resolves.
     """
+    camera_ids = draw(st.lists(st.integers(0, 2**40), unique=True, min_size=1, max_size=3))
+    sides = st.integers(1, sfm_io.MAX_IMAGE_SIDE).map(str)
+    cameras = [
+        [str(camera_id), "PINHOLE", draw(sides), draw(sides)]
+        + draw(st.lists(_coords, min_size=4, max_size=4))
+        for camera_id in camera_ids
+    ]
     point_ids = draw(st.lists(st.integers(0, 2**40), unique=True, max_size=25))
     image_ids = draw(st.lists(st.integers(1, 10**6), unique=True, min_size=1, max_size=4))
     images, observations = [], []
@@ -153,7 +183,9 @@ def colmap_rows(draw):
             pid = draw(st.sampled_from(point_ids + [SENTINEL_NONE]))
             features += [draw(_coords), draw(_coords), str(pid)]
             observations.append((image_id, idx))
-        header = [str(image_id)] + [draw(_coords) for _ in range(7)] + ["1", f"im{image_id}.png"]
+        camera_id = str(draw(st.sampled_from(camera_ids)))
+        pose = [draw(_coords) for _ in range(7)]
+        header = [str(image_id), *pose, camera_id, f"im{image_id}.png"]
         images.append([header, features])
     points = []
     for pid in point_ids:
@@ -163,7 +195,7 @@ def colmap_rows(draw):
             track = draw(st.lists(st.sampled_from(observations), max_size=40))
             row += [str(v) for entry in track for v in entry]
         points.append(row)
-    return images, points
+    return cameras, images, points
 
 
 # Per file: whether it starts with a byte-order mark, and its line end.
@@ -172,7 +204,7 @@ FILE_STYLES = st.lists(
 )
 
 
-def _write_colmap_text(dir_path: Path, images, points, draw_flags, styles) -> Path:
+def _write_colmap_text(dir_path: Path, cameras, images, points, draw_flags, styles) -> Path:
     """Write the rows with comments and blank lines where draw_flags says,
     each file with the byte-order mark and line end its style draws."""
     flags = iter(draw_flags)
@@ -186,7 +218,7 @@ def _write_colmap_text(dir_path: Path, images, points, draw_flags, styles) -> Pa
             point_lines += ["", "  # indented comment"]
         point_lines.append(" ".join(row))
     files = {
-        "cameras.txt": ["# cameras", "1 PINHOLE 400 300 350 350 200 150"],
+        "cameras.txt": ["# cameras"] + [" ".join(row) for row in cameras],
         "images.txt": image_lines,
         "points3D.txt": point_lines,
     }
@@ -196,11 +228,11 @@ def _write_colmap_text(dir_path: Path, images, points, draw_flags, styles) -> Pa
     return dir_path
 
 
-def _parse_both(images, points, flags, styles):
+def _parse_both(cameras, images, points, flags, styles):
     """(array result or exception, oracle result or exception) for one model."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        model_dir = _write_colmap_text(Path(tmp), images, points, flags, styles)
+        model_dir = _write_colmap_text(Path(tmp), cameras, images, points, flags, styles)
         for parse in (sfm_io.parse_colmap_model, parse_colmap_oracle):
             try:
                 out.append(parse(model_dir))
@@ -243,7 +275,8 @@ class TestParserMatchesOracle:
                     ["id", "rgb_token", "track_token", "odd_track", "duplicate", "rgb_256",
                      "feature_token", "track_image", "track_feature", "feature_point",
                      "feature_nan", "feature_float32", "xyz_nan", "xyz_float32",
-                     "image_id_int64", "pose_token"]
+                     "image_id_int64", "pose_token", "camera_side", "camera_token",
+                     "camera_duplicate"]
                 ),
                 st.integers(0, 10**6),
             ),
@@ -254,6 +287,7 @@ class TestParserMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @example(
         rows=(
+            [["1", "PINHOLE", "400", "300", "350", "350", "200", "150"]],
             [[["1", "1", "0", "0", "0", "0", "0", "0", "1", "im1.png"], ["0.5", "0.5", "7"]]],
             [["7", "0", "0", "0", "1", "2", "3", "0"]],
         ),
@@ -262,10 +296,10 @@ class TestParserMatchesOracle:
         styles=[(False, "\n")] * 3,
     )
     def test_bad_models_raise_like_oracle(self, rows, flags, edits, styles):
-        images, points = rows
+        cameras, images, points = rows
         for kind, pick in edits:
-            _corrupt(images, points, kind, pick)
-        got, want = _parse_both(images, points, flags, styles)
+            _corrupt(cameras, images, points, kind, pick)
+        got, want = _parse_both(cameras, images, points, flags, styles)
         if not isinstance(want, Exception):
             assert not isinstance(got, Exception)
             return
@@ -275,8 +309,18 @@ class TestParserMatchesOracle:
             assert got.line_number == want.line_number
 
 
-def _corrupt(images, points, kind, pick):
+def _corrupt(cameras, images, points, kind, pick):
     """Break one row of the model in place; a no-op where the kind has no target."""
+    camera = cameras[pick % len(cameras)]
+    if kind == "camera_side":
+        camera[2 + pick % 2] = ("0", str(sfm_io.MAX_IMAGE_SIDE + 1))[pick // 2 % 2]
+        return
+    if kind == "camera_token":
+        camera[(0, 2, 3)[pick % 3]] = "1.5"
+        return
+    if kind == "camera_duplicate":
+        cameras.append(camera[:2] + cameras[(pick + 1) % len(cameras)][2:])
+        return
     if kind == "feature_token":
         features = images[pick % len(images)][1]
         if features:
